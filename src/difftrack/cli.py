@@ -10,13 +10,13 @@ from .combiners import POLICIES
 from .errors import ConfigError, NumericError
 from .harness import (
     ExperimentConfig,
-    _draw_scene,
-    _write_topology,
+    draw_scene,
     load_config,
     policy_sweep,
     run_experiment,
     trial_rng,
     write_outputs,
+    write_topology,
 )
 
 
@@ -131,10 +131,10 @@ def _cmd_sweep(args) -> int:
 def _cmd_topology(args) -> int:
     cfg = _load(args)
     rng = trial_rng(cfg.seed, 0)
-    net, part = _draw_scene(cfg, rng, args.head_radius)
+    net, part = draw_scene(cfg, rng, args.head_radius)
     os.makedirs(args.out_dir, exist_ok=True)
     adjacency = net.adjacency
-    _write_topology(
+    write_topology(
         os.path.join(args.out_dir, "topology_initial"),
         net.positions,
         part.cluster_of,

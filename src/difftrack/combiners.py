@@ -20,7 +20,7 @@ threshold for a whole window.
 from __future__ import annotations
 
 import numpy as np
-from scipy.stats import chi2
+from scipy.special import gammaincinv
 
 from .errors import ConfigError, NumericError
 from .topology import Network
@@ -32,7 +32,10 @@ COLUMN_SUM_TOL = 1e-12
 
 # Squared-distance bound of the measurement consistency test: the 0.999
 # quantile of chi-square with 4 degrees of freedom (one per state coordinate).
-CONSISTENCY_CHI2 = float(chi2.ppf(0.999, df=4))
+# chi2(k) is twice a Gamma(k/2) variable, so its quantile is twice the
+# inverse regularized incomplete gamma function; scipy.special gives the same
+# float as scipy.stats.chi2.ppf without importing scipy.stats.
+CONSISTENCY_CHI2 = float(2.0 * gammaincinv(2.0, 0.999))
 
 
 def _support(net: Network) -> np.ndarray:
@@ -92,24 +95,44 @@ def adaptive_weight_row(
     return col
 
 
+def pairwise_sq_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared distances between point sets, batched over leading axes.
+
+    ``a`` and ``b`` are (..., N, d); entry [..., i, j] of the result is
+    ||a[..., i, :] - b[..., j, :]||^2. The squared coordinate differences
+    are summed in coordinate order, which is what numpy's reduction does
+    over an axis shorter than 8, so for d = 4 the bits equal those of
+    ``((a[:, None] - b[None]) ** 2).sum(axis=-1)`` without building that
+    (..., N, N, d) temporary.
+    """
+    total = None
+    for k in range(a.shape[-1]):
+        diff = a[..., :, None, k] - b[..., None, :, k]
+        diff *= diff
+        if total is None:
+            total = diff
+        else:
+            total += diff
+    return total
+
+
 def consistent_pairs(points: np.ndarray, sigma2: np.ndarray) -> np.ndarray:
     """Which pairs of 4-d points agree within their noise levels.
 
-    ``points`` is (N, 4) and ``sigma2`` the matching per-node noise
-    variances. Entry (n, m) is True when
+    ``points`` is (..., N, 4) and ``sigma2`` the matching (..., N) per-node
+    noise variances. Entry [..., n, m] is True when
     ||points[n] - points[m]||^2 <= CONSISTENCY_CHI2 * (sigma2[n] + sigma2[m]).
     The result is symmetric with a true diagonal.
     """
     points = np.asarray(points, dtype=np.float64)
     sigma2 = np.asarray(sigma2, dtype=np.float64)
-    diff = points[:, None, :] - points[None, :, :]
-    dist2 = (diff * diff).sum(axis=2)
-    return dist2 <= CONSISTENCY_CHI2 * (sigma2[:, None] + sigma2[None, :])
+    bound = CONSISTENCY_CHI2 * (sigma2[..., :, None] + sigma2[..., None, :])
+    return pairwise_sq_dist(points, points) <= bound
 
 
 def diffusion_matrix(c: np.ndarray) -> np.ndarray:
-    """A = C^T, element for element."""
-    return np.asarray(c).T.copy()
+    """A = C^T, element for element (batched over leading axes)."""
+    return np.swapaxes(np.asarray(c), -1, -2).copy()
 
 
 def static_weights(policy: str, net: Network, sigma2: np.ndarray) -> np.ndarray:
@@ -125,24 +148,28 @@ def static_weights(policy: str, net: Network, sigma2: np.ndarray) -> np.ndarray:
 
 def validate_combination_matrix(
     c: np.ndarray,
-    net: Network,
+    support,
     col_tol: float = COLUMN_SUM_TOL,
 ) -> None:
     """Raise unless C is nonnegative, column-stochastic, and supported.
 
+    ``support`` is the Network C belongs to, or, for a stack of matrices
+    (..., n, n), the matching stack of self-inclusive neighborhood masks.
     Used both by tests and by the engine each iteration; a violation at
     runtime means a weight policy produced garbage, which is a numeric
     failure rather than a configuration problem.
     """
     c = np.asarray(c)
-    if c.shape != (net.n_nodes, net.n_nodes):
+    if isinstance(support, Network):
+        support = _support(support)
+    if c.shape != np.shape(support):
         raise NumericError(f"combination matrix shape {c.shape} wrong")
     if (c < 0.0).any():
         raise NumericError("combination matrix has negative entries")
-    col_err = np.abs(c.sum(axis=0) - 1.0).max()
+    col_err = np.abs(c.sum(axis=-2) - 1.0).max()
     if col_err > col_tol:
         raise NumericError(
             f"combination matrix columns off stochastic by {col_err:.3e}"
         )
-    if c[~_support(net)].any():
+    if c[~support].any():
         raise NumericError("combination matrix leaks outside neighborhoods")

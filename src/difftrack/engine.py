@@ -1,28 +1,39 @@
 """Adapt-then-combine diffusion Kalman filter engine.
 
-Every iteration is a synchronous bulk step over all nodes:
+One engine advances a batch of T independent Monte Carlo trials in
+lockstep. Its state carries a leading trial axis: estimates are (T, n, 4),
+covariances (T, n, 4, 4) and combination matrices (T, n, n). The trials of
+a batch share the node count, the motion model and the policy; each has
+its own network, task assignment, noise levels and random stream. Every
+iteration is a synchronous bulk step over all nodes of all trials:
 
-1. each node measures the target its cluster tracks;
+1. each node measures the target its task tracks;
 2. adaptation: incremental information updates over the node's
    neighborhood, neighbors processed in ascending node index;
-3. residuals q = y - H psi;
+3. residuals q = y - psi;
 4. adaptive policy only: recompute all combination weight columns from the
-   fresh psi snapshot, then A = C^T. A neighbor whose measurement fails the
-   chi-square consistency test against the node's own (see
+   fresh psi snapshot. A neighbor whose measurement fails the chi-square
+   consistency test against the node's own (see
    ``combiners.consistent_pairs``) gets zero weight at that step. The test
    is symmetric, so both directions of such a link drop below the prune
    threshold together, and once phase 6 cuts the link phase 2 stops fusing
    that neighbor's measurement;
 5. combination: convex blend of neighbor intermediates (covariance is NOT
    blended; each node keeps its own);
-6. link-pruning bookkeeping over a sliding window of weight matrices;
+6. link pruning: a per-link count of consecutive steps with weight below
+   the threshold; a link is cut once both directions reach the window;
 7. time update through the motion model.
 
 Phases read only the previous phase's snapshot, so per-node work inside a
-phase is order-free; the engine exploits that by batching phase 2 across
-nodes (all rank-0 neighbors at once, then rank-1, ...), which produces
-bit-identical results to a per-node loop because the per-matrix kernels
-are identical under numpy batching.
+phase is order-free. Phase 2 is batched over all T*n nodes rank by rank:
+every node's first neighbor at once, then every second neighbor, and so
+on, one ``inverse_spd`` call per rank. Each matrix and each weight column
+goes through the same arithmetic whatever else shares its batch, so a
+trial's results are byte-identical whether it runs alone or with others.
+
+A step that fails raises ``NumericError`` naming the trial and the
+iteration. When several trials fail in the same phase of the same step,
+the lowest-numbered one is named.
 
 The module-level functions adapt/residual/combine/time_update are the
 single-node reference forms of the same arithmetic; tests hold the engine
@@ -31,24 +42,23 @@ to them.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .combiners import (
+    COLUMN_SUM_TOL,
     POLICIES,
-    adaptive_weight_row,
     consistent_pairs,
     diffusion_matrix,
+    pairwise_sq_dist,
     static_weights,
     validate_combination_matrix,
 )
 from .dynamics import STATE_DIM, MotionModel
 from .errors import ConfigError, NumericError
 from .numerics import inverse_spd, symmetrize
-from .topology import ClusterAssignment, Network, prune_cross_links
+from .topology import ClusterAssignment, Network, count_below, prune_cross_links
 
 # Column-stochasticity slack tolerated at combine time (looser than the
 # construction-time tolerance; rounding accumulates over a run).
@@ -115,178 +125,187 @@ def time_update(
     return x_pred, p_pred
 
 
-@dataclass(frozen=True)
-class NodeFilterState:
-    """Read-only view of one node's filter quantities."""
-
-    x_pred: np.ndarray
-    P_pred: np.ndarray
-    psi: np.ndarray
-    P_psi: np.ndarray
-    q: np.ndarray
-
-
 class DiffusionKalmanEngine:
-    """Synchronous multi-node filter over a fixed (but prunable) network."""
+    """Synchronous multi-node filter over T trials, each on its own
+    (prunable) network.
+
+    ``nets`` and ``assignments`` hold one entry per trial, all over the
+    same n nodes, and ``sigma2`` is (T, n). ``first_trial`` is the number
+    of the batch's first trial; errors name trials counting from it.
+    """
 
     def __init__(
         self,
-        net: Network,
-        assignment: ClusterAssignment,
+        nets: Sequence[Network],
+        assignments: Sequence[ClusterAssignment],
         model: MotionModel,
         sigma2: np.ndarray,
         policy: str,
         *,
+        first_trial: int = 0,
         eps: float = 1e-12,
         prune_tau: float = 0.05,
         prune_window: int = 10,
         pruning_enabled: bool = True,
         filter_knows_gravity: bool = True,
         p0_scale: float = 1.0,
-        adapt_gate: float = 0.0,
-        observation: np.ndarray | None = None,
     ) -> None:
         if policy not in POLICIES:
             raise ConfigError(f"unknown policy '{policy}', expected one of {POLICIES}")
-        n = net.n_nodes
+        nets = list(nets)
+        assignments = list(assignments)
+        if not nets:
+            raise ConfigError("the engine needs at least one trial")
+        t_count, n = len(nets), nets[0].n_nodes
+        if any(net.n_nodes != n for net in nets):
+            raise ConfigError("all trials of a batch need the same node count")
         sigma2 = np.asarray(sigma2, dtype=np.float64)
-        if sigma2.shape != (n,):
-            raise ConfigError(f"sigma2 must have shape ({n},), got {sigma2.shape}")
+        if sigma2.shape != (t_count, n):
+            raise ConfigError(
+                f"sigma2 must have shape ({t_count}, {n}), got {sigma2.shape}"
+            )
         if (sigma2 <= 0.0).any():
             raise ConfigError("all measurement variances must be positive")
-        if assignment.n_nodes != n:
-            raise ConfigError("cluster assignment does not match network size")
+        if len(assignments) != t_count or any(a.n_nodes != n for a in assignments):
+            raise ConfigError("cluster assignments do not match the networks")
         if p0_scale <= 0.0:
             raise ConfigError(f"initial covariance scale must be positive, got {p0_scale}")
 
-        self.net = net
-        self.assignment = assignment
+        self.nets = nets
+        self.assignments = assignments
         self.model = model
         self.sigma2 = sigma2
         self.policy = policy
+        self.first_trial = int(first_trial)
         self.eps = float(eps)
         self.prune_tau = float(prune_tau)
         self.prune_window = int(prune_window)
         self.pruning_enabled = bool(pruning_enabled)
         self.filter_knows_gravity = bool(filter_knows_gravity)
-        self.adapt_gate = float(adapt_gate)
+        self._targets = np.stack([a.cluster_of - 1 for a in assignments])
 
-        if observation is None:
-            self._h_identity = True
-            self.H = np.broadcast_to(np.eye(STATE_DIM), (n, STATE_DIM, STATE_DIM)).copy()
-            self._h_inv = None
-        else:
-            h = np.asarray(observation, dtype=np.float64)
-            if h.shape == (STATE_DIM, STATE_DIM):
-                h = np.broadcast_to(h, (n, STATE_DIM, STATE_DIM)).copy()
-            if h.shape != (n, STATE_DIM, STATE_DIM):
-                raise ConfigError(
-                    f"observation must be 4x4 or per-node (n,4,4), got {h.shape}"
-                )
-            self.H = h
-            self._h_identity = bool((h == np.eye(STATE_DIM)).all())
-            if self._h_identity:
-                self._h_inv = None
-            else:
-                # The adaptive rule adds a measurement-space residual to a
-                # state-space estimate; for H != I that needs H^{-1}.
-                try:
-                    self._h_inv = np.linalg.inv(h)
-                except np.linalg.LinAlgError as exc:
-                    raise ConfigError(
-                        "adaptive residual mapping needs invertible observation matrices"
-                    ) from exc
-
-        self.x_pred = np.zeros((n, STATE_DIM))
+        shape = (t_count, n, STATE_DIM)
+        self.x_pred = np.zeros(shape)
         self.P_pred = np.broadcast_to(
-            p0_scale * np.eye(STATE_DIM), (n, STATE_DIM, STATE_DIM)
+            p0_scale * np.eye(STATE_DIM), shape + (STATE_DIM,)
         ).copy()
         self.psi = self.x_pred.copy()
         self.P_psi = self.P_pred.copy()
-        self.q = np.zeros((n, STATE_DIM))
-        self.x_hat = np.zeros((n, STATE_DIM))
-
-        if policy == "adaptive":
-            self.C = np.eye(n)
-        else:
-            self.C = static_weights(policy, net, sigma2)
-        validate_combination_matrix(self.C, net)
-        self.A = diffusion_matrix(self.C)
+        self.q = np.zeros(shape)
+        self.x_hat = np.zeros(shape)
 
         self.iteration = 0
-        self.min_psd_eigenvalue = float("inf")
-        self._history: deque[np.ndarray] = deque(maxlen=self.prune_window)
-        self._rebuild_topology_arrays()
+        self.min_psd_eigenvalue = np.full(t_count, np.inf)
+        # Counts never exceed the window, so the smallest type holding it
+        # will do.
+        self._below = np.zeros(
+            (t_count, n, n), dtype=np.min_scalar_type(self.prune_window)
+        )
+        self._support = np.stack([net.adjacency for net in nets]) | np.eye(n, dtype=bool)
+        self._rebuild_ranks()
         self._gqg = model.process_noise_cov
+
+        if policy == "adaptive":
+            self.C = np.broadcast_to(np.eye(n), (t_count, n, n)).copy()
+        else:
+            self.C = np.stack(
+                [static_weights(policy, net, s2) for net, s2 in zip(nets, sigma2)]
+            )
+        self._validate(COLUMN_SUM_TOL)
+        self.A = diffusion_matrix(self.C)
 
     # -- topology-dependent caches ------------------------------------
 
-    def _rebuild_topology_arrays(self) -> None:
-        hoods = self.net.neighborhoods
-        n = self.net.n_nodes
-        max_deg = max(len(nb) for nb in hoods)
-        ranks = np.full((n, max_deg), -1, dtype=np.int64)
-        for m, nb in enumerate(hoods):
-            ranks[m, : len(nb)] = nb  # already ascending
-        self._ranks = ranks
-        self._support = self.net.adjacency | np.eye(n, dtype=bool)
+    def _rebuild_ranks(self) -> None:
+        """Rank table of all T*n nodes: entry r pairs every node that has
+        an r-th neighbor (ascending index, self included) with that
+        neighbor, both as flat t*n + m indices."""
+        t_count, n = self._support.shape[:2]
+        hoods = np.swapaxes(self._support, 1, 2).reshape(t_count * n, n)
+        nodes, nbrs = np.nonzero(hoods)  # row-major: neighbors ascending
+        rank = (np.cumsum(hoods, axis=1) - 1)[nodes, nbrs]
+        flat_nbrs = nbrs + (nodes // n) * n
+        self._ranks = [
+            (nodes[rank == r], flat_nbrs[rank == r]) for r in range(rank.max() + 1)
+        ]
 
-    def _adopt_network(self, net: Network) -> None:
-        self.net = net
-        self._rebuild_topology_arrays()
+    def _adopt_network(self, t: int, net: Network) -> None:
+        self.nets[t] = net
+        self._support[t] = net.adjacency | np.eye(net.n_nodes, dtype=bool)
         if self.policy != "adaptive":
-            self.C = static_weights(self.policy, net, self.sigma2)
-            validate_combination_matrix(self.C, net)
-            self.A = diffusion_matrix(self.C)
+            self.C[t] = static_weights(self.policy, net, self.sigma2[t])
+            try:
+                validate_combination_matrix(self.C[t], net)
+            except NumericError as exc:
+                raise self._trial_error(t, exc) from exc
+            self.A[t] = self.C[t].T
 
-    # -- accessors ------------------------------------------------------
+    # -- errors -------------------------------------------------------
 
-    def node_state(self, m: int) -> NodeFilterState:
-        return NodeFilterState(
-            x_pred=self.x_pred[m].copy(),
-            P_pred=self.P_pred[m].copy(),
-            psi=self.psi[m].copy(),
-            P_psi=self.P_psi[m].copy(),
-            q=self.q[m].copy(),
+    def _trial_error(self, t: int, what) -> NumericError:
+        return NumericError(
+            f"trial {self.first_trial + t}: iteration {self.iteration}: {what}"
         )
+
+    def _blame(self, exc: NumericError, check, trials) -> None:
+        """Re-run a batched check that failed one trial at a time, in
+        ascending order, and raise the first trial's error by name."""
+        for t in trials:
+            try:
+                check(t)
+            except NumericError as sub:
+                raise self._trial_error(t, sub) from exc
+        raise exc
+
+    def _validate(self, col_tol: float) -> None:
+        try:
+            validate_combination_matrix(self.C, self._support, col_tol)
+        except NumericError as exc:
+            self._blame(
+                exc,
+                lambda t: validate_combination_matrix(self.C[t], self._support[t], col_tol),
+                range(len(self.nets)),
+            )
 
     # -- the synchronous step -------------------------------------------
 
-    def run_step(self, truths: np.ndarray, rng: np.random.Generator) -> "DiffusionKalmanEngine":
-        """Advance every node one iteration against the given truth states.
+    def run_step(
+        self, truths: np.ndarray, rngs: Sequence[np.random.Generator]
+    ) -> "DiffusionKalmanEngine":
+        """Advance every node of every trial one iteration.
 
-        ``truths`` is (n_targets, 4); node m measures target
-        cluster_of[m]. Consumes exactly one (n_nodes, 4) standard normal
-        block from ``rng`` regardless of policy or topology, which keeps
+        ``truths`` is (T, n_targets, 4); node m of trial t measures target
+        cluster_of[m] of trial t. ``rngs`` holds one generator per trial,
+        and each gives exactly one (n_nodes, 4) standard normal block per
+        step regardless of policy or topology, which keeps
         common-random-number comparisons across policies honest.
         """
         truths = np.asarray(truths, dtype=np.float64)
-        n = self.net.n_nodes
-        tidx = self.assignment.cluster_of - 1
-        if truths.ndim != 2 or truths.shape[1] != STATE_DIM or tidx.max() >= truths.shape[0]:
+        t_count, n = self.x_hat.shape[:2]
+        if (
+            truths.ndim != 3
+            or truths.shape[0] != t_count
+            or truths.shape[2] != STATE_DIM
+            or self._targets.max() >= truths.shape[1]
+        ):
             raise ConfigError(
-                f"need one 4-state truth per cluster label, got {truths.shape}"
+                f"need one 4-state truth per cluster label and trial, got {truths.shape}"
             )
+        if len(rngs) != t_count:
+            raise ConfigError(f"need one random stream per trial, got {len(rngs)}")
 
         # Phase 1: measurements.
-        noise = rng.standard_normal((n, STATE_DIM))
-        target_states = truths[tidx]
-        if self._h_identity:
-            y = target_states + np.sqrt(self.sigma2)[:, None] * noise
-        else:
-            seen = (self.H @ target_states[:, :, None])[:, :, 0]
-            y = seen + np.sqrt(self.sigma2)[:, None] * noise
+        noise = np.stack([rng.standard_normal((n, STATE_DIM)) for rng in rngs])
+        target_states = truths[np.arange(t_count)[:, None], self._targets]
+        y = target_states + np.sqrt(self.sigma2)[:, :, None] * noise
 
-        # Phase 2: adaptation, batched across nodes rank by rank.
+        # Phase 2: adaptation, batched across all nodes rank by rank.
         psi, p = self._adapt_all(y)
         self.psi, self.P_psi = psi, p
         self._track_psd(p)
 
         # Phase 3: residuals.
-        if self._h_identity:
-            self.q = y - psi
-        else:
-            self.q = y - (self.H @ psi[:, :, None])[:, :, 0]
+        self.q = y - psi
 
         # Phase 4: weight update (adaptive policy only).
         if self.policy == "adaptive":
@@ -294,18 +313,15 @@ class DiffusionKalmanEngine:
             self.A = diffusion_matrix(self.C)
 
         # Phase 5: combination. Covariance is intentionally left alone.
-        validate_combination_matrix(self.C, self.net, col_tol=COMBINE_COL_TOL)
+        self._validate(COMBINE_COL_TOL)
         self.x_hat = self.A @ psi
 
-        # Phase 6: pruning bookkeeping.
+        # Phase 6: pruning. No count can reach the window before that many
+        # steps have run.
         if self.pruning_enabled:
-            self._history.append(self.C.copy())
-            if len(self._history) >= self.prune_window:
-                pruned = prune_cross_links(
-                    self.net, list(self._history), self.prune_tau, self.prune_window
-                )
-                if pruned is not self.net:
-                    self._adopt_network(pruned)
+            self._below = count_below(self._below, self.C, self.prune_tau, self.prune_window)
+            if self.iteration + 1 >= self.prune_window:
+                self._prune()
 
         # Phase 7: time update.
         self.x_pred = self.x_hat @ self.model.F.T
@@ -322,69 +338,65 @@ class DiffusionKalmanEngine:
     # -- internals --------------------------------------------------------
 
     def _adapt_all(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        psi = self.x_pred.copy()
-        p = self.P_pred.copy()
-        gate_mask = None
-        if self.adapt_gate > 0.0:
-            gate_mask = self.A >= self.adapt_gate
+        t_count, n = y.shape[:2]
+        psi = self.x_pred.reshape(t_count * n, STATE_DIM).copy()
+        p = self.P_pred.reshape(t_count * n, STATE_DIM, STATE_DIM).copy()
+        y = y.reshape(t_count * n, STATE_DIM)
+        sigma2 = self.sigma2.reshape(t_count * n)
         diag = np.arange(STATE_DIM)
-        for r in range(self._ranks.shape[1]):
-            neighbor = self._ranks[:, r]
-            valid = neighbor >= 0
-            if gate_mask is not None:
-                ok = np.zeros_like(valid)
-                ok[valid] = gate_mask[neighbor[valid], np.flatnonzero(valid)]
-                valid = ok
-            if not valid.any():
-                continue
-            m_idx = np.flatnonzero(valid)
-            n_idx = neighbor[m_idx]
+        for m_idx, n_idx in self._ranks:
             p_v = p[m_idx]
             psi_v = psi[m_idx]
-            y_v = y[n_idx]
-            s2_v = self.sigma2[n_idx]
-            if self._h_identity:
-                hp = p_v
-                r_e = p_v.copy()
-                r_e[:, diag, diag] += s2_v[:, None]
-                innov = y_v - psi_v
-            else:
-                h_v = self.H[n_idx]
-                hp = h_v @ p_v
-                r_e = hp @ np.swapaxes(h_v, -1, -2)
-                r_e[:, diag, diag] += s2_v[:, None]
-                innov = y_v - (h_v @ psi_v[:, :, None])[:, :, 0]
-            gain = np.swapaxes(hp, -1, -2) @ inverse_spd(
-                r_e, role="innovation covariance"
-            )
+            r_e = p_v.copy()
+            r_e[:, diag, diag] += sigma2[n_idx][:, None]
+            try:
+                r_inv = inverse_spd(r_e, role="innovation covariance")
+            except NumericError as exc:
+                trial_of = m_idx // n
+                self._blame(
+                    exc,
+                    lambda t: inverse_spd(r_e[trial_of == t], role="innovation covariance"),
+                    np.unique(trial_of),
+                )
+            innov = y[n_idx] - psi_v
+            gain = np.swapaxes(p_v, -1, -2) @ r_inv
             psi[m_idx] = psi_v + (gain @ innov[:, :, None])[:, :, 0]
-            p[m_idx] = symmetrize(p_v - gain @ hp)
-        return psi, p
+            p[m_idx] = symmetrize(p_v - gain @ p_v)
+        return (
+            psi.reshape(t_count, n, STATE_DIM),
+            p.reshape(t_count, n, STATE_DIM, STATE_DIM),
+        )
 
     def _adaptive_weights(
         self, psi: np.ndarray, q: np.ndarray, y: np.ndarray
     ) -> np.ndarray:
-        if self._h_identity:
-            q_state = q
-        else:
-            q_state = (self._h_inv @ q[:, :, None])[:, :, 0]
-        target = psi + q_state
-        # The consistency test compares raw measurements; with H != I it
-        # compares their state-space images H^{-1} y instead.
-        data = y if self._h_identity else target
-        diff = psi[:, None, :] - target[None, :, :]
-        d = np.maximum(np.linalg.norm(diff, axis=2), self.eps)
-        usable = self._support & consistent_pairs(data, self.sigma2)
+        # Entry [t, n, m] scores neighbor n's estimate against node m's own
+        # data point psi_m + q_m; each column m is then normalized.
+        d = np.maximum(np.sqrt(pairwise_sq_dist(psi, psi + q)), self.eps)
+        usable = self._support & consistent_pairs(y, self.sigma2)
         w = np.where(usable, d**-2.0, 0.0)
-        return w / w.sum(axis=0)
+        return w / w.sum(axis=1, keepdims=True)
+
+    def _prune(self) -> None:
+        changed = False
+        for t, net in enumerate(self.nets):
+            pruned = prune_cross_links(net, self._below[t], self.prune_window)
+            if pruned is not net:
+                self._adopt_network(t, pruned)
+                changed = True
+        if changed:
+            self._rebuild_ranks()
 
     def _track_psd(self, covs: np.ndarray) -> None:
         eigs = np.linalg.eigvalsh(symmetrize(covs))
-        low = float(eigs.min())
-        if low < self.min_psd_eigenvalue:
-            self.min_psd_eigenvalue = low
-        if low < PSD_TOL:
-            raise NumericError(
+        low = eigs.min(axis=(1, 2))
+        # fmin skips a NaN minimum, as a plain comparison would.
+        np.fmin(self.min_psd_eigenvalue, low, out=self.min_psd_eigenvalue)
+        bad = np.flatnonzero(low < PSD_TOL)
+        if bad.size:
+            t = int(bad[0])
+            raise self._trial_error(
+                t,
                 f"covariance lost positive semidefiniteness "
-                f"(min eigenvalue {low:.3e} at iteration {self.iteration})"
+                f"(min eigenvalue {low[t]:.3e})",
             )

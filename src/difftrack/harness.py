@@ -7,6 +7,7 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -18,6 +19,7 @@ from .dynamics import discretize_projectile, initial_state, step_truth
 from .engine import DiffusionKalmanEngine
 from .errors import ConfigError, NumericError
 from .metrics import (
+    MIN_SERIES_LENGTH,
     MsdSeries,
     cluster_recovery_score,
     convergence_iteration,
@@ -65,6 +67,11 @@ class ExperimentConfig:
         for name in ("n_nodes", "n_trials", "n_iterations", "prune_window"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be a positive count")
+        if self.n_iterations < MIN_SERIES_LENGTH:
+            raise ConfigError(
+                f"n_iterations must be at least {MIN_SERIES_LENGTH} for "
+                f"steady-state detection, got {self.n_iterations}"
+            )
         if self.min_degree < 0:
             raise ConfigError("min_degree must be nonnegative")
         if not 0.0 < self.comm_radius <= math.sqrt(2.0) + 1e-12:
@@ -212,7 +219,8 @@ def simulate_truths(cfg: ExperimentConfig, rng: np.random.Generator) -> np.ndarr
     return out
 
 
-def _draw_scene(cfg: ExperimentConfig, rng: np.random.Generator, head_radius):
+def draw_scene(cfg: ExperimentConfig, rng: np.random.Generator, head_radius):
+    """One trial's network and task assignment, drawn from its stream."""
     if cfg.n_nodes == 1:
         net = Network(np.array([[0.5, 0.5]]), np.zeros((1, 1), dtype=bool))
         part = ClusterAssignment(np.array([1], dtype=np.int64), 1)
@@ -223,9 +231,11 @@ def _draw_scene(cfg: ExperimentConfig, rng: np.random.Generator, head_radius):
     return net, part
 
 
-def _run_trial(trial: int, cfg: ExperimentConfig, head_radius, weights_every: int):
+@contextmanager
+def _naming(trial: int):
+    """Prefix an error raised inside the block with the trial it hit."""
     try:
-        return _run_trial_body(trial, cfg, head_radius, weights_every)
+        yield
     except (ConfigError, NumericError) as exc:
         raise type(exc)(f"trial {trial}: {exc}") from exc
     except OSError:
@@ -234,18 +244,35 @@ def _run_trial(trial: int, cfg: ExperimentConfig, head_radius, weights_every: in
         raise RuntimeError(f"trial {trial}: {exc}") from exc
 
 
-def _run_trial_body(trial: int, cfg: ExperimentConfig, head_radius, weights_every: int):
-    rng = trial_rng(cfg.seed, trial)
-    net, part = _draw_scene(cfg, rng, head_radius)
-    sigma2 = cfg.sigma_min + cfg.sigma_span * rng.random(cfg.n_nodes)
-    truths = simulate_truths(cfg, rng)
+def run_trials(cfg: ExperimentConfig, trials: range, *, head_radius=None, weights_every: int = 0):
+    """Run a contiguous range of trials in lockstep; one result per trial.
+
+    Trial t draws everything from ``trial_rng(cfg.seed, t)`` in a fixed
+    order: its scene, noise levels and truths here, then one measurement
+    block per step in the engine. Its results are therefore the same
+    whichever trials share the batch. Each result holds the trial's MSD
+    rows, recovery score and min-PSD eigenvalue; trial 0's also holds the
+    ``detail`` record the artifacts are written from.
+    """
+    rngs, nets, parts, sigma2, truths = [], [], [], [], []
+    for trial in trials:
+        with _naming(trial):
+            rng = trial_rng(cfg.seed, trial)
+            net, part = draw_scene(cfg, rng, head_radius)
+            sigma2.append(cfg.sigma_min + cfg.sigma_span * rng.random(cfg.n_nodes))
+            truths.append(simulate_truths(cfg, rng))
+        rngs.append(rng)
+        nets.append(net)
+        parts.append(part)
+    truths = np.stack(truths)
     model = discretize_projectile(cfg.delta, cfg.g, g_scale=cfg.G_scale, q_scale=cfg.Q_scale)
     engine = DiffusionKalmanEngine(
-        net,
-        part,
+        nets,
+        parts,
         model,
-        sigma2,
+        np.stack(sigma2),
         cfg.policy,
+        first_trial=trials.start,
         eps=cfg.eps,
         prune_tau=cfg.prune_tau,
         prune_window=cfg.prune_window,
@@ -253,34 +280,41 @@ def _run_trial_body(trial: int, cfg: ExperimentConfig, head_radius, weights_ever
         filter_knows_gravity=cfg.filter_knows_gravity,
         p0_scale=cfg.P0_scale,
     )
-    keep_detail = trial == 0
-    msd = np.empty((cfg.n_iterations, part.s))
-    est_mean = np.empty((cfg.n_iterations, part.s, 2)) if keep_detail else None
+    n_clusters = parts[0].s
+    keep_detail = trials.start == 0
+    msd = np.empty((len(trials), cfg.n_iterations, n_clusters))
+    est_mean = np.empty((cfg.n_iterations, n_clusters, 2)) if keep_detail else None
     snapshots = [] if keep_detail and weights_every > 0 else None
-    members = [np.flatnonzero(part.cluster_of == l + 1) for l in range(part.s)]
+    members = [np.flatnonzero(parts[0].cluster_of == l + 1) for l in range(n_clusters)]
     for j in range(cfg.n_iterations):
-        engine.run_step(truths[j], rng)
-        msd[j] = msd_accumulate(truths[j], engine.x_hat, part)
+        engine.run_step(truths[:, j], rngs)
+        for t, part in enumerate(parts):
+            msd[t, j] = msd_accumulate(truths[t, j], engine.x_hat[t], part)
         if keep_detail:
             for l, idx in enumerate(members):
-                est_mean[j, l] = engine.x_hat[idx, :2].mean(axis=0)
+                est_mean[j, l] = engine.x_hat[0, idx, :2].mean(axis=0)
             if snapshots is not None and j % weights_every == 0:
-                snapshots.append((j, engine.C.copy()))
-    inferred = read_clusters(engine.C, cfg.prune_tau, engine.x_hat, engine.sigma2)
-    score = cluster_recovery_score(inferred, part)
-    result = {"msd": msd, "recovery": score, "min_psd": engine.min_psd_eigenvalue}
+                snapshots.append((j, engine.C[0].copy()))
+    results = []
+    for t, trial in enumerate(trials):
+        with _naming(trial):
+            inferred = read_clusters(engine.C[t], cfg.prune_tau, engine.x_hat[t], engine.sigma2[t])
+            score = cluster_recovery_score(inferred, parts[t])
+        results.append(
+            {"msd": msd[t], "recovery": score, "min_psd": float(engine.min_psd_eigenvalue[t])}
+        )
     if keep_detail:
-        result["detail"] = {
-            "positions": np.asarray(net.positions, dtype=np.float64).copy(),
-            "cluster_of": part.cluster_of.copy(),
-            "adjacency_initial": np.asarray(net.adjacency, dtype=bool).copy(),
-            "adjacency_final": np.asarray(engine.net.adjacency, dtype=bool).copy(),
-            "truths": truths,
+        results[0]["detail"] = {
+            "positions": np.asarray(nets[0].positions, dtype=np.float64).copy(),
+            "cluster_of": parts[0].cluster_of.copy(),
+            "adjacency_initial": np.asarray(nets[0].adjacency, dtype=bool).copy(),
+            "adjacency_final": np.asarray(engine.nets[0].adjacency, dtype=bool).copy(),
+            "truths": truths[0],
             "est_mean": est_mean,
-            "final_C": engine.C.copy(),
+            "final_C": engine.C[0].copy(),
             "snapshots": snapshots or [],
         }
-    return result
+    return results
 
 
 @dataclass(frozen=True)
@@ -304,16 +338,20 @@ def run_experiment(
     workers: int = 1,
     weights_every: int = 0,
 ) -> RunResult:
-    """Run cfg.n_trials independent trials and merge metrics in trial order."""
-    worker = partial(_run_trial, cfg=cfg, head_radius=head_radius, weights_every=weights_every)
-    results = [None] * cfg.n_trials
+    """Run cfg.n_trials independent trials and merge metrics in trial order.
+
+    All trials advance together in one engine. With ``workers > 1`` the
+    trials are split into that many contiguous chunks, each advanced in
+    its own process; the results do not depend on the split.
+    """
+    run = partial(run_trials, cfg, head_radius=head_radius, weights_every=weights_every)
     if workers > 1 and cfg.n_trials > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for trial, res in enumerate(pool.map(worker, range(cfg.n_trials))):
-                results[trial] = res
+        bounds = [cfg.n_trials * k // workers for k in range(workers + 1)]
+        chunks = [range(a, b) for a, b in zip(bounds, bounds[1:]) if b > a]
+        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+            results = [res for chunk in pool.map(run, chunks) for res in chunk]
     else:
-        for trial in range(cfg.n_trials):
-            results[trial] = worker(trial)
+        results = run(range(cfg.n_trials))
     stacked = np.stack([res["msd"] for res in results])
     series = MsdSeries(stacked.mean(axis=0), n_trials=cfg.n_trials)
     records = tuple(
@@ -417,7 +455,9 @@ def read_msd_csv(path):
     return tuple(records)
 
 
-def _write_topology(prefix, positions, cluster_of, adjacency, alive):
+def write_topology(prefix, positions, cluster_of, adjacency, alive):
+    """Write ``prefix``.csv (nodes) and ``prefix``_edges.csv (edges of
+    ``adjacency``, each flagged alive where ``alive`` still holds it)."""
     n = positions.shape[0]
     _write_lines(
         f"{prefix}.csv",
@@ -466,11 +506,11 @@ def write_outputs(result, out_dir) -> None:
     detail = runs[topo_policy].detail
     if detail:
         adj0 = detail["adjacency_initial"]
-        _write_topology(
+        write_topology(
             os.path.join(out_dir, "topology_initial"),
             detail["positions"], detail["cluster_of"], adj0, adj0,
         )
-        _write_topology(
+        write_topology(
             os.path.join(out_dir, "topology_final"),
             detail["positions"], detail["cluster_of"], adj0, detail["adjacency_final"],
         )

@@ -13,6 +13,10 @@ from .topology import ClusterAssignment, infer_clusters
 
 DB_FLOOR = 1e-30
 
+# Shortest dB series convergence_iteration accepts: its steady-state level is
+# the mean over the final fifth, which needs at least two points.
+MIN_SERIES_LENGTH = 10
+
 
 def to_db(linear):
     """Convert linear MSD to decibels, flooring at DB_FLOOR to keep log finite."""
@@ -85,7 +89,7 @@ def convergence_iteration(series_db: np.ndarray, band_db: float = 3.0):
     if db.ndim != 1:
         raise ValueError("expected a 1-D dB series")
     n = db.shape[0]
-    if n < 10:
+    if n < MIN_SERIES_LENGTH:
         raise ValueError("series too short for steady-state detection")
     tail = max(1, n // 5)
     steady = db[n - tail :].mean()

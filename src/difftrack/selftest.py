@@ -98,7 +98,7 @@ def single_node_max_deviation(
         truths.append(step_truth(truths[-1], model, truth_rng))
 
     engine = DiffusionKalmanEngine(
-        net, assignment, model, np.array([sigma2]), policy
+        [net], [assignment], model, np.array([[sigma2]]), policy
     )
     eng_rng = np.random.default_rng(seed + 1)
     ref_rng = np.random.default_rng(seed + 1)
@@ -108,10 +108,10 @@ def single_node_max_deviation(
     r = sigma2 * np.eye(4)
     worst = 0.0
     for j in range(n_iterations):
-        engine.run_step(truths[j][None, :], eng_rng)
+        engine.run_step(truths[j][None, None, :], [eng_rng])
         y = truths[j] + np.sqrt(sigma2) * ref_rng.standard_normal((1, 4))[0]
         x, p = reference_kf_update(x, p, y, h, r)
-        worst = max(worst, np.abs(engine.x_hat[0] - x).max())
+        worst = max(worst, np.abs(engine.x_hat[0, 0] - x).max())
         x, p = reference_kf_predict(x, p, model, knows_gravity=True)
     return worst
 
@@ -172,12 +172,12 @@ def determinism_check(seed: int = 3) -> bool:
                 initial_state(1.0, 30.0, 15.0, np.pi / 4),
             ]
         )
-        engine = DiffusionKalmanEngine(net, part, model, sigma2, "adaptive")
+        engine = DiffusionKalmanEngine([net], [part], model, sigma2[None, :], "adaptive")
         traj = []
         for _ in range(20):
-            engine.run_step(truths, rng)
+            engine.run_step(truths[None], [rng])
             truths = np.stack([step_truth(t, model, rng) for t in truths])
-            traj.append(engine.x_hat.copy())
+            traj.append(engine.x_hat[0].copy())
         return np.stack(traj)
 
     return np.array_equal(run_once(), run_once())

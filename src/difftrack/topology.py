@@ -10,7 +10,6 @@ keeps concurrent trials safe and makes pruning trivially monotone.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -194,26 +193,32 @@ def infer_clusters(c: np.ndarray, threshold: float) -> ClusterAssignment:
     return ClusterAssignment(cluster_of=labels, s=n_comp)
 
 
-def prune_cross_links(
-    net: Network,
-    c_history: Sequence[np.ndarray],
-    tau: float,
-    window: int,
-) -> Network:
-    """Drop edges whose weights stayed below tau in both directions.
+def count_below(
+    counts: np.ndarray, c: np.ndarray, tau: float, window: int
+) -> np.ndarray:
+    """Advance per-link counts of consecutive steps with weight below tau.
 
-    An edge (n, m) is removed only when c_nm < tau AND c_mn < tau held for
-    the last ``window`` consecutive weight matrices. Returns ``net``
-    unchanged (same object) when nothing qualifies, including when the
-    history is still shorter than the window.
+    ``counts`` and the weight matrix ``c`` match in shape, with any leading
+    batch axes. An entry grows by one while its weight stays below tau and
+    restarts at 0 when it does not. Counts saturate at ``window``: a link
+    is judged only on whether its count reached the window, and a narrow
+    integer type cannot wrap.
+    """
+    return np.where(np.asarray(c) < tau, np.minimum(counts, window - 1) + 1, 0)
+
+
+def prune_cross_links(net: Network, below_steps: np.ndarray, window: int) -> Network:
+    """Drop edges whose weights stayed below the threshold in both directions.
+
+    ``below_steps[n, m]`` is the number of consecutive latest steps on which
+    c_nm stayed below the prune threshold (see ``count_below``). An edge
+    (n, m) is removed only when both directions reached ``window``. Returns
+    ``net`` unchanged (same object) when nothing qualifies.
     """
     if window < 1:
         raise ConfigError(f"prune window must be >= 1, got {window}")
-    if len(c_history) < window:
-        return net
-    stack = np.stack([np.asarray(c) for c in c_history[-window:]])
-    below = (stack < tau).all(axis=0)
-    kill = below & below.swapaxes(0, 1) & net.adjacency
+    reached = np.asarray(below_steps) >= window
+    kill = reached & reached.T & net.adjacency
     if not kill.any():
         return net
     return Network(positions=net.positions, adjacency=net.adjacency & ~kill)

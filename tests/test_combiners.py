@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from difftrack.combiners import (
+    CONSISTENCY_CHI2,
     adaptive_weight_row,
     diffusion_matrix,
     metropolis_weights,
@@ -116,6 +117,12 @@ def test_adaptive_monotone_in_distance():
     psi[1, 0] = 1.5  # neighbor 1 moves closer to psi[0] + q
     after = adaptive_weight_row(0, psi, q, nb)
     assert after[1] > before[1]
+
+
+def test_consistency_bound_is_chi2_quantile():
+    from scipy.stats import chi2
+
+    assert CONSISTENCY_CHI2 == chi2.ppf(0.999, df=4)
 
 
 def test_adaptive_rejects_bad_eps():

@@ -41,11 +41,12 @@ def two_target_truths(n_iterations, rng):
 
 
 def build_engine(n, seed, policy="adaptive", **kwargs):
+    # A one-trial batch; tests read trial 0 of the engine state.
     rng = np.random.default_rng(seed)
     net = generate_geometric(n, 0.55, 2, rng)
     part = initial_partition(net, 0.3, rng)
     sigma2 = 0.01 + 0.5 * rng.random(n)
-    engine = DiffusionKalmanEngine(net, part, MODEL, sigma2, policy, **kwargs)
+    engine = DiffusionKalmanEngine([net], [part], MODEL, sigma2[None], policy, **kwargs)
     return engine, rng
 
 
@@ -165,20 +166,20 @@ def test_engine_step_matches_per_node_operations():
     shadow_rng = np.random.default_rng(10)
     # Recreate the trial stream: topology, partition, sigma draws...
     generate_geometric(6, 0.55, 2, shadow_rng)
-    initial_partition(engine.net, 0.3, shadow_rng)
+    initial_partition(engine.nets[0], 0.3, shadow_rng)
     sigma2 = 0.01 + 0.5 * shadow_rng.random(6)
-    assert np.array_equal(sigma2, engine.sigma2)
+    assert np.array_equal(sigma2, engine.sigma2[0])
 
     truths = two_target_truths(1, np.random.default_rng(0))[0]
     meas_rng = np.random.default_rng(77)
     z = np.random.default_rng(77).standard_normal((6, 4))
-    y = truths[engine.assignment.cluster_of - 1] + np.sqrt(sigma2)[:, None] * z
+    y = truths[engine.assignments[0].cluster_of - 1] + np.sqrt(sigma2)[:, None] * z
 
-    x_pred0 = engine.x_pred.copy()
-    p_pred0 = engine.P_pred.copy()
-    hoods = engine.net.neighborhoods
+    x_pred0 = engine.x_pred[0].copy()
+    p_pred0 = engine.P_pred[0].copy()
+    hoods = engine.nets[0].neighborhoods
 
-    engine.run_step(truths, meas_rng)
+    engine.run_step(truths[None], [meas_rng])
 
     eye = np.eye(4)
     psi = np.empty((6, 4))
@@ -186,30 +187,30 @@ def test_engine_step_matches_per_node_operations():
     for m in range(6):
         msgs = [(y[n], eye, sigma2[n] * eye) for n in hoods[m]]
         psi[m], p_psi[m] = adapt(x_pred0[m], p_pred0[m], msgs)
-    assert np.array_equal(psi, engine.psi)
-    assert np.array_equal(p_psi, engine.P_psi)
+    assert np.array_equal(psi, engine.psi[0])
+    assert np.array_equal(p_psi, engine.P_psi[0])
 
     q = np.stack([residual(y[m], eye, psi[m]) for m in range(6)])
-    assert np.array_equal(q, engine.q)
+    assert np.array_equal(q, engine.q[0])
 
     # Neighbors whose measurements fail the consistency test get no weight;
     # in this scene that holds for both cross-task edges.
     consistent = consistent_pairs(y, sigma2)
-    assert not consistent[engine.net.adjacency].all()
+    assert not consistent[engine.nets[0].adjacency].all()
     c = np.zeros((6, 6))
     for m in range(6):
         hood = hoods[m][consistent[hoods[m], m]]
         c[:, m] = adaptive_weight_row(m, psi, q[m], hood, engine.eps)
-    assert np.abs(c - engine.C).max() < 1e-14
+    assert np.abs(c - engine.C[0]).max() < 1e-14
 
     # gemv vs gemm accumulation differs at 1 ulp; equality is to tolerance.
-    x_hat = np.stack([combine(psi, engine.C[:, m]) for m in range(6)])
-    assert np.abs(x_hat - engine.x_hat).max() < 1e-12
+    x_hat = np.stack([combine(psi, engine.C[0][:, m]) for m in range(6)])
+    assert np.abs(x_hat - engine.x_hat[0]).max() < 1e-12
 
     for m in range(6):
         xp, pp = time_update(x_hat[m], p_psi[m], MODEL, knows_gravity=True)
-        assert np.abs(xp - engine.x_pred[m]).max() < 1e-12
-        assert np.abs(pp - engine.P_pred[m]).max() < 1e-12
+        assert np.abs(xp - engine.x_pred[0, m]).max() < 1e-12
+        assert np.abs(pp - engine.P_pred[0, m]).max() < 1e-12
 
 
 def test_single_node_matches_oracle_all_policies():
@@ -225,7 +226,7 @@ def test_disconnected_nodes_run_independent_filters():
     )
     part = ClusterAssignment(cluster_of=np.array([1, 1]), s=1)
     sigma2 = np.array([0.2, 0.4])
-    engine = DiffusionKalmanEngine(net, part, MODEL, sigma2, "uniform")
+    engine = DiffusionKalmanEngine([net], [part], MODEL, sigma2[None], "uniform")
     rng = np.random.default_rng(4)
     shadow = np.random.default_rng(4)
     truth = initial_state(1.0, 30.0, 15.0, np.pi / 3)
@@ -234,12 +235,12 @@ def test_disconnected_nodes_run_independent_filters():
     p = np.stack([np.eye(4)] * 2)
     eye = np.eye(4)
     for _ in range(20):
-        engine.run_step(truth[None, :], rng)
+        engine.run_step(truth[None, None, :], [rng])
         z = shadow.standard_normal((2, 4))
         for m in range(2):
             y = truth + np.sqrt(sigma2[m]) * z[m]
             psi_m, p_m = adapt(x[m], p[m], [(y, eye, sigma2[m] * eye)])
-            assert np.abs(psi_m - engine.x_hat[m]).max() < 1e-12
+            assert np.abs(psi_m - engine.x_hat[0, m]).max() < 1e-12
             x[m], p[m] = time_update(psi_m, p_m, MODEL)
         truth = step_truth(truth, MODEL, rng)
         truth_shadow = step_truth(np.zeros(4), MODEL, shadow)  # stream sync
@@ -250,9 +251,9 @@ def test_covariance_never_grows_during_adaptation():
     engine, rng = build_engine(10, seed=11)
     truths = two_target_truths(30, np.random.default_rng(5))
     for j in range(30):
-        p_before = engine.P_pred.copy()
-        engine.run_step(truths[j], rng)
-        gap = p_before - engine.P_psi
+        p_before = engine.P_pred[0].copy()
+        engine.run_step(truths[j][None], [rng])
+        gap = p_before - engine.P_psi[0]
         assert np.linalg.eigvalsh(0.5 * (gap + gap.swapaxes(1, 2))).min() >= -1e-9
 
 
@@ -260,8 +261,8 @@ def test_psd_tracking_over_run():
     engine, rng = build_engine(12, seed=12)
     truths = two_target_truths(50, np.random.default_rng(6))
     for j in range(50):
-        engine.run_step(truths[j], rng)
-    assert engine.min_psd_eigenvalue >= -1e-9
+        engine.run_step(truths[j][None], [rng])
+    assert engine.min_psd_eigenvalue[0] >= -1e-9
 
 
 def test_determinism_bitwise():
@@ -275,7 +276,7 @@ def paper_scale_engine(seed, **kwargs):
     net = generate_geometric(30, 0.35, 4, rng)
     part = initial_partition(net, 0.35, rng)
     sigma2 = 0.01 + 0.5 * rng.random(30)
-    engine = DiffusionKalmanEngine(net, part, MODEL, sigma2, "adaptive", **kwargs)
+    engine = DiffusionKalmanEngine([net], [part], MODEL, sigma2[None], "adaptive", **kwargs)
     return engine, rng
 
 
@@ -283,16 +284,16 @@ def test_adaptive_clustering_recovers_partition():
     engine, rng = paper_scale_engine(0)
     truths = two_target_truths(100, rng)
     for j in range(100):
-        engine.run_step(truths[j], rng)
-    inferred = infer_clusters(engine.C, engine.prune_tau)
-    truth_labels = engine.assignment.cluster_of
+        engine.run_step(truths[j][None], [rng])
+    inferred = infer_clusters(engine.C[0], engine.prune_tau)
+    truth_labels = engine.assignments[0].cluster_of
     # Same partition up to label swap.
     match = np.array_equal(inferred.cluster_of, truth_labels)
     swapped = np.array_equal(3 - inferred.cluster_of, truth_labels)
     assert inferred.s == 2 and (match or swapped)
     # Pruning must have cut every cross-cluster edge by now.
     cross = np.not_equal.outer(truth_labels, truth_labels)
-    assert not (engine.net.adjacency & cross).any()
+    assert not (engine.nets[0].adjacency & cross).any()
 
 
 def test_node_surrounded_by_other_task_is_not_captured():
@@ -305,13 +306,13 @@ def test_node_surrounded_by_other_task_is_not_captured():
     )
     part = ClusterAssignment(cluster_of=np.array([2, 1, 1, 1, 1]), s=2)
     sigma2 = np.array([0.3, 0.1, 0.2, 0.05, 0.15])
-    engine = DiffusionKalmanEngine(net, part, MODEL, sigma2, "adaptive")
+    engine = DiffusionKalmanEngine([net], [part], MODEL, sigma2[None], "adaptive")
     rng = np.random.default_rng(0)
     truths = two_target_truths(60, rng)
     for j in range(60):
-        engine.run_step(truths[j], rng)
-    assert not engine.net.adjacency[0].any()
-    assert np.linalg.norm(engine.x_hat[0] - truths[-1, 1]) < 2.0
+        engine.run_step(truths[j][None], [rng])
+    assert not engine.nets[0].adjacency[0].any()
+    assert np.linalg.norm(engine.x_hat[0, 0] - truths[-1, 1]) < 2.0
 
 
 def test_in_cluster_weights_dominate_after_burn_in():
@@ -321,14 +322,14 @@ def test_in_cluster_weights_dominate_after_burn_in():
         engine, rng = paper_scale_engine(seed, pruning_enabled=False)
         truths = two_target_truths(60, rng)
         for j in range(60):
-            engine.run_step(truths[j], rng)
-        labels = engine.assignment.cluster_of
-        same = np.equal.outer(labels, labels) & engine._support
-        cross = ~np.equal.outer(labels, labels) & engine._support
+            engine.run_step(truths[j][None], [rng])
+        labels = engine.assignments[0].cluster_of
+        same = np.equal.outer(labels, labels) & engine._support[0]
+        cross = ~np.equal.outer(labels, labels) & engine._support[0]
         if not cross.any():
             hits += 1
             continue
-        if engine.C[same].mean() > engine.C[cross].mean():
+        if engine.C[0][same].mean() > engine.C[0][cross].mean():
             hits += 1
     assert hits >= int(np.ceil(0.95 * trials)), f"{hits}/{trials}"
 
@@ -337,47 +338,30 @@ def test_engine_pickle_round_trip_continues_identically():
     engine, rng = build_engine(8, seed=14)
     truths = two_target_truths(30, np.random.default_rng(8))
     for j in range(10):
-        engine.run_step(truths[j], rng)
+        engine.run_step(truths[j][None], [rng])
     state = rng.bit_generator.state
     clone = pickle.loads(pickle.dumps(engine))
     rng2 = np.random.default_rng()
     rng2.bit_generator.state = state
     for j in range(10, 30):
-        engine.run_step(truths[j], rng)
-        clone.run_step(truths[j], rng2)
+        engine.run_step(truths[j][None], [rng])
+        clone.run_step(truths[j][None], [rng2])
     assert np.array_equal(engine.x_hat, clone.x_hat)
     assert np.array_equal(engine.C, clone.C)
-
-
-def test_adapt_gate_blocks_low_weight_neighbors():
-    adj = ~np.eye(3, dtype=bool)
-    net = Network(positions=np.random.default_rng(0).random((3, 2)), adjacency=adj)
-    part = ClusterAssignment(cluster_of=np.array([1, 1, 2]), s=2)
-    sigma2 = np.full(3, 0.1)
-    gated = DiffusionKalmanEngine(
-        net, part, MODEL, sigma2, "uniform", adapt_gate=0.5
-    )
-    truths = two_target_truths(1, np.random.default_rng(9))[0]
-    gated.run_step(truths, np.random.default_rng(10))
-    # Uniform weights on a 3-clique are all 1/3 < 0.5: nothing adapts.
-    assert np.array_equal(gated.psi, np.zeros((3, 4)))
-    open_engine = DiffusionKalmanEngine(net, part, MODEL, sigma2, "uniform")
-    open_engine.run_step(truths, np.random.default_rng(10))
-    assert not np.array_equal(open_engine.psi, np.zeros((3, 4)))
 
 
 def test_engine_validates_inputs():
     engine, rng = build_engine(5, seed=15)
     with pytest.raises(ConfigError):
-        engine.run_step(np.zeros((1, 4)), rng)  # cluster 2 has no target
-    net = engine.net
+        engine.run_step(np.zeros((1, 1, 4)), [rng])  # cluster 2 has no target
+    nets, parts = engine.nets, engine.assignments
     with pytest.raises(ConfigError):
-        DiffusionKalmanEngine(net, engine.assignment, MODEL, np.ones(3), "uniform")
+        DiffusionKalmanEngine(nets, parts, MODEL, np.ones((1, 3)), "uniform")
     with pytest.raises(ConfigError):
         DiffusionKalmanEngine(
-            net, engine.assignment, MODEL, engine.sigma2, "nonsense"
+            nets, parts, MODEL, engine.sigma2, "nonsense"
         )
     with pytest.raises(ConfigError):
         DiffusionKalmanEngine(
-            net, engine.assignment, MODEL, engine.sigma2, "uniform", p0_scale=0.0
+            nets, parts, MODEL, engine.sigma2, "uniform", p0_scale=0.0
         )

@@ -4,6 +4,8 @@ import dataclasses
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -65,6 +67,7 @@ class TestExperimentConfig:
             ("P0_scale", 0.0),
             ("seed", -1),
             ("seed", 2**64),
+            ("n_iterations", 9),
         ],
     )
     def test_invariant_violations_rejected(self, field, value):
@@ -137,6 +140,19 @@ class TestLoadConfig:
             load_config(path)
 
 
+def test_harness_import_leaves_scipy_stats_unloaded():
+    # scipy.stats takes most of a cold import; nothing in difftrack needs it.
+    import difftrack
+
+    src = os.path.dirname(os.path.dirname(difftrack.__file__))
+    code = "import sys, difftrack.harness; print('scipy.stats' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
+
+
 class TestTrialStreams:
     def test_trial_streams_are_stable_under_trial_count(self):
         # Adding trials must never perturb earlier trials' draws.
@@ -193,7 +209,7 @@ class TestRunExperiment:
     def test_failed_trial_reports_index(self):
         # Impossible degree constraint at this node count: topology draw fails.
         cfg = ExperimentConfig(
-            n_nodes=3, comm_radius=0.05, min_degree=2, n_trials=2, n_iterations=5
+            n_nodes=3, comm_radius=0.05, min_degree=2, n_trials=2, n_iterations=10
         )
         with pytest.raises(ConfigError, match="trial 0"):
             run_experiment(cfg)
@@ -304,6 +320,17 @@ class TestCli:
         code = main(["run", "--config", str(cfg_path), "--out-dir", str(tmp_path / "o")])
         assert code == 2
         assert "n_trails" in capsys.readouterr().err
+
+    def test_too_few_iterations_exits_two(self, tmp_path, capsys):
+        # convergence_iteration needs 10 points; the config must say so
+        # before any trial runs.
+        cfg_path = tmp_path / "short.cfg"
+        cfg_path.write_text("n_iterations = 5\n")
+        code = main(["run", "--config", str(cfg_path), "--out-dir", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "n_iterations" in err
+        assert "Traceback" not in err
 
     def test_missing_config_file_exits_four(self, tmp_path):
         code = main(["run", "--config", str(tmp_path / "absent.cfg")])

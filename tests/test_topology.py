@@ -7,6 +7,7 @@ from difftrack.errors import ConfigError
 from difftrack.topology import (
     ClusterAssignment,
     Network,
+    count_below,
     generate_geometric,
     infer_clusters,
     initial_partition,
@@ -130,10 +131,18 @@ def test_infer_clusters_uses_either_direction():
     assert part.cluster_of[2] != part.cluster_of[0]
 
 
+def steps_below(history, tau, window):
+    """Feed a history of weight matrices through count_below."""
+    counts = np.zeros(np.shape(history[0]), dtype=np.int16)
+    for c in history:
+        counts = count_below(counts, c, tau, window)
+    return counts
+
+
 def test_prune_zero_tau_removes_nothing():
     net = line_network(4)
     history = [np.zeros((4, 4)) for _ in range(10)]
-    assert prune_cross_links(net, history, 0.0, 10) is net
+    assert prune_cross_links(net, steps_below(history, 0.0, 10), 10) is net
 
 
 def test_prune_uniform_weights_survive_sane_tau():
@@ -143,32 +152,52 @@ def test_prune_uniform_weights_survive_sane_tau():
     c = uniform_weights(net)
     history = [c] * 10
     # Largest neighborhood has 3 members, so weights are >= 1/3.
-    assert prune_cross_links(net, history, 1.0 / 3.0, 10) is net
+    assert prune_cross_links(net, steps_below(history, 1.0 / 3.0, 10), 10) is net
 
 
 def test_prune_requires_full_window():
     net = line_network(3)
     low = [np.zeros((3, 3))] * 4
-    assert prune_cross_links(net, low, 0.5, 5) is net
-    pruned = prune_cross_links(net, low + [np.zeros((3, 3))], 0.5, 5)
+    assert prune_cross_links(net, steps_below(low, 0.5, 5), 5) is net
+    pruned = prune_cross_links(net, steps_below(low + [np.zeros((3, 3))], 0.5, 5), 5)
+    assert pruned.adjacency.sum() == 0
+
+
+def test_prune_requires_consecutive_steps():
+    net = line_network(2)
+    low, high = np.zeros((2, 2)), np.ones((2, 2))
+    history = [low] * 4 + [high] + [low] * 4
+    assert prune_cross_links(net, steps_below(history, 0.5, 5), 5) is net
+    pruned = prune_cross_links(net, steps_below(history + [low], 0.5, 5), 5)
     assert pruned.adjacency.sum() == 0
 
 
 def test_prune_requires_both_directions_low():
     net = line_network(2)
     c = np.array([[0.9, 0.5], [0.1, 0.5]])  # c_01 stays high
-    assert prune_cross_links(net, [c] * 3, 0.3, 3) is net
+    assert prune_cross_links(net, steps_below([c] * 3, 0.3, 3), 3) is net
 
 
 def test_prune_is_monotone_and_keeps_positions():
     rng = np.random.default_rng(8)
     net = generate_geometric(12, 0.5, 2, rng)
     history = [rng.random((12, 12)) * 0.1 for _ in range(5)]
-    pruned = prune_cross_links(net, history, 0.05, 5)
+    pruned = prune_cross_links(net, steps_below(history, 0.05, 5), 5)
     assert np.array_equal(pruned.positions, net.positions)
     assert not (pruned.adjacency & ~net.adjacency).any()
 
 
 def test_prune_window_validation():
     with pytest.raises(ConfigError):
-        prune_cross_links(line_network(2), [], 0.1, 0)
+        prune_cross_links(line_network(2), np.zeros((2, 2)), 0)
+
+
+def test_below_counts_saturate_at_window():
+    # 300 steps below tau would wrap a uint8 count without saturation.
+    counts = np.zeros((2, 2), dtype=np.uint8)
+    for _ in range(300):
+        counts = count_below(counts, np.zeros((2, 2)), 0.5, 10)
+    assert counts.dtype == np.uint8
+    assert (counts == 10).all()
+    counts = count_below(counts, np.array([[0.0, 0.7], [0.2, 0.9]]), 0.5, 10)
+    assert counts.tolist() == [[10, 0], [10, 0]]
