@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -20,6 +21,18 @@ from .harness import (
 )
 
 
+def _scene_args(p) -> None:
+    """Options every subcommand that draws a scene shares; _load reads them."""
+    p.add_argument("--config", help="configuration file (flat key = value, or JSON)")
+    p.add_argument("--seed", type=int, help="override the experiment seed")
+    p.add_argument(
+        "--head-radius",
+        type=float,
+        help="override the cluster-head ball radius (config key head_radius)",
+    )
+    p.add_argument("--out-dir", default="difftrack-out", help="output directory")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="difftrack",
@@ -28,9 +41,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, with_policy=False, with_policies=False):
-        p.add_argument("--config", help="configuration file (flat key = value, or JSON)")
-        p.add_argument("--seed", type=int, help="override the experiment seed")
-        p.add_argument("--out-dir", default="difftrack-out", help="output directory")
+        _scene_args(p)
         if with_policy:
             p.add_argument("--policy", choices=POLICIES, help="override the combination policy")
         if with_policies:
@@ -47,21 +58,10 @@ def build_parser() -> argparse.ArgumentParser:
             metavar="K",
             help="snapshot combination weights every K iterations (0 = off)",
         )
-        p.add_argument(
-            "--head-radius",
-            type=float,
-            default=None,
-            help="cluster-head ball radius (default: the communication radius)",
-        )
 
     common(sub.add_parser("run", help="run one experiment"), with_policy=True)
     common(sub.add_parser("sweep", help="run a common-random-number policy sweep"), with_policies=True)
-
-    topo = sub.add_parser("topology", help="generate and export one topology draw")
-    topo.add_argument("--config", help="configuration file")
-    topo.add_argument("--seed", type=int, help="override the experiment seed")
-    topo.add_argument("--out-dir", default="difftrack-out", help="output directory")
-    topo.add_argument("--head-radius", type=float, default=None)
+    _scene_args(sub.add_parser("topology", help="generate and export one topology draw"))
 
     sub.add_parser("selftest", help="run the oracle-equivalence checks")
     return parser
@@ -69,10 +69,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load(args) -> ExperimentConfig:
     cfg = load_config(args.config) if args.config else ExperimentConfig()
-    if getattr(args, "seed", None) is not None:
-        import dataclasses
-
+    if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
+    if args.head_radius is not None:
+        cfg = dataclasses.replace(cfg, head_radius=args.head_radius)
     return cfg
 
 
@@ -94,17 +94,10 @@ def _summarize(run) -> None:
 
 
 def _cmd_run(args) -> int:
-    import dataclasses
-
     cfg = _load(args)
     if args.policy:
         cfg = dataclasses.replace(cfg, policy=args.policy)
-    result = run_experiment(
-        cfg,
-        head_radius=args.head_radius,
-        workers=args.workers,
-        weights_every=args.weights_every,
-    )
+    result = run_experiment(cfg, workers=args.workers, weights_every=args.weights_every)
     write_outputs(result, args.out_dir)
     _summarize(result)
     print(f"artifacts written to {args.out_dir}")
@@ -115,11 +108,7 @@ def _cmd_sweep(args) -> int:
     cfg = _load(args)
     policies = [p.strip() for p in args.policies.split(",") if p.strip()]
     result = policy_sweep(
-        cfg,
-        policies,
-        head_radius=args.head_radius,
-        workers=args.workers,
-        weights_every=args.weights_every,
+        cfg, policies, workers=args.workers, weights_every=args.weights_every
     )
     write_outputs(result, args.out_dir)
     for run in result.runs.values():
@@ -131,7 +120,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_topology(args) -> int:
     cfg = _load(args)
     rng = trial_rng(cfg.seed, 0)
-    net, part = draw_scene(cfg, rng, args.head_radius)
+    net, part = draw_scene(cfg, rng)
     os.makedirs(args.out_dir, exist_ok=True)
     adjacency = net.adjacency
     write_topology(

@@ -2,8 +2,8 @@
 
 A combination matrix C is left-stochastic with c[n, m] being the weight
 node m assigns to neighbor n; support is restricted to the self-inclusive
-neighborhood N_m. The diffusion matrix A = C^T couples the adaptation
-phase. Static policies depend only on the topology (and noise levels);
+neighborhood N_m, so the combination step blends estimates as C^T psi.
+Static policies depend only on the topology (and noise levels);
 the adaptive rule re-derives every column each iteration from how far each
 neighbor's intermediate estimate sits from the node's own data.
 
@@ -130,11 +130,6 @@ def consistent_pairs(points: np.ndarray, sigma2: np.ndarray) -> np.ndarray:
     return pairwise_sq_dist(points, points) <= bound
 
 
-def diffusion_matrix(c: np.ndarray) -> np.ndarray:
-    """A = C^T, element for element (batched over leading axes)."""
-    return np.swapaxes(np.asarray(c), -1, -2).copy()
-
-
 def static_weights(policy: str, net: Network, sigma2: np.ndarray) -> np.ndarray:
     """Build the combination matrix for a static policy by name."""
     if policy == "uniform":
@@ -167,7 +162,9 @@ def validate_combination_matrix(
     if (c < 0.0).any():
         raise NumericError("combination matrix has negative entries")
     col_err = np.abs(c.sum(axis=-2) - 1.0).max()
-    if col_err > col_tol:
+    # Written so that a NaN column sum fails: every comparison with NaN is
+    # False.
+    if not col_err <= col_tol:
         raise NumericError(
             f"combination matrix columns off stochastic by {col_err:.3e}"
         )

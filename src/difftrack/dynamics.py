@@ -1,4 +1,4 @@
-"""Projectile truth model and measurement generation.
+"""Projectile truth model.
 
 State vectors are float64 arrays [x, y, vx, vy] (meters, meters/second).
 The continuous dynamics are a point mass under constant gravity; the
@@ -55,24 +55,6 @@ class MotionModel:
         return self.G @ self.Q @ self.G.T
 
 
-@dataclass(frozen=True)
-class MeasurementModel:
-    """Linear observation y = H x + v, v ~ N(0, sigma2 * I)."""
-
-    H: np.ndarray
-    sigma2: float
-
-    def __post_init__(self) -> None:
-        if self.H.shape != (STATE_DIM, STATE_DIM):
-            raise ConfigError("observation matrix H must be 4x4")
-        if not self.sigma2 > 0.0:
-            raise ConfigError(f"measurement variance must be positive, got {self.sigma2}")
-
-    @property
-    def R(self) -> np.ndarray:
-        return self.sigma2 * np.eye(STATE_DIM)
-
-
 def discretize_projectile(
     delta: float,
     g: float,
@@ -126,8 +108,3 @@ def step_truth(state: np.ndarray, model: MotionModel, rng: np.random.Generator) 
     if not np.isfinite(out).all():
         raise NumericError("step_truth produced a non-finite state")
     return out
-
-
-def measure(state: np.ndarray, mm: MeasurementModel, rng: np.random.Generator) -> np.ndarray:
-    """Observe y = H x + v with v ~ N(0, sigma2 * I)."""
-    return mm.H @ state + np.sqrt(mm.sigma2) * rng.standard_normal(STATE_DIM)

@@ -7,7 +7,8 @@ a batch share the node count, the motion model and the policy; each has
 its own network, task assignment, noise levels and random stream. Every
 iteration is a synchronous bulk step over all nodes of all trials:
 
-1. each node measures the target its task tracks;
+1. each node measures the target its task tracks, and a non-finite
+   measurement stops the run, naming the node;
 2. adaptation: incremental information updates over the node's
    neighborhood, neighbors processed in ascending node index;
 3. residuals q = y - psi;
@@ -50,7 +51,6 @@ from .combiners import (
     COLUMN_SUM_TOL,
     POLICIES,
     consistent_pairs,
-    diffusion_matrix,
     pairwise_sq_dist,
     static_weights,
     validate_combination_matrix,
@@ -212,7 +212,6 @@ class DiffusionKalmanEngine:
                 [static_weights(policy, net, s2) for net, s2 in zip(nets, sigma2)]
             )
         self._validate(COLUMN_SUM_TOL)
-        self.A = diffusion_matrix(self.C)
 
     # -- topology-dependent caches ------------------------------------
 
@@ -238,7 +237,6 @@ class DiffusionKalmanEngine:
                 validate_combination_matrix(self.C[t], net)
             except NumericError as exc:
                 raise self._trial_error(t, exc) from exc
-            self.A[t] = self.C[t].T
 
     # -- errors -------------------------------------------------------
 
@@ -298,6 +296,10 @@ class DiffusionKalmanEngine:
         noise = np.stack([rng.standard_normal((n, STATE_DIM)) for rng in rngs])
         target_states = truths[np.arange(t_count)[:, None], self._targets]
         y = target_states + np.sqrt(self.sigma2)[:, :, None] * noise
+        bad = np.argwhere(~np.isfinite(y).all(axis=2))
+        if bad.size:
+            t, m = bad[0]
+            raise self._trial_error(t, f"non-finite measurement at node {m}")
 
         # Phase 2: adaptation, batched across all nodes rank by rank.
         psi, p = self._adapt_all(y)
@@ -310,11 +312,12 @@ class DiffusionKalmanEngine:
         # Phase 4: weight update (adaptive policy only).
         if self.policy == "adaptive":
             self.C = self._adaptive_weights(psi, self.q, y)
-            self.A = diffusion_matrix(self.C)
 
         # Phase 5: combination. Covariance is intentionally left alone.
         self._validate(COMBINE_COL_TOL)
-        self.x_hat = self.A @ psi
+        # x_hat = C^T psi. The product is taken with C^T copied to
+        # contiguous memory: on a transposed view matmul rounds differently.
+        self.x_hat = np.swapaxes(self.C, -1, -2).copy() @ psi
 
         # Phase 6: pruning. No count can reach the window before that many
         # steps have run.

@@ -40,6 +40,9 @@ class ExperimentConfig:
 
     n_nodes: int = 30
     comm_radius: float = 0.35
+    # Radius of the ball around the cluster head that forms cluster 1;
+    # None means comm_radius.
+    head_radius: float | None = None
     min_degree: int = 4
     n_trials: int = 200
     n_iterations: int = 100
@@ -76,6 +79,10 @@ class ExperimentConfig:
             raise ConfigError("min_degree must be nonnegative")
         if not 0.0 < self.comm_radius <= math.sqrt(2.0) + 1e-12:
             raise ConfigError("comm_radius must lie in (0, sqrt(2)]")
+        if self.head_radius is not None:
+            if not (math.isfinite(self.head_radius) and self.head_radius > 0):
+                raise ConfigError("head_radius must be positive and finite")
+            object.__setattr__(self, "head_radius", float(self.head_radius))
         if self.delta <= 0:
             raise ConfigError("delta must be positive")
         if self.g < 0:
@@ -110,6 +117,10 @@ class ExperimentConfig:
     @property
     def n_targets(self) -> int:
         return len(self.angles)
+
+    @property
+    def effective_head_radius(self) -> float:
+        return self.comm_radius if self.head_radius is None else self.head_radius
 
 
 @dataclass(frozen=True)
@@ -156,6 +167,8 @@ def _coerce(key: str, value):
             raise ConfigError(f"cannot parse angle list '{value}'") from exc
     if key == "policy":
         return str(value).strip()
+    if key == "head_radius" and value is None:
+        return None
     try:
         return float(value)
     except (TypeError, ValueError) as exc:
@@ -219,15 +232,14 @@ def simulate_truths(cfg: ExperimentConfig, rng: np.random.Generator) -> np.ndarr
     return out
 
 
-def draw_scene(cfg: ExperimentConfig, rng: np.random.Generator, head_radius):
+def draw_scene(cfg: ExperimentConfig, rng: np.random.Generator):
     """One trial's network and task assignment, drawn from its stream."""
     if cfg.n_nodes == 1:
         net = Network(np.array([[0.5, 0.5]]), np.zeros((1, 1), dtype=bool))
         part = ClusterAssignment(np.array([1], dtype=np.int64), 1)
     else:
         net = generate_geometric(cfg.n_nodes, cfg.comm_radius, cfg.min_degree, rng)
-        radius = cfg.comm_radius if head_radius is None else float(head_radius)
-        part = initial_partition(net, radius, rng)
+        part = initial_partition(net, cfg.effective_head_radius, rng)
     return net, part
 
 
@@ -244,7 +256,7 @@ def _naming(trial: int):
         raise RuntimeError(f"trial {trial}: {exc}") from exc
 
 
-def run_trials(cfg: ExperimentConfig, trials: range, *, head_radius=None, weights_every: int = 0):
+def run_trials(cfg: ExperimentConfig, trials: range, *, weights_every: int = 0):
     """Run a contiguous range of trials in lockstep; one result per trial.
 
     Trial t draws everything from ``trial_rng(cfg.seed, t)`` in a fixed
@@ -258,7 +270,7 @@ def run_trials(cfg: ExperimentConfig, trials: range, *, head_radius=None, weight
     for trial in trials:
         with _naming(trial):
             rng = trial_rng(cfg.seed, trial)
-            net, part = draw_scene(cfg, rng, head_radius)
+            net, part = draw_scene(cfg, rng)
             sigma2.append(cfg.sigma_min + cfg.sigma_span * rng.random(cfg.n_nodes))
             truths.append(simulate_truths(cfg, rng))
         rngs.append(rng)
@@ -319,22 +331,49 @@ def run_trials(cfg: ExperimentConfig, trials: range, *, head_radius=None, weight
 
 @dataclass(frozen=True)
 class RunResult:
-    """Merged output of one run_experiment call."""
+    """Merged output of one run_experiment call: what the run measured,
+    and the summaries derived from it."""
 
     config: ExperimentConfig
     series: MsdSeries
-    records: tuple
     recovery_scores: np.ndarray
-    convergence: tuple
-    head_radius: float
     min_psd_eigenvalue: float
     detail: dict = field(repr=False, default_factory=dict)
+
+    @property
+    def records(self) -> tuple:
+        """The long-format MSD rows, one per (iteration, cluster)."""
+        series, cfg = self.series, self.config
+        return tuple(
+            MetricsRecord(
+                iteration=j,
+                cluster_id=l + 1,
+                policy=cfg.policy,
+                msd_linear=float(series.msd_linear[j, l]),
+                msd_db=float(series.msd_db[j, l]),
+                n_trials=cfg.n_trials,
+            )
+            for j in range(series.n_iterations)
+            for l in range(series.n_clusters)
+        )
+
+    @property
+    def convergence(self) -> tuple:
+        """Per-cluster convergence iteration of the mean MSD curve."""
+        return tuple(
+            convergence_iteration(self.series.msd_db[:, l])
+            for l in range(self.series.n_clusters)
+        )
+
+    @property
+    def head_radius(self) -> float:
+        """The radius the initial cluster assignment used."""
+        return self.config.effective_head_radius
 
 
 def run_experiment(
     cfg: ExperimentConfig,
     *,
-    head_radius=None,
     workers: int = 1,
     weights_every: int = 0,
 ) -> RunResult:
@@ -343,8 +382,14 @@ def run_experiment(
     All trials advance together in one engine. With ``workers > 1`` the
     trials are split into that many contiguous chunks, each advanced in
     its own process; the results do not depend on the split.
+    ``weights_every`` K > 0 snapshots trial 0's combination matrix every K
+    iterations; 0 takes none.
     """
-    run = partial(run_trials, cfg, head_radius=head_radius, weights_every=weights_every)
+    if workers < 1:
+        raise ConfigError(f"workers must be at least 1, got {workers}")
+    if weights_every < 0:
+        raise ConfigError(f"weights_every must be nonnegative, got {weights_every}")
+    run = partial(run_trials, cfg, weights_every=weights_every)
     if workers > 1 and cfg.n_trials > 1:
         bounds = [cfg.n_trials * k // workers for k in range(workers + 1)]
         chunks = [range(a, b) for a, b in zip(bounds, bounds[1:]) if b > a]
@@ -353,41 +398,29 @@ def run_experiment(
     else:
         results = run(range(cfg.n_trials))
     stacked = np.stack([res["msd"] for res in results])
-    series = MsdSeries(stacked.mean(axis=0), n_trials=cfg.n_trials)
-    records = tuple(
-        MetricsRecord(
-            iteration=j,
-            cluster_id=l + 1,
-            policy=cfg.policy,
-            msd_linear=float(series.msd_linear[j, l]),
-            msd_db=float(series.msd_db[j, l]),
-            n_trials=cfg.n_trials,
-        )
-        for j in range(series.n_iterations)
-        for l in range(series.n_clusters)
-    )
-    convergence = tuple(
-        convergence_iteration(series.msd_db[:, l]) for l in range(series.n_clusters)
-    )
-    scores = np.array([res["recovery"] for res in results])
-    effective_head = cfg.comm_radius if head_radius is None else float(head_radius)
-    min_psd = min(res["min_psd"] for res in results)
     return RunResult(
-        cfg, series, records, scores, convergence, effective_head, min_psd,
-        results[0].get("detail", {}),
+        config=cfg,
+        series=MsdSeries(stacked.mean(axis=0), n_trials=cfg.n_trials),
+        recovery_scores=np.array([res["recovery"] for res in results]),
+        min_psd_eigenvalue=min(res["min_psd"] for res in results),
+        detail=results[0].get("detail", {}),
     )
 
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Per-policy runs over common random numbers, plus the combined records."""
+    """Per-policy runs over common random numbers."""
 
     runs: dict
-    records: tuple
 
     @property
     def policies(self) -> tuple:
         return tuple(self.runs)
+
+    @property
+    def records(self) -> tuple:
+        """Every run's MSD rows, policy after policy."""
+        return tuple(rec for run in self.runs.values() for rec in run.records)
 
 
 def policy_sweep(cfg: ExperimentConfig, policies, **kwargs) -> SweepResult:
@@ -399,12 +432,9 @@ def policy_sweep(cfg: ExperimentConfig, policies, **kwargs) -> SweepResult:
         if name not in POLICIES:
             raise ConfigError(f"unknown policy '{name}' in sweep")
     runs = {}
-    records = []
     for name in policies:
-        run = run_experiment(dataclasses.replace(cfg, policy=name), **kwargs)
-        runs[name] = run
-        records.extend(run.records)
-    return SweepResult(runs, tuple(records))
+        runs[name] = run_experiment(dataclasses.replace(cfg, policy=name), **kwargs)
+    return SweepResult(runs)
 
 
 def _fmt(value) -> str:
@@ -475,7 +505,7 @@ def write_topology(prefix, positions, cluster_of, adjacency, alive):
 def write_outputs(result, out_dir) -> None:
     """Emit the artifact file set for a RunResult or SweepResult."""
     if isinstance(result, RunResult):
-        result = SweepResult({result.config.policy: result}, result.records)
+        result = SweepResult({result.config.policy: result})
     os.makedirs(out_dir, exist_ok=True)
     runs = result.runs
     first = next(iter(runs.values()))

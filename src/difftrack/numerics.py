@@ -20,24 +20,6 @@ PIVOT_TOL = 1e-12
 SYMMETRY_TOL = 1e-8
 
 
-def mat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with shape and finiteness checks.
-
-    Accepts (..., m, k) @ (..., k, n) stacks like ``np.matmul``.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
-        raise NumericError(
-            f"mat_mul: incompatible shapes {a.shape} and {b.shape}"
-        )
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = a @ b
-    if not np.isfinite(out).all():
-        raise NumericError("mat_mul: non-finite entries in product")
-    return out
-
-
 def symmetrize(a: np.ndarray) -> np.ndarray:
     """Return (A + A^T) / 2, batched over leading dimensions."""
     a = np.asarray(a, dtype=np.float64)

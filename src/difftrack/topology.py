@@ -9,7 +9,7 @@ keeps concurrent trials safe and makes pruning trivially monotone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -31,7 +31,6 @@ class Network:
 
     positions: np.ndarray
     adjacency: np.ndarray
-    neighborhoods: tuple = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         pos = np.asarray(self.positions, dtype=np.float64)
@@ -47,27 +46,14 @@ class Network:
             raise ConfigError("adjacency must be symmetric")
         object.__setattr__(self, "positions", _freeze(pos.copy()))
         object.__setattr__(self, "adjacency", _freeze(adj.copy()))
-        with_self = adj | np.eye(n, dtype=bool)
-        hoods = tuple(_freeze(np.flatnonzero(with_self[:, m])) for m in range(n))
-        object.__setattr__(self, "neighborhoods", hoods)
 
     @property
     def n_nodes(self) -> int:
         return self.positions.shape[0]
 
-    @property
-    def degrees(self) -> np.ndarray:
-        """Degree excluding self: |N_m| - 1."""
-        return self.adjacency.sum(axis=0)
-
     def is_connected(self) -> bool:
         n_comp, _ = connected_components(csr_matrix(self.adjacency), directed=False)
         return n_comp == 1
-
-    def edges(self) -> np.ndarray:
-        """Undirected edge list as (n_edges, 2) with node_a < node_b."""
-        a, b = np.nonzero(np.triu(self.adjacency, k=1))
-        return np.column_stack([a, b])
 
 
 @dataclass(frozen=True)
@@ -99,9 +85,6 @@ class ClusterAssignment:
     def sizes(self) -> np.ndarray:
         """Node count per cluster, index 0 holding cluster 1."""
         return np.bincount(self.cluster_of, minlength=self.s + 1)[1:]
-
-    def members(self, cluster: int) -> np.ndarray:
-        return np.flatnonzero(self.cluster_of == cluster)
 
 
 def generate_geometric(
@@ -145,13 +128,13 @@ def generate_geometric(
 
 def initial_partition(
     net: Network,
-    head_radius: float,
+    radius: float,
     rng: np.random.Generator,
     max_attempts: int = MAX_ATTEMPTS,
 ) -> ClusterAssignment:
     """Split nodes into two clusters around a random cluster head.
 
-    A head node is drawn uniformly; nodes within ``head_radius`` of it form
+    A head node is drawn uniformly; nodes within ``radius`` of it form
     cluster 1 and the rest form cluster 2. Redraws the head until both
     clusters are non-empty.
     """
@@ -160,11 +143,11 @@ def initial_partition(
     for _ in range(max_attempts):
         head = int(rng.integers(net.n_nodes))
         dist = np.linalg.norm(net.positions - net.positions[head], axis=1)
-        labels = np.where(dist <= head_radius, 1, 2)
+        labels = np.where(dist <= radius, 1, 2)
         if (labels == 1).any() and (labels == 2).any():
             return ClusterAssignment(cluster_of=labels, s=2)
     raise ConfigError(
-        f"head ball of radius {head_radius} never split the network in "
+        f"head ball of radius {radius} never split the network in "
         f"{max_attempts} attempts"
     )
 

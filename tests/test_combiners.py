@@ -6,7 +6,6 @@ import pytest
 from difftrack.combiners import (
     CONSISTENCY_CHI2,
     adaptive_weight_row,
-    diffusion_matrix,
     metropolis_weights,
     relative_variance_weights,
     static_weights,
@@ -15,6 +14,12 @@ from difftrack.combiners import (
 )
 from difftrack.errors import ConfigError, NumericError
 from difftrack.topology import Network, generate_geometric
+
+
+def neighborhoods(net):
+    """Self-inclusive neighborhoods N_m, ascending, read off the adjacency."""
+    with_self = net.adjacency | np.eye(net.n_nodes, dtype=bool)
+    return [np.flatnonzero(with_self[:, m]) for m in range(net.n_nodes)]
 
 
 def path3():
@@ -42,7 +47,7 @@ def test_uniform_path_column():
 def test_uniform_matches_neighborhood_size():
     net = generate_geometric(12, 0.5, 2, np.random.default_rng(0))
     c = uniform_weights(net)
-    for m, nb in enumerate(net.neighborhoods):
+    for m, nb in enumerate(neighborhoods(net)):
         assert np.allclose(c[nb, m], 1.0 / len(nb))
 
 
@@ -130,20 +135,6 @@ def test_adaptive_rejects_bad_eps():
         adaptive_weight_row(0, np.zeros((1, 4)), np.zeros(4), np.array([0]), eps=0.0)
 
 
-def test_diffusion_is_transpose():
-    rng = np.random.default_rng(3)
-    c = rng.random((6, 6))
-    a = diffusion_matrix(c)
-    assert np.array_equal(a, c.T)
-
-
-def test_diffusion_rows_sum_to_one_for_stochastic_c():
-    net = generate_geometric(15, 0.4, 3, np.random.default_rng(4))
-    c = uniform_weights(net)
-    a = diffusion_matrix(c)
-    assert np.abs(a.sum(axis=1) - 1.0).max() <= 1e-12
-
-
 def test_all_policies_satisfy_invariants():
     rng = np.random.default_rng(5)
     for trial in range(20):
@@ -153,10 +144,9 @@ def test_all_policies_satisfy_invariants():
             validate_combination_matrix(static_weights(policy, net, sigma2), net)
         psi = rng.standard_normal((20, 4))
         c = np.zeros((20, 20))
+        hoods = neighborhoods(net)
         for m in range(20):
-            c[:, m] = adaptive_weight_row(
-                m, psi, rng.standard_normal(4), net.neighborhoods[m]
-            )
+            c[:, m] = adaptive_weight_row(m, psi, rng.standard_normal(4), hoods[m])
         validate_combination_matrix(c, net)
 
 
@@ -174,6 +164,14 @@ def test_validate_rejects_bad_matrices():
     )
     with pytest.raises(NumericError, match="neighborhood"):
         validate_combination_matrix(np.array([[0.5, 0.0], [0.5, 1.0]]), lone)
+
+
+def test_validate_rejects_nan_column():
+    net = clique2()
+    c = uniform_weights(net)
+    c[:, 1] = np.nan
+    with pytest.raises(NumericError, match="stochastic"):
+        validate_combination_matrix(c, net)
 
 
 def test_static_weights_rejects_unknown_policy():

@@ -4,11 +4,9 @@ import numpy as np
 import pytest
 
 from difftrack.dynamics import (
-    MeasurementModel,
     MotionModel,
     discretize_projectile,
     initial_state,
-    measure,
     step_truth,
 )
 from difftrack.errors import ConfigError
@@ -124,30 +122,6 @@ def test_vertical_position_matches_closed_form():
         state = step_truth(state, m, rng)
         t = k * m.delta
         assert abs(state[1] - (y0 + vy0 * t - 0.5 * 10.0 * t * t)) < 1e-9
-
-
-def test_measure_noiseless_limit():
-    s = np.array([1.0, 2.0, 3.0, 4.0])
-    mm = MeasurementModel(H=np.eye(4), sigma2=1e-30)
-    y = measure(s, mm, np.random.default_rng(0))
-    assert np.allclose(y, s, atol=1e-12)
-
-
-def test_measure_noise_covariance():
-    s = np.array([1.0, 2.0, 3.0, 4.0])
-    mm = MeasurementModel(H=np.eye(4), sigma2=0.3)
-    rng = np.random.default_rng(11)
-    draws = np.stack([measure(s, mm, rng) - s for _ in range(100_000)])
-    sample_cov = np.cov(draws.T)
-    err = np.linalg.norm(sample_cov - mm.R) / np.linalg.norm(mm.R)
-    assert err < 0.05
-
-
-def test_measurement_model_validation():
-    with pytest.raises(ConfigError):
-        MeasurementModel(H=np.eye(3), sigma2=0.1)
-    with pytest.raises(ConfigError):
-        MeasurementModel(H=np.eye(4), sigma2=0.0)
 
 
 def test_motion_model_validation():

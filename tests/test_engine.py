@@ -177,7 +177,8 @@ def test_engine_step_matches_per_node_operations():
 
     x_pred0 = engine.x_pred[0].copy()
     p_pred0 = engine.P_pred[0].copy()
-    hoods = engine.nets[0].neighborhoods
+    with_self = engine.nets[0].adjacency | np.eye(6, dtype=bool)
+    hoods = [np.flatnonzero(with_self[:, m]) for m in range(6)]
 
     engine.run_step(truths[None], [meas_rng])
 

@@ -16,6 +16,7 @@ from difftrack.errors import ConfigError
 from difftrack.harness import (
     ExperimentConfig,
     MetricsRecord,
+    draw_scene,
     load_config,
     policy_sweep,
     read_msd_csv,
@@ -68,6 +69,10 @@ class TestExperimentConfig:
             ("seed", -1),
             ("seed", 2**64),
             ("n_iterations", 9),
+            ("head_radius", 0.0),
+            ("head_radius", -0.2),
+            ("head_radius", math.inf),
+            ("head_radius", math.nan),
         ],
     )
     def test_invariant_violations_rejected(self, field, value):
@@ -132,6 +137,19 @@ class TestLoadConfig:
         cfg = load_config(path)
         assert cfg.n_trials == 4
         assert cfg.policy == "uniform"
+
+    def test_head_radius_key(self, tmp_path):
+        flat = tmp_path / "run.cfg"
+        flat.write_text("head_radius = 0.2\n")
+        assert load_config(flat).head_radius == 0.2
+        doc = tmp_path / "run.json"
+        doc.write_text(json.dumps({"head_radius": 0.25}))
+        assert load_config(doc).head_radius == 0.25
+        doc.write_text(json.dumps({"head_radius": None}))
+        cfg = load_config(doc)
+        assert cfg.head_radius is None
+        assert cfg == ExperimentConfig()
+        assert cfg.effective_head_radius == cfg.comm_radius
 
     def test_json_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -303,10 +321,13 @@ class TestArtifacts:
             read_msd_csv(path)
 
 
+SMALL_CFG = "n_trials = 2\nn_iterations = 15\nn_nodes = 12\ncomm_radius = 0.55\nmin_degree = 2\n"
+
+
 class TestCli:
     def test_run_writes_artifacts_and_exits_zero(self, tmp_path):
         cfg_path = tmp_path / "run.cfg"
-        cfg_path.write_text("n_trials = 2\nn_iterations = 15\nn_nodes = 12\ncomm_radius = 0.55\nmin_degree = 2\n")
+        cfg_path.write_text(SMALL_CFG)
         out = tmp_path / "out"
         code = main(["run", "--config", str(cfg_path), "--out-dir", str(out), "--seed", "4"])
         assert code == 0
@@ -331,6 +352,41 @@ class TestCli:
         err = capsys.readouterr().err
         assert "n_iterations" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("flag,value", [("--workers", "0"), ("--weights-every", "-1")])
+    def test_bad_run_option_exits_two(self, tmp_path, capsys, flag, value):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(SMALL_CFG)
+        out = tmp_path / "out"
+        code = main(["run", "--config", str(cfg_path), "--out-dir", str(out), flag, value])
+        assert code == 2
+        assert flag[2:].replace("-", "_") in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_head_radius_flag_reaches_the_scene(self, tmp_path):
+        out = tmp_path / "topo"
+        assert main(["topology", "--out-dir", str(out), "--seed", "2", "--head-radius", "0.2"]) == 0
+        rows = (out / "topology_initial.csv").read_text().splitlines()[1:]
+        labels = [int(row.rsplit(",", 1)[1]) for row in rows]
+        cfg = ExperimentConfig(seed=2)
+        _, part = draw_scene(dataclasses.replace(cfg, head_radius=0.2), trial_rng(2, 0))
+        _, default = draw_scene(cfg, trial_rng(2, 0))
+        assert labels == part.cluster_of.tolist()
+        assert labels != default.cluster_of.tolist()
+
+    def test_run_meta_reproduces_a_head_radius_run(self, tmp_path):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(SMALL_CFG)
+        first, again = tmp_path / "first", tmp_path / "again"
+        args = ["--head-radius", "0.2", "--weights-every", "5"]
+        assert main(["run", "--config", str(cfg_path), "--out-dir", str(first), *args]) == 0
+        meta = first / "run_meta.json"
+        assert json.loads(meta.read_text())["config"]["head_radius"] == 0.2
+        assert main(["run", "--config", str(meta), "--out-dir", str(again), "--weights-every", "5"]) == 0
+        names = sorted(os.listdir(first))
+        assert names == sorted(os.listdir(again))
+        for name in names:
+            assert (first / name).read_bytes() == (again / name).read_bytes(), name
 
     def test_missing_config_file_exits_four(self, tmp_path):
         code = main(["run", "--config", str(tmp_path / "absent.cfg")])

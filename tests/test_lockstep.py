@@ -97,6 +97,21 @@ def test_nan_covariance_names_trial_and_iteration():
         engine.run_step(truths, rngs)
 
 
+@pytest.mark.parametrize("policy", ["uniform", "adaptive"])
+def test_nan_measurement_names_trial_iteration_and_node(policy):
+    engine, truths, rngs = small_batch(4, policy=policy)
+    for _ in range(5):
+        engine.run_step(truths, rngs)
+    truths = truths.copy()
+    truths[1, 1, 0] = np.nan
+    node = int(np.flatnonzero(engine.assignments[1].cluster_of == 2)[0])
+    with pytest.raises(
+        NumericError,
+        match=rf"^trial 1: iteration 5: non-finite measurement at node {node}$",
+    ):
+        engine.run_step(truths, rngs)
+
+
 def test_indefinite_covariance_names_trial_counted_from_first_trial():
     engine, truths, rngs = small_batch(4, first_trial=40)
     engine.P_pred[1, 3] = -np.eye(4)

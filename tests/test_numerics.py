@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from difftrack.errors import NumericError
-from difftrack.numerics import inverse_spd, mat_mul, symmetrize
+from difftrack.numerics import inverse_spd, symmetrize
 
 
 def random_spd(rng, n, cond):
@@ -12,43 +12,6 @@ def random_spd(rng, n, cond):
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     eigs = np.geomspace(1.0, cond, n)
     return (q * eigs) @ q.T
-
-
-def test_mat_mul_known_product():
-    a = np.array([[1.0, 2.0], [3.0, 4.0]])
-    b = np.array([[0.0, 1.0], [1.0, 0.0]])
-    assert np.array_equal(mat_mul(a, b), np.array([[2.0, 1.0], [4.0, 3.0]]))
-
-
-def test_mat_mul_identity_and_zero():
-    rng = np.random.default_rng(3)
-    m = rng.standard_normal((4, 4))
-    assert np.array_equal(mat_mul(np.eye(4), m), m)
-    assert np.array_equal(mat_mul(np.zeros((4, 4)), m), np.zeros((4, 4)))
-
-
-def test_mat_mul_rejects_shape_mismatch():
-    with pytest.raises(NumericError):
-        mat_mul(np.eye(2), np.eye(3))
-    with pytest.raises(NumericError):
-        mat_mul(np.ones(4), np.eye(4))
-
-
-def test_mat_mul_associative_within_tolerance():
-    rng = np.random.default_rng(7)
-    for _ in range(50):
-        a = rng.standard_normal((4, 4))
-        b = rng.standard_normal((4, 4))
-        c = rng.standard_normal((4, 4))
-        left = mat_mul(mat_mul(a, b), c)
-        right = mat_mul(a, mat_mul(b, c))
-        assert np.abs(left - right).max() < 1e-12
-
-
-def test_mat_mul_rejects_overflow_to_inf():
-    big = np.full((2, 2), 1e308)
-    with pytest.raises(NumericError):
-        mat_mul(big, big)
 
 
 def test_inverse_identity():

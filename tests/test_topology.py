@@ -23,12 +23,18 @@ def line_network(n):
     return Network(positions=pos, adjacency=adj)
 
 
+def neighborhoods(net):
+    """Self-inclusive neighborhoods N_m, ascending, read off the adjacency."""
+    with_self = net.adjacency | np.eye(net.n_nodes, dtype=bool)
+    return [np.flatnonzero(with_self[:, m]) for m in range(net.n_nodes)]
+
+
 def test_generate_default_scenario():
     rng = np.random.default_rng(1)
     net = generate_geometric(30, 0.35, 4, rng)
     assert net.n_nodes == 30
-    assert net.degrees.min() >= 4
-    assert all(len(nb) >= 5 for nb in net.neighborhoods)
+    assert net.adjacency.sum(axis=0).min() >= 4
+    assert all(len(nb) >= 5 for nb in neighborhoods(net))
     assert net.is_connected()
     assert np.array_equal(net.adjacency, net.adjacency.T)
     assert not net.adjacency.diagonal().any()
@@ -37,7 +43,7 @@ def test_generate_default_scenario():
 def test_generate_two_nodes_full_radius():
     net = generate_geometric(2, np.sqrt(2.0), 1, np.random.default_rng(0))
     assert net.adjacency[0, 1] and net.adjacency[1, 0]
-    assert list(net.degrees) == [1, 1]
+    assert list(net.adjacency.sum(axis=0)) == [1, 1]
 
 
 def test_generate_deterministic():
@@ -60,7 +66,7 @@ def test_generate_rejects_impossible_setup():
 
 def test_neighborhoods_include_self():
     net = generate_geometric(10, 0.5, 2, np.random.default_rng(2))
-    for m, nb in enumerate(net.neighborhoods):
+    for m, nb in enumerate(neighborhoods(net)):
         assert m in nb
         assert np.array_equal(nb, np.unique(nb))
         assert set(nb) == {m} | set(np.flatnonzero(net.adjacency[:, m]))
