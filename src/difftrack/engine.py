@@ -21,8 +21,10 @@ iteration is a synchronous bulk step over all nodes of all trials:
    that neighbor's measurement;
 5. combination: convex blend of neighbor intermediates (covariance is NOT
    blended; each node keeps its own);
-6. link pruning: a per-link count of consecutive steps with weight below
-   the threshold; a link is cut once both directions reach the window;
+6. adaptive policy only: link pruning, a per-link count of consecutive
+   steps with weight below the threshold; a link is cut once both
+   directions reach the window. A static policy keeps its initial graph
+   and the combination matrix built for it at construction;
 7. time update through the motion model.
 
 Phases read only the previous phase's snapshot, so per-node work inside a
@@ -127,11 +129,13 @@ def time_update(
 
 class DiffusionKalmanEngine:
     """Synchronous multi-node filter over T trials, each on its own
-    (prunable) network.
+    network.
 
     ``nets`` and ``assignments`` hold one entry per trial, all over the
     same n nodes, and ``sigma2`` is (T, n). ``first_trial`` is the number
     of the batch's first trial; errors name trials counting from it.
+    ``pruning_enabled`` only affects the adaptive policy: static policies
+    never prune.
     """
 
     def __init__(
@@ -180,7 +184,7 @@ class DiffusionKalmanEngine:
         self.eps = float(eps)
         self.prune_tau = float(prune_tau)
         self.prune_window = int(prune_window)
-        self.pruning_enabled = bool(pruning_enabled)
+        self.prunes = policy == "adaptive" and bool(pruning_enabled)
         self.filter_knows_gravity = bool(filter_knows_gravity)
         self._targets = np.stack([a.cluster_of - 1 for a in assignments])
 
@@ -227,16 +231,6 @@ class DiffusionKalmanEngine:
         self._ranks = [
             (nodes[rank == r], flat_nbrs[rank == r]) for r in range(rank.max() + 1)
         ]
-
-    def _adopt_network(self, t: int, net: Network) -> None:
-        self.nets[t] = net
-        self._support[t] = net.adjacency | np.eye(net.n_nodes, dtype=bool)
-        if self.policy != "adaptive":
-            self.C[t] = static_weights(self.policy, net, self.sigma2[t])
-            try:
-                validate_combination_matrix(self.C[t], net)
-            except NumericError as exc:
-                raise self._trial_error(t, exc) from exc
 
     # -- errors -------------------------------------------------------
 
@@ -319,9 +313,9 @@ class DiffusionKalmanEngine:
         # contiguous memory: on a transposed view matmul rounds differently.
         self.x_hat = np.swapaxes(self.C, -1, -2).copy() @ psi
 
-        # Phase 6: pruning. No count can reach the window before that many
-        # steps have run.
-        if self.pruning_enabled:
+        # Phase 6: pruning (adaptive policy only). No count can reach the
+        # window before that many steps have run.
+        if self.prunes:
             self._below = count_below(self._below, self.C, self.prune_tau, self.prune_window)
             if self.iteration + 1 >= self.prune_window:
                 self._prune()
@@ -385,7 +379,8 @@ class DiffusionKalmanEngine:
         for t, net in enumerate(self.nets):
             pruned = prune_cross_links(net, self._below[t], self.prune_window)
             if pruned is not net:
-                self._adopt_network(t, pruned)
+                self.nets[t] = pruned
+                self._support[t] = pruned.adjacency | np.eye(net.n_nodes, dtype=bool)
                 changed = True
         if changed:
             self._rebuild_ranks()

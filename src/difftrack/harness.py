@@ -30,6 +30,12 @@ from .topology import ClusterAssignment, Network, generate_geometric, initial_pa
 
 _INT_FIELDS = {"n_nodes", "min_degree", "n_trials", "n_iterations", "prune_window", "seed"}
 _BOOL_FIELDS = {"pruning_enabled", "filter_knows_gravity"}
+# Real-valued keys, each required to be finite; angles holds a tuple and
+# head_radius may be None.
+_FLOAT_FIELDS = (
+    "comm_radius", "head_radius", "delta", "g", "x0", "y0", "v0", "angles",
+    "sigma_min", "sigma_span", "G_scale", "Q_scale", "P0_scale", "eps", "prune_tau",
+)
 _TRUE_WORDS = {"true", "1", "yes", "on"}
 _FALSE_WORDS = {"false", "0", "no", "off"}
 
@@ -67,6 +73,11 @@ class ExperimentConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "angles", tuple(float(a) for a in self.angles))
+        for name in _FLOAT_FIELDS:
+            value = getattr(self, name)
+            values = value if isinstance(value, tuple) else (value,)
+            if not all(v is None or math.isfinite(v) for v in values):
+                raise ConfigError(f"{name} must be finite, got {value!r}")
         for name in ("n_nodes", "n_trials", "n_iterations", "prune_window"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be a positive count")
@@ -80,8 +91,8 @@ class ExperimentConfig:
         if not 0.0 < self.comm_radius <= math.sqrt(2.0) + 1e-12:
             raise ConfigError("comm_radius must lie in (0, sqrt(2)]")
         if self.head_radius is not None:
-            if not (math.isfinite(self.head_radius) and self.head_radius > 0):
-                raise ConfigError("head_radius must be positive and finite")
+            if self.head_radius <= 0:
+                raise ConfigError("head_radius must be positive")
             object.__setattr__(self, "head_radius", float(self.head_radius))
         if self.delta <= 0:
             raise ConfigError("delta must be positive")
@@ -91,8 +102,6 @@ class ExperimentConfig:
             raise ConfigError("v0 must be nonnegative")
         if len(self.angles) != 2:
             raise ConfigError("angles must list exactly two launch angles")
-        if not all(math.isfinite(a) for a in self.angles):
-            raise ConfigError("angles must be finite")
         if self.sigma_min <= 0:
             raise ConfigError("sigma_min must be positive")
         if self.sigma_span < 0:

@@ -3,8 +3,8 @@
 Nodes live in the unit square and communicate within a fixed radius.
 Neighborhoods are self-inclusive: N_m always contains m, so a node's own
 measurement flows through the same code path as a neighbor's. Networks are
-immutable; pruning produces a new Network rather than mutating one, which
-keeps concurrent trials safe and makes pruning trivially monotone.
+immutable; pruning produces a new Network rather than mutating one, so
+pruning is trivially monotone.
 """
 
 from __future__ import annotations

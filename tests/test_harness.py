@@ -79,6 +79,20 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig(**{field: value})
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "comm_radius", "head_radius", "delta", "g", "x0", "y0", "v0", "angles",
+            "sigma_min", "sigma_span", "G_scale", "Q_scale", "P0_scale", "eps", "prune_tau",
+        ],
+    )
+    def test_non_finite_values_rejected_by_name(self, field, value):
+        if field == "angles":
+            value = (value, 1.0)
+        with pytest.raises(ConfigError, match=rf"^{field} must be finite"):
+            ExperimentConfig(**{field: value})
+
 
 class TestLoadConfig:
     def test_empty_file_gives_defaults(self, tmp_path):
@@ -352,6 +366,15 @@ class TestCli:
         err = capsys.readouterr().err
         assert "n_iterations" in err
         assert "Traceback" not in err
+
+    def test_nan_config_value_exits_two(self, tmp_path, capsys):
+        cfg_path = tmp_path / "nan.cfg"
+        cfg_path.write_text(SMALL_CFG + "sigma_min = nan\n")
+        out = tmp_path / "out"
+        code = main(["run", "--config", str(cfg_path), "--out-dir", str(out)])
+        assert code == 2
+        assert "sigma_min must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag,value", [("--workers", "0"), ("--weights-every", "-1")])
     def test_bad_run_option_exits_two(self, tmp_path, capsys, flag, value):

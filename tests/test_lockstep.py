@@ -7,9 +7,12 @@ trial runs alone, whatever other trials share its batch. A numerical
 failure in one trial of a batch names that trial and the iteration.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+import difftrack.engine
 from difftrack.combiners import POLICIES
 from difftrack.dynamics import discretize_projectile, initial_state
 from difftrack.engine import DiffusionKalmanEngine
@@ -20,6 +23,7 @@ from difftrack.topology import generate_geometric, initial_partition
 # The default 30-node scene, cut short but long enough for links to be
 # pruned (the prune window is 10 steps).
 SHORT = dict(n_trials=4, n_iterations=40, seed=3)
+STATIC = [p for p in POLICIES if p != "adaptive"]
 
 
 def same_bytes(a, b) -> bool:
@@ -50,12 +54,36 @@ def test_batch_equals_each_trial_alone(policy):
     batch = run_trials(cfg, range(cfg.n_trials), weights_every=7)
     assert len(batch) == cfg.n_trials
     assert "detail" in batch[0]
-    if policy in ("relvar", "adaptive"):
+    detail = batch[0]["detail"]
+    if policy == "adaptive":
         # Trial 0 loses links mid-run, so the batch's rank table is rebuilt.
-        detail = batch[0]["detail"]
         assert detail["adjacency_final"].sum() < detail["adjacency_initial"].sum()
+    else:
+        # Static policies never prune, so the pruning switch changes nothing.
+        assert same_bytes(detail["adjacency_final"], detail["adjacency_initial"])
+        unpruned = dataclasses.replace(cfg, pruning_enabled=False)
+        for got, want in zip(batch, run_trials(unpruned, range(cfg.n_trials), weights_every=7)):
+            assert_same_trial(got, want)
     for t in range(cfg.n_trials):
         assert_same_trial(batch[t], run_trials(cfg, range(t, t + 1), weights_every=7)[0])
+
+
+@pytest.mark.parametrize("policy", STATIC)
+def test_static_policy_keeps_dense_graph_and_weights(policy, monkeypatch):
+    # A dense scene, where a static policy that pruned and rebuilt its
+    # weights on the pruned graph would lose most of its edges.
+    def no_prune(*args):
+        raise AssertionError("a static policy pruned")
+
+    monkeypatch.setattr(difftrack.engine, "prune_cross_links", no_prune)
+    cfg = ExperimentConfig(policy=policy, n_nodes=120, n_trials=1, n_iterations=30)
+    detail = run_trials(cfg, range(1), weights_every=30)[0]["detail"]
+    assert detail["adjacency_initial"].sum() == 2 * 1917
+    assert same_bytes(detail["adjacency_final"], detail["adjacency_initial"])
+    # The snapshot at iteration 0 is the matrix built at construction.
+    [(first, c0)] = detail["snapshots"]
+    assert first == 0
+    assert same_bytes(detail["final_C"], c0)
 
 
 def test_batch_composition_does_not_matter():
