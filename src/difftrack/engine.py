@@ -2,15 +2,23 @@
 
 One engine advances a batch of T independent Monte Carlo trials in
 lockstep. Its state carries a leading trial axis: estimates are (T, n, 4),
-covariances (T, n, 4, 4) and combination matrices (T, n, n). The trials of
-a batch share the node count, the motion model and the policy; each has
-its own network, task assignment, noise levels and random stream. Every
-iteration is a synchronous bulk step over all nodes of all trials:
+covariances (T, n, 3) and combination matrices (T, n, n). The trials of a
+batch share the node count, the motion model and the policy; each has its
+own network, task assignment, noise levels and random stream.
+
+Each node observes the full state with noise sigma2 * I, the model has
+F = I + delta*theta and process noise q * I, and the prior is p0 * I, so
+every covariance is M kron I2 for one 2x2 matrix M = [[a, b], [b, c]] over
+(position, velocity); the engine stores (a, b, c). The constructor raises
+``ConfigError`` for a motion model outside that structure. Every iteration
+is a synchronous bulk step over all nodes of all trials:
 
 1. each node measures the target its task tracks, and a non-finite
    measurement stops the run, naming the node;
-2. adaptation: incremental information updates over the node's
-   neighborhood, neighbors processed in ascending node index;
+2. adaptation in information form (Cattivelli & Sayed, IEEE TAC 2010),
+   in closed form: M_psi^-1 = M_pred^-1 + s I, with s the sum of 1/sigma2
+   over the neighborhood (self included), and
+   psi = x_pred + (M_psi kron I2)(sum_n y_n / sigma2_n - s x_pred);
 3. residuals q = y - psi;
 4. adaptive policy only: recompute all combination weight columns from the
    fresh psi snapshot. A neighbor whose measurement fails the chi-square
@@ -25,21 +33,17 @@ iteration is a synchronous bulk step over all nodes of all trials:
    steps with weight below the threshold; a link is cut once both
    directions reach the window. A static policy keeps its initial graph
    and the combination matrix built for it at construction;
-7. time update through the motion model.
+7. time update: M becomes (a + delta(2b + delta c) + q, b + delta c, c + q).
 
-Phases read only the previous phase's snapshot, so per-node work inside a
-phase is order-free. Phase 2 is batched over all T*n nodes rank by rank:
-every node's first neighbor at once, then every second neighbor, and so
-on, one ``inverse_spd`` call per rank. Each matrix and each weight column
-goes through the same arithmetic whatever else shares its batch, so a
-trial's results are byte-identical whether it runs alone or with others.
-
-A step that fails raises ``NumericError`` naming the trial and the
-iteration. When several trials fail in the same phase of the same step,
-the lowest-numbered one is named.
+Phases read only the previous phase's snapshot. Phase 2's neighbor sums
+reduce over the neighbor axis in ascending index, one coordinate at a
+time, so a trial's results are byte-identical whether it runs alone or
+with others. A step that fails raises ``NumericError`` naming the trial
+and the iteration; when several trials fail in the same phase of the same
+step, the lowest-numbered one is named.
 
 The module-level functions adapt/residual/combine/time_update are the
-single-node reference forms of the same arithmetic; tests hold the engine
+single-node reference forms in general 4x4 matrices; tests hold the engine
 to them.
 """
 
@@ -127,6 +131,20 @@ def time_update(
     return x_pred, p_pred
 
 
+def _closed_form_model(model: MotionModel) -> tuple[float, float]:
+    """(delta, q) of a motion model the 2x2 covariance form represents:
+    F = I + delta*theta and G Q G^T = q*I, both exactly."""
+    f = np.eye(STATE_DIM)
+    f[[0, 1], [2, 3]] = model.delta
+    if not np.array_equal(model.F, f):
+        raise ConfigError("the engine needs a transition matrix F = I + delta*theta")
+    gqg = model.process_noise_cov
+    q = float(gqg[0, 0])
+    if not np.array_equal(gqg, q * np.eye(STATE_DIM)):
+        raise ConfigError("the engine needs process noise G Q G^T = q*I")
+    return float(model.delta), q
+
+
 class DiffusionKalmanEngine:
     """Synchronous multi-node filter over T trials, each on its own
     network.
@@ -174,6 +192,7 @@ class DiffusionKalmanEngine:
             raise ConfigError("cluster assignments do not match the networks")
         if p0_scale <= 0.0:
             raise ConfigError(f"initial covariance scale must be positive, got {p0_scale}")
+        self._delta, self._q = _closed_form_model(model)
 
         self.nets = nets
         self.assignments = assignments
@@ -190,11 +209,11 @@ class DiffusionKalmanEngine:
 
         shape = (t_count, n, STATE_DIM)
         self.x_pred = np.zeros(shape)
-        self.P_pred = np.broadcast_to(
-            p0_scale * np.eye(STATE_DIM), shape + (STATE_DIM,)
-        ).copy()
+        # Covariances M kron I2, stored as (a, b, c) = (m_pp, m_pv, m_vv).
+        self.M_pred = np.zeros((t_count, n, 3))
+        self.M_pred[..., 0] = self.M_pred[..., 2] = p0_scale
         self.psi = self.x_pred.copy()
-        self.P_psi = self.P_pred.copy()
+        self.M_psi = self.M_pred.copy()
         self.q = np.zeros(shape)
         self.x_hat = np.zeros(shape)
 
@@ -206,8 +225,7 @@ class DiffusionKalmanEngine:
             (t_count, n, n), dtype=np.min_scalar_type(self.prune_window)
         )
         self._support = np.stack([net.adjacency for net in nets]) | np.eye(n, dtype=bool)
-        self._rebuild_ranks()
-        self._gqg = model.process_noise_cov
+        self._rebuild_information()
 
         if policy == "adaptive":
             self.C = np.broadcast_to(np.eye(n), (t_count, n, n)).copy()
@@ -219,18 +237,11 @@ class DiffusionKalmanEngine:
 
     # -- topology-dependent caches ------------------------------------
 
-    def _rebuild_ranks(self) -> None:
-        """Rank table of all T*n nodes: entry r pairs every node that has
-        an r-th neighbor (ascending index, self included) with that
-        neighbor, both as flat t*n + m indices."""
-        t_count, n = self._support.shape[:2]
-        hoods = np.swapaxes(self._support, 1, 2).reshape(t_count * n, n)
-        nodes, nbrs = np.nonzero(hoods)  # row-major: neighbors ascending
-        rank = (np.cumsum(hoods, axis=1) - 1)[nodes, nbrs]
-        flat_nbrs = nbrs + (nodes // n) * n
-        self._ranks = [
-            (nodes[rank == r], flat_nbrs[rank == r]) for r in range(rank.max() + 1)
-        ]
+    def _rebuild_information(self) -> None:
+        """Entry [t, n, m] of ``_w`` is 1/sigma2_n where n is in node m's
+        neighborhood (self included), else 0; ``_s`` [t, m] is its sum."""
+        self._w = np.where(self._support, 1.0 / self.sigma2[:, :, None], 0.0)
+        self._s = self._w.sum(axis=1)
 
     # -- errors -------------------------------------------------------
 
@@ -239,25 +250,18 @@ class DiffusionKalmanEngine:
             f"trial {self.first_trial + t}: iteration {self.iteration}: {what}"
         )
 
-    def _blame(self, exc: NumericError, check, trials) -> None:
-        """Re-run a batched check that failed one trial at a time, in
-        ascending order, and raise the first trial's error by name."""
-        for t in trials:
-            try:
-                check(t)
-            except NumericError as sub:
-                raise self._trial_error(t, sub) from exc
-        raise exc
-
     def _validate(self, col_tol: float) -> None:
         try:
             validate_combination_matrix(self.C, self._support, col_tol)
         except NumericError as exc:
-            self._blame(
-                exc,
-                lambda t: validate_combination_matrix(self.C[t], self._support[t], col_tol),
-                range(len(self.nets)),
-            )
+            # Re-run per trial in ascending order and name the first that
+            # fails.
+            for t in range(len(self.nets)):
+                try:
+                    validate_combination_matrix(self.C[t], self._support[t], col_tol)
+                except NumericError as sub:
+                    raise self._trial_error(t, sub) from exc
+            raise
 
     # -- the synchronous step -------------------------------------------
 
@@ -295,10 +299,10 @@ class DiffusionKalmanEngine:
             t, m = bad[0]
             raise self._trial_error(t, f"non-finite measurement at node {m}")
 
-        # Phase 2: adaptation, batched across all nodes rank by rank.
-        psi, p = self._adapt_all(y)
-        self.psi, self.P_psi = psi, p
-        self._track_psd(p)
+        # Phase 2: adaptation, in closed information form.
+        psi, self.M_psi = self._adapt_all(y)
+        self.psi = psi
+        self._track_psd(self.M_psi)
 
         # Phase 3: residuals.
         self.q = y - psi
@@ -324,10 +328,10 @@ class DiffusionKalmanEngine:
         self.x_pred = self.x_hat @ self.model.F.T
         if self.filter_knows_gravity:
             self.x_pred = self.x_pred + self.model.u_g
-        self.P_pred = symmetrize(
-            self.model.F @ self.P_psi @ self.model.F.T + self._gqg
-        )
-        self._track_psd(self.P_pred)
+        a, b, c = np.moveaxis(self.M_psi, -1, 0)
+        d, q = self._delta, self._q
+        self.M_pred = np.stack([a + d * (2.0 * b + d * c) + q, b + d * c, c + q], axis=-1)
+        self._track_psd(self.M_pred)
 
         self.iteration += 1
         return self
@@ -335,34 +339,32 @@ class DiffusionKalmanEngine:
     # -- internals --------------------------------------------------------
 
     def _adapt_all(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        t_count, n = y.shape[:2]
-        psi = self.x_pred.reshape(t_count * n, STATE_DIM).copy()
-        p = self.P_pred.reshape(t_count * n, STATE_DIM, STATE_DIM).copy()
-        y = y.reshape(t_count * n, STATE_DIM)
-        sigma2 = self.sigma2.reshape(t_count * n)
-        diag = np.arange(STATE_DIM)
-        for m_idx, n_idx in self._ranks:
-            p_v = p[m_idx]
-            psi_v = psi[m_idx]
-            r_e = p_v.copy()
-            r_e[:, diag, diag] += sigma2[n_idx][:, None]
-            try:
-                r_inv = inverse_spd(r_e, role="innovation covariance")
-            except NumericError as exc:
-                trial_of = m_idx // n
-                self._blame(
-                    exc,
-                    lambda t: inverse_spd(r_e[trial_of == t], role="innovation covariance"),
-                    np.unique(trial_of),
-                )
-            innov = y[n_idx] - psi_v
-            gain = np.swapaxes(p_v, -1, -2) @ r_inv
-            psi[m_idx] = psi_v + (gain @ innov[:, :, None])[:, :, 0]
-            p[m_idx] = symmetrize(p_v - gain @ p_v)
-        return (
-            psi.reshape(t_count, n, STATE_DIM),
-            p.reshape(t_count, n, STATE_DIM, STATE_DIM),
+        w, s, x_pred = self._w, self._s, self.x_pred
+        a, b, c = np.moveaxis(self.M_pred, -1, 0)
+        det = a * c - b * b
+        # s^2 det(M_pred + I/s): with 1 + s*a > 0, the innovation covariance
+        # M_pred + I/s is positive definite exactly when this is positive.
+        den = 1.0 + s * (a + c) + s * s * det
+        ok = np.isfinite(self.M_pred).all(axis=2) & (1.0 + s * a > 0.0) & (den > 0.0)
+        if not ok.all():
+            t, m = np.argwhere(~ok)[0]
+            if np.isfinite(self.M_pred[t, m]).all():
+                what = f"innovation covariance at node {m} is not positive definite"
+            else:
+                what = f"predicted covariance at node {m} has non-finite entries"
+            raise self._trial_error(t, what)
+        m_psi = np.stack([(a + s * det) / den, b / den, (c + s * det) / den], axis=-1)
+
+        # Information vector sum_n y_n / sigma2_n, one coordinate at a time,
+        # less s * x_pred.
+        info = np.stack(
+            [(w * y[:, :, k, None]).sum(axis=1) for k in range(STATE_DIM)], axis=-1
         )
+        r = info - s[:, :, None] * x_pred
+        r_pos, r_vel = r[..., :2], r[..., 2:]
+        a, b, c = (m_psi[..., k, None] for k in range(3))
+        psi = x_pred + np.concatenate([a * r_pos + b * r_vel, b * r_pos + c * r_vel], axis=-1)
+        return psi, m_psi
 
     def _adaptive_weights(
         self, psi: np.ndarray, q: np.ndarray, y: np.ndarray
@@ -383,11 +385,11 @@ class DiffusionKalmanEngine:
                 self._support[t] = pruned.adjacency | np.eye(net.n_nodes, dtype=bool)
                 changed = True
         if changed:
-            self._rebuild_ranks()
+            self._rebuild_information()
 
-    def _track_psd(self, covs: np.ndarray) -> None:
-        eigs = np.linalg.eigvalsh(symmetrize(covs))
-        low = eigs.min(axis=(1, 2))
+    def _track_psd(self, cov: np.ndarray) -> None:
+        a, b, c = np.moveaxis(cov, -1, 0)
+        low = (0.5 * (a + c) - np.hypot(0.5 * (a - c), b)).min(axis=1)
         # fmin skips a NaN minimum, as a plain comparison would.
         np.fmin(self.min_psd_eigenvalue, low, out=self.min_psd_eigenvalue)
         bad = np.flatnonzero(low < PSD_TOL)

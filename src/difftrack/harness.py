@@ -170,6 +170,8 @@ def _coerce(key: str, value):
             parts = [p for p in text.replace(",", " ").split() if p]
         else:
             parts = list(value)
+        if any(isinstance(p, bool) for p in parts):
+            raise ConfigError(f"key '{key}' expects real numbers, got {value!r}")
         try:
             return tuple(float(p) for p in parts)
         except (TypeError, ValueError) as exc:
@@ -178,6 +180,8 @@ def _coerce(key: str, value):
         return str(value).strip()
     if key == "head_radius" and value is None:
         return None
+    if isinstance(value, bool):
+        raise ConfigError(f"key '{key}' expects a real number, got {value!r}")
     try:
         return float(value)
     except (TypeError, ValueError) as exc:
@@ -437,9 +441,11 @@ def policy_sweep(cfg: ExperimentConfig, policies, **kwargs) -> SweepResult:
     policies = list(policies)
     if not policies:
         raise ConfigError("policy sweep needs at least one policy")
-    for name in policies:
+    for i, name in enumerate(policies):
         if name not in POLICIES:
             raise ConfigError(f"unknown policy '{name}' in sweep")
+        if name in policies[:i]:
+            raise ConfigError(f"policy '{name}' appears more than once in sweep")
     runs = {}
     for name in policies:
         runs[name] = run_experiment(dataclasses.replace(cfg, policy=name), **kwargs)

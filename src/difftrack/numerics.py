@@ -1,9 +1,12 @@
-"""Small dense linear algebra kernels used by the filter.
+"""Small dense linear algebra kernels for the reference filter forms.
 
 Everything here operates on float64 ndarrays and supports a leading batch
-dimension, so the same code path serves a single 4x4 covariance and a stack
-of them (one per node). Inversion is restricted to symmetric positive
-definite matrices because that is the only kind the filter ever inverts.
+dimension. The engine's run path carries each covariance in closed 2x2
+form and calls none of this; the single-node reference forms
+``engine.adapt`` and ``engine.time_update``, which tests and selftest hold
+the engine to, and ``dynamics`` do. Inversion is restricted to symmetric
+positive definite matrices because that is the only kind the reference
+filter inverts.
 """
 
 from __future__ import annotations
@@ -28,34 +31,13 @@ def symmetrize(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + np.swapaxes(a, -1, -2))
 
 
-def _lower_inverse(chol: np.ndarray) -> np.ndarray:
-    """Inverse of a stack of lower-triangular matrices with nonzero pivots.
-
-    Forward substitution, one entry at a time, each entry computed for the
-    whole stack at once. For a stack of small matrices this costs a few
-    dozen elementwise operations in place of one LAPACK call per matrix.
-    """
-    k = chol.shape[-1]
-    linv = np.zeros_like(chol)
-    for i in range(k):
-        pivot = chol[..., i, i]
-        linv[..., i, i] = 1.0 / pivot
-        for j in range(i):
-            acc = chol[..., i, j] * linv[..., j, j]
-            for m in range(j + 1, i):
-                acc = acc + chol[..., i, m] * linv[..., m, j]
-            linv[..., i, j] = -acc / pivot
-    return linv
-
-
 def inverse_spd(a: np.ndarray, *, role: str = "matrix") -> np.ndarray:
     """Invert a symmetric positive definite matrix (or stack of them).
 
-    Uses a Cholesky factorization, inverted by forward substitution, plus
-    one Newton correction whose residual I - AX is evaluated in extended
-    precision. The residual is where the cancellation happens: with it
-    computed in float64 the round-trip error at condition number 1e6 can
-    exceed 1e-10, while this scheme stays near
+    Uses a Cholesky factorization plus one Newton correction whose residual
+    I - AX is evaluated in extended precision. The residual is where the
+    cancellation happens: with it computed in float64 the round-trip error
+    at condition number 1e6 can exceed 1e-10, while this scheme stays near
     the float64 representability floor (~5e-11). ``role`` names the matrix
     in error messages so a failure deep inside a run points at the
     quantity that went bad.
@@ -81,7 +63,7 @@ def inverse_spd(a: np.ndarray, *, role: str = "matrix") -> np.ndarray:
             f"inverse_spd: {role} is numerically singular "
             f"(pivot below {PIVOT_TOL:g})"
         )
-    linv = _lower_inverse(chol)
+    linv = np.linalg.inv(chol)
     x = np.swapaxes(linv, -1, -2) @ linv
     # Newton correction. Only the residual needs extra precision; the
     # correction product itself is small and safe in float64. The result is

@@ -40,6 +40,36 @@ def two_target_truths(n_iterations, rng):
     return truths
 
 
+def full_cov(m):
+    """The 4x4 covariance M kron I2 of a stored (a, b, c) triple."""
+    a, b, c = m
+    return np.kron(np.array([[a, b], [b, c]]), np.eye(2))
+
+
+def information_update(x_pred, m_pred, ys, sigma2s):
+    """One node's adaptation in information form, in the engine's
+    arithmetic: neighbor terms summed in the given order, then the
+    closed-form 2x2 update."""
+    s = 0.0
+    info = np.zeros(4)
+    for y_n, s2 in zip(ys, sigma2s):
+        w = 1.0 / s2
+        s = s + w
+        info = info + w * y_n
+    a, b, c = m_pred
+    det = a * c - b * b
+    den = 1.0 + s * (a + c) + s * s * det
+    m_psi = np.array([(a + s * det) / den, b / den, (c + s * det) / den])
+    r = info - s * x_pred
+    a, b, c = m_psi
+    psi = x_pred + np.concatenate([a * r[:2] + b * r[2:], b * r[:2] + c * r[2:]])
+    return psi, m_psi
+
+
+def max_relative(got, want):
+    return np.abs(got - want).max() / np.abs(want).max()
+
+
 def build_engine(n, seed, policy="adaptive", **kwargs):
     # A one-trial batch; tests read trial 0 of the engine state.
     rng = np.random.default_rng(seed)
@@ -176,7 +206,7 @@ def test_engine_step_matches_per_node_operations():
     y = truths[engine.assignments[0].cluster_of - 1] + np.sqrt(sigma2)[:, None] * z
 
     x_pred0 = engine.x_pred[0].copy()
-    p_pred0 = engine.P_pred[0].copy()
+    m_pred0 = engine.M_pred[0].copy()
     with_self = engine.nets[0].adjacency | np.eye(6, dtype=bool)
     hoods = [np.flatnonzero(with_self[:, m]) for m in range(6)]
 
@@ -184,12 +214,17 @@ def test_engine_step_matches_per_node_operations():
 
     eye = np.eye(4)
     psi = np.empty((6, 4))
-    p_psi = np.empty((6, 4, 4))
+    m_psi = np.empty((6, 3))
     for m in range(6):
-        msgs = [(y[n], eye, sigma2[n] * eye) for n in hoods[m]]
-        psi[m], p_psi[m] = adapt(x_pred0[m], p_pred0[m], msgs)
+        hood = hoods[m]
+        psi[m], m_psi[m] = information_update(x_pred0[m], m_pred0[m], y[hood], sigma2[hood])
+        # The general sequential update agrees with the information form.
+        msgs = [(y[n], eye, sigma2[n] * eye) for n in hood]
+        psi_seq, p_seq = adapt(x_pred0[m], full_cov(m_pred0[m]), msgs)
+        assert max_relative(psi_seq, psi[m]) <= 1e-10
+        assert max_relative(p_seq, full_cov(m_psi[m])) <= 1e-10
     assert np.array_equal(psi, engine.psi[0])
-    assert np.array_equal(p_psi, engine.P_psi[0])
+    assert np.array_equal(m_psi, engine.M_psi[0])
 
     q = np.stack([residual(y[m], eye, psi[m]) for m in range(6)])
     assert np.array_equal(q, engine.q[0])
@@ -209,9 +244,9 @@ def test_engine_step_matches_per_node_operations():
     assert np.abs(x_hat - engine.x_hat[0]).max() < 1e-12
 
     for m in range(6):
-        xp, pp = time_update(x_hat[m], p_psi[m], MODEL, knows_gravity=True)
+        xp, pp = time_update(x_hat[m], full_cov(m_psi[m]), MODEL, knows_gravity=True)
         assert np.abs(xp - engine.x_pred[0, m]).max() < 1e-12
-        assert np.abs(pp - engine.P_pred[0, m]).max() < 1e-12
+        assert np.abs(pp - full_cov(engine.M_pred[0, m])).max() < 1e-12
 
 
 def test_single_node_matches_oracle_all_policies():
@@ -252,10 +287,10 @@ def test_covariance_never_grows_during_adaptation():
     engine, rng = build_engine(10, seed=11)
     truths = two_target_truths(30, np.random.default_rng(5))
     for j in range(30):
-        p_before = engine.P_pred[0].copy()
+        m_before = engine.M_pred[0].copy()
         engine.run_step(truths[j][None], [rng])
-        gap = p_before - engine.P_psi[0]
-        assert np.linalg.eigvalsh(0.5 * (gap + gap.swapaxes(1, 2))).min() >= -1e-9
+        gap = np.stack([full_cov(m) for m in m_before - engine.M_psi[0]])
+        assert np.linalg.eigvalsh(gap).min() >= -1e-9
 
 
 def test_psd_tracking_over_run():
@@ -349,6 +384,22 @@ def test_engine_pickle_round_trip_continues_identically():
         clone.run_step(truths[j][None], [rng2])
     assert np.array_equal(engine.x_hat, clone.x_hat)
     assert np.array_equal(engine.C, clone.C)
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"Q": 1e-3 * np.diag([1.0, 2.0, 3.0, 4.0])},
+        {"F": MODEL.F + 0.1 * np.eye(4, k=1)},
+    ],
+    ids=["anisotropic-noise", "coupled-axes"],
+)
+def test_engine_rejects_models_the_2x2_form_cannot_carry(change):
+    fields = dict(F=MODEL.F, G=MODEL.G, Q=MODEL.Q, u_g=MODEL.u_g, delta=MODEL.delta, g=MODEL.g)
+    model = MotionModel(**{**fields, **change})
+    engine, _ = build_engine(5, seed=15)
+    with pytest.raises(ConfigError, match="the engine needs"):
+        DiffusionKalmanEngine(engine.nets, engine.assignments, model, engine.sigma2, "uniform")
 
 
 def test_engine_validates_inputs():

@@ -10,6 +10,7 @@ import sys
 import numpy as np
 import pytest
 
+from difftrack import harness
 from difftrack.cli import main
 from difftrack.dynamics import discretize_projectile
 from difftrack.errors import ConfigError
@@ -165,6 +166,22 @@ class TestLoadConfig:
         assert cfg == ExperimentConfig()
         assert cfg.effective_head_radius == cfg.comm_radius
 
+    @pytest.mark.parametrize("value", [True, False])
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "comm_radius", "head_radius", "delta", "g", "x0", "y0", "v0", "angles",
+            "sigma_min", "sigma_span", "G_scale", "Q_scale", "P0_scale", "eps", "prune_tau",
+        ],
+    )
+    def test_json_boolean_for_real_key_rejected_by_name(self, tmp_path, field, value):
+        if field == "angles":
+            value = [1.0, value]
+        path = tmp_path / "bool.json"
+        path.write_text(json.dumps({field: value}))
+        with pytest.raises(ConfigError, match=rf"^key '{field}' expects "):
+            load_config(path)
+
     def test_json_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"n_trails": 4}))
@@ -287,6 +304,18 @@ class TestPolicySweep:
         with pytest.raises(ConfigError, match="fastest"):
             policy_sweep(ExperimentConfig(**SMALL), ["fastest"])
 
+    def test_repeated_policy_rejected_before_any_trial(self, monkeypatch, tmp_path, capsys):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(harness, "run_trials", no_run)
+        with pytest.raises(ConfigError, match="'adaptive' appears more than once"):
+            policy_sweep(ExperimentConfig(**SMALL), ["adaptive", "uniform", "adaptive"])
+        out = tmp_path / "out"
+        assert main(["sweep", "--policies", "adaptive,adaptive", "--out-dir", str(out)]) == 2
+        assert "adaptive" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestArtifacts:
     def test_zero_records_header_only(self, tmp_path):
@@ -374,6 +403,15 @@ class TestCli:
         code = main(["run", "--config", str(cfg_path), "--out-dir", str(out)])
         assert code == 2
         assert "sigma_min must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_boolean_real_value_exits_two(self, tmp_path, capsys):
+        cfg_path = tmp_path / "bool.json"
+        cfg_path.write_text(json.dumps({"n_trials": 2, "delta": True}))
+        out = tmp_path / "out"
+        code = main(["run", "--config", str(cfg_path), "--out-dir", str(out)])
+        assert code == 2
+        assert "'delta'" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("flag,value", [("--workers", "0"), ("--weights-every", "-1")])

@@ -86,6 +86,17 @@ def test_static_policy_keeps_dense_graph_and_weights(policy, monkeypatch):
     assert same_bytes(detail["final_C"], c0)
 
 
+@pytest.mark.parametrize("policy", ["adaptive", "uniform"])
+def test_run_path_inverts_no_matrix(policy, monkeypatch):
+    # Adaptation is closed form; inverse_spd serves only the reference forms.
+    def no_inverse(*args, **kwargs):
+        raise AssertionError("the engine inverted a matrix")
+
+    monkeypatch.setattr(difftrack.engine, "inverse_spd", no_inverse)
+    cfg = ExperimentConfig(policy=policy, n_trials=2, n_iterations=15)
+    assert len(run_trials(cfg, range(2))) == 2
+
+
 def test_batch_composition_does_not_matter():
     cfg = ExperimentConfig(**{**SHORT, "n_trials": 8})
     alone = run_trials(cfg, range(3, 4))[0]
@@ -120,7 +131,7 @@ def test_nan_covariance_names_trial_and_iteration():
     engine, truths, rngs = small_batch(4)
     for _ in range(3):
         engine.run_step(truths, rngs)
-    engine.P_pred[2, 5] = np.nan
+    engine.M_pred[2, 5] = np.nan
     with pytest.raises(NumericError, match=r"^trial 2: iteration 3: .*non-finite"):
         engine.run_step(truths, rngs)
 
@@ -142,16 +153,16 @@ def test_nan_measurement_names_trial_iteration_and_node(policy):
 
 def test_indefinite_covariance_names_trial_counted_from_first_trial():
     engine, truths, rngs = small_batch(4, first_trial=40)
-    engine.P_pred[1, 3] = -np.eye(4)
+    engine.M_pred[1, 3] = (-1.0, 0.0, -1.0)
     with pytest.raises(NumericError, match=r"^trial 41: iteration 0: .*positive definite"):
         engine.run_step(truths, rngs)
 
 
 def test_lost_semidefiniteness_names_trial():
-    # P + sigma2 I stays positive definite, so the inverse succeeds, but the
+    # M + I/s stays positive definite, so the update succeeds, but the
     # updated covariance keeps the negative eigenvalue.
     engine, truths, rngs = small_batch(4)
-    engine.P_pred[3, 0] = np.diag([-1e-3, 1.0, 1.0, 1.0])
+    engine.M_pred[3, 0] = (-1e-3, 0.0, 1.0)
     with pytest.raises(NumericError, match=r"^trial 3: iteration 0: .*semidefinite"):
         engine.run_step(truths, rngs)
 
@@ -165,7 +176,7 @@ def test_bad_static_weights_name_trial():
 
 def test_several_failing_trials_name_the_lowest():
     engine, truths, rngs = small_batch(4)
-    engine.P_pred[3, 1] = np.nan
-    engine.P_pred[1, 6] = -np.eye(4)
+    engine.M_pred[3, 1] = np.nan
+    engine.M_pred[1, 6] = (-1.0, 0.0, -1.0)
     with pytest.raises(NumericError, match=r"^trial 1: iteration 0: "):
         engine.run_step(truths, rngs)

@@ -1,0 +1,99 @@
+"""Property tests of one engine step over random small scenes.
+
+Hypothesis draws the networks, noise levels, predicted covariances M
+(stored as (a, b, c), the 4x4 covariance being M kron I2), predicted
+states, truths and measurement streams. One step of the engine's
+closed-form information update must match the general sequential update
+``adapt`` at every node, keep every combination matrix column-stochastic
+on its neighborhoods, and leave each covariance positive semidefinite and
+no larger than its prediction.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from difftrack.combiners import POLICIES
+from difftrack.dynamics import discretize_projectile
+from difftrack.engine import DiffusionKalmanEngine, adapt
+from difftrack.topology import ClusterAssignment, Network
+
+MODEL = discretize_projectile(0.1, 10.0)
+
+
+def full_cov(m):
+    a, b, c = m
+    return np.kron(np.array([[a, b], [b, c]]), np.eye(2))
+
+
+def min_eig(m):
+    """Smallest eigenvalue of the 2x2 symmetric matrices in a (..., 3) stack."""
+    a, b, c = np.moveaxis(m, -1, 0)
+    return np.linalg.eigvalsh(np.stack([a, b, b, c], axis=-1).reshape(a.shape + (2, 2))).min()
+
+
+@st.composite
+def scenes(draw):
+    t_count = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 7))
+    nets, parts = [], []
+    for _ in range(t_count):
+        upper = draw(arrays(bool, (n, n)))
+        adjacency = np.triu(upper, 1)
+        adjacency = adjacency | adjacency.T
+        positions = draw(arrays(float, (n, 2), elements=st.floats(0.0, 1.0)))
+        nets.append(Network(positions, adjacency))
+        labels = 1 + draw(arrays(np.int64, n, elements=st.integers(0, 1)))
+        labels[0] = 1
+        parts.append(ClusterAssignment(labels, int(labels.max())))
+    sigma2 = draw(arrays(float, (t_count, n), elements=st.floats(0.01, 1.0)))
+    # SPD M from its two eigenvalues and the angle of its eigenvectors.
+    lam = draw(arrays(float, (t_count, n, 2), elements=st.floats(1e-3, 10.0)))
+    angle = draw(arrays(float, (t_count, n), elements=st.floats(0.0, np.pi)))
+    cos, sin = np.cos(angle), np.sin(angle)
+    m_pred = np.stack(
+        [
+            lam[..., 0] * cos**2 + lam[..., 1] * sin**2,
+            (lam[..., 0] - lam[..., 1]) * sin * cos,
+            lam[..., 0] * sin**2 + lam[..., 1] * cos**2,
+        ],
+        axis=-1,
+    )
+    coords = st.floats(-50.0, 50.0)
+    x_pred = draw(arrays(float, (t_count, n, 4), elements=coords))
+    truths = draw(arrays(float, (t_count, 2, 4), elements=coords))
+    seed = draw(st.integers(0, 2**32 - 1))
+    policy = draw(st.sampled_from(POLICIES))
+    return nets, parts, sigma2, m_pred, x_pred, truths, seed, policy
+
+
+@settings(max_examples=60, deadline=None)
+@given(scenes())
+def test_one_step_matches_sequential_update_and_keeps_invariants(scene):
+    nets, parts, sigma2, m_pred, x_pred, truths, seed, policy = scene
+    t_count, n = sigma2.shape
+    engine = DiffusionKalmanEngine(nets, parts, MODEL, sigma2, policy)
+    engine.M_pred = m_pred.copy()
+    engine.x_pred = x_pred.copy()
+    engine.run_step(truths, [np.random.default_rng(seed + t) for t in range(t_count)])
+
+    eye = np.eye(4)
+    for t in range(t_count):
+        noise = np.random.default_rng(seed + t).standard_normal((n, 4))
+        y = truths[t, parts[t].cluster_of - 1] + np.sqrt(sigma2[t])[:, None] * noise
+        support = nets[t].adjacency | np.eye(n, dtype=bool)
+        for m in range(n):
+            msgs = [(y[k], eye, sigma2[t, k] * eye) for k in np.flatnonzero(support[:, m])]
+            psi, p = adapt(x_pred[t, m], full_cov(m_pred[t, m]), msgs)
+            assert np.abs(engine.psi[t, m] - psi).max() <= 1e-10 * np.abs(psi).max()
+            assert np.abs(full_cov(engine.M_psi[t, m]) - p).max() <= 1e-10 * np.abs(p).max()
+
+        c = engine.C[t]
+        assert (c >= 0.0).all()
+        assert not c[~support].any()
+        assert np.abs(c.sum(axis=0) - 1.0).max() <= 1e-12
+
+    scale = np.abs(m_pred).max()
+    assert min_eig(engine.M_psi) >= -1e-12 * scale
+    assert min_eig(m_pred - engine.M_psi) >= -1e-12 * scale
