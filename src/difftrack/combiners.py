@@ -3,9 +3,10 @@
 A combination matrix C is left-stochastic with c[n, m] being the weight
 node m assigns to neighbor n; support is restricted to the self-inclusive
 neighborhood N_m, so the combination step blends estimates as C^T psi.
-Static policies depend only on the topology (and noise levels);
-the adaptive rule re-derives every column each iteration from how far each
-neighbor's intermediate estimate sits from the node's own data.
+Static policies depend only on the topology (and noise levels), and build
+one matrix per network of a Network stack; the adaptive rule re-derives
+every column each iteration from how far each neighbor's intermediate
+estimate sits from the node's own data.
 
 The adaptive policy also screens each neighbor's measurement against the
 node's own with ``consistent_pairs``: two measurements of one target differ
@@ -45,28 +46,29 @@ def _support(net: Network) -> np.ndarray:
 def uniform_weights(net: Network) -> np.ndarray:
     """c[n, m] = 1/|N_m| for every n in N_m."""
     sup = _support(net)
-    return sup / sup.sum(axis=0)
+    return sup / sup.sum(axis=-2, keepdims=True)
 
 
 def metropolis_weights(net: Network) -> np.ndarray:
     """Off-diagonal 1/max(|N_n|, |N_m|); diagonal takes the remainder."""
-    sizes = _support(net).sum(axis=0)
-    c = np.where(net.adjacency, 1.0 / np.maximum.outer(sizes, sizes), 0.0)
-    np.fill_diagonal(c, 1.0 - c.sum(axis=0))
+    sizes = _support(net).sum(axis=-2)
+    c = np.where(net.adjacency, 1.0 / np.maximum(sizes[..., :, None], sizes[..., None, :]), 0.0)
+    diag = np.arange(net.n_nodes)
+    c[..., diag, diag] = 1.0 - c.sum(axis=-2)
     return c
 
 
 def relative_variance_weights(net: Network, sigma2: np.ndarray) -> np.ndarray:
     """Weight neighbors by inverse noise variance, normalized over N_m."""
     sigma2 = np.asarray(sigma2, dtype=np.float64)
-    if sigma2.shape != (net.n_nodes,):
+    if sigma2.shape != net.adjacency.shape[:-1]:
         raise ConfigError(
             f"sigma2 must have one entry per node, got shape {sigma2.shape}"
         )
     if (sigma2 <= 0.0).any():
         raise ConfigError("all measurement variances must be positive")
-    w = _support(net) * (1.0 / sigma2)[:, None]
-    return w / w.sum(axis=0)
+    w = _support(net) * (1.0 / sigma2)[..., :, None]
+    return w / w.sum(axis=-2, keepdims=True)
 
 
 def adaptive_weight_row(
@@ -131,7 +133,7 @@ def consistent_pairs(points: np.ndarray, sigma2: np.ndarray) -> np.ndarray:
 
 
 def static_weights(policy: str, net: Network, sigma2: np.ndarray) -> np.ndarray:
-    """Build the combination matrix for a static policy by name."""
+    """Build the combination matrix (stack) for a static policy by name."""
     if policy == "uniform":
         return uniform_weights(net)
     if policy == "metropolis":

@@ -4,7 +4,9 @@ One engine advances a batch of T independent Monte Carlo trials in
 lockstep. Its state carries a leading trial axis: estimates are (T, n, 4),
 covariances (T, n, 3) and combination matrices (T, n, n). The trials of a
 batch share the node count, the motion model and the policy; each has its
-own network, task assignment, noise levels and random stream.
+own network, task assignment, noise levels and random stream, held as
+one stacked ``Network`` and one stacked ``ClusterAssignment``, so static
+weights and each prune take one call for the whole batch.
 
 Each node observes the full state with noise sigma2 * I, the model has
 F = I + delta*theta and process noise q * I, and the prior is p0 * I, so
@@ -31,8 +33,9 @@ is a synchronous bulk step over all nodes of all trials:
    blended; each node keeps its own);
 6. adaptive policy only: link pruning, a per-link count of consecutive
    steps with weight below the threshold; a link is cut once both
-   directions reach the window. A static policy keeps its initial graph
-   and the combination matrix built for it at construction;
+   directions reach the window, in one ``prune_cross_links`` call over the
+   network stack. A static policy keeps its initial graph and the
+   combination matrix built for it at construction;
 7. time update: M becomes (a + delta(2b + delta c) + q, b + delta c, c + q).
 
 Phases read only the previous phase's snapshot. Phase 2's neighbor sums
@@ -149,17 +152,17 @@ class DiffusionKalmanEngine:
     """Synchronous multi-node filter over T trials, each on its own
     network.
 
-    ``nets`` and ``assignments`` hold one entry per trial, all over the
-    same n nodes, and ``sigma2`` is (T, n). ``first_trial`` is the number
-    of the batch's first trial; errors name trials counting from it.
-    ``pruning_enabled`` only affects the adaptive policy: static policies
-    never prune.
+    ``net`` is a Network stack with (T, n, n) adjacency, ``assignment``
+    the matching (T, n) ClusterAssignment stack (see ``stack_scenes``) and
+    ``sigma2`` (T, n). ``first_trial`` is the number of the batch's first
+    trial; errors name trials counting from it. ``pruning_enabled`` only
+    affects the adaptive policy: static policies never prune.
     """
 
     def __init__(
         self,
-        nets: Sequence[Network],
-        assignments: Sequence[ClusterAssignment],
+        net: Network,
+        assignment: ClusterAssignment,
         model: MotionModel,
         sigma2: np.ndarray,
         policy: str,
@@ -174,13 +177,9 @@ class DiffusionKalmanEngine:
     ) -> None:
         if policy not in POLICIES:
             raise ConfigError(f"unknown policy '{policy}', expected one of {POLICIES}")
-        nets = list(nets)
-        assignments = list(assignments)
-        if not nets:
-            raise ConfigError("the engine needs at least one trial")
-        t_count, n = len(nets), nets[0].n_nodes
-        if any(net.n_nodes != n for net in nets):
-            raise ConfigError("all trials of a batch need the same node count")
+        if net.adjacency.ndim != 3 or not net.adjacency.shape[0]:
+            raise ConfigError("the engine needs a stack of networks, one per trial")
+        t_count, n = net.adjacency.shape[:2]
         sigma2 = np.asarray(sigma2, dtype=np.float64)
         if sigma2.shape != (t_count, n):
             raise ConfigError(
@@ -188,14 +187,13 @@ class DiffusionKalmanEngine:
             )
         if (sigma2 <= 0.0).any():
             raise ConfigError("all measurement variances must be positive")
-        if len(assignments) != t_count or any(a.n_nodes != n for a in assignments):
+        if assignment.cluster_of.shape != (t_count, n):
             raise ConfigError("cluster assignments do not match the networks")
         if p0_scale <= 0.0:
             raise ConfigError(f"initial covariance scale must be positive, got {p0_scale}")
         self._delta, self._q = _closed_form_model(model)
 
-        self.nets = nets
-        self.assignments = assignments
+        self.assignment = assignment
         self.model = model
         self.sigma2 = sigma2
         self.policy = policy
@@ -205,7 +203,7 @@ class DiffusionKalmanEngine:
         self.prune_window = int(prune_window)
         self.prunes = policy == "adaptive" and bool(pruning_enabled)
         self.filter_knows_gravity = bool(filter_knows_gravity)
-        self._targets = np.stack([a.cluster_of - 1 for a in assignments])
+        self._targets = assignment.cluster_of - 1
 
         shape = (t_count, n, STATE_DIM)
         self.x_pred = np.zeros(shape)
@@ -224,22 +222,22 @@ class DiffusionKalmanEngine:
         self._below = np.zeros(
             (t_count, n, n), dtype=np.min_scalar_type(self.prune_window)
         )
-        self._support = np.stack([net.adjacency for net in nets]) | np.eye(n, dtype=bool)
-        self._rebuild_information()
+        self._adopt(net)
 
         if policy == "adaptive":
             self.C = np.broadcast_to(np.eye(n), (t_count, n, n)).copy()
         else:
-            self.C = np.stack(
-                [static_weights(policy, net, s2) for net, s2 in zip(nets, sigma2)]
-            )
+            self.C = static_weights(policy, net, sigma2)
         self._validate(COLUMN_SUM_TOL)
 
     # -- topology-dependent caches ------------------------------------
 
-    def _rebuild_information(self) -> None:
-        """Entry [t, n, m] of ``_w`` is 1/sigma2_n where n is in node m's
-        neighborhood (self included), else 0; ``_s`` [t, m] is its sum."""
+    def _adopt(self, net: Network) -> None:
+        """Make ``net`` the topology: ``_support`` holds its self-inclusive
+        neighborhoods, ``_w`` [t, n, m] is 1/sigma2_n where n is in node m's
+        neighborhood, else 0, and ``_s`` [t, m] its sum."""
+        self.net = net
+        self._support = net.adjacency | np.eye(net.n_nodes, dtype=bool)
         self._w = np.where(self._support, 1.0 / self.sigma2[:, :, None], 0.0)
         self._s = self._w.sum(axis=1)
 
@@ -256,7 +254,7 @@ class DiffusionKalmanEngine:
         except NumericError as exc:
             # Re-run per trial in ascending order and name the first that
             # fails.
-            for t in range(len(self.nets)):
+            for t in range(self.C.shape[0]):
                 try:
                     validate_combination_matrix(self.C[t], self._support[t], col_tol)
                 except NumericError as sub:
@@ -377,15 +375,9 @@ class DiffusionKalmanEngine:
         return w / w.sum(axis=1, keepdims=True)
 
     def _prune(self) -> None:
-        changed = False
-        for t, net in enumerate(self.nets):
-            pruned = prune_cross_links(net, self._below[t], self.prune_window)
-            if pruned is not net:
-                self.nets[t] = pruned
-                self._support[t] = pruned.adjacency | np.eye(net.n_nodes, dtype=bool)
-                changed = True
-        if changed:
-            self._rebuild_information()
+        pruned = prune_cross_links(self.net, self._below, self.prune_window)
+        if pruned is not self.net:
+            self._adopt(pruned)
 
     def _track_psd(self, cov: np.ndarray) -> None:
         a, b, c = np.moveaxis(cov, -1, 0)

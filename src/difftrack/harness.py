@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
@@ -26,14 +27,20 @@ from .metrics import (
     msd_accumulate,
     read_clusters,
 )
-from .topology import ClusterAssignment, Network, generate_geometric, initial_partition
+from .topology import (
+    ClusterAssignment,
+    Network,
+    generate_geometric,
+    initial_partition,
+    stack_scenes,
+)
 
-_INT_FIELDS = {"n_nodes", "min_degree", "n_trials", "n_iterations", "prune_window", "seed"}
-_BOOL_FIELDS = {"pruning_enabled", "filter_knows_gravity"}
-# Real-valued keys, each required to be finite; angles holds a tuple and
-# head_radius may be None.
+_INT_FIELDS = ("n_nodes", "min_degree", "n_trials", "n_iterations", "prune_window", "seed")
+_BOOL_FIELDS = ("pruning_enabled", "filter_knows_gravity")
+# Real-valued keys, each required to be finite; head_radius may be None,
+# and angles holds a tuple of them.
 _FLOAT_FIELDS = (
-    "comm_radius", "head_radius", "delta", "g", "x0", "y0", "v0", "angles",
+    "comm_radius", "head_radius", "delta", "g", "x0", "y0", "v0",
     "sigma_min", "sigma_span", "G_scale", "Q_scale", "P0_scale", "eps", "prune_tau",
 )
 _TRUE_WORDS = {"true", "1", "yes", "on"}
@@ -72,12 +79,23 @@ class ExperimentConfig:
     seed: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "angles", tuple(float(a) for a in self.angles))
+        # Types are checked here, for library callers and config files alike.
         for name in _FLOAT_FIELDS:
+            if getattr(self, name) is not None or name != "head_radius":
+                object.__setattr__(self, name, _real(name, getattr(self, name)))
+        try:
+            angles = tuple(self.angles)
+        except TypeError:
+            raise ConfigError(f"key 'angles' expects real numbers, got {self.angles!r}") from None
+        object.__setattr__(self, "angles", tuple(_real("angles", a) for a in angles))
+        for name in _INT_FIELDS:
             value = getattr(self, name)
-            values = value if isinstance(value, tuple) else (value,)
-            if not all(v is None or math.isfinite(v) for v in values):
-                raise ConfigError(f"{name} must be finite, got {value!r}")
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"key '{name}' expects an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
+        for name in _BOOL_FIELDS:
+            if not isinstance(getattr(self, name), bool):
+                raise ConfigError(f"key '{name}' expects a boolean, got {getattr(self, name)!r}")
         for name in ("n_nodes", "n_trials", "n_iterations", "prune_window"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be a positive count")
@@ -86,40 +104,22 @@ class ExperimentConfig:
                 f"n_iterations must be at least {MIN_SERIES_LENGTH} for "
                 f"steady-state detection, got {self.n_iterations}"
             )
-        if self.min_degree < 0:
-            raise ConfigError("min_degree must be nonnegative")
+        for name in ("head_radius", "delta", "sigma_min", "P0_scale", "eps"):
+            if getattr(self, name) is not None and getattr(self, name) <= 0:
+                raise ConfigError(f"{name} must be positive")
+        for name in ("min_degree", "g", "v0", "sigma_span", "Q_scale"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be nonnegative")
         if not 0.0 < self.comm_radius <= math.sqrt(2.0) + 1e-12:
             raise ConfigError("comm_radius must lie in (0, sqrt(2)]")
-        if self.head_radius is not None:
-            if self.head_radius <= 0:
-                raise ConfigError("head_radius must be positive")
-            object.__setattr__(self, "head_radius", float(self.head_radius))
-        if self.delta <= 0:
-            raise ConfigError("delta must be positive")
-        if self.g < 0:
-            raise ConfigError("g must be nonnegative")
-        if self.v0 < 0:
-            raise ConfigError("v0 must be nonnegative")
         if len(self.angles) != 2:
             raise ConfigError("angles must list exactly two launch angles")
-        if self.sigma_min <= 0:
-            raise ConfigError("sigma_min must be positive")
-        if self.sigma_span < 0:
-            raise ConfigError("sigma_span must be nonnegative")
-        if self.Q_scale < 0:
-            raise ConfigError("Q_scale must be nonnegative")
-        if self.P0_scale <= 0:
-            raise ConfigError("P0_scale must be positive")
         if self.policy not in POLICIES:
             raise ConfigError(
                 f"policy must be one of {', '.join(POLICIES)}; got '{self.policy}'"
             )
-        if self.eps <= 0:
-            raise ConfigError("eps must be positive")
         if not 0.0 <= self.prune_tau <= 1.0:
             raise ConfigError("prune_tau must lie in [0, 1]")
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
-            raise ConfigError("seed must be an integer")
         if not 0 <= self.seed < 2**64:
             raise ConfigError("seed must fit in 64 bits")
 
@@ -144,47 +144,42 @@ class MetricsRecord:
     n_trials: int
 
 
+def _real(key: str, value) -> float:
+    """A finite real config value as a float; anything else is refused by key."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"key '{key}' expects a real number, got {value!r}")
+    if not math.isfinite(value):
+        raise ConfigError(f"{key} must be finite, got {value!r}")
+    return float(value)
+
+
 def _coerce(key: str, value):
+    """Parse a text value by its key's type; ExperimentConfig checks the rest."""
+    if not isinstance(value, str):
+        return value
+    text = value.strip()
     if key in _BOOL_FIELDS:
-        if isinstance(value, bool):
-            return value
-        word = str(value).strip().lower()
-        if word in _TRUE_WORDS:
+        if text.lower() in _TRUE_WORDS:
             return True
-        if word in _FALSE_WORDS:
+        if text.lower() in _FALSE_WORDS:
             return False
         raise ConfigError(f"cannot parse boolean value '{value}' for key '{key}'")
     if key in _INT_FIELDS:
-        if isinstance(value, bool):
-            raise ConfigError(f"key '{key}' expects an integer")
-        if isinstance(value, int):
-            return value
-        text = str(value).strip()
         try:
             return int(text, 0)
         except ValueError as exc:
             raise ConfigError(f"cannot parse integer value '{value}' for key '{key}'") from exc
     if key == "angles":
-        if isinstance(value, str):
-            text = value.strip().strip("[]()")
-            parts = [p for p in text.replace(",", " ").split() if p]
-        else:
-            parts = list(value)
-        if any(isinstance(p, bool) for p in parts):
-            raise ConfigError(f"key '{key}' expects real numbers, got {value!r}")
+        parts = [p for p in text.strip("[]()").replace(",", " ").split() if p]
         try:
             return tuple(float(p) for p in parts)
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise ConfigError(f"cannot parse angle list '{value}'") from exc
     if key == "policy":
-        return str(value).strip()
-    if key == "head_radius" and value is None:
-        return None
-    if isinstance(value, bool):
-        raise ConfigError(f"key '{key}' expects a real number, got {value!r}")
+        return text
     try:
-        return float(value)
-    except (TypeError, ValueError) as exc:
+        return float(text)
+    except ValueError as exc:
         raise ConfigError(f"cannot parse numeric value '{value}' for key '{key}'") from exc
 
 
@@ -290,10 +285,11 @@ def run_trials(cfg: ExperimentConfig, trials: range, *, weights_every: int = 0):
         nets.append(net)
         parts.append(part)
     truths = np.stack(truths)
+    net, part = stack_scenes(nets, parts)
     model = discretize_projectile(cfg.delta, cfg.g, g_scale=cfg.G_scale, q_scale=cfg.Q_scale)
     engine = DiffusionKalmanEngine(
-        nets,
-        parts,
+        net,
+        part,
         model,
         np.stack(sigma2),
         cfg.policy,
@@ -305,16 +301,15 @@ def run_trials(cfg: ExperimentConfig, trials: range, *, weights_every: int = 0):
         filter_knows_gravity=cfg.filter_knows_gravity,
         p0_scale=cfg.P0_scale,
     )
-    n_clusters = parts[0].s
+    n_clusters = part.s
     keep_detail = trials.start == 0
     msd = np.empty((len(trials), cfg.n_iterations, n_clusters))
     est_mean = np.empty((cfg.n_iterations, n_clusters, 2)) if keep_detail else None
     snapshots = [] if keep_detail and weights_every > 0 else None
-    members = [np.flatnonzero(parts[0].cluster_of == l + 1) for l in range(n_clusters)]
+    members = [np.flatnonzero(part.cluster_of[0] == l + 1) for l in range(n_clusters)]
     for j in range(cfg.n_iterations):
         engine.run_step(truths[:, j], rngs)
-        for t, part in enumerate(parts):
-            msd[t, j] = msd_accumulate(truths[t, j], engine.x_hat[t], part)
+        msd[:, j] = msd_accumulate(truths[:, j], engine.x_hat, part)
         if keep_detail:
             for l, idx in enumerate(members):
                 est_mean[j, l] = engine.x_hat[0, idx, :2].mean(axis=0)
@@ -330,10 +325,10 @@ def run_trials(cfg: ExperimentConfig, trials: range, *, weights_every: int = 0):
         )
     if keep_detail:
         results[0]["detail"] = {
-            "positions": np.asarray(nets[0].positions, dtype=np.float64).copy(),
-            "cluster_of": parts[0].cluster_of.copy(),
-            "adjacency_initial": np.asarray(nets[0].adjacency, dtype=bool).copy(),
-            "adjacency_final": np.asarray(engine.nets[0].adjacency, dtype=bool).copy(),
+            "positions": net.positions[0].copy(),
+            "cluster_of": part.cluster_of[0].copy(),
+            "adjacency_initial": net.adjacency[0].copy(),
+            "adjacency_final": engine.net.adjacency[0].copy(),
             "truths": truths[0],
             "est_mean": est_mean,
             "final_C": engine.C[0].copy(),

@@ -3,6 +3,7 @@ recovery scoring."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,18 +66,23 @@ def msd_accumulate(
 
     truths has one row per cluster (the cluster's target state); estimates has
     one row per node. Node m is scored against the target of its cluster.
+    Leading batch axes, shared by all three, give a (..., s) result whose
+    entries equal those of one call per batch entry.
     """
     truths = np.asarray(truths, dtype=np.float64)
     estimates = np.asarray(estimates, dtype=np.float64)
-    labels = assignment.cluster_of
-    if estimates.shape[0] != labels.shape[0]:
+    labels, s = assignment.cluster_of - 1, assignment.s
+    if estimates.shape[:-1] != labels.shape:
         raise ValueError("one estimate row per node required")
-    if truths.shape[0] < assignment.s:
+    if truths.shape[-2] < s:
         raise ValueError("every cluster needs a target state")
-    err = estimates - truths[labels - 1]
-    sq = np.einsum("ij,ij->i", err, err)
-    sums = np.bincount(labels - 1, weights=sq, minlength=assignment.s)
-    return sums / assignment.sizes
+    err = estimates - np.take_along_axis(truths, labels[..., None], axis=-2)
+    sq = np.einsum("...j,...j->...", err, err)
+    # One bincount over the whole batch, entry b's clusters at keys b*s + l.
+    lead = labels.shape[:-1]
+    batch = np.arange(math.prod(lead)).reshape(lead + (1,))
+    sums = np.bincount((batch * s + labels).ravel(), weights=sq.ravel(), minlength=batch.size * s)
+    return sums.reshape(lead + (s,)) / assignment.sizes
 
 
 def convergence_iteration(series_db: np.ndarray, band_db: float = 3.0):

@@ -15,7 +15,7 @@ import numpy as np
 from .dynamics import MotionModel, discretize_projectile, initial_state, step_truth
 from .engine import DiffusionKalmanEngine, adapt
 from .numerics import symmetrize
-from .topology import ClusterAssignment, Network
+from .topology import ClusterAssignment, Network, stack_scenes
 
 
 @dataclass(frozen=True)
@@ -98,7 +98,7 @@ def single_node_max_deviation(
         truths.append(step_truth(truths[-1], model, truth_rng))
 
     engine = DiffusionKalmanEngine(
-        [net], [assignment], model, np.array([[sigma2]]), policy
+        *stack_scenes([net], [assignment]), model, np.array([[sigma2]]), policy
     )
     eng_rng = np.random.default_rng(seed + 1)
     ref_rng = np.random.default_rng(seed + 1)
@@ -172,7 +172,8 @@ def determinism_check(seed: int = 3) -> bool:
                 initial_state(1.0, 30.0, 15.0, np.pi / 4),
             ]
         )
-        engine = DiffusionKalmanEngine([net], [part], model, sigma2[None, :], "adaptive")
+        net, part = stack_scenes([net], [part])
+        engine = DiffusionKalmanEngine(net, part, model, sigma2[None, :], "adaptive")
         traj = []
         for _ in range(20):
             engine.run_step(truths[None], [rng])

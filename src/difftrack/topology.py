@@ -4,7 +4,8 @@ Nodes live in the unit square and communicate within a fixed radius.
 Neighborhoods are self-inclusive: N_m always contains m, so a node's own
 measurement flows through the same code path as a neighbor's. Networks are
 immutable; pruning produces a new Network rather than mutating one, so
-pruning is trivially monotone.
+pruning is trivially monotone. Both types also hold a stack of scenes
+over leading batch axes, checked and pruned by the same code as one.
 """
 
 from __future__ import annotations
@@ -35,21 +36,21 @@ class Network:
     def __post_init__(self) -> None:
         pos = np.asarray(self.positions, dtype=np.float64)
         adj = np.asarray(self.adjacency, dtype=bool)
-        n = pos.shape[0]
-        if pos.ndim != 2 or pos.shape[1] != 2:
-            raise ConfigError(f"positions must be (n, 2), got {pos.shape}")
-        if adj.shape != (n, n):
-            raise ConfigError(f"adjacency must be ({n}, {n}), got {adj.shape}")
-        if adj.diagonal().any():
+        if pos.ndim < 2 or pos.shape[-1] != 2:
+            raise ConfigError(f"positions must be (..., n, 2), got {pos.shape}")
+        shape = pos.shape[:-1] + (pos.shape[-2],)
+        if adj.shape != shape:
+            raise ConfigError(f"adjacency must be {shape}, got {adj.shape}")
+        if np.diagonal(adj, 0, -2, -1).any():
             raise ConfigError("adjacency must not contain self-loops")
-        if not np.array_equal(adj, adj.T):
+        if not np.array_equal(adj, np.swapaxes(adj, -1, -2)):
             raise ConfigError("adjacency must be symmetric")
         object.__setattr__(self, "positions", _freeze(pos.copy()))
         object.__setattr__(self, "adjacency", _freeze(adj.copy()))
 
     @property
     def n_nodes(self) -> int:
-        return self.positions.shape[0]
+        return self.positions.shape[-2]
 
     def is_connected(self) -> bool:
         n_comp, _ = connected_components(csr_matrix(self.adjacency), directed=False)
@@ -58,33 +59,35 @@ class Network:
 
 @dataclass(frozen=True)
 class ClusterAssignment:
-    """Partition of nodes into clusters labeled 1..s."""
+    """Partition of nodes into clusters labeled 1..s (one s for a stack)."""
 
     cluster_of: np.ndarray
     s: int
 
     def __post_init__(self) -> None:
         labels = np.asarray(self.cluster_of, dtype=np.int64)
-        if labels.ndim != 1:
-            raise ConfigError("cluster_of must be a 1-d label vector")
+        if labels.ndim < 1:
+            raise ConfigError("cluster_of must be a label vector")
         if self.s < 1:
             raise ConfigError(f"cluster count must be >= 1, got {self.s}")
         if labels.size and (labels.min() < 1 or labels.max() > self.s):
             raise ConfigError(f"cluster labels must lie in 1..{self.s}")
-        counts = np.bincount(labels, minlength=self.s + 1)[1:]
-        if (counts == 0).any():
-            empty = int(np.flatnonzero(counts == 0)[0]) + 1
-            raise ConfigError(f"cluster {empty} is empty")
         object.__setattr__(self, "cluster_of", _freeze(labels.copy()))
-
-    @property
-    def n_nodes(self) -> int:
-        return self.cluster_of.size
+        empty = np.argwhere(self.sizes == 0)
+        if empty.size:
+            raise ConfigError(f"cluster {empty[0, -1] + 1} is empty")
 
     @property
     def sizes(self) -> np.ndarray:
-        """Node count per cluster, index 0 holding cluster 1."""
-        return np.bincount(self.cluster_of, minlength=self.s + 1)[1:]
+        """Node count per cluster, (..., s), index 0 holding cluster 1."""
+        return (self.cluster_of[..., None] == np.arange(1, self.s + 1)).sum(axis=-2)
+
+
+def stack_scenes(nets, parts) -> tuple[Network, ClusterAssignment]:
+    """Same-size scenes, one per trial, as a Network and a ClusterAssignment
+    stack along a new leading trial axis; the first part's s holds for all."""
+    net = Network(np.stack([n.positions for n in nets]), np.stack([n.adjacency for n in nets]))
+    return net, ClusterAssignment(np.stack([p.cluster_of for p in parts]), parts[0].s)
 
 
 def generate_geometric(
@@ -193,15 +196,16 @@ def count_below(
 def prune_cross_links(net: Network, below_steps: np.ndarray, window: int) -> Network:
     """Drop edges whose weights stayed below the threshold in both directions.
 
-    ``below_steps[n, m]`` is the number of consecutive latest steps on which
-    c_nm stayed below the prune threshold (see ``count_below``). An edge
-    (n, m) is removed only when both directions reached ``window``. Returns
-    ``net`` unchanged (same object) when nothing qualifies.
+    ``below_steps[..., n, m]`` is the number of consecutive latest steps on
+    which c_nm stayed below the prune threshold (see ``count_below``), in
+    the shape of ``net.adjacency``, so one call prunes a whole stack. An
+    edge (n, m) is removed only when both directions reached ``window``.
+    Returns ``net`` unchanged (same object) when nothing qualifies.
     """
     if window < 1:
         raise ConfigError(f"prune window must be >= 1, got {window}")
     reached = np.asarray(below_steps) >= window
-    kill = reached & reached.T & net.adjacency
+    kill = reached & np.swapaxes(reached, -1, -2) & net.adjacency
     if not kill.any():
         return net
     return Network(positions=net.positions, adjacency=net.adjacency & ~kill)

@@ -150,6 +150,19 @@ def test_all_policies_satisfy_invariants():
         validate_combination_matrix(c, net)
 
 
+def test_static_builders_on_a_stack_equal_each_network_alone():
+    rng = np.random.default_rng(6)
+    nets = [generate_geometric(20, 0.45, 3, rng) for _ in range(2)]
+    sigma2 = 0.01 + 0.5 * rng.random((2, 20))
+    stack = Network(np.stack([n.positions for n in nets]), np.stack([n.adjacency for n in nets]))
+    for policy in ("uniform", "metropolis", "relvar"):
+        c = static_weights(policy, stack, sigma2)
+        assert c.shape == (2, 20, 20)
+        for t, net in enumerate(nets):
+            assert np.array_equal(c[t], static_weights(policy, net, sigma2[t])), policy
+        validate_combination_matrix(c, stack)
+
+
 def test_validate_rejects_bad_matrices():
     net = clique2()
     with pytest.raises(NumericError, match="negative"):

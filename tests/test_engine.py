@@ -25,6 +25,7 @@ from difftrack.topology import (
     generate_geometric,
     infer_clusters,
     initial_partition,
+    stack_scenes,
 )
 
 MODEL = discretize_projectile(0.1, 10.0)
@@ -70,13 +71,20 @@ def max_relative(got, want):
     return np.abs(got - want).max() / np.abs(want).max()
 
 
+def one_trial_engine(net, part, sigma2, policy, **kwargs):
+    """An engine over a one-trial stack; tests read trial 0 of its state."""
+    return DiffusionKalmanEngine(
+        *stack_scenes([net], [part]), MODEL, sigma2[None], policy, **kwargs
+    )
+
+
 def build_engine(n, seed, policy="adaptive", **kwargs):
     # A one-trial batch; tests read trial 0 of the engine state.
     rng = np.random.default_rng(seed)
     net = generate_geometric(n, 0.55, 2, rng)
     part = initial_partition(net, 0.3, rng)
     sigma2 = 0.01 + 0.5 * rng.random(n)
-    engine = DiffusionKalmanEngine([net], [part], MODEL, sigma2[None], policy, **kwargs)
+    engine = one_trial_engine(net, part, sigma2, policy, **kwargs)
     return engine, rng
 
 
@@ -196,18 +204,18 @@ def test_engine_step_matches_per_node_operations():
     shadow_rng = np.random.default_rng(10)
     # Recreate the trial stream: topology, partition, sigma draws...
     generate_geometric(6, 0.55, 2, shadow_rng)
-    initial_partition(engine.nets[0], 0.3, shadow_rng)
+    initial_partition(Network(engine.net.positions[0], engine.net.adjacency[0]), 0.3, shadow_rng)
     sigma2 = 0.01 + 0.5 * shadow_rng.random(6)
     assert np.array_equal(sigma2, engine.sigma2[0])
 
     truths = two_target_truths(1, np.random.default_rng(0))[0]
     meas_rng = np.random.default_rng(77)
     z = np.random.default_rng(77).standard_normal((6, 4))
-    y = truths[engine.assignments[0].cluster_of - 1] + np.sqrt(sigma2)[:, None] * z
+    y = truths[engine.assignment.cluster_of[0] - 1] + np.sqrt(sigma2)[:, None] * z
 
     x_pred0 = engine.x_pred[0].copy()
     m_pred0 = engine.M_pred[0].copy()
-    with_self = engine.nets[0].adjacency | np.eye(6, dtype=bool)
+    with_self = engine.net.adjacency[0] | np.eye(6, dtype=bool)
     hoods = [np.flatnonzero(with_self[:, m]) for m in range(6)]
 
     engine.run_step(truths[None], [meas_rng])
@@ -232,7 +240,7 @@ def test_engine_step_matches_per_node_operations():
     # Neighbors whose measurements fail the consistency test get no weight;
     # in this scene that holds for both cross-task edges.
     consistent = consistent_pairs(y, sigma2)
-    assert not consistent[engine.nets[0].adjacency].all()
+    assert not consistent[engine.net.adjacency[0]].all()
     c = np.zeros((6, 6))
     for m in range(6):
         hood = hoods[m][consistent[hoods[m], m]]
@@ -262,7 +270,7 @@ def test_disconnected_nodes_run_independent_filters():
     )
     part = ClusterAssignment(cluster_of=np.array([1, 1]), s=1)
     sigma2 = np.array([0.2, 0.4])
-    engine = DiffusionKalmanEngine([net], [part], MODEL, sigma2[None], "uniform")
+    engine = one_trial_engine(net, part, sigma2, "uniform")
     rng = np.random.default_rng(4)
     shadow = np.random.default_rng(4)
     truth = initial_state(1.0, 30.0, 15.0, np.pi / 3)
@@ -312,7 +320,7 @@ def paper_scale_engine(seed, **kwargs):
     net = generate_geometric(30, 0.35, 4, rng)
     part = initial_partition(net, 0.35, rng)
     sigma2 = 0.01 + 0.5 * rng.random(30)
-    engine = DiffusionKalmanEngine([net], [part], MODEL, sigma2[None], "adaptive", **kwargs)
+    engine = one_trial_engine(net, part, sigma2, "adaptive", **kwargs)
     return engine, rng
 
 
@@ -322,14 +330,14 @@ def test_adaptive_clustering_recovers_partition():
     for j in range(100):
         engine.run_step(truths[j][None], [rng])
     inferred = infer_clusters(engine.C[0], engine.prune_tau)
-    truth_labels = engine.assignments[0].cluster_of
+    truth_labels = engine.assignment.cluster_of[0]
     # Same partition up to label swap.
     match = np.array_equal(inferred.cluster_of, truth_labels)
     swapped = np.array_equal(3 - inferred.cluster_of, truth_labels)
     assert inferred.s == 2 and (match or swapped)
     # Pruning must have cut every cross-cluster edge by now.
     cross = np.not_equal.outer(truth_labels, truth_labels)
-    assert not (engine.nets[0].adjacency & cross).any()
+    assert not (engine.net.adjacency[0] & cross).any()
 
 
 def test_node_surrounded_by_other_task_is_not_captured():
@@ -342,12 +350,12 @@ def test_node_surrounded_by_other_task_is_not_captured():
     )
     part = ClusterAssignment(cluster_of=np.array([2, 1, 1, 1, 1]), s=2)
     sigma2 = np.array([0.3, 0.1, 0.2, 0.05, 0.15])
-    engine = DiffusionKalmanEngine([net], [part], MODEL, sigma2[None], "adaptive")
+    engine = one_trial_engine(net, part, sigma2, "adaptive")
     rng = np.random.default_rng(0)
     truths = two_target_truths(60, rng)
     for j in range(60):
         engine.run_step(truths[j][None], [rng])
-    assert not engine.nets[0].adjacency[0].any()
+    assert not engine.net.adjacency[0][0].any()
     assert np.linalg.norm(engine.x_hat[0, 0] - truths[-1, 1]) < 2.0
 
 
@@ -359,7 +367,7 @@ def test_in_cluster_weights_dominate_after_burn_in():
         truths = two_target_truths(60, rng)
         for j in range(60):
             engine.run_step(truths[j][None], [rng])
-        labels = engine.assignments[0].cluster_of
+        labels = engine.assignment.cluster_of[0]
         same = np.equal.outer(labels, labels) & engine._support[0]
         cross = ~np.equal.outer(labels, labels) & engine._support[0]
         if not cross.any():
@@ -399,21 +407,21 @@ def test_engine_rejects_models_the_2x2_form_cannot_carry(change):
     model = MotionModel(**{**fields, **change})
     engine, _ = build_engine(5, seed=15)
     with pytest.raises(ConfigError, match="the engine needs"):
-        DiffusionKalmanEngine(engine.nets, engine.assignments, model, engine.sigma2, "uniform")
+        DiffusionKalmanEngine(engine.net, engine.assignment, model, engine.sigma2, "uniform")
 
 
 def test_engine_validates_inputs():
     engine, rng = build_engine(5, seed=15)
     with pytest.raises(ConfigError):
         engine.run_step(np.zeros((1, 1, 4)), [rng])  # cluster 2 has no target
-    nets, parts = engine.nets, engine.assignments
+    net, part = engine.net, engine.assignment
     with pytest.raises(ConfigError):
-        DiffusionKalmanEngine(nets, parts, MODEL, np.ones((1, 3)), "uniform")
+        DiffusionKalmanEngine(net, part, MODEL, np.ones((1, 3)), "uniform")
     with pytest.raises(ConfigError):
         DiffusionKalmanEngine(
-            nets, parts, MODEL, engine.sigma2, "nonsense"
+            net, part, MODEL, engine.sigma2, "nonsense"
         )
     with pytest.raises(ConfigError):
         DiffusionKalmanEngine(
-            nets, parts, MODEL, engine.sigma2, "uniform", p0_scale=0.0
+            net, part, MODEL, engine.sigma2, "uniform", p0_scale=0.0
         )

@@ -94,6 +94,52 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError, match=rf"^{field} must be finite"):
             ExperimentConfig(**{field: value})
 
+    # A library caller meets the same type checks as a config file.
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            (field, value)
+            for field in (
+                "comm_radius", "head_radius", "delta", "g", "x0", "y0", "v0", "angles",
+                "sigma_min", "sigma_span", "G_scale", "Q_scale", "P0_scale", "eps", "prune_tau",
+            )
+            for value in (True, False, "0.1", None, np.True_)
+            # head_radius None means comm_radius.
+            if (field, value) != ("head_radius", None)
+        ],
+    )
+    def test_non_number_for_real_key_rejected_by_name(self, field, value):
+        if field == "angles":
+            value = (1.0, value)
+        with pytest.raises(ConfigError, match=rf"^key '{field}' expects a real number"):
+            ExperimentConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", [True, False, 10.0, "10", None])
+    @pytest.mark.parametrize(
+        "field", ["n_nodes", "min_degree", "n_trials", "n_iterations", "prune_window", "seed"]
+    )
+    def test_non_integer_for_integer_key_rejected_by_name(self, field, value):
+        with pytest.raises(ConfigError, match=rf"^key '{field}' expects an integer"):
+            ExperimentConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, None, np.True_])
+    @pytest.mark.parametrize("field", ["pruning_enabled", "filter_knows_gravity"])
+    def test_non_bool_for_bool_key_rejected_by_name(self, field, value):
+        with pytest.raises(ConfigError, match=rf"^key '{field}' expects a boolean"):
+            ExperimentConfig(**{field: value})
+
+    def test_numpy_and_integer_values_stored_as_plain_types(self, tmp_path):
+        cfg = ExperimentConfig(
+            **{**SMALL, "n_trials": np.int64(2), "n_iterations": 10},
+            delta=1, angles=[1, np.float64(0.5)], head_radius=np.float32(0.25), seed=np.uint64(7),
+        )
+        assert type(cfg.n_trials) is int and type(cfg.seed) is int
+        assert type(cfg.delta) is float and cfg.delta == 1.0
+        assert cfg.angles == (1.0, 0.5) and type(cfg.head_radius) is float
+        # So its run_meta.json is plain JSON that loads back to the same config.
+        write_outputs(run_experiment(cfg), tmp_path)
+        assert load_config(tmp_path / "run_meta.json") == cfg
+
 
 class TestLoadConfig:
     def test_empty_file_gives_defaults(self, tmp_path):

@@ -13,12 +13,13 @@ import numpy as np
 import pytest
 
 import difftrack.engine
+import difftrack.harness
 from difftrack.combiners import POLICIES
 from difftrack.dynamics import discretize_projectile, initial_state
 from difftrack.engine import DiffusionKalmanEngine
 from difftrack.errors import NumericError
 from difftrack.harness import ExperimentConfig, run_trials
-from difftrack.topology import generate_geometric, initial_partition
+from difftrack.topology import generate_geometric, initial_partition, stack_scenes
 
 # The default 30-node scene, cut short but long enough for links to be
 # pruned (the prune window is 10 steps).
@@ -56,7 +57,6 @@ def test_batch_equals_each_trial_alone(policy):
     assert "detail" in batch[0]
     detail = batch[0]["detail"]
     if policy == "adaptive":
-        # Trial 0 loses links mid-run, so the batch's rank table is rebuilt.
         assert detail["adjacency_final"].sum() < detail["adjacency_initial"].sum()
     else:
         # Static policies never prune, so the pruning switch changes nothing.
@@ -97,6 +97,37 @@ def test_run_path_inverts_no_matrix(policy, monkeypatch):
     assert len(run_trials(cfg, range(2))) == 2
 
 
+@pytest.mark.parametrize("policy", ["adaptive", "uniform"])
+def test_per_batch_work_does_not_grow_with_trials(policy, monkeypatch):
+    # Pruning, static weights and MSD each take one call for the whole
+    # batch, so 1 trial and 4 make the same calls.
+    calls = {}
+
+    def counted(owner, name):
+        original = getattr(owner, name)
+        calls[name] = 0
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(difftrack.engine, "prune_cross_links")
+    counted(difftrack.engine, "static_weights")
+    counted(difftrack.harness, "msd_accumulate")
+    cfg = ExperimentConfig(policy=policy, n_iterations=30, seed=3)
+    adaptive = policy == "adaptive"
+    for n_trials in (1, 4):
+        calls.update(dict.fromkeys(calls, 0))
+        run_trials(cfg, range(n_trials))
+        assert calls == {
+            "prune_cross_links": cfg.n_iterations - cfg.prune_window + 1 if adaptive else 0,
+            "static_weights": 0 if adaptive else 1,
+            "msd_accumulate": cfg.n_iterations,
+        }, n_trials
+
+
 def test_batch_composition_does_not_matter():
     cfg = ExperimentConfig(**{**SHORT, "n_trials": 8})
     alone = run_trials(cfg, range(3, 4))[0]
@@ -118,7 +149,7 @@ def small_batch(n_trials, policy="adaptive", first_trial=0):
         parts.append(initial_partition(nets[-1], 0.4, rng))
     sigma2 = 0.01 + 0.5 * rng.random((n_trials, 8))
     engine = DiffusionKalmanEngine(
-        nets, parts, MODEL, sigma2, policy, first_trial=first_trial
+        *stack_scenes(nets, parts), MODEL, sigma2, policy, first_trial=first_trial
     )
     truths = np.stack(
         [initial_state(1.0, 30.0, 15.0, np.pi / 3), initial_state(1.0, 30.0, 15.0, np.pi / 4)]
@@ -143,7 +174,7 @@ def test_nan_measurement_names_trial_iteration_and_node(policy):
         engine.run_step(truths, rngs)
     truths = truths.copy()
     truths[1, 1, 0] = np.nan
-    node = int(np.flatnonzero(engine.assignments[1].cluster_of == 2)[0])
+    node = int(np.flatnonzero(engine.assignment.cluster_of[1] == 2)[0])
     with pytest.raises(
         NumericError,
         match=rf"^trial 1: iteration 5: non-finite measurement at node {node}$",

@@ -87,6 +87,17 @@ class TestMsdAccumulate:
         )
         assert shuffled == pytest.approx(base, rel=1e-12)
 
+    def test_stack_equals_each_trial_alone(self):
+        rng = np.random.default_rng(4)
+        truths = rng.normal(size=(2, 2, 4))
+        estimates = rng.normal(size=(2, 7, 4))
+        labels = np.array([[1, 2, 1, 2, 2, 1, 1], [2, 2, 2, 1, 2, 2, 2]])
+        out = msd_accumulate(truths, estimates, ClusterAssignment(labels, 2))
+        assert out.shape == (2, 2)
+        for t in range(2):
+            alone = msd_accumulate(truths[t], estimates[t], assignment(labels[t]))
+            assert np.array_equal(out[t], alone)
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             msd_accumulate(np.zeros((1, 4)), np.zeros((3, 4)), assignment([1, 1]))

@@ -17,7 +17,7 @@ from hypothesis.extra.numpy import arrays
 from difftrack.combiners import POLICIES
 from difftrack.dynamics import discretize_projectile
 from difftrack.engine import DiffusionKalmanEngine, adapt
-from difftrack.topology import ClusterAssignment, Network
+from difftrack.topology import ClusterAssignment, Network, stack_scenes
 
 MODEL = discretize_projectile(0.1, 10.0)
 
@@ -37,6 +37,8 @@ def min_eig(m):
 def scenes(draw):
     t_count = draw(st.integers(1, 3))
     n = draw(st.integers(1, 7))
+    # A stacked assignment shares one cluster count, each cluster nonempty.
+    s = draw(st.integers(1, min(n, 2)))
     nets, parts = [], []
     for _ in range(t_count):
         upper = draw(arrays(bool, (n, n)))
@@ -44,9 +46,9 @@ def scenes(draw):
         adjacency = adjacency | adjacency.T
         positions = draw(arrays(float, (n, 2), elements=st.floats(0.0, 1.0)))
         nets.append(Network(positions, adjacency))
-        labels = 1 + draw(arrays(np.int64, n, elements=st.integers(0, 1)))
-        labels[0] = 1
-        parts.append(ClusterAssignment(labels, int(labels.max())))
+        labels = 1 + draw(arrays(np.int64, n, elements=st.integers(0, s - 1)))
+        labels[:s] = np.arange(1, s + 1)
+        parts.append(ClusterAssignment(labels, s))
     sigma2 = draw(arrays(float, (t_count, n), elements=st.floats(0.01, 1.0)))
     # SPD M from its two eigenvalues and the angle of its eigenvectors.
     lam = draw(arrays(float, (t_count, n, 2), elements=st.floats(1e-3, 10.0)))
@@ -73,7 +75,7 @@ def scenes(draw):
 def test_one_step_matches_sequential_update_and_keeps_invariants(scene):
     nets, parts, sigma2, m_pred, x_pred, truths, seed, policy = scene
     t_count, n = sigma2.shape
-    engine = DiffusionKalmanEngine(nets, parts, MODEL, sigma2, policy)
+    engine = DiffusionKalmanEngine(*stack_scenes(nets, parts), MODEL, sigma2, policy)
     engine.M_pred = m_pred.copy()
     engine.x_pred = x_pred.copy()
     engine.run_step(truths, [np.random.default_rng(seed + t) for t in range(t_count)])

@@ -12,6 +12,7 @@ from difftrack.topology import (
     infer_clusters,
     initial_partition,
     prune_cross_links,
+    stack_scenes,
 )
 
 
@@ -81,6 +82,16 @@ def test_network_validation():
     asym[0, 1] = True
     with pytest.raises(ConfigError, match="symmetric"):
         Network(positions=pos, adjacency=asym)
+    # In a stack, one bad trial fails the whole stack.
+    good = line_network(3).adjacency
+    with pytest.raises(ConfigError, match="self-loops"):
+        Network(positions=np.stack([pos, pos]), adjacency=np.stack([good, good | bad_diag]))
+    one_way = good.copy()
+    one_way[0, 2] = True
+    with pytest.raises(ConfigError, match="symmetric"):
+        Network(positions=np.stack([pos, pos]), adjacency=np.stack([good, one_way]))
+    with pytest.raises(ConfigError, match="adjacency must be"):
+        Network(positions=np.stack([pos, pos]), adjacency=good)
 
 
 def test_partition_covers_all_nodes():
@@ -112,6 +123,24 @@ def test_cluster_assignment_validation():
         ClusterAssignment(cluster_of=np.array([1, 1, 1]), s=2)
     with pytest.raises(ConfigError, match="labels"):
         ClusterAssignment(cluster_of=np.array([0, 1]), s=2)
+    # Clusters are counted per trial of a stack: trial 1 leaves cluster 2
+    # empty although trial 0 fills it.
+    with pytest.raises(ConfigError, match="^cluster 2 is empty$"):
+        ClusterAssignment(cluster_of=np.array([[1, 2, 3], [1, 3, 1]]), s=3)
+
+
+
+def test_stack_scenes():
+    nets = [line_network(3), Network(np.ones((3, 2)), np.zeros((3, 3), dtype=bool))]
+    parts = [ClusterAssignment(np.array([1, 2, 2]), 2), ClusterAssignment(np.array([2, 1, 1]), 2)]
+    net, part = stack_scenes(nets, parts)
+    assert net.n_nodes == 3
+    for t in range(2):
+        assert np.array_equal(net.positions[t], nets[t].positions)
+        assert np.array_equal(net.adjacency[t], nets[t].adjacency)
+        assert np.array_equal(part.cluster_of[t], parts[t].cluster_of)
+    assert part.s == 2
+    assert part.sizes.tolist() == [[1, 2], [2, 1]]
 
 
 def test_infer_clusters_identity_gives_singletons():
@@ -191,6 +220,22 @@ def test_prune_is_monotone_and_keeps_positions():
     pruned = prune_cross_links(net, steps_below(history, 0.05, 5), 5)
     assert np.array_equal(pruned.positions, net.positions)
     assert not (pruned.adjacency & ~net.adjacency).any()
+
+
+def test_prune_stack_equals_each_network_alone():
+    rng = np.random.default_rng(9)
+    nets = [generate_geometric(12, 0.5, 2, rng) for _ in range(2)]
+    history = [rng.random((2, 12, 12)) * 0.06 for _ in range(5)]
+    below = steps_below(history, 0.05, 5)
+    stack = Network(np.stack([n.positions for n in nets]), np.stack([n.adjacency for n in nets]))
+    pruned = prune_cross_links(stack, below, 5)
+    assert pruned.adjacency.sum() < stack.adjacency.sum()
+    for t, net in enumerate(nets):
+        alone = prune_cross_links(net, below[t], 5)
+        assert np.array_equal(pruned.adjacency[t], alone.adjacency)
+        assert np.array_equal(pruned.positions[t], net.positions)
+    # Nothing to cut in any trial returns the stack itself.
+    assert prune_cross_links(stack, np.zeros((2, 12, 12)), 5) is stack
 
 
 def test_prune_window_validation():
