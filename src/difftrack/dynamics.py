@@ -97,14 +97,14 @@ def initial_state(x0: float, y0: float, v0: float, angle: float) -> np.ndarray:
     return np.array([x0, y0, v0 * np.cos(angle), v0 * np.sin(angle)])
 
 
-def step_truth(state: np.ndarray, model: MotionModel, rng: np.random.Generator) -> np.ndarray:
-    """Advance the truth one step: F x + u_g + G w with w ~ N(0, Q).
+def step_truth(states: np.ndarray, model: MotionModel, w: np.ndarray) -> np.ndarray:
+    """Advance truths one step: F x + u_g + G q_sqrt w.
 
-    Always consumes exactly four standard normal draws, even for Q = 0, so
-    the generator stream stays aligned across configurations.
+    ``states`` is (..., 4) and ``w`` the matching (..., 4) standard normal
+    draws, which the caller takes from its stream whatever Q is. Each
+    product is a stacked matrix-vector product, so a state's result has the
+    same bits however many states share the call.
     """
-    w = model.q_sqrt @ rng.standard_normal(STATE_DIM)
-    out = model.F @ state + model.u_g + model.G @ w
-    if not np.isfinite(out).all():
-        raise NumericError("step_truth produced a non-finite state")
-    return out
+    x = np.asarray(states, dtype=np.float64)[..., None]
+    noise = model.G @ (model.q_sqrt @ np.asarray(w, dtype=np.float64)[..., None])
+    return (model.F @ x)[..., 0] + model.u_g + noise[..., 0]

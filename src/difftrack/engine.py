@@ -4,9 +4,10 @@ One engine advances a batch of T independent Monte Carlo trials in
 lockstep. Its state carries a leading trial axis: estimates are (T, n, 4),
 covariances (T, n, 3) and combination matrices (T, n, n). The trials of a
 batch share the node count, the motion model and the policy; each has its
-own network, task assignment, noise levels and random stream, held as
-one stacked ``Network`` and one stacked ``ClusterAssignment``, so static
-weights and each prune take one call for the whole batch.
+own network and noise levels. The networks are one stacked ``Network``,
+so static weights and each prune take one call for the whole batch. The
+engine filters the measurements it is given; simulating the targets and
+the sensors that produce them is the caller's job.
 
 Each node observes the full state with noise sigma2 * I, the model has
 F = I + delta*theta and process noise q * I, and the prior is p0 * I, so
@@ -15,8 +16,8 @@ every covariance is M kron I2 for one 2x2 matrix M = [[a, b], [b, c]] over
 ``ConfigError`` for a motion model outside that structure. Every iteration
 is a synchronous bulk step over all nodes of all trials:
 
-1. each node measures the target its task tracks, and a non-finite
-   measurement stops the run, naming the node;
+1. measurements: the step receives every node's measurement y, and a
+   non-finite one stops the run, naming the node;
 2. adaptation in information form (Cattivelli & Sayed, IEEE TAC 2010),
    in closed form: M_psi^-1 = M_pred^-1 + s I, with s the sum of 1/sigma2
    over the neighborhood (self included), and
@@ -52,8 +53,6 @@ to them.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from .combiners import (
@@ -67,7 +66,7 @@ from .combiners import (
 from .dynamics import STATE_DIM, MotionModel
 from .errors import ConfigError, NumericError
 from .numerics import inverse_spd, symmetrize
-from .topology import ClusterAssignment, Network, count_below, prune_cross_links
+from .topology import Network, count_below, prune_cross_links
 
 # Column-stochasticity slack tolerated at combine time (looser than the
 # construction-time tolerance; rounding accumulates over a run).
@@ -81,7 +80,7 @@ PSD_TOL = -1e-9
 def adapt(
     x_pred: np.ndarray,
     p_pred: np.ndarray,
-    messages: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]],
+    messages: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sequential measurement updates for one node.
 
@@ -152,17 +151,16 @@ class DiffusionKalmanEngine:
     """Synchronous multi-node filter over T trials, each on its own
     network.
 
-    ``net`` is a Network stack with (T, n, n) adjacency, ``assignment``
-    the matching (T, n) ClusterAssignment stack (see ``stack_scenes``) and
-    ``sigma2`` (T, n). ``first_trial`` is the number of the batch's first
-    trial; errors name trials counting from it. ``pruning_enabled`` only
-    affects the adaptive policy: static policies never prune.
+    ``net`` is a Network stack with (T, n, n) adjacency (see
+    ``stack_scenes``) and ``sigma2`` (T, n). ``first_trial`` is the number
+    of the batch's first trial; errors name trials counting from it.
+    ``pruning_enabled`` only affects the adaptive policy: static policies
+    never prune.
     """
 
     def __init__(
         self,
         net: Network,
-        assignment: ClusterAssignment,
         model: MotionModel,
         sigma2: np.ndarray,
         policy: str,
@@ -187,13 +185,10 @@ class DiffusionKalmanEngine:
             )
         if (sigma2 <= 0.0).any():
             raise ConfigError("all measurement variances must be positive")
-        if assignment.cluster_of.shape != (t_count, n):
-            raise ConfigError("cluster assignments do not match the networks")
         if p0_scale <= 0.0:
             raise ConfigError(f"initial covariance scale must be positive, got {p0_scale}")
         self._delta, self._q = _closed_form_model(model)
 
-        self.assignment = assignment
         self.model = model
         self.sigma2 = sigma2
         self.policy = policy
@@ -203,7 +198,6 @@ class DiffusionKalmanEngine:
         self.prune_window = int(prune_window)
         self.prunes = policy == "adaptive" and bool(pruning_enabled)
         self.filter_knows_gravity = bool(filter_knows_gravity)
-        self._targets = assignment.cluster_of - 1
 
         shape = (t_count, n, STATE_DIM)
         self.x_pred = np.zeros(shape)
@@ -263,35 +257,16 @@ class DiffusionKalmanEngine:
 
     # -- the synchronous step -------------------------------------------
 
-    def run_step(
-        self, truths: np.ndarray, rngs: Sequence[np.random.Generator]
-    ) -> "DiffusionKalmanEngine":
-        """Advance every node of every trial one iteration.
-
-        ``truths`` is (T, n_targets, 4); node m of trial t measures target
-        cluster_of[m] of trial t. ``rngs`` holds one generator per trial,
-        and each gives exactly one (n_nodes, 4) standard normal block per
-        step regardless of policy or topology, which keeps
-        common-random-number comparisons across policies honest.
+    def run_step(self, y: np.ndarray) -> "DiffusionKalmanEngine":
+        """Advance every node of every trial one iteration on the step's
+        measurements ``y``, (T, n, 4): node m of trial t measured y[t, m].
         """
-        truths = np.asarray(truths, dtype=np.float64)
-        t_count, n = self.x_hat.shape[:2]
-        if (
-            truths.ndim != 3
-            or truths.shape[0] != t_count
-            or truths.shape[2] != STATE_DIM
-            or self._targets.max() >= truths.shape[1]
-        ):
+        # Phase 1: measurements, one finite 4-vector per node.
+        y = np.asarray(y, dtype=np.float64)
+        if y.shape != self.x_hat.shape:
             raise ConfigError(
-                f"need one 4-state truth per cluster label and trial, got {truths.shape}"
+                f"measurements must have shape {self.x_hat.shape}, got {y.shape}"
             )
-        if len(rngs) != t_count:
-            raise ConfigError(f"need one random stream per trial, got {len(rngs)}")
-
-        # Phase 1: measurements.
-        noise = np.stack([rng.standard_normal((n, STATE_DIM)) for rng in rngs])
-        target_states = truths[np.arange(t_count)[:, None], self._targets]
-        y = target_states + np.sqrt(self.sigma2)[:, :, None] * noise
         bad = np.argwhere(~np.isfinite(y).all(axis=2))
         if bad.size:
             t, m = bad[0]

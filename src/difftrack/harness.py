@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import json
 import math
@@ -16,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from .combiners import POLICIES
-from .dynamics import discretize_projectile, initial_state, step_truth
+from .dynamics import STATE_DIM, discretize_projectile, initial_state, step_truth
 from .engine import DiffusionKalmanEngine
 from .errors import ConfigError, NumericError
 from .metrics import (
@@ -228,18 +229,6 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(trial,)))
 
 
-def simulate_truths(cfg: ExperimentConfig, rng: np.random.Generator) -> np.ndarray:
-    """Both targets' true state trajectories, (n_iterations, n_targets, 4)."""
-    model = discretize_projectile(cfg.delta, cfg.g, g_scale=cfg.G_scale, q_scale=cfg.Q_scale)
-    out = np.empty((cfg.n_iterations, cfg.n_targets, 4))
-    for i, angle in enumerate(cfg.angles):
-        out[0, i] = initial_state(cfg.x0, cfg.y0, cfg.v0, angle)
-    for j in range(1, cfg.n_iterations):
-        for i in range(cfg.n_targets):
-            out[j, i] = step_truth(out[j - 1, i], model, rng)
-    return out
-
-
 def draw_scene(cfg: ExperimentConfig, rng: np.random.Generator):
     """One trial's network and task assignment, drawn from its stream."""
     if cfg.n_nodes == 1:
@@ -268,30 +257,35 @@ def run_trials(cfg: ExperimentConfig, trials: range, *, weights_every: int = 0):
     """Run a contiguous range of trials in lockstep; one result per trial.
 
     Trial t draws everything from ``trial_rng(cfg.seed, t)`` in a fixed
-    order: its scene, noise levels and truths here, then one measurement
-    block per step in the engine. Its results are therefore the same
-    whichever trials share the batch. Each result holds the trial's MSD
-    rows, recovery score and min-PSD eigenvalue; trial 0's also holds the
+    order: its scene, its noise levels and its whole truth-noise block at
+    setup, then one (n_nodes, 4) measurement-noise block per step. Its
+    results are therefore the same whichever trials share the batch. The
+    truths of every trial advance together, one ``step_truth`` call per
+    step, and the step's measurements, y = truth[target] + sqrt(sigma2) *
+    noise at each node, go to the engine. Each result holds the trial's MSD rows,
+    recovery score and min-PSD eigenvalue; trial 0's also holds the
     ``detail`` record the artifacts are written from.
     """
-    rngs, nets, parts, sigma2, truths = [], [], [], [], []
+    rngs, nets, parts, sigma2, truth_noise = [], [], [], [], []
     for trial in trials:
         with _naming(trial):
             rng = trial_rng(cfg.seed, trial)
             net, part = draw_scene(cfg, rng)
             sigma2.append(cfg.sigma_min + cfg.sigma_span * rng.random(cfg.n_nodes))
-            truths.append(simulate_truths(cfg, rng))
+            truth_noise.append(
+                rng.standard_normal((cfg.n_iterations - 1, cfg.n_targets, STATE_DIM))
+            )
         rngs.append(rng)
         nets.append(net)
         parts.append(part)
-    truths = np.stack(truths)
+    truth_noise = np.stack(truth_noise, axis=1)
+    sigma2 = np.stack(sigma2)
     net, part = stack_scenes(nets, parts)
     model = discretize_projectile(cfg.delta, cfg.g, g_scale=cfg.G_scale, q_scale=cfg.Q_scale)
     engine = DiffusionKalmanEngine(
         net,
-        part,
         model,
-        np.stack(sigma2),
+        sigma2,
         cfg.policy,
         first_trial=trials.start,
         eps=cfg.eps,
@@ -304,13 +298,28 @@ def run_trials(cfg: ExperimentConfig, trials: range, *, weights_every: int = 0):
     n_clusters = part.s
     keep_detail = trials.start == 0
     msd = np.empty((len(trials), cfg.n_iterations, n_clusters))
+    truths = np.empty((cfg.n_iterations, cfg.n_targets, STATE_DIM)) if keep_detail else None
     est_mean = np.empty((cfg.n_iterations, n_clusters, 2)) if keep_detail else None
     snapshots = [] if keep_detail and weights_every > 0 else None
     members = [np.flatnonzero(part.cluster_of[0] == l + 1) for l in range(n_clusters)]
+    # Node m of trial t measures target cluster_of[t, m].
+    targets = (np.arange(len(trials))[:, None], part.cluster_of - 1)
+    sd = np.sqrt(sigma2)[:, :, None]
+    truth = np.stack([initial_state(cfg.x0, cfg.y0, cfg.v0, a) for a in cfg.angles])
+    truth = np.broadcast_to(truth, (len(trials),) + truth.shape)
     for j in range(cfg.n_iterations):
-        engine.run_step(truths[:, j], rngs)
-        msd[:, j] = msd_accumulate(truths[:, j], engine.x_hat, part)
+        if j:
+            truth = step_truth(truth, model, truth_noise[j - 1])
+            bad = np.flatnonzero(~np.isfinite(truth).all(axis=(1, 2)))
+            if bad.size:
+                raise NumericError(
+                    f"trial {trials[bad[0]]}: step_truth produced a non-finite state"
+                )
+        noise = np.stack([rng.standard_normal((cfg.n_nodes, STATE_DIM)) for rng in rngs])
+        engine.run_step(truth[targets] + sd * noise)
+        msd[:, j] = msd_accumulate(truth, engine.x_hat, part)
         if keep_detail:
+            truths[j] = truth[0]
             for l, idx in enumerate(members):
                 est_mean[j, l] = engine.x_hat[0, idx, :2].mean(axis=0)
             if snapshots is not None and j % weights_every == 0:
@@ -329,7 +338,7 @@ def run_trials(cfg: ExperimentConfig, trials: range, *, weights_every: int = 0):
             "cluster_of": part.cluster_of[0].copy(),
             "adjacency_initial": net.adjacency[0].copy(),
             "adjacency_final": engine.net.adjacency[0].copy(),
-            "truths": truths[0],
+            "truths": truths,
             "est_mean": est_mean,
             "final_C": engine.C[0].copy(),
             "snapshots": snapshots or [],
@@ -447,17 +456,12 @@ def policy_sweep(cfg: ExperimentConfig, policies, **kwargs) -> SweepResult:
     return SweepResult(runs)
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _write_lines(path, header, rows):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    """Write a header line, then one comma-separated line per row; csv
+    writes a float as its repr, so the value reads back exactly."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        csv.writer(fh, lineterminator="\n").writerows(rows)
 
 
 MSD_HEADER = "iteration,cluster_id,policy,msd_linear,msd_db,n_trials"
@@ -498,17 +502,13 @@ def read_msd_csv(path):
 def write_topology(prefix, positions, cluster_of, adjacency, alive):
     """Write ``prefix``.csv (nodes) and ``prefix``_edges.csv (edges of
     ``adjacency``, each flagged alive where ``alive`` still holds it)."""
-    n = positions.shape[0]
     _write_lines(
         f"{prefix}.csv",
         "node_id,x,y,cluster",
-        ((m, float(positions[m, 0]), float(positions[m, 1]), int(cluster_of[m])) for m in range(n)),
+        zip(range(len(positions)), *positions.T.tolist(), cluster_of.tolist()),
     )
-    rows = []
-    for a in range(n):
-        for b in range(a + 1, n):
-            if adjacency[a, b]:
-                rows.append((a, b, int(bool(alive[a, b]))))
+    a, b = np.nonzero(np.triu(adjacency, 1))
+    rows = zip(a.tolist(), b.tolist(), alive[a, b].astype(int).tolist())
     _write_lines(f"{prefix}_edges.csv", "node_a,node_b,alive", rows)
 
 
@@ -561,9 +561,9 @@ def write_outputs(result, out_dir) -> None:
             continue
         rows = []
         for iteration, c in snaps:
-            nz = np.argwhere(c != 0.0)
+            nn, mm = np.nonzero(c)
             rows.extend(
-                (iteration, int(nn), int(mm), float(c[nn, mm])) for nn, mm in nz
+                zip([iteration] * nn.size, nn.tolist(), mm.tolist(), c[nn, mm].tolist())
             )
         _write_lines(
             os.path.join(out_dir, f"weights_{name}.csv"),

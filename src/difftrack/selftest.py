@@ -15,7 +15,7 @@ import numpy as np
 from .dynamics import MotionModel, discretize_projectile, initial_state, step_truth
 from .engine import DiffusionKalmanEngine, adapt
 from .numerics import symmetrize
-from .topology import ClusterAssignment, Network, stack_scenes
+from .topology import Network
 
 
 @dataclass(frozen=True)
@@ -74,13 +74,12 @@ def batch_adapt_reference(
 
 
 def _single_node_setup():
+    """A one-trial stack of one isolated node, and the default model."""
     net = Network(
-        positions=np.array([[0.5, 0.5]]),
-        adjacency=np.zeros((1, 1), dtype=bool),
+        positions=np.array([[[0.5, 0.5]]]),
+        adjacency=np.zeros((1, 1, 1), dtype=bool),
     )
-    assignment = ClusterAssignment(cluster_of=np.array([1]), s=1)
-    model = discretize_projectile(0.1, 10.0)
-    return net, assignment, model
+    return net, discretize_projectile(0.1, 10.0)
 
 
 def single_node_max_deviation(
@@ -90,26 +89,23 @@ def single_node_max_deviation(
     sigma2: float = 0.2,
 ) -> float:
     """Worst per-coordinate gap between engine and reference KF."""
-    net, assignment, model = _single_node_setup()
-    truth_rng = np.random.default_rng(seed)
+    net, model = _single_node_setup()
+    truth_noise = np.random.default_rng(seed).standard_normal((n_iterations - 1, 4))
     truth = initial_state(1.0, 30.0, 15.0, np.pi / 3)
     truths = [truth]
-    for _ in range(n_iterations - 1):
-        truths.append(step_truth(truths[-1], model, truth_rng))
+    for w in truth_noise:
+        truths.append(step_truth(truths[-1], model, w))
 
-    engine = DiffusionKalmanEngine(
-        *stack_scenes([net], [assignment]), model, np.array([[sigma2]]), policy
-    )
-    eng_rng = np.random.default_rng(seed + 1)
-    ref_rng = np.random.default_rng(seed + 1)
+    engine = DiffusionKalmanEngine(net, model, np.array([[sigma2]]), policy)
+    meas_rng = np.random.default_rng(seed + 1)
     x = np.zeros(4)
     p = np.eye(4)
     h = np.eye(4)
     r = sigma2 * np.eye(4)
     worst = 0.0
     for j in range(n_iterations):
-        engine.run_step(truths[j][None, None, :], [eng_rng])
-        y = truths[j] + np.sqrt(sigma2) * ref_rng.standard_normal((1, 4))[0]
+        y = truths[j] + np.sqrt(sigma2) * meas_rng.standard_normal((1, 4))[0]
+        engine.run_step(y[None, None, :])
         x, p = reference_kf_update(x, p, y, h, r)
         worst = max(worst, np.abs(engine.x_hat[0, 0] - x).max())
         x, p = reference_kf_predict(x, p, model, knows_gravity=True)
@@ -145,12 +141,11 @@ def sequential_vs_batch_max_relative(n_cases: int = 100, seed: int = 7) -> float
 def discretization_max_error(n_steps: int = 100) -> float:
     """Worst gap between stepped and closed-form vertical position."""
     model = discretize_projectile(0.1, 10.0, q_scale=0.0)
-    rng = np.random.default_rng(0)
     state = initial_state(1.0, 30.0, 15.0, np.pi / 3)
     y0, vy0 = state[1], state[3]
     worst = 0.0
     for k in range(1, n_steps + 1):
-        state = step_truth(state, model, rng)
+        state = step_truth(state, model, np.zeros(4))
         t = k * model.delta
         worst = max(worst, abs(state[1] - (y0 + vy0 * t - 5.0 * t * t)))
     return worst
@@ -172,12 +167,14 @@ def determinism_check(seed: int = 3) -> bool:
                 initial_state(1.0, 30.0, 15.0, np.pi / 4),
             ]
         )
-        net, part = stack_scenes([net], [part])
-        engine = DiffusionKalmanEngine(net, part, model, sigma2[None, :], "adaptive")
+        stack = Network(net.positions[None], net.adjacency[None])
+        engine = DiffusionKalmanEngine(stack, model, sigma2[None, :], "adaptive")
+        targets = part.cluster_of - 1
         traj = []
         for _ in range(20):
-            engine.run_step(truths[None], [rng])
-            truths = np.stack([step_truth(t, model, rng) for t in truths])
+            noise = rng.standard_normal((8, 4))
+            engine.run_step((truths[targets] + np.sqrt(sigma2)[:, None] * noise)[None])
+            truths = step_truth(truths, model, rng.standard_normal((2, 4)))
             traj.append(engine.x_hat[0].copy())
         return np.stack(traj)
 

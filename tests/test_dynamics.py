@@ -69,15 +69,13 @@ def test_initial_state_values():
 
 def test_step_truth_constant_velocity_without_noise():
     m = discretize_projectile(0.1, 0.0, q_scale=0.0)
-    rng = np.random.default_rng(0)
-    out = step_truth(np.array([0.0, 0.0, 1.0, 1.0]), m, rng)
+    out = step_truth(np.array([0.0, 0.0, 1.0, 1.0]), m, np.ones(4))
     assert np.allclose(out, [0.1, 0.1, 1.0, 1.0], atol=1e-15)
 
 
 def test_step_truth_projectile_step_without_noise():
     m = noiseless_model()
-    rng = np.random.default_rng(0)
-    out = step_truth(np.array([1.0, 30.0, 7.5, 12.99]), m, rng)
+    out = step_truth(np.array([1.0, 30.0, 7.5, 12.99]), m, np.ones(4))
     assert np.allclose(out, [1.75, 31.249, 7.5, 11.99], atol=1e-12)
 
 
@@ -86,7 +84,8 @@ def test_step_truth_noise_covariance_matches_model():
     rng = np.random.default_rng(42)
     s = np.array([1.0, 30.0, 7.5, 12.99])
     mean = m.F @ s + m.u_g
-    draws = np.stack([step_truth(s, m, rng) - mean for _ in range(100_000)])
+    states = np.broadcast_to(s, (100_000, 4))
+    draws = step_truth(states, m, rng.standard_normal((100_000, 4))) - mean
     sample_cov = np.cov(draws.T)
     target = m.process_noise_cov
     err = np.linalg.norm(sample_cov - target) / np.linalg.norm(target)
@@ -96,19 +95,25 @@ def test_step_truth_noise_covariance_matches_model():
 def test_step_truth_bit_reproducible():
     m = discretize_projectile(0.1, 10.0)
     s = np.array([1.0, 30.0, 7.5, 12.99])
-    a = step_truth(s, m, np.random.default_rng(7))
-    b = step_truth(s, m, np.random.default_rng(7))
+    a = step_truth(s, m, np.random.default_rng(7).standard_normal(4))
+    b = step_truth(s, m, np.random.default_rng(7).standard_normal(4))
     assert np.array_equal(a, b)
 
 
-def test_step_truth_consumes_fixed_draws_even_without_noise():
-    # Stream alignment: Q=0 must advance the generator exactly like Q>0.
-    s = np.array([0.0, 0.0, 1.0, 1.0])
-    rng1 = np.random.default_rng(3)
-    step_truth(s, noiseless_model(), rng1)
-    rng2 = np.random.default_rng(3)
-    step_truth(s, discretize_projectile(0.1, 10.0), rng2)
-    assert rng1.standard_normal() == rng2.standard_normal()
+def test_step_truth_stack_equals_each_state_alone():
+    # One call over a (T, targets, 4) stack gives every state the bits it
+    # gets alone, and the bits of the per-state matrix-vector form.
+    m = discretize_projectile(0.1, 10.0)
+    rng = np.random.default_rng(8)
+    states = 30.0 * rng.standard_normal((5, 2, 4))
+    w = rng.standard_normal((5, 2, 4))
+    out = step_truth(states, m, w)
+    assert out.shape == states.shape
+    for t in range(5):
+        for i in range(2):
+            alone = step_truth(states[t, i], m, w[t, i])
+            assert np.array_equal(out[t, i], alone)
+            assert np.array_equal(alone, m.F @ states[t, i] + m.u_g + m.G @ (m.q_sqrt @ w[t, i]))
 
 
 def test_vertical_position_matches_closed_form():
@@ -119,7 +124,7 @@ def test_vertical_position_matches_closed_form():
     y0, vy0 = s[1], s[3]
     state = s
     for k in range(1, 101):
-        state = step_truth(state, m, rng)
+        state = step_truth(state, m, rng.standard_normal(4))
         t = k * m.delta
         assert abs(state[1] - (y0 + vy0 * t - 0.5 * 10.0 * t * t)) < 1e-9
 

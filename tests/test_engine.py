@@ -25,7 +25,6 @@ from difftrack.topology import (
     generate_geometric,
     infer_clusters,
     initial_partition,
-    stack_scenes,
 )
 
 MODEL = discretize_projectile(0.1, 10.0)
@@ -35,10 +34,17 @@ def two_target_truths(n_iterations, rng):
     truths = np.empty((n_iterations, 2, 4))
     truths[0, 0] = initial_state(1.0, 30.0, 15.0, np.pi / 3)
     truths[0, 1] = initial_state(1.0, 30.0, 15.0, np.pi / 4)
+    w = rng.standard_normal((n_iterations - 1, 2, 4))
     for j in range(1, n_iterations):
-        for i in range(2):
-            truths[j, i] = step_truth(truths[j - 1, i], MODEL, rng)
+        truths[j] = step_truth(truths[j - 1], MODEL, w[j - 1])
     return truths
+
+
+def measure(truth, part, sigma2, rng):
+    """One step's measurements for a one-trial engine: node m sees target
+    cluster_of[m] with noise variance sigma2[m], one (n, 4) block from rng."""
+    noise = rng.standard_normal((sigma2.size, 4))
+    return (truth[part.cluster_of - 1] + np.sqrt(sigma2)[:, None] * noise)[None]
 
 
 def full_cov(m):
@@ -71,11 +77,10 @@ def max_relative(got, want):
     return np.abs(got - want).max() / np.abs(want).max()
 
 
-def one_trial_engine(net, part, sigma2, policy, **kwargs):
+def one_trial_engine(net, sigma2, policy, **kwargs):
     """An engine over a one-trial stack; tests read trial 0 of its state."""
-    return DiffusionKalmanEngine(
-        *stack_scenes([net], [part]), MODEL, sigma2[None], policy, **kwargs
-    )
+    stack = Network(net.positions[None], net.adjacency[None])
+    return DiffusionKalmanEngine(stack, MODEL, sigma2[None], policy, **kwargs)
 
 
 def build_engine(n, seed, policy="adaptive", **kwargs):
@@ -84,8 +89,8 @@ def build_engine(n, seed, policy="adaptive", **kwargs):
     net = generate_geometric(n, 0.55, 2, rng)
     part = initial_partition(net, 0.3, rng)
     sigma2 = 0.01 + 0.5 * rng.random(n)
-    engine = one_trial_engine(net, part, sigma2, policy, **kwargs)
-    return engine, rng
+    engine = one_trial_engine(net, sigma2, policy, **kwargs)
+    return engine, part, rng
 
 
 # -- module-level reference operations ---------------------------------
@@ -200,25 +205,17 @@ def test_time_update_gravity_flag():
 
 
 def test_engine_step_matches_per_node_operations():
-    engine, rng = build_engine(6, seed=10)
-    shadow_rng = np.random.default_rng(10)
-    # Recreate the trial stream: topology, partition, sigma draws...
-    generate_geometric(6, 0.55, 2, shadow_rng)
-    initial_partition(Network(engine.net.positions[0], engine.net.adjacency[0]), 0.3, shadow_rng)
-    sigma2 = 0.01 + 0.5 * shadow_rng.random(6)
-    assert np.array_equal(sigma2, engine.sigma2[0])
-
+    engine, part, _ = build_engine(6, seed=10)
+    sigma2 = engine.sigma2[0]
     truths = two_target_truths(1, np.random.default_rng(0))[0]
-    meas_rng = np.random.default_rng(77)
-    z = np.random.default_rng(77).standard_normal((6, 4))
-    y = truths[engine.assignment.cluster_of[0] - 1] + np.sqrt(sigma2)[:, None] * z
+    y = measure(truths, part, sigma2, np.random.default_rng(77))[0]
 
     x_pred0 = engine.x_pred[0].copy()
     m_pred0 = engine.M_pred[0].copy()
     with_self = engine.net.adjacency[0] | np.eye(6, dtype=bool)
     hoods = [np.flatnonzero(with_self[:, m]) for m in range(6)]
 
-    engine.run_step(truths[None], [meas_rng])
+    engine.run_step(y[None])
 
     eye = np.eye(4)
     psi = np.empty((6, 4))
@@ -270,42 +267,38 @@ def test_disconnected_nodes_run_independent_filters():
     )
     part = ClusterAssignment(cluster_of=np.array([1, 1]), s=1)
     sigma2 = np.array([0.2, 0.4])
-    engine = one_trial_engine(net, part, sigma2, "uniform")
+    engine = one_trial_engine(net, sigma2, "uniform")
     rng = np.random.default_rng(4)
-    shadow = np.random.default_rng(4)
     truth = initial_state(1.0, 30.0, 15.0, np.pi / 3)
 
     x = np.zeros((2, 4))
     p = np.stack([np.eye(4)] * 2)
     eye = np.eye(4)
     for _ in range(20):
-        engine.run_step(truth[None, None, :], [rng])
-        z = shadow.standard_normal((2, 4))
+        y = measure(truth[None], part, sigma2, rng)
+        engine.run_step(y)
         for m in range(2):
-            y = truth + np.sqrt(sigma2[m]) * z[m]
-            psi_m, p_m = adapt(x[m], p[m], [(y, eye, sigma2[m] * eye)])
+            psi_m, p_m = adapt(x[m], p[m], [(y[0, m], eye, sigma2[m] * eye)])
             assert np.abs(psi_m - engine.x_hat[0, m]).max() < 1e-12
             x[m], p[m] = time_update(psi_m, p_m, MODEL)
-        truth = step_truth(truth, MODEL, rng)
-        truth_shadow = step_truth(np.zeros(4), MODEL, shadow)  # stream sync
-        del truth_shadow
+        truth = step_truth(truth, MODEL, rng.standard_normal(4))
 
 
 def test_covariance_never_grows_during_adaptation():
-    engine, rng = build_engine(10, seed=11)
+    engine, part, rng = build_engine(10, seed=11)
     truths = two_target_truths(30, np.random.default_rng(5))
     for j in range(30):
         m_before = engine.M_pred[0].copy()
-        engine.run_step(truths[j][None], [rng])
+        engine.run_step(measure(truths[j], part, engine.sigma2[0], rng))
         gap = np.stack([full_cov(m) for m in m_before - engine.M_psi[0]])
         assert np.linalg.eigvalsh(gap).min() >= -1e-9
 
 
 def test_psd_tracking_over_run():
-    engine, rng = build_engine(12, seed=12)
+    engine, part, rng = build_engine(12, seed=12)
     truths = two_target_truths(50, np.random.default_rng(6))
     for j in range(50):
-        engine.run_step(truths[j][None], [rng])
+        engine.run_step(measure(truths[j], part, engine.sigma2[0], rng))
     assert engine.min_psd_eigenvalue[0] >= -1e-9
 
 
@@ -320,17 +313,17 @@ def paper_scale_engine(seed, **kwargs):
     net = generate_geometric(30, 0.35, 4, rng)
     part = initial_partition(net, 0.35, rng)
     sigma2 = 0.01 + 0.5 * rng.random(30)
-    engine = one_trial_engine(net, part, sigma2, "adaptive", **kwargs)
-    return engine, rng
+    engine = one_trial_engine(net, sigma2, "adaptive", **kwargs)
+    return engine, part, rng
 
 
 def test_adaptive_clustering_recovers_partition():
-    engine, rng = paper_scale_engine(0)
+    engine, part, rng = paper_scale_engine(0)
     truths = two_target_truths(100, rng)
     for j in range(100):
-        engine.run_step(truths[j][None], [rng])
+        engine.run_step(measure(truths[j], part, engine.sigma2[0], rng))
     inferred = infer_clusters(engine.C[0], engine.prune_tau)
-    truth_labels = engine.assignment.cluster_of[0]
+    truth_labels = part.cluster_of
     # Same partition up to label swap.
     match = np.array_equal(inferred.cluster_of, truth_labels)
     swapped = np.array_equal(3 - inferred.cluster_of, truth_labels)
@@ -350,11 +343,11 @@ def test_node_surrounded_by_other_task_is_not_captured():
     )
     part = ClusterAssignment(cluster_of=np.array([2, 1, 1, 1, 1]), s=2)
     sigma2 = np.array([0.3, 0.1, 0.2, 0.05, 0.15])
-    engine = one_trial_engine(net, part, sigma2, "adaptive")
+    engine = one_trial_engine(net, sigma2, "adaptive")
     rng = np.random.default_rng(0)
     truths = two_target_truths(60, rng)
     for j in range(60):
-        engine.run_step(truths[j][None], [rng])
+        engine.run_step(measure(truths[j], part, sigma2, rng))
     assert not engine.net.adjacency[0][0].any()
     assert np.linalg.norm(engine.x_hat[0, 0] - truths[-1, 1]) < 2.0
 
@@ -363,11 +356,11 @@ def test_in_cluster_weights_dominate_after_burn_in():
     hits = 0
     trials = 10
     for seed in range(trials):
-        engine, rng = paper_scale_engine(seed, pruning_enabled=False)
+        engine, part, rng = paper_scale_engine(seed, pruning_enabled=False)
         truths = two_target_truths(60, rng)
         for j in range(60):
-            engine.run_step(truths[j][None], [rng])
-        labels = engine.assignment.cluster_of[0]
+            engine.run_step(measure(truths[j], part, engine.sigma2[0], rng))
+        labels = part.cluster_of
         same = np.equal.outer(labels, labels) & engine._support[0]
         cross = ~np.equal.outer(labels, labels) & engine._support[0]
         if not cross.any():
@@ -379,17 +372,15 @@ def test_in_cluster_weights_dominate_after_burn_in():
 
 
 def test_engine_pickle_round_trip_continues_identically():
-    engine, rng = build_engine(8, seed=14)
+    engine, part, rng = build_engine(8, seed=14)
     truths = two_target_truths(30, np.random.default_rng(8))
     for j in range(10):
-        engine.run_step(truths[j][None], [rng])
-    state = rng.bit_generator.state
+        engine.run_step(measure(truths[j], part, engine.sigma2[0], rng))
     clone = pickle.loads(pickle.dumps(engine))
-    rng2 = np.random.default_rng()
-    rng2.bit_generator.state = state
     for j in range(10, 30):
-        engine.run_step(truths[j][None], [rng])
-        clone.run_step(truths[j][None], [rng2])
+        y = measure(truths[j], part, engine.sigma2[0], rng)
+        engine.run_step(y)
+        clone.run_step(y)
     assert np.array_equal(engine.x_hat, clone.x_hat)
     assert np.array_equal(engine.C, clone.C)
 
@@ -405,23 +396,23 @@ def test_engine_pickle_round_trip_continues_identically():
 def test_engine_rejects_models_the_2x2_form_cannot_carry(change):
     fields = dict(F=MODEL.F, G=MODEL.G, Q=MODEL.Q, u_g=MODEL.u_g, delta=MODEL.delta, g=MODEL.g)
     model = MotionModel(**{**fields, **change})
-    engine, _ = build_engine(5, seed=15)
+    engine, _, _ = build_engine(5, seed=15)
     with pytest.raises(ConfigError, match="the engine needs"):
-        DiffusionKalmanEngine(engine.net, engine.assignment, model, engine.sigma2, "uniform")
+        DiffusionKalmanEngine(engine.net, model, engine.sigma2, "uniform")
 
 
 def test_engine_validates_inputs():
-    engine, rng = build_engine(5, seed=15)
+    engine, _, _ = build_engine(5, seed=15)
     with pytest.raises(ConfigError):
-        engine.run_step(np.zeros((1, 1, 4)), [rng])  # cluster 2 has no target
-    net, part = engine.net, engine.assignment
+        engine.run_step(np.zeros((1, 1, 4)))  # one measurement for five nodes
+    net = engine.net
     with pytest.raises(ConfigError):
-        DiffusionKalmanEngine(net, part, MODEL, np.ones((1, 3)), "uniform")
+        DiffusionKalmanEngine(net, MODEL, np.ones((1, 3)), "uniform")
     with pytest.raises(ConfigError):
         DiffusionKalmanEngine(
-            net, part, MODEL, engine.sigma2, "nonsense"
+            net, MODEL, engine.sigma2, "nonsense"
         )
     with pytest.raises(ConfigError):
         DiffusionKalmanEngine(
-            net, part, MODEL, engine.sigma2, "uniform", p0_scale=0.0
+            net, MODEL, engine.sigma2, "uniform", p0_scale=0.0
         )

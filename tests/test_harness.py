@@ -12,7 +12,8 @@ import pytest
 
 from difftrack import harness
 from difftrack.cli import main
-from difftrack.dynamics import discretize_projectile
+from difftrack.dynamics import discretize_projectile, initial_state, step_truth
+from difftrack.engine import DiffusionKalmanEngine
 from difftrack.errors import ConfigError
 from difftrack.harness import (
     ExperimentConfig,
@@ -22,7 +23,6 @@ from difftrack.harness import (
     policy_sweep,
     read_msd_csv,
     run_experiment,
-    simulate_truths,
     trial_rng,
     write_msd_csv,
     write_outputs,
@@ -257,6 +257,37 @@ class TestTrialStreams:
         assert not np.array_equal(trial_rng(9, 3).random(8), trial_rng(9, 4).random(8))
         assert not np.array_equal(trial_rng(9, 3).random(8), trial_rng(10, 3).random(8))
 
+    def test_noiseless_truths_draw_the_same_stream(self, monkeypatch):
+        # Stream alignment: Q = 0 consumes the truth-noise block like Q > 0,
+        # so the scene, the noise levels and every step's measurement noise
+        # come from the same draws.
+        streams, seen = [], []
+
+        def spy_rng(seed, trial):
+            streams.append(trial_rng(seed, trial))
+            return streams[-1]
+
+        class Recording(DiffusionKalmanEngine):
+            def run_step(self, y):
+                # Each trial's stream position once the step's noise is drawn.
+                seen[-1].append([rng.bit_generator.state for rng in streams])
+                return super().run_step(y)
+
+        monkeypatch.setattr(harness, "trial_rng", spy_rng)
+        monkeypatch.setattr(harness, "DiffusionKalmanEngine", Recording)
+        cfg = ExperimentConfig(seed=5, **SMALL)
+        runs = []
+        for q_scale in (cfg.Q_scale, 0.0):
+            streams.clear()
+            seen.append([])
+            runs.append(harness.run_trials(dataclasses.replace(cfg, Q_scale=q_scale), range(3)))
+        noisy, noiseless = (run[0]["detail"] for run in runs)
+        for key in ("positions", "cluster_of", "adjacency_initial"):
+            assert np.array_equal(noisy[key], noiseless[key]), key
+        assert not np.array_equal(noisy["truths"], noiseless["truths"])
+        assert len(seen[0]) == cfg.n_iterations
+        assert seen[0] == seen[1]
+
 
 class TestRunExperiment:
     def test_single_node_uniform_matches_centralized_kf(self):
@@ -266,20 +297,23 @@ class TestRunExperiment:
         result = run_experiment(cfg)
         rng = trial_rng(cfg.seed, 0)
         sigma2 = cfg.sigma_min + cfg.sigma_span * rng.random(1)
-        truths = simulate_truths(cfg, rng)
+        truth_noise = rng.standard_normal((cfg.n_iterations - 1, cfg.n_targets, 4))
         model = discretize_projectile(
             cfg.delta, cfg.g, g_scale=cfg.G_scale, q_scale=cfg.Q_scale
         )
+        truth = initial_state(cfg.x0, cfg.y0, cfg.v0, cfg.angles[0])
         x = np.zeros(4)
         p = np.eye(4) * cfg.P0_scale
         h = np.eye(4)
         r = sigma2[0] * np.eye(4)
         oracle = np.empty(cfg.n_iterations)
         for j in range(cfg.n_iterations):
+            if j:
+                truth = step_truth(truth, model, truth_noise[j - 1, 0])
             noise = rng.standard_normal((1, 4))
-            y = truths[j, 0] + math.sqrt(sigma2[0]) * noise[0]
+            y = truth + math.sqrt(sigma2[0]) * noise[0]
             x, p = reference_kf_update(x, p, y, h, r)
-            oracle[j] = np.sum((truths[j, 0] - x) ** 2)
+            oracle[j] = np.sum((truth - x) ** 2)
             x, p = reference_kf_predict(x, p, model, knows_gravity=True)
         assert result.series.msd_linear[:, 0] == pytest.approx(oracle, abs=1e-10)
 
@@ -403,6 +437,24 @@ class TestArtifacts:
         final = (out / "topology_final_edges.csv").read_text().splitlines()[1:]
         assert len(final) == len(initial)
 
+    def test_weight_snapshot_rows(self, tmp_path):
+        # Nonzero entries only, n-major, each weight written as its repr.
+        res = run_experiment(ExperimentConfig(**{**SMALL, "n_trials": 1, "n_iterations": 10}))
+        c0 = np.zeros((12, 12))
+        c0[0, 0], c0[3, 1], c0[1, 3] = 1.0, 1 / 3, 2 / 3
+        c1 = np.zeros((12, 12))
+        c1[11, 0], c1[2, 5] = 0.1 + 0.2, 5e-324
+        detail = {**res.detail, "snapshots": [(0, c0), (40, c1)]}
+        write_outputs(dataclasses.replace(res, detail=detail), tmp_path)
+        assert (tmp_path / "weights_adaptive.csv").read_bytes() == (
+            b"iteration,n,m,weight\n"
+            b"0,0,0,1.0\n"
+            b"0,1,3,0.6666666666666666\n"
+            b"0,3,1,0.3333333333333333\n"
+            b"40,2,5,5e-324\n"
+            b"40,11,0,0.30000000000000004\n"
+        )
+
     def test_bad_msd_header_rejected(self, tmp_path):
         path = tmp_path / "msd.csv"
         path.write_text("wrong,header\n")
@@ -494,6 +546,19 @@ class TestCli:
         assert names == sorted(os.listdir(again))
         for name in names:
             assert (first / name).read_bytes() == (again / name).read_bytes(), name
+
+    def test_non_finite_truth_exits_three(self, tmp_path, capsys):
+        cfg_path = tmp_path / "huge.cfg"
+        cfg_path.write_text(SMALL_CFG + "delta = 1e200\n")
+        out = tmp_path / "out"
+        with np.errstate(all="ignore"):
+            code = main(["run", "--config", str(cfg_path), "--out-dir", str(out)])
+        assert code == 3
+        assert (
+            "numeric failure: trial 0: step_truth produced a non-finite state"
+            in capsys.readouterr().err
+        )
+        assert not out.exists()
 
     def test_missing_config_file_exits_four(self, tmp_path):
         code = main(["run", "--config", str(tmp_path / "absent.cfg")])

@@ -99,8 +99,8 @@ def test_run_path_inverts_no_matrix(policy, monkeypatch):
 
 @pytest.mark.parametrize("policy", ["adaptive", "uniform"])
 def test_per_batch_work_does_not_grow_with_trials(policy, monkeypatch):
-    # Pruning, static weights and MSD each take one call for the whole
-    # batch, so 1 trial and 4 make the same calls.
+    # Pruning, static weights, MSD and the truth step each take one call
+    # for the whole batch, so 1 trial and 4 make the same calls.
     calls = {}
 
     def counted(owner, name):
@@ -116,6 +116,7 @@ def test_per_batch_work_does_not_grow_with_trials(policy, monkeypatch):
     counted(difftrack.engine, "prune_cross_links")
     counted(difftrack.engine, "static_weights")
     counted(difftrack.harness, "msd_accumulate")
+    counted(difftrack.harness, "step_truth")
     cfg = ExperimentConfig(policy=policy, n_iterations=30, seed=3)
     adaptive = policy == "adaptive"
     for n_trials in (1, 4):
@@ -125,6 +126,7 @@ def test_per_batch_work_does_not_grow_with_trials(policy, monkeypatch):
             "prune_cross_links": cfg.n_iterations - cfg.prune_window + 1 if adaptive else 0,
             "static_weights": 0 if adaptive else 1,
             "msd_accumulate": cfg.n_iterations,
+            "step_truth": cfg.n_iterations - 1,
         }, n_trials
 
 
@@ -142,72 +144,104 @@ MODEL = discretize_projectile(0.1, 10.0)
 
 
 def small_batch(n_trials, policy="adaptive", first_trial=0):
+    """An engine over n_trials 8-node scenes, their assignment, the (T, 2, 4)
+    launch states, and a function drawing one step's measurements of given
+    truths from a stream per trial."""
     rng = np.random.default_rng(21)
     nets, parts = [], []
     for _ in range(n_trials):
         nets.append(generate_geometric(8, 0.6, 2, rng))
         parts.append(initial_partition(nets[-1], 0.4, rng))
     sigma2 = 0.01 + 0.5 * rng.random((n_trials, 8))
-    engine = DiffusionKalmanEngine(
-        *stack_scenes(nets, parts), MODEL, sigma2, policy, first_trial=first_trial
-    )
+    net, part = stack_scenes(nets, parts)
+    engine = DiffusionKalmanEngine(net, MODEL, sigma2, policy, first_trial=first_trial)
     truths = np.stack(
         [initial_state(1.0, 30.0, 15.0, np.pi / 3), initial_state(1.0, 30.0, 15.0, np.pi / 4)]
     )
     rngs = [np.random.default_rng(100 + t) for t in range(n_trials)]
-    return engine, np.broadcast_to(truths, (n_trials, 2, 4)), rngs
+    targets = (np.arange(n_trials)[:, None], part.cluster_of - 1)
+
+    def measure(truths):
+        noise = np.stack([gen.standard_normal((8, 4)) for gen in rngs])
+        return truths[targets] + np.sqrt(sigma2)[:, :, None] * noise
+
+    return engine, part, np.broadcast_to(truths, (n_trials, 2, 4)), measure
 
 
 def test_nan_covariance_names_trial_and_iteration():
-    engine, truths, rngs = small_batch(4)
+    engine, _, truths, measure = small_batch(4)
     for _ in range(3):
-        engine.run_step(truths, rngs)
+        engine.run_step(measure(truths))
     engine.M_pred[2, 5] = np.nan
     with pytest.raises(NumericError, match=r"^trial 2: iteration 3: .*non-finite"):
-        engine.run_step(truths, rngs)
+        engine.run_step(measure(truths))
 
 
 @pytest.mark.parametrize("policy", ["uniform", "adaptive"])
 def test_nan_measurement_names_trial_iteration_and_node(policy):
-    engine, truths, rngs = small_batch(4, policy=policy)
+    engine, part, truths, measure = small_batch(4, policy=policy)
     for _ in range(5):
-        engine.run_step(truths, rngs)
+        engine.run_step(measure(truths))
     truths = truths.copy()
     truths[1, 1, 0] = np.nan
-    node = int(np.flatnonzero(engine.assignment.cluster_of[1] == 2)[0])
+    node = int(np.flatnonzero(part.cluster_of[1] == 2)[0])
     with pytest.raises(
         NumericError,
         match=rf"^trial 1: iteration 5: non-finite measurement at node {node}$",
     ):
-        engine.run_step(truths, rngs)
+        engine.run_step(measure(truths))
 
 
 def test_indefinite_covariance_names_trial_counted_from_first_trial():
-    engine, truths, rngs = small_batch(4, first_trial=40)
+    engine, _, truths, measure = small_batch(4, first_trial=40)
     engine.M_pred[1, 3] = (-1.0, 0.0, -1.0)
     with pytest.raises(NumericError, match=r"^trial 41: iteration 0: .*positive definite"):
-        engine.run_step(truths, rngs)
+        engine.run_step(measure(truths))
 
 
 def test_lost_semidefiniteness_names_trial():
     # M + I/s stays positive definite, so the update succeeds, but the
     # updated covariance keeps the negative eigenvalue.
-    engine, truths, rngs = small_batch(4)
+    engine, _, truths, measure = small_batch(4)
     engine.M_pred[3, 0] = (-1e-3, 0.0, 1.0)
     with pytest.raises(NumericError, match=r"^trial 3: iteration 0: .*semidefinite"):
-        engine.run_step(truths, rngs)
+        engine.run_step(measure(truths))
 
 
 def test_bad_static_weights_name_trial():
-    engine, truths, rngs = small_batch(4, policy="uniform")
+    engine, _, truths, measure = small_batch(4, policy="uniform")
     engine.C[2, 0, 0] = -1.0
     with pytest.raises(NumericError, match=r"^trial 2: iteration 0: .*negative"):
-        engine.run_step(truths, rngs)
+        engine.run_step(measure(truths))
+
+
+def test_non_finite_truth_names_the_lowest_failing_trial(monkeypatch):
+    # Trials 2 and 3 of the batch get a non-finite truth-noise entry at
+    # the fourth truth step.
+    step_truth = difftrack.harness.step_truth
+    calls = []
+
+    def injected(states, model, w):
+        calls.append(None)
+        if len(calls) == 4:
+            w = w.copy()
+            w[2, 1, 0] = np.inf
+            w[3, 0, 2] = np.nan
+        with np.errstate(invalid="ignore"):
+            return step_truth(states, model, w)
+
+    monkeypatch.setattr(difftrack.harness, "step_truth", injected)
+    cfg = ExperimentConfig(**SHORT)
+    with pytest.raises(
+        NumericError, match=r"^trial 2: step_truth produced a non-finite state$"
+    ):
+        run_trials(cfg, range(cfg.n_trials))
+    assert len(calls) == 4
 
 
 def test_several_failing_trials_name_the_lowest():
-    engine, truths, rngs = small_batch(4)
+    engine, _, truths, measure = small_batch(4)
     engine.M_pred[3, 1] = np.nan
     engine.M_pred[1, 6] = (-1.0, 0.0, -1.0)
     with pytest.raises(NumericError, match=r"^trial 1: iteration 0: "):
-        engine.run_step(truths, rngs)
+        engine.run_step(measure(truths))

@@ -1,4 +1,4 @@
-"""Property tests of one engine step over random small scenes.
+"""Property tests of the engine over random small scenes.
 
 Hypothesis draws the networks, noise levels, predicted covariances M
 (stored as (a, b, c), the 4x4 covariance being M kron I2), predicted
@@ -6,10 +6,12 @@ states, truths and measurement streams. One step of the engine's
 closed-form information update must match the general sequential update
 ``adapt`` at every node, keep every combination matrix column-stochastic
 on its neighborhoods, and leave each covariance positive semidefinite and
-no larger than its prediction.
+no larger than its prediction. A batch of trials run over a few steps must
+give each trial the bits it gets in an engine of its own.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -17,7 +19,7 @@ from hypothesis.extra.numpy import arrays
 from difftrack.combiners import POLICIES
 from difftrack.dynamics import discretize_projectile
 from difftrack.engine import DiffusionKalmanEngine, adapt
-from difftrack.topology import ClusterAssignment, Network, stack_scenes
+from difftrack.topology import ClusterAssignment, Network
 
 MODEL = discretize_projectile(0.1, 10.0)
 
@@ -33,19 +35,27 @@ def min_eig(m):
     return np.linalg.eigvalsh(np.stack([a, b, b, c], axis=-1).reshape(a.shape + (2, 2))).min()
 
 
+def network(draw, n):
+    upper = draw(arrays(bool, (n, n)))
+    adjacency = np.triu(upper, 1)
+    adjacency = adjacency | adjacency.T
+    positions = draw(arrays(float, (n, 2), elements=st.floats(0.0, 1.0)))
+    return Network(positions, adjacency)
+
+
+def stacked(nets):
+    return Network(np.stack([n.positions for n in nets]), np.stack([n.adjacency for n in nets]))
+
+
 @st.composite
 def scenes(draw):
     t_count = draw(st.integers(1, 3))
     n = draw(st.integers(1, 7))
-    # A stacked assignment shares one cluster count, each cluster nonempty.
+    # Each trial's labels use clusters 1..s, each cluster nonempty.
     s = draw(st.integers(1, min(n, 2)))
     nets, parts = [], []
     for _ in range(t_count):
-        upper = draw(arrays(bool, (n, n)))
-        adjacency = np.triu(upper, 1)
-        adjacency = adjacency | adjacency.T
-        positions = draw(arrays(float, (n, 2), elements=st.floats(0.0, 1.0)))
-        nets.append(Network(positions, adjacency))
+        nets.append(network(draw, n))
         labels = 1 + draw(arrays(np.int64, n, elements=st.integers(0, s - 1)))
         labels[:s] = np.arange(1, s + 1)
         parts.append(ClusterAssignment(labels, s))
@@ -75,18 +85,23 @@ def scenes(draw):
 def test_one_step_matches_sequential_update_and_keeps_invariants(scene):
     nets, parts, sigma2, m_pred, x_pred, truths, seed, policy = scene
     t_count, n = sigma2.shape
-    engine = DiffusionKalmanEngine(*stack_scenes(nets, parts), MODEL, sigma2, policy)
+    y = np.stack(
+        [
+            truths[t, parts[t].cluster_of - 1]
+            + np.sqrt(sigma2[t])[:, None] * np.random.default_rng(seed + t).standard_normal((n, 4))
+            for t in range(t_count)
+        ]
+    )
+    engine = DiffusionKalmanEngine(stacked(nets), MODEL, sigma2, policy)
     engine.M_pred = m_pred.copy()
     engine.x_pred = x_pred.copy()
-    engine.run_step(truths, [np.random.default_rng(seed + t) for t in range(t_count)])
+    engine.run_step(y)
 
     eye = np.eye(4)
     for t in range(t_count):
-        noise = np.random.default_rng(seed + t).standard_normal((n, 4))
-        y = truths[t, parts[t].cluster_of - 1] + np.sqrt(sigma2[t])[:, None] * noise
         support = nets[t].adjacency | np.eye(n, dtype=bool)
         for m in range(n):
-            msgs = [(y[k], eye, sigma2[t, k] * eye) for k in np.flatnonzero(support[:, m])]
+            msgs = [(y[t, k], eye, sigma2[t, k] * eye) for k in np.flatnonzero(support[:, m])]
             psi, p = adapt(x_pred[t, m], full_cov(m_pred[t, m]), msgs)
             assert np.abs(engine.psi[t, m] - psi).max() <= 1e-10 * np.abs(psi).max()
             assert np.abs(full_cov(engine.M_psi[t, m]) - p).max() <= 1e-10 * np.abs(p).max()
@@ -99,3 +114,38 @@ def test_one_step_matches_sequential_update_and_keeps_invariants(scene):
     scale = np.abs(m_pred).max()
     assert min_eig(engine.M_psi) >= -1e-12 * scale
     assert min_eig(m_pred - engine.M_psi) >= -1e-12 * scale
+
+
+@st.composite
+def batches(draw):
+    t_count = draw(st.integers(2, 4))
+    n = draw(st.integers(2, 6))
+    nets = [network(draw, n) for _ in range(t_count)]
+    sigma2 = draw(arrays(float, (t_count, n), elements=st.floats(0.01, 1.0)))
+    steps = draw(st.integers(2, 5))
+    y = draw(arrays(float, (steps, t_count, n, 4), elements=st.floats(-50.0, 50.0)))
+    return nets, sigma2, y
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+@settings(max_examples=30, deadline=None)
+@given(batch=batches())
+def test_batch_equals_each_trial_alone(policy, batch):
+    nets, sigma2, y = batch
+    # A short prune window and a high threshold let the adaptive policy
+    # cut links within the few steps drawn.
+    prune = dict(prune_window=2, prune_tau=0.3)
+    together = DiffusionKalmanEngine(stacked(nets), MODEL, sigma2, policy, **prune)
+    alone = [
+        DiffusionKalmanEngine(stacked([net]), MODEL, sigma2[t : t + 1], policy, **prune)
+        for t, net in enumerate(nets)
+    ]
+    for y_j in y:
+        together.run_step(y_j)
+        for t, engine in enumerate(alone):
+            engine.run_step(y_j[t : t + 1])
+    for t, engine in enumerate(alone):
+        assert np.array_equal(together.x_hat[t], engine.x_hat[0])
+        assert np.array_equal(together.M_pred[t], engine.M_pred[0])
+        assert np.array_equal(together.C[t], engine.C[0])
+        assert np.array_equal(together.net.adjacency[t], engine.net.adjacency[0])
