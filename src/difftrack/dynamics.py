@@ -71,7 +71,8 @@ def discretize_projectile(
     constant forcing over one step gives u_g = (delta*I + delta^2/2 * theta) n.
 
     ``g_scale`` and ``q_scale`` fill the noise shaping matrix G = g_scale*I
-    and process noise covariance Q = q_scale*I.
+    and process noise covariance Q = q_scale*I. A delta so large that F or
+    u_g overflows is refused as bad input.
     """
     if delta <= 0.0:
         raise ConfigError(f"time step must be positive, got {delta}")
@@ -80,8 +81,11 @@ def discretize_projectile(
     theta = np.zeros((STATE_DIM, STATE_DIM))
     theta[0, 2] = theta[1, 3] = 1.0
     n = np.array([0.0, 0.0, 0.0, -g])
-    f = np.eye(STATE_DIM) + delta * theta
-    u_g = (delta * np.eye(STATE_DIM) + 0.5 * delta * delta * theta) @ n
+    with np.errstate(over="ignore", invalid="ignore"):
+        f = np.eye(STATE_DIM) + delta * theta
+        u_g = (delta * np.eye(STATE_DIM) + 0.5 * delta * delta * theta) @ n
+    if not (np.isfinite(f).all() and np.isfinite(u_g).all()):
+        raise ConfigError(f"delta = {delta!r} gives a non-finite motion model (F or u_g)")
     return MotionModel(
         F=f,
         G=g_scale * np.eye(STATE_DIM),

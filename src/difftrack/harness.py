@@ -266,6 +266,7 @@ def run_trials(cfg: ExperimentConfig, trials: range, *, weights_every: int = 0):
     recovery score and min-PSD eigenvalue; trial 0's also holds the
     ``detail`` record the artifacts are written from.
     """
+    model = discretize_projectile(cfg.delta, cfg.g, g_scale=cfg.G_scale, q_scale=cfg.Q_scale)
     rngs, nets, parts, sigma2, truth_noise = [], [], [], [], []
     for trial in trials:
         with _naming(trial):
@@ -281,7 +282,6 @@ def run_trials(cfg: ExperimentConfig, trials: range, *, weights_every: int = 0):
     truth_noise = np.stack(truth_noise, axis=1)
     sigma2 = np.stack(sigma2)
     net, part = stack_scenes(nets, parts)
-    model = discretize_projectile(cfg.delta, cfg.g, g_scale=cfg.G_scale, q_scale=cfg.Q_scale)
     engine = DiffusionKalmanEngine(
         net,
         model,

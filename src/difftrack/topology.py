@@ -10,11 +10,10 @@ over leading batch axes, checked and pruned by the same code as one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .errors import ConfigError
 
@@ -53,8 +52,8 @@ class Network:
         return self.positions.shape[-2]
 
     def is_connected(self) -> bool:
-        n_comp, _ = connected_components(csr_matrix(self.adjacency), directed=False)
-        return n_comp == 1
+        """True when every network of the stack is one component."""
+        return not component_roots(self.adjacency).any()
 
 
 @dataclass(frozen=True)
@@ -81,6 +80,38 @@ class ClusterAssignment:
     def sizes(self) -> np.ndarray:
         """Node count per cluster, (..., s), index 0 holding cluster 1."""
         return (self.cluster_of[..., None] == np.arange(1, self.s + 1)).sum(axis=-2)
+
+
+def component_roots(adjacency: np.ndarray) -> np.ndarray:
+    """Label each node with the lowest node index in its connected component.
+
+    ``adjacency`` is a symmetric (..., n, n) boolean stack; the result is
+    (..., n). Min-label hooking with pointer jumping (Shiloach & Vishkin,
+    J. Algorithms 1982) over one edge list for the whole stack, graph g's
+    nodes numbered g*n to g*n + n - 1: each round a node takes the smallest
+    label in its closed neighborhood, the root its old label points to
+    takes it too, and every label then jumps to its root's. Labels only
+    fall and always name a node of the same component, and a round that
+    changes nothing leaves every edge's ends with one label, so the fixed
+    point is each component's lowest node.
+    """
+    adj = np.asarray(adjacency, dtype=bool)
+    n = adj.shape[-1]
+    base = n * np.arange(math.prod(adj.shape[:-2]))
+    graph, u, v = np.nonzero(adj.reshape(base.size, n, n))
+    node, nbr = base[graph] + u, base[graph] + v
+    roots = np.arange(base.size * n)
+    while True:
+        lowest = roots.copy()
+        np.minimum.at(lowest, node, roots[nbr])
+        new = lowest.copy()
+        np.minimum.at(new, roots, lowest)
+        jumped = new[new]
+        while not np.array_equal(jumped, new):
+            new, jumped = jumped, jumped[jumped]
+        if np.array_equal(new, roots):
+            return (roots.reshape(base.size, n) - base[:, None]).reshape(adj.shape[:-1])
+        roots = new
 
 
 def stack_scenes(nets, parts) -> tuple[Network, ClusterAssignment]:
@@ -167,16 +198,9 @@ def infer_clusters(c: np.ndarray, threshold: float) -> ClusterAssignment:
     n = c.shape[0]
     if c.shape != (n, n):
         raise ConfigError(f"combination matrix must be square, got {c.shape}")
-    linked = (np.maximum(c, c.T) >= threshold) & ~np.eye(n, dtype=bool)
-    n_comp, raw = connected_components(csr_matrix(linked), directed=False)
-    relabel = {}
-    labels = np.empty(n, dtype=np.int64)
-    for m in range(n):
-        comp = raw[m]
-        if comp not in relabel:
-            relabel[comp] = len(relabel) + 1
-        labels[m] = relabel[comp]
-    return ClusterAssignment(cluster_of=labels, s=n_comp)
+    linked = np.maximum(c, c.T) >= threshold
+    roots, labels = np.unique(component_roots(linked), return_inverse=True)
+    return ClusterAssignment(cluster_of=labels + 1, s=roots.size)
 
 
 def count_below(

@@ -352,6 +352,39 @@ def test_node_surrounded_by_other_task_is_not_captured():
     assert np.linalg.norm(engine.x_hat[0, 0] - truths[-1, 1]) < 2.0
 
 
+def test_node_pruned_to_isolation_runs_its_own_filter():
+    # The surrounded scene again: node 0 loses every link to pruning mid-run.
+    # From then on its column is e_0, it filters its own measurement alone
+    # with a finite, PSD prediction, and the readout makes it a singleton.
+    net = Network(
+        positions=np.array([[0.5, 0.5], [0.4, 0.5], [0.6, 0.5], [0.5, 0.4], [0.5, 0.6]]),
+        adjacency=~np.eye(5, dtype=bool),
+    )
+    part = ClusterAssignment(cluster_of=np.array([2, 1, 1, 1, 1]), s=2)
+    sigma2 = np.array([0.3, 0.1, 0.2, 0.05, 0.15])
+    engine = one_trial_engine(net, sigma2, "adaptive")
+    rng = np.random.default_rng(0)
+    truths = two_target_truths(60, rng)
+    isolated = []
+    for j in range(60):
+        alone = not engine.net.adjacency[0, 0].any()
+        x_pred, m_pred = engine.x_pred[0, 0].copy(), engine.M_pred[0, 0].copy()
+        y = measure(truths[j], part, sigma2, rng)
+        engine.run_step(y)
+        if alone:
+            isolated.append(j)
+            assert np.array_equal(engine.C[0, :, 0], np.eye(5)[0])
+            psi, m_psi = information_update(x_pred, m_pred, y[0, :1], sigma2[:1])
+            assert np.array_equal(engine.x_hat[0, 0], psi)
+            assert np.array_equal(engine.M_psi[0, 0], m_psi)
+        a, b, c = engine.M_pred[0, 0]
+        assert np.isfinite([a, b, c]).all() and a > 0 and a * c - b * b > 0
+    assert isolated and engine.prune_window <= isolated[0] < 50
+    assert isolated == list(range(isolated[0], 60))
+    labels = infer_clusters(engine.C[0], engine.prune_tau).cluster_of
+    assert (labels == labels[0]).sum() == 1
+
+
 def test_in_cluster_weights_dominate_after_burn_in():
     hits = 0
     trials = 10

@@ -236,16 +236,19 @@ class TestLoadConfig:
 
 
 def test_harness_import_leaves_scipy_stats_unloaded():
-    # scipy.stats takes most of a cold import; nothing in difftrack needs it.
+    # scipy is a test-only dependency: no CLI entry point may load any of it.
     import difftrack
 
     src = os.path.dirname(os.path.dirname(difftrack.__file__))
-    code = "import sys, difftrack.harness; print('scipy.stats' in sys.modules)"
+    code = (
+        "import sys, difftrack.cli; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
 
 
 class TestTrialStreams:
@@ -547,17 +550,33 @@ class TestCli:
         for name in names:
             assert (first / name).read_bytes() == (again / name).read_bytes(), name
 
-    def test_non_finite_truth_exits_three(self, tmp_path, capsys):
-        cfg_path = tmp_path / "huge.cfg"
-        cfg_path.write_text(SMALL_CFG + "delta = 1e200\n")
+    def test_non_finite_truth_exits_three(self, tmp_path, capsys, monkeypatch):
+        # A fault no config check can see: the truth step overflows.
+        def overflowing(states, model, w):
+            return np.full(np.shape(states), np.inf)
+
+        monkeypatch.setattr(harness, "step_truth", overflowing)
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(SMALL_CFG)
         out = tmp_path / "out"
-        with np.errstate(all="ignore"):
-            code = main(["run", "--config", str(cfg_path), "--out-dir", str(out)])
+        code = main(["run", "--config", str(cfg_path), "--out-dir", str(out)])
         assert code == 3
         assert (
             "numeric failure: trial 0: step_truth produced a non-finite state"
             in capsys.readouterr().err
         )
+        assert not out.exists()
+
+    def test_non_finite_motion_model_exits_two(self, tmp_path, capsys):
+        # delta^2 overflows, so u_g would be NaN: bad input, named.
+        cfg_path = tmp_path / "huge.cfg"
+        cfg_path.write_text(SMALL_CFG + "delta = 1e200\n")
+        out = tmp_path / "out"
+        code = main(["run", "--config", str(cfg_path), "--out-dir", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "delta = 1e+200 gives a non-finite motion model" in err
+        assert "Traceback" not in err
         assert not out.exists()
 
     def test_missing_config_file_exits_four(self, tmp_path):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from difftrack.metrics import (
     MsdSeries,
@@ -188,6 +190,33 @@ class TestClusterRecoveryScore:
     def test_node_count_mismatch_rejected(self):
         with pytest.raises(ValueError):
             cluster_recovery_score(assignment([1, 2]), assignment([1, 2, 2]))
+
+
+@st.composite
+def assignment_pairs(draw):
+    """Two assignments of one node set, one of them with at most two
+    clusters, in either order."""
+    n = draw(st.integers(2, 30))
+    pair = []
+    for s in (draw(st.integers(1, 2)), draw(st.integers(1, min(n, 6)))):
+        labels = np.array(draw(st.lists(st.integers(1, s), min_size=n, max_size=n)))
+        labels[:s] = np.arange(1, s + 1)
+        pair.append(ClusterAssignment(draw(st.permutations(labels)), s))
+    return pair if draw(st.booleans()) else pair[::-1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(assignment_pairs())
+def test_recovery_score_equals_the_assignment_optimum(pair):
+    from scipy.optimize import linear_sum_assignment
+
+    a, b = pair
+    for inferred, truth in ((a, b), (b, a)):
+        confusion = np.zeros((inferred.s, truth.s))
+        np.add.at(confusion, (inferred.cluster_of - 1, truth.cluster_of - 1), 1.0)
+        rows, cols = linear_sum_assignment(-confusion)
+        want = float(confusion[rows, cols].sum() / inferred.cluster_of.size)
+        assert cluster_recovery_score(inferred, truth) == want
 
 
 class TestReadClusters:

@@ -2,11 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from difftrack.errors import ConfigError
 from difftrack.topology import (
     ClusterAssignment,
     Network,
+    component_roots,
     count_below,
     generate_geometric,
     infer_clusters,
@@ -141,6 +145,61 @@ def test_stack_scenes():
         assert np.array_equal(part.cluster_of[t], parts[t].cluster_of)
     assert part.s == 2
     assert part.sizes.tolist() == [[1, 2], [2, 1]]
+
+
+def lowest_node_labels(adjacency):
+    """scipy's component labels, renamed to each component's lowest node."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    _, comp = connected_components(csr_matrix(adjacency), directed=False)
+    return np.unique(comp, return_index=True)[1][comp]
+
+
+@st.composite
+def adjacency_stacks(draw):
+    """(T, n, n) symmetric adjacencies: random edges, at times none, plus at
+    times a path through every node in a random order, the graph of longest
+    diameter."""
+    t_count = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 12))
+    stack = []
+    for _ in range(t_count):
+        upper = np.triu(draw(arrays(bool, (n, n))), 1)
+        if draw(st.booleans()):
+            upper[:] = False
+        if draw(st.booleans()):
+            order = draw(st.permutations(range(n)))
+            upper[order[:-1], order[1:]] = True
+        stack.append(upper | upper.T)
+    return np.stack(stack)
+
+
+@settings(max_examples=200, deadline=None)
+@given(adjacency_stacks())
+def test_component_roots_match_scipy(adjacency):
+    want = np.stack([lowest_node_labels(a) for a in adjacency])
+    assert np.array_equal(component_roots(adjacency), want)
+    assert np.array_equal(component_roots(adjacency[0]), want[0])
+    assert Network(np.zeros(adjacency.shape[:-1] + (2,)), adjacency).is_connected() == (
+        not want.any()
+    )
+
+
+def test_component_roots_match_scipy_on_a_large_scene():
+    rng = np.random.default_rng(8)
+    adj = generate_geometric(200, 0.15, 1, rng).adjacency
+    assert np.array_equal(component_roots(adj), lowest_node_labels(adj))
+    # Half the edges gone leaves many components.
+    keep = np.triu(rng.random(adj.shape) < 0.5, 1)
+    cut = adj & (keep | keep.T)
+    want = lowest_node_labels(cut)
+    assert np.unique(want).size > 1
+    assert np.array_equal(component_roots(cut), want)
+
+
+def test_component_roots_of_no_nodes():
+    assert component_roots(np.zeros((2, 0, 0), dtype=bool)).shape == (2, 0)
 
 
 def test_infer_clusters_identity_gives_singletons():
