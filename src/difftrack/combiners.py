@@ -6,13 +6,16 @@ neighborhood N_m, so the combination step blends estimates as C^T psi.
 Static policies depend only on the topology (and noise levels), and build
 one matrix per network of a Network stack; the adaptive rule re-derives
 every column each iteration from how far each neighbor's intermediate
-estimate sits from the node's own data.
+estimate sits from the node's own data. The engine applies that rule and
+``validate_combination_matrix`` per edge of the network's ``edges``, with
+``sq_dist`` scoring each edge's pair of points; ``adaptive_weight_row`` is
+the single-node reference form.
 
 The adaptive policy also screens each neighbor's measurement against the
-node's own with ``consistent_pairs``: two measurements of one target differ
-by zero-mean Gaussian noise of covariance (sigma2_n + sigma2_m) I_4, so
-||y_n - y_m||^2 / (sigma2_n + sigma2_m) is chi-square with 4 degrees of
-freedom. A pair beyond the 0.999 quantile (``CONSISTENCY_CHI2``, about
+node's own with ``consistent_pairs``, one pair per edge of the network.
+Two measurements of one target differ by zero-mean Gaussian noise of
+covariance (sigma2_n + sigma2_m) I_4, so ||y_n - y_m||^2 / (sigma2_n +
+sigma2_m) is chi-square with 4 degrees of freedom. A pair beyond the 0.999 quantile (``CONSISTENCY_CHI2``, about
 18.47) is taken to measure different targets. A same-target pair fails one
 step in a thousand, far too rarely to hold its weight under the prune
 threshold for a whole window.
@@ -95,39 +98,38 @@ def adaptive_weight_row(
     return col
 
 
-def pairwise_sq_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Squared distances between point sets, batched over leading axes.
+def sq_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """||a - b||^2 over the last axis, broadcast over the leading axes.
 
-    ``a`` and ``b`` are (..., N, d); entry [..., i, j] of the result is
-    ||a[..., i, :] - b[..., j, :]||^2. The squared coordinate differences
-    are summed in coordinate order, which is what numpy's reduction does
-    over an axis shorter than 8, so for d = 4 the bits equal those of
-    ``((a[:, None] - b[None]) ** 2).sum(axis=-1)`` without building that
-    (..., N, N, d) temporary.
+    The squared coordinate differences are summed in coordinate order,
+    which is what numpy's reduction does over an axis shorter than 8, so
+    for 4-d points the bits equal those of ``((a - b) ** 2).sum(axis=-1)``.
     """
-    total = None
-    for k in range(a.shape[-1]):
-        diff = a[..., :, None, k] - b[..., None, :, k]
-        diff *= diff
-        if total is None:
-            total = diff
-        else:
-            total += diff
+    diff = np.subtract(a, b)
+    diff *= diff
+    total = diff[..., 0].copy()
+    for k in range(1, diff.shape[-1]):
+        total += diff[..., k]
     return total
 
 
-def consistent_pairs(points: np.ndarray, sigma2: np.ndarray) -> np.ndarray:
+def consistent_pairs(
+    a: np.ndarray, b: np.ndarray, sigma2_a: np.ndarray, sigma2_b: np.ndarray
+) -> np.ndarray:
     """Which pairs of 4-d points agree within their noise levels.
 
-    ``points`` is (..., N, 4) and ``sigma2`` the matching (..., N) per-node
-    noise variances. Entry [..., n, m] is True when
-    ||points[n] - points[m]||^2 <= CONSISTENCY_CHI2 * (sigma2[n] + sigma2[m]).
-    The result is symmetric with a true diagonal.
+    Points ``a`` and ``b`` (..., 4), with per-point noise variances
+    ``sigma2_a`` and ``sigma2_b`` (...), are paired elementwise under
+    broadcasting: one pair per edge from gathered rows, or all pairs of a
+    point set p with ``p[:, None]``, ``p[None, :]``. A pair agrees when
+    ||a - b||^2 <= CONSISTENCY_CHI2 * (sigma2_a + sigma2_b), so the test is
+    symmetric and a point always agrees with itself.
     """
-    points = np.asarray(points, dtype=np.float64)
-    sigma2 = np.asarray(sigma2, dtype=np.float64)
-    bound = CONSISTENCY_CHI2 * (sigma2[..., :, None] + sigma2[..., None, :])
-    return pairwise_sq_dist(points, points) <= bound
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    sigma2_a = np.asarray(sigma2_a, dtype=np.float64)
+    sigma2_b = np.asarray(sigma2_b, dtype=np.float64)
+    return sq_dist(a, b) <= CONSISTENCY_CHI2 * (sigma2_a + sigma2_b)
 
 
 def static_weights(policy: str, net: Network, sigma2: np.ndarray) -> np.ndarray:
@@ -141,6 +143,15 @@ def static_weights(policy: str, net: Network, sigma2: np.ndarray) -> np.ndarray:
     raise ConfigError(f"unknown static policy '{policy}'")
 
 
+class CombinationError(NumericError):
+    """A combination matrix that failed validation; ``trial`` is the index
+    of the failing matrix in its stack, leading axes flattened."""
+
+    def __init__(self, what: str, trial: int) -> None:
+        super().__init__(what)
+        self.trial = trial
+
+
 def validate_combination_matrix(
     c: np.ndarray,
     support,
@@ -148,25 +159,36 @@ def validate_combination_matrix(
 ) -> None:
     """Raise unless C is nonnegative, column-stochastic, and supported.
 
-    ``support`` is the Network C belongs to, or, for a stack of matrices
-    (..., n, n), the matching stack of self-inclusive neighborhood masks.
-    Used both by tests and by the engine each iteration; a violation at
-    runtime means a weight policy produced garbage, which is a numeric
-    failure rather than a configuration problem.
+    ``support`` is the Network C belongs to, with C dense in the shape of
+    its adjacency, or that network's ``edges``, with C the (E,) weights on
+    them, which lie on the support by construction. Used both by tests and
+    by the engine each iteration; a violation at runtime means a weight
+    policy produced garbage, which is a numeric failure rather than a
+    configuration problem. The ``CombinationError`` raised names the first
+    failing column of the lowest failing matrix.
     """
     c = np.asarray(c)
     if isinstance(support, Network):
-        support = _support(support)
-    if c.shape != np.shape(support):
-        raise NumericError(f"combination matrix shape {c.shape} wrong")
-    if (c < 0.0).any():
-        raise NumericError("combination matrix has negative entries")
-    col_err = np.abs(c.sum(axis=-2) - 1.0).max()
+        if c.shape != support.adjacency.shape:
+            raise NumericError(f"combination matrix shape {c.shape} wrong")
+        edges = support.edges
+        if np.delete(c.ravel(), edges.flat).any():
+            raise NumericError("combination matrix leaks outside neighborhoods")
+        c = c.ravel()[edges.flat]
+    else:
+        edges = support
+        if c.shape != (len(edges),):
+            raise NumericError(f"combination weights shape {c.shape} wrong")
+    col_err = np.abs(np.bincount(edges.key, c) - 1.0)
+    negative = np.zeros(col_err.shape, dtype=bool)
+    negative[edges.key[c < 0.0]] = True
     # Written so that a NaN column sum fails: every comparison with NaN is
     # False.
-    if not col_err <= col_tol:
-        raise NumericError(
-            f"combination matrix columns off stochastic by {col_err:.3e}"
-        )
-    if c[~support].any():
-        raise NumericError("combination matrix leaks outside neighborhoods")
+    bad = np.flatnonzero(negative | ~(col_err <= col_tol))
+    if bad.size:
+        trial, m = divmod(int(bad[0]), edges.n_nodes)
+        if negative[bad[0]]:
+            what = f"combination matrix has negative entries in column {m}"
+        else:
+            what = f"combination matrix column {m} off stochastic by {col_err[bad[0]]:.3e}"
+        raise CombinationError(what, trial)

@@ -9,6 +9,16 @@ so static weights and each prune take one call for the whole batch. The
 engine filters the measurements it is given; simulating the targets and
 the sensors that produce them is the caller's job.
 
+Each node talks only to its neighbors, so everything per link runs over
+the stack's self-inclusive support as one edge list (``Network.edges``,
+E edges, in order of trial, column node, row node) rather than over
+(T, n, n) blocks: phase 2's neighborhood sums, phase 4's weights and
+phase 6's counts and prune are (E,) arrays. A column sum is one
+``np.bincount`` keyed by the column node, which adds each column's terms
+in ascending row, the order in which an axis-1 sum of the dense stack
+adds them, so the edge form gives the dense form's bits. Only C itself
+stays (T, n, n): phase 5's product and the caller's snapshots read it.
+
 Each node observes the full state with noise sigma2 * I, the model has
 F = I + delta*theta and process noise q * I, and the prior is p0 * I, so
 every covariance is M kron I2 for one 2x2 matrix M = [[a, b], [b, c]] over
@@ -35,16 +45,17 @@ is a synchronous bulk step over all nodes of all trials:
 6. adaptive policy only: link pruning, a per-link count of consecutive
    steps with weight below the threshold; a link is cut once both
    directions reach the window, in one ``prune_cross_links`` call over the
-   network stack. A static policy keeps its initial graph and the
-   combination matrix built for it at construction;
+   network stack, and the surviving links keep their counts. A static
+   policy keeps its initial graph and the combination matrix built for it
+   at construction;
 7. time update: M becomes (a + delta(2b + delta c) + q, b + delta c, c + q).
 
-Phases read only the previous phase's snapshot. Phase 2's neighbor sums
-reduce over the neighbor axis in ascending index, one coordinate at a
-time, so a trial's results are byte-identical whether it runs alone or
-with others. A step that fails raises ``NumericError`` naming the trial
-and the iteration; when several trials fail in the same phase of the same
-step, the lowest-numbered one is named.
+Phases read only the previous phase's snapshot. Each sum over a
+neighborhood adds its terms in ascending neighbor index, so a trial's
+results are byte-identical whether it runs alone or with others. A step
+that fails raises ``NumericError`` naming the trial and the iteration;
+when several trials fail in the same phase of the same step, the
+lowest-numbered one is named.
 
 The module-level functions adapt/residual/combine/time_update are the
 single-node reference forms in general 4x4 matrices; tests hold the engine
@@ -58,8 +69,9 @@ import numpy as np
 from .combiners import (
     COLUMN_SUM_TOL,
     POLICIES,
+    CombinationError,
     consistent_pairs,
-    pairwise_sq_dist,
+    sq_dist,
     static_weights,
     validate_combination_matrix,
 )
@@ -183,8 +195,15 @@ class DiffusionKalmanEngine:
             raise ConfigError(
                 f"sigma2 must have shape ({t_count}, {n}), got {sigma2.shape}"
             )
-        if (sigma2 <= 0.0).any():
-            raise ConfigError("all measurement variances must be positive")
+        self.first_trial = int(first_trial)
+        # Every edge weight is formed from 1/sigma2, so this comes first.
+        bad = np.argwhere(~(sigma2 > 0.0))
+        if bad.size:
+            t, m = bad[0]
+            raise ConfigError(
+                f"trial {self.first_trial + t}: measurement variance at node {m} "
+                f"must be positive, got {float(sigma2[t, m])!r}"
+            )
         if p0_scale <= 0.0:
             raise ConfigError(f"initial covariance scale must be positive, got {p0_scale}")
         self._delta, self._q = _closed_form_model(model)
@@ -192,7 +211,6 @@ class DiffusionKalmanEngine:
         self.model = model
         self.sigma2 = sigma2
         self.policy = policy
-        self.first_trial = int(first_trial)
         self.eps = float(eps)
         self.prune_tau = float(prune_tau)
         self.prune_window = int(prune_window)
@@ -211,29 +229,33 @@ class DiffusionKalmanEngine:
 
         self.iteration = 0
         self.min_psd_eigenvalue = np.full(t_count, np.inf)
-        # Counts never exceed the window, so the smallest type holding it
-        # will do.
-        self._below = np.zeros(
-            (t_count, n, n), dtype=np.min_scalar_type(self.prune_window)
-        )
         self._adopt(net)
+        # One count per edge. Counts never exceed the window, so the
+        # smallest type holding it will do.
+        self._below = np.zeros(len(net.edges), dtype=np.min_scalar_type(self.prune_window))
 
         if policy == "adaptive":
-            self.C = np.broadcast_to(np.eye(n), (t_count, n, n)).copy()
+            c = np.broadcast_to(np.eye(n), (t_count, n, n))
         else:
-            self.C = static_weights(policy, net, sigma2)
-        self._validate(COLUMN_SUM_TOL)
+            c = static_weights(policy, net, sigma2)
+        # C is held as the transposed view of a contiguous C^T, the operand
+        # of phase 5's product. The support is checked here, once: every
+        # later C is built on the edges.
+        self.C = np.swapaxes(np.swapaxes(c, -1, -2).copy(), -1, -2)
+        self._validate(self.C, net, COLUMN_SUM_TOL)
 
     # -- topology-dependent caches ------------------------------------
 
     def _adopt(self, net: Network) -> None:
-        """Make ``net`` the topology: ``_support`` holds its self-inclusive
-        neighborhoods, ``_w`` [t, n, m] is 1/sigma2_n where n is in node m's
-        neighborhood, else 0, and ``_s`` [t, m] its sum."""
+        """Make ``net`` the topology: ``_w`` holds 1/sigma2_n on each edge
+        (n, m) of ``net.edges``, ``_s`` [t, m] its sum over node m's
+        neighborhood, and ``_info_key`` keys the information sums, one bin
+        per node and coordinate."""
         self.net = net
-        self._support = net.adjacency | np.eye(net.n_nodes, dtype=bool)
-        self._w = np.where(self._support, 1.0 / self.sigma2[:, :, None], 0.0)
-        self._s = self._w.sum(axis=1)
+        edges = net.edges
+        self._w = (1.0 / self.sigma2).ravel()[edges.source]
+        self._s = np.bincount(edges.key, self._w).reshape(self.sigma2.shape)
+        self._info_key = (STATE_DIM * edges.key[:, None] + np.arange(STATE_DIM)).ravel()
 
     # -- errors -------------------------------------------------------
 
@@ -242,18 +264,11 @@ class DiffusionKalmanEngine:
             f"trial {self.first_trial + t}: iteration {self.iteration}: {what}"
         )
 
-    def _validate(self, col_tol: float) -> None:
+    def _validate(self, c: np.ndarray, support, col_tol: float) -> None:
         try:
-            validate_combination_matrix(self.C, self._support, col_tol)
-        except NumericError as exc:
-            # Re-run per trial in ascending order and name the first that
-            # fails.
-            for t in range(self.C.shape[0]):
-                try:
-                    validate_combination_matrix(self.C[t], self._support[t], col_tol)
-                except NumericError as sub:
-                    raise self._trial_error(t, sub) from exc
-            raise
+            validate_combination_matrix(c, support, col_tol)
+        except CombinationError as exc:
+            raise self._trial_error(exc.trial, exc) from None
 
     # -- the synchronous step -------------------------------------------
 
@@ -285,15 +300,18 @@ class DiffusionKalmanEngine:
             self.C = self._adaptive_weights(psi, self.q, y)
 
         # Phase 5: combination. Covariance is intentionally left alone.
-        self._validate(COMBINE_COL_TOL)
-        # x_hat = C^T psi. The product is taken with C^T copied to
-        # contiguous memory: on a transposed view matmul rounds differently.
-        self.x_hat = np.swapaxes(self.C, -1, -2).copy() @ psi
+        # x_hat = C^T psi, the product taken with C^T in contiguous memory:
+        # on a transposed view matmul rounds differently. The engine's own
+        # C is a view of such a C^T, so nothing is copied.
+        c_t = np.ascontiguousarray(np.swapaxes(self.C, -1, -2))
+        weights = c_t.ravel()[self.net.edges.flat_t]
+        self._validate(weights, self.net.edges, COMBINE_COL_TOL)
+        self.x_hat = c_t @ psi
 
         # Phase 6: pruning (adaptive policy only). No count can reach the
         # window before that many steps have run.
         if self.prunes:
-            self._below = count_below(self._below, self.C, self.prune_tau, self.prune_window)
+            self._below = count_below(self._below, weights, self.prune_tau, self.prune_window)
             if self.iteration + 1 >= self.prune_window:
                 self._prune()
 
@@ -312,7 +330,7 @@ class DiffusionKalmanEngine:
     # -- internals --------------------------------------------------------
 
     def _adapt_all(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        w, s, x_pred = self._w, self._s, self.x_pred
+        s, x_pred = self._s, self.x_pred
         a, b, c = np.moveaxis(self.M_pred, -1, 0)
         det = a * c - b * b
         # s^2 det(M_pred + I/s): with 1 + s*a > 0, the innovation covariance
@@ -328,11 +346,10 @@ class DiffusionKalmanEngine:
             raise self._trial_error(t, what)
         m_psi = np.stack([(a + s * det) / den, b / den, (c + s * det) / den], axis=-1)
 
-        # Information vector sum_n y_n / sigma2_n, one coordinate at a time,
+        # Information vector sum_n y_n / sigma2_n over each neighborhood,
         # less s * x_pred.
-        info = np.stack(
-            [(w * y[:, :, k, None]).sum(axis=1) for k in range(STATE_DIM)], axis=-1
-        )
+        terms = self._w[:, None] * y.reshape(-1, STATE_DIM)[self.net.edges.source]
+        info = np.bincount(self._info_key, terms.ravel()).reshape(x_pred.shape)
         r = info - s[:, :, None] * x_pred
         r_pos, r_vel = r[..., :2], r[..., 2:]
         a, b, c = (m_psi[..., k, None] for k in range(3))
@@ -342,16 +359,27 @@ class DiffusionKalmanEngine:
     def _adaptive_weights(
         self, psi: np.ndarray, q: np.ndarray, y: np.ndarray
     ) -> np.ndarray:
-        # Entry [t, n, m] scores neighbor n's estimate against node m's own
-        # data point psi_m + q_m; each column m is then normalized.
-        d = np.maximum(np.sqrt(pairwise_sq_dist(psi, psi + q)), self.eps)
-        usable = self._support & consistent_pairs(y, self.sigma2)
-        w = np.where(usable, d**-2.0, 0.0)
-        return w / w.sum(axis=1, keepdims=True)
+        # Edge (n, m) scores neighbor n's estimate against node m's own
+        # data point psi_m + q_m; each column m is then normalized. The
+        # weights go into a fresh C^T, and C is its transposed view.
+        edges = self.net.edges
+        n, m = edges.source, edges.key
+        psi, own = psi.reshape(-1, STATE_DIM), (psi + q).reshape(-1, STATE_DIM)
+        d = np.maximum(np.sqrt(sq_dist(psi[n], own[m])), self.eps)
+        y, sigma2 = y.reshape(-1, STATE_DIM), self.sigma2.ravel()
+        w = np.where(consistent_pairs(y[n], y[m], sigma2[n], sigma2[m]), d**-2.0, 0.0)
+        c_t = np.zeros(self.C.shape)
+        c_t.ravel()[edges.flat_t] = w / np.bincount(m, w)[m]
+        return np.swapaxes(c_t, -1, -2)
 
     def _prune(self) -> None:
+        edges = self.net.edges
         pruned = prune_cross_links(self.net, self._below, self.prune_window)
         if pruned is not self.net:
+            # A prune only removes edges, and both lists keep one order, so
+            # the survivors' counts carry over in place.
+            kept = pruned.adjacency.ravel()[edges.flat] | edges.is_self
+            self._below = self._below[kept]
             self._adopt(pruned)
 
     def _track_psd(self, cov: np.ndarray) -> None:

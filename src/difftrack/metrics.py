@@ -126,7 +126,11 @@ def read_clusters(
     the bound. Labels follow each cluster's lowest node index.
     """
     weight = infer_clusters(c, threshold).cluster_of
-    linked = np.equal.outer(weight, weight) | consistent_pairs(estimates, sigma2)
+    estimates = np.asarray(estimates, dtype=np.float64)
+    sigma2 = np.asarray(sigma2, dtype=np.float64)
+    linked = np.equal.outer(weight, weight) | consistent_pairs(
+        estimates[:, None], estimates[None, :], sigma2[:, None], sigma2[None, :]
+    )
     # On a 0/1 matrix at threshold 1, infer_clusters returns the connected
     # components of ``linked``.
     return infer_clusters(linked.astype(np.float64), 1.0)

@@ -6,12 +6,17 @@ measurement flows through the same code path as a neighbor's. Networks are
 immutable; pruning produces a new Network rather than mutating one, so
 pruning is trivially monotone. Both types also hold a stack of scenes
 over leading batch axes, checked and pruned by the same code as one.
+
+A network's self-inclusive support is also kept as one ``Edges`` list for
+the whole stack, which is what the engine's per-link work, the prune and
+the combination-matrix check run over.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -54,6 +59,45 @@ class Network:
     def is_connected(self) -> bool:
         """True when every network of the stack is one component."""
         return not component_roots(self.adjacency).any()
+
+    @cached_property
+    def edges(self) -> Edges:
+        """The self-inclusive support of every network of the stack."""
+        return Edges(self.adjacency)
+
+
+class Edges:
+    """The self-inclusive support of a (..., n, n) adjacency stack as one
+    edge list, the leading axes flattened to one matrix index t.
+
+    Edge e links row node ``row[e]`` to column node ``col[e]`` of matrix
+    ``trial[e]`` (the entry c[t, row, col] of a combination matrix, the
+    weight node col gives node row) and runs in order of (t, col, row), so
+    each column's edges are contiguous and ascend in row. ``source`` and
+    ``key`` number the row and column node over the whole stack (t*n + row,
+    t*n + col): a ``np.bincount`` keyed by ``key`` sums each column in
+    ascending row, as an axis -2 sum of the dense stack does. ``flat``
+    indexes entry [t, row, col] of the flattened (..., n, n) stack and
+    ``flat_t`` entry [t, col, row], which ascends. ``reverse[e]`` is the
+    edge from col to row and ``is_self`` marks the n self-edges.
+    """
+
+    def __init__(self, adjacency: np.ndarray) -> None:
+        n = adjacency.shape[-1]
+        support = adjacency.reshape(math.prod(adjacency.shape[:-2]), n, n) | np.eye(n, dtype=bool)
+        # The support is symmetric, so its nonzeros in (t, i, j) order are
+        # the edges (row j, col i) in (t, col, row) order.
+        self.trial, self.col, self.row = np.nonzero(support)
+        self.n_nodes = n
+        self.source = self.trial * n + self.row
+        self.key = self.trial * n + self.col
+        self.flat = self.source * n + self.col
+        self.flat_t = self.key * n + self.row
+        self.reverse = np.searchsorted(self.flat_t, self.flat)
+        self.is_self = self.row == self.col
+
+    def __len__(self) -> int:
+        return self.key.size
 
 
 @dataclass(frozen=True)
@@ -208,9 +252,9 @@ def count_below(
 ) -> np.ndarray:
     """Advance per-link counts of consecutive steps with weight below tau.
 
-    ``counts`` and the weight matrix ``c`` match in shape, with any leading
-    batch axes. An entry grows by one while its weight stays below tau and
-    restarts at 0 when it does not. Counts saturate at ``window``: a link
+    ``counts`` and the weights ``c`` match in shape: one entry per link,
+    such as one per edge of a network's ``edges``. An entry grows by one
+    while its weight stays below tau and restarts at 0 when it does not. Counts saturate at ``window``: a link
     is judged only on whether its count reached the window, and a narrow
     integer type cannot wrap.
     """
@@ -220,16 +264,22 @@ def count_below(
 def prune_cross_links(net: Network, below_steps: np.ndarray, window: int) -> Network:
     """Drop edges whose weights stayed below the threshold in both directions.
 
-    ``below_steps[..., n, m]`` is the number of consecutive latest steps on
-    which c_nm stayed below the prune threshold (see ``count_below``), in
-    the shape of ``net.adjacency``, so one call prunes a whole stack. An
-    edge (n, m) is removed only when both directions reached ``window``.
-    Returns ``net`` unchanged (same object) when nothing qualifies.
+    ``below_steps[e]`` is the number of consecutive latest steps on which
+    the weight on edge e of ``net.edges`` stayed below the prune threshold
+    (see ``count_below``), so one call prunes a whole stack. An edge (n, m)
+    is removed only when both directions reached ``window``; self-edges
+    never are. Returns ``net`` unchanged (same object) when nothing
+    qualifies.
     """
     if window < 1:
         raise ConfigError(f"prune window must be >= 1, got {window}")
+    edges = net.edges
     reached = np.asarray(below_steps) >= window
-    kill = reached & np.swapaxes(reached, -1, -2) & net.adjacency
+    if reached.shape != (len(edges),):
+        raise ConfigError(f"need one count per edge, {len(edges)}, got shape {reached.shape}")
+    kill = reached & reached[edges.reverse] & ~edges.is_self
     if not kill.any():
         return net
-    return Network(positions=net.positions, adjacency=net.adjacency & ~kill)
+    adjacency = net.adjacency.copy()
+    adjacency.reshape(-1)[edges.flat[kill]] = False
+    return Network(positions=net.positions, adjacency=adjacency)

@@ -5,7 +5,9 @@ import pytest
 
 from difftrack.combiners import (
     CONSISTENCY_CHI2,
+    CombinationError,
     adaptive_weight_row,
+    consistent_pairs,
     metropolis_weights,
     relative_variance_weights,
     static_weights,
@@ -190,3 +192,42 @@ def test_validate_rejects_nan_column():
 def test_static_weights_rejects_unknown_policy():
     with pytest.raises(ConfigError):
         static_weights("adaptive", clique2(), np.ones(2))
+
+
+def test_consistent_pairs_per_edge_equal_all_pairs():
+    rng = np.random.default_rng(7)
+    net = generate_geometric(20, 0.45, 3, rng)
+    y = rng.standard_normal((20, 4))
+    sigma2 = 0.01 + 0.5 * rng.random(20)
+    every = consistent_pairs(y[:, None], y[None, :], sigma2[:, None], sigma2[None, :])
+    assert every.shape == (20, 20)
+    assert np.array_equal(every, every.T) and every.diagonal().all()
+    d2 = ((y[:, None] - y[None, :]) ** 2).sum(axis=-1)
+    assert np.array_equal(every, d2 <= CONSISTENCY_CHI2 * (sigma2[:, None] + sigma2[None, :]))
+    assert not every.all()
+    e = net.edges
+    per_edge = consistent_pairs(y[e.row], y[e.col], sigma2[e.row], sigma2[e.col])
+    assert np.array_equal(per_edge, every[e.row, e.col])
+
+
+def test_validate_edge_weights_names_trial_and_column():
+    rng = np.random.default_rng(8)
+    nets = [generate_geometric(12, 0.5, 2, rng) for _ in range(3)]
+    stack = Network(np.stack([n.positions for n in nets]), np.stack([n.adjacency for n in nets]))
+    c = uniform_weights(stack)
+    weights = c.ravel()[stack.edges.flat]
+    validate_combination_matrix(weights, stack.edges)
+    with pytest.raises(NumericError, match="shape"):
+        validate_combination_matrix(c, stack.edges)
+    # Column 5 of trial 2 off stochastic, column 3 of trial 1 negative:
+    # the lowest failing trial is named.
+    c[2, 5, 5] += 0.1
+    c[1, 3, 3] = -c[1, 3, 3]
+    for bad, support in ((c, stack), (c.ravel()[stack.edges.flat], stack.edges)):
+        with pytest.raises(CombinationError, match="negative entries in column 3$") as info:
+            validate_combination_matrix(bad, support)
+        assert info.value.trial == 1
+    c[1, 3, 3] = -c[1, 3, 3]
+    with pytest.raises(CombinationError, match="column 5 off stochastic by 1.000e-01$") as info:
+        validate_combination_matrix(c, stack)
+    assert info.value.trial == 2

@@ -1,0 +1,141 @@
+"""The engine's edge-list phases 4 and 6 against a dense reference.
+
+The reference is the (T, n, n) form the engine's adaptive weights and
+pruning once took: squared distances and the chi-square consistency test
+over every pair of nodes, columns normalized by axis-1 sums, and per-link
+below counts and prunes on whole n x n blocks. Fed the engine's own psi, q
+and measurements step by step, it must give the engine's combination
+matrices, adjacency and below counts on alive links bit for bit.
+"""
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from difftrack.combiners import CONSISTENCY_CHI2
+from difftrack.dynamics import discretize_projectile, initial_state, step_truth
+from difftrack.engine import DiffusionKalmanEngine
+from difftrack.harness import ExperimentConfig, draw_scene, trial_rng
+from difftrack.topology import Network, stack_scenes
+
+MODEL = discretize_projectile(0.1, 10.0)
+
+
+def pairwise_sq_dist(a, b):
+    """[..., i, j] = ||a[..., i, :] - b[..., j, :]||^2, coordinates summed
+    in order."""
+    total = None
+    for k in range(a.shape[-1]):
+        diff = a[..., :, None, k] - b[..., None, :, k]
+        diff *= diff
+        if total is None:
+            total = diff
+        else:
+            total += diff
+    return total
+
+
+def dense_weights(psi, q, y, sigma2, support, eps):
+    """Phase 4 on (T, n, n): entry [t, n, m] scores neighbor n's estimate
+    against node m's data point psi_m + q_m, and each column is normalized."""
+    d = np.maximum(np.sqrt(pairwise_sq_dist(psi, psi + q)), eps)
+    bound = CONSISTENCY_CHI2 * (sigma2[..., :, None] + sigma2[..., None, :])
+    usable = support & (pairwise_sq_dist(y, y) <= bound)
+    w = np.where(usable, d**-2.0, 0.0)
+    return w / w.sum(axis=1, keepdims=True)
+
+
+def dense_count_below(counts, c, tau, window):
+    return np.where(c < tau, np.minimum(counts, window - 1) + 1, 0)
+
+
+def dense_prune(adjacency, below, window):
+    reached = below >= window
+    return adjacency & ~(reached & np.swapaxes(reached, -1, -2))
+
+
+def lockstep_with_reference(engine, measurements):
+    """Run the engine on each step's measurements and check phases 4 and 6
+    against the reference after every step. Returns the number of nodes
+    that lost their last link to a prune."""
+    t_count, n = engine.sigma2.shape
+    eye = np.eye(n, dtype=bool)
+    adjacency = engine.net.adjacency.copy()
+    below = np.zeros((t_count, n, n), dtype=np.int64)
+    isolated = 0
+    for y in measurements:
+        support = adjacency | eye
+        engine.run_step(y)
+        c = dense_weights(engine.psi, engine.q, y, engine.sigma2, support, engine.eps)
+        assert np.array_equal(engine.C, c)
+        below = dense_count_below(below, c, engine.prune_tau, engine.prune_window)
+        pruned = dense_prune(adjacency, below, engine.prune_window)
+        isolated += int((adjacency.any(axis=2) & ~pruned.any(axis=2)).sum())
+        adjacency = pruned
+        assert np.array_equal(engine.net.adjacency, adjacency)
+        engine_below = np.zeros((t_count, n, n), dtype=np.int64)
+        engine_below.ravel()[engine.net.edges.flat] = engine._below
+        alive = adjacency | eye
+        assert np.array_equal(engine_below[alive], below[alive])
+    return isolated
+
+
+def two_target_scene(seed, t_count, n, radius, n_iterations):
+    """A stack of random geometric scenes, connected or not, whose nodes
+    each measure one of two targets; their noise levels and one (T, n, 4)
+    measurement block per step."""
+    rng = np.random.default_rng(seed)
+    pos = rng.random((t_count, n, 2))
+    dist = np.sqrt(pairwise_sq_dist(pos, pos))
+    net = Network(pos, (dist <= radius) & ~np.eye(n, dtype=bool))
+    target = rng.integers(2, size=(t_count, n))
+    sigma2 = 0.01 + 0.5 * rng.random((t_count, n))
+    truth = np.stack([initial_state(1.0, 30.0, 15.0, a) for a in (np.pi / 3, np.pi / 4)])
+    steps = []
+    for _ in range(n_iterations):
+        noise = rng.standard_normal((t_count, n, 4))
+        steps.append(truth[target] + np.sqrt(sigma2)[:, :, None] * noise)
+        truth = step_truth(truth, MODEL, rng.standard_normal((2, 4)))
+    return net, sigma2, steps
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    t_count=st.integers(1, 3),
+    n=st.integers(2, 12),
+    radius=st.floats(0.2, 1.0),
+)
+@example(seed=3, t_count=2, n=10, radius=0.6)
+@settings(max_examples=60, deadline=None)
+def test_edge_phases_equal_the_dense_reference(seed, t_count, n, radius):
+    net, sigma2, steps = two_target_scene(seed, t_count, n, radius, 12)
+    engine = DiffusionKalmanEngine(net, MODEL, sigma2, "adaptive", prune_window=2, prune_tau=0.3)
+    lockstep_with_reference(engine, steps)
+
+
+def test_reference_covers_a_node_pruned_to_isolation():
+    # The property's explicit example: within its 12 steps some node loses
+    # every link, and the engine still matches the reference after that.
+    net, sigma2, steps = two_target_scene(3, 2, 10, 0.6, 12)
+    engine = DiffusionKalmanEngine(net, MODEL, sigma2, "adaptive", prune_window=2, prune_tau=0.3)
+    assert lockstep_with_reference(engine, steps) > 0
+
+
+def test_large_scene_equals_the_dense_reference():
+    # Two 200-node, r = 0.15 trials of the harness' own scenes, 30 steps at
+    # the default prune threshold and window.
+    cfg = ExperimentConfig(n_nodes=200, comm_radius=0.15, n_trials=2, n_iterations=30)
+    rngs = [trial_rng(11, t) for t in range(cfg.n_trials)]
+    net, part = stack_scenes(*zip(*(draw_scene(cfg, rng) for rng in rngs)))
+    sigma2 = np.stack([cfg.sigma_min + cfg.sigma_span * rng.random(cfg.n_nodes) for rng in rngs])
+    engine = DiffusionKalmanEngine(
+        net, MODEL, sigma2, "adaptive", prune_tau=cfg.prune_tau, prune_window=cfg.prune_window
+    )
+    truth = np.stack([initial_state(cfg.x0, cfg.y0, cfg.v0, a) for a in cfg.angles])
+    steps = []
+    for _ in range(cfg.n_iterations):
+        noise = np.stack([rng.standard_normal((cfg.n_nodes, 4)) for rng in rngs])
+        steps.append(truth[part.cluster_of - 1] + np.sqrt(sigma2)[:, :, None] * noise)
+        truth = step_truth(truth, MODEL, rngs[0].standard_normal((2, 4)))
+    lockstep_with_reference(engine, steps)
+    assert engine.net.adjacency.sum() < net.adjacency.sum()

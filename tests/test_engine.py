@@ -1,6 +1,7 @@
 """Tests for the diffusion Kalman filter engine."""
 
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -236,7 +237,7 @@ def test_engine_step_matches_per_node_operations():
 
     # Neighbors whose measurements fail the consistency test get no weight;
     # in this scene that holds for both cross-task edges.
-    consistent = consistent_pairs(y, sigma2)
+    consistent = consistent_pairs(y[:, None], y[None, :], sigma2[:, None], sigma2[None, :])
     assert not consistent[engine.net.adjacency[0]].all()
     c = np.zeros((6, 6))
     for m in range(6):
@@ -394,8 +395,9 @@ def test_in_cluster_weights_dominate_after_burn_in():
         for j in range(60):
             engine.run_step(measure(truths[j], part, engine.sigma2[0], rng))
         labels = part.cluster_of
-        same = np.equal.outer(labels, labels) & engine._support[0]
-        cross = ~np.equal.outer(labels, labels) & engine._support[0]
+        support = engine.net.adjacency[0] | np.eye(30, dtype=bool)
+        same = np.equal.outer(labels, labels) & support
+        cross = ~np.equal.outer(labels, labels) & support
         if not cross.any():
             hits += 1
             continue
@@ -449,3 +451,21 @@ def test_engine_validates_inputs():
         DiffusionKalmanEngine(
             net, MODEL, engine.sigma2, "uniform", p0_scale=0.0
         )
+
+
+@pytest.mark.parametrize("value", [0.0, -0.5, np.nan])
+def test_engine_names_trial_and_node_of_a_bad_variance(value):
+    engine, _, _ = build_engine(5, seed=15)
+    net = engine.net
+    stack = Network(np.repeat(net.positions, 3, axis=0), np.repeat(net.adjacency, 3, axis=0))
+    sigma2 = np.repeat(engine.sigma2, 3, axis=0)
+    sigma2[1, 3] = value
+    # The check comes before any edge weight 1/sigma2 is formed, so no
+    # division warning precedes the error.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(
+            ConfigError,
+            match=rf"^trial 8: measurement variance at node 3 must be positive, got {value!r}$",
+        ):
+            DiffusionKalmanEngine(stack, MODEL, sigma2, "adaptive", first_trial=7)

@@ -215,6 +215,20 @@ def test_bad_static_weights_name_trial():
         engine.run_step(measure(truths))
 
 
+def test_negative_weight_names_trial_and_column():
+    # Trial 1 of 3 moves a unit of weight within column 4, onto a
+    # neighbor: the column still sums to 1, but its self-weight is negative.
+    engine, _, truths, measure = small_batch(3, policy="uniform", first_trial=6)
+    neighbor = np.flatnonzero(engine.net.adjacency[1, :, 4])[0]
+    engine.C[1, neighbor, 4] += 1.0
+    engine.C[1, 4, 4] -= 1.0
+    with pytest.raises(
+        NumericError,
+        match=r"^trial 7: iteration 0: combination matrix has negative entries in column 4$",
+    ):
+        engine.run_step(measure(truths))
+
+
 def test_non_finite_truth_names_the_lowest_failing_trial(monkeypatch):
     # Trials 2 and 3 of the batch get a non-finite truth-noise entry at
     # the fourth truth step.

@@ -225,18 +225,56 @@ def test_infer_clusters_uses_either_direction():
     assert part.cluster_of[2] != part.cluster_of[0]
 
 
-def steps_below(history, tau, window):
-    """Feed a history of weight matrices through count_below."""
-    counts = np.zeros(np.shape(history[0]), dtype=np.int16)
+def steps_below(net, history, tau, window):
+    """Feed a history of weight matrices, each in the shape of the
+    network's adjacency, through count_below: one count per edge of
+    ``net.edges``, fed the weight on that edge."""
+    counts = np.zeros(len(net.edges), dtype=np.int16)
     for c in history:
-        counts = count_below(counts, c, tau, window)
+        counts = count_below(counts, np.ravel(c)[net.edges.flat], tau, window)
     return counts
+
+
+def dense_support(adjacency):
+    return adjacency | np.eye(adjacency.shape[-1], dtype=bool)
+
+
+@given(
+    adjacency=st.integers(1, 3).flatmap(
+        lambda t: st.integers(1, 9).flatmap(
+            lambda n: arrays(bool, (t, n, n)).map(lambda a: np.triu(a, 1) | np.triu(a, 1).swapaxes(1, 2))
+        )
+    )
+)
+@settings(max_examples=100, deadline=None)
+def test_edges_list_the_support_in_column_order(adjacency):
+    t_count, n = adjacency.shape[:2]
+    edges = Network(np.zeros((t_count, n, 2)), adjacency).edges
+    support = dense_support(adjacency)
+    assert len(edges) == support.sum()
+    assert support[edges.trial, edges.row, edges.col].all()
+    # Sorted by (trial, col, row), with the flat indices and keys to match.
+    order = np.lexsort((edges.row, edges.col, edges.trial))
+    assert np.array_equal(order, np.arange(len(edges)))
+    assert np.array_equal(edges.key, edges.trial * n + edges.col)
+    assert np.array_equal(edges.source, edges.trial * n + edges.row)
+    assert np.array_equal(edges.flat, np.ravel_multi_index((edges.trial, edges.row, edges.col), support.shape))
+    assert np.array_equal(edges.flat_t, np.ravel_multi_index((edges.trial, edges.col, edges.row), support.shape))
+    rev = edges.reverse
+    assert np.array_equal(edges.trial[rev], edges.trial)
+    assert np.array_equal(edges.row[rev], edges.col)
+    assert np.array_equal(edges.col[rev], edges.row)
+    assert np.array_equal(edges.is_self, edges.row == edges.col)
+    # A stack's list is its networks' lists, one after another.
+    for t in range(t_count):
+        alone = Network(np.zeros((n, 2)), adjacency[t]).edges
+        assert np.array_equal(edges.flat[edges.trial == t] - t * n * n, alone.flat)
 
 
 def test_prune_zero_tau_removes_nothing():
     net = line_network(4)
     history = [np.zeros((4, 4)) for _ in range(10)]
-    assert prune_cross_links(net, steps_below(history, 0.0, 10), 10) is net
+    assert prune_cross_links(net, steps_below(net, history, 0.0, 10), 10) is net
 
 
 def test_prune_uniform_weights_survive_sane_tau():
@@ -246,14 +284,14 @@ def test_prune_uniform_weights_survive_sane_tau():
     c = uniform_weights(net)
     history = [c] * 10
     # Largest neighborhood has 3 members, so weights are >= 1/3.
-    assert prune_cross_links(net, steps_below(history, 1.0 / 3.0, 10), 10) is net
+    assert prune_cross_links(net, steps_below(net, history, 1.0 / 3.0, 10), 10) is net
 
 
 def test_prune_requires_full_window():
     net = line_network(3)
     low = [np.zeros((3, 3))] * 4
-    assert prune_cross_links(net, steps_below(low, 0.5, 5), 5) is net
-    pruned = prune_cross_links(net, steps_below(low + [np.zeros((3, 3))], 0.5, 5), 5)
+    assert prune_cross_links(net, steps_below(net, low, 0.5, 5), 5) is net
+    pruned = prune_cross_links(net, steps_below(net, low + [np.zeros((3, 3))], 0.5, 5), 5)
     assert pruned.adjacency.sum() == 0
 
 
@@ -261,22 +299,22 @@ def test_prune_requires_consecutive_steps():
     net = line_network(2)
     low, high = np.zeros((2, 2)), np.ones((2, 2))
     history = [low] * 4 + [high] + [low] * 4
-    assert prune_cross_links(net, steps_below(history, 0.5, 5), 5) is net
-    pruned = prune_cross_links(net, steps_below(history + [low], 0.5, 5), 5)
+    assert prune_cross_links(net, steps_below(net, history, 0.5, 5), 5) is net
+    pruned = prune_cross_links(net, steps_below(net, history + [low], 0.5, 5), 5)
     assert pruned.adjacency.sum() == 0
 
 
 def test_prune_requires_both_directions_low():
     net = line_network(2)
     c = np.array([[0.9, 0.5], [0.1, 0.5]])  # c_01 stays high
-    assert prune_cross_links(net, steps_below([c] * 3, 0.3, 3), 3) is net
+    assert prune_cross_links(net, steps_below(net, [c] * 3, 0.3, 3), 3) is net
 
 
 def test_prune_is_monotone_and_keeps_positions():
     rng = np.random.default_rng(8)
     net = generate_geometric(12, 0.5, 2, rng)
     history = [rng.random((12, 12)) * 0.1 for _ in range(5)]
-    pruned = prune_cross_links(net, steps_below(history, 0.05, 5), 5)
+    pruned = prune_cross_links(net, steps_below(net, history, 0.05, 5), 5)
     assert np.array_equal(pruned.positions, net.positions)
     assert not (pruned.adjacency & ~net.adjacency).any()
 
@@ -285,21 +323,27 @@ def test_prune_stack_equals_each_network_alone():
     rng = np.random.default_rng(9)
     nets = [generate_geometric(12, 0.5, 2, rng) for _ in range(2)]
     history = [rng.random((2, 12, 12)) * 0.06 for _ in range(5)]
-    below = steps_below(history, 0.05, 5)
     stack = Network(np.stack([n.positions for n in nets]), np.stack([n.adjacency for n in nets]))
+    below = steps_below(stack, history, 0.05, 5)
     pruned = prune_cross_links(stack, below, 5)
     assert pruned.adjacency.sum() < stack.adjacency.sum()
     for t, net in enumerate(nets):
-        alone = prune_cross_links(net, below[t], 5)
+        alone = prune_cross_links(net, below[stack.edges.trial == t], 5)
         assert np.array_equal(pruned.adjacency[t], alone.adjacency)
         assert np.array_equal(pruned.positions[t], net.positions)
     # Nothing to cut in any trial returns the stack itself.
-    assert prune_cross_links(stack, np.zeros((2, 12, 12)), 5) is stack
+    assert prune_cross_links(stack, np.zeros(len(stack.edges)), 5) is stack
 
 
 def test_prune_window_validation():
-    with pytest.raises(ConfigError):
-        prune_cross_links(line_network(2), np.zeros((2, 2)), 0)
+    net = line_network(2)
+    with pytest.raises(ConfigError, match="window"):
+        prune_cross_links(net, np.zeros(len(net.edges)), 0)
+
+
+def test_prune_needs_one_count_per_edge():
+    with pytest.raises(ConfigError, match="one count per edge"):
+        prune_cross_links(line_network(2), np.zeros((2, 2)), 5)
 
 
 def test_below_counts_saturate_at_window():
