@@ -4,55 +4,73 @@ State vectors are float64 arrays [x, y, vx, vy] (meters, meters/second).
 The continuous dynamics are a point mass under constant gravity; the
 discretization below is exact for that system, not an Euler approximation,
 so noiseless trajectories reproduce the closed-form parabola to rounding.
+The process noise is isotropic, so the model is four numbers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, NumericError
-from .numerics import symmetrize
+from .errors import ConfigError
+from .numerics import symmetrize  # noqa: F401  traced by benchmark/spans.py
 
 STATE_DIM = 4
 
-
-def _psd_sqrt(q: np.ndarray) -> np.ndarray:
-    """Symmetric square root of a PSD matrix; tolerates zero eigenvalues."""
-    eigvals, eigvecs = np.linalg.eigh(symmetrize(q))
-    if eigvals.min() < -1e-10:
-        raise NumericError(
-            f"process noise covariance not PSD (min eigenvalue {eigvals.min():.3e})"
-        )
-    root = eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
-    return root @ eigvecs.T
+# dx/dt = THETA x + n: the identity block couples positions to velocities.
+_THETA = np.zeros((STATE_DIM, STATE_DIM))
+_THETA[0, 2] = _THETA[1, 3] = 1.0
 
 
 @dataclass(frozen=True)
 class MotionModel:
-    """Discrete-time target motion x' = F x + u_g + G w, w ~ N(0, Q)."""
+    """Discrete-time target motion x' = F x + u_g + G w, w ~ N(0, Q), with
+    G = g_scale*I and Q = q_scale*I. F, u_g and the noise variance are
+    computed once; values that make one of them non-finite are refused."""
 
-    F: np.ndarray
-    G: np.ndarray
-    Q: np.ndarray
-    u_g: np.ndarray
     delta: float
     g: float
-    q_sqrt: np.ndarray = field(init=False, repr=False)
+    g_scale: float
+    q_scale: float
 
     def __post_init__(self) -> None:
-        for name in ("F", "G", "Q"):
-            if getattr(self, name).shape != (STATE_DIM, STATE_DIM):
-                raise ConfigError(f"motion model {name} must be 4x4")
-        if self.u_g.shape != (STATE_DIM,):
-            raise ConfigError("motion model u_g must be a 4-vector")
-        object.__setattr__(self, "q_sqrt", _psd_sqrt(self.Q))
+        if self.delta <= 0.0:
+            raise ConfigError(f"time step must be positive, got {self.delta}")
+        if self.g < 0.0:
+            raise ConfigError(f"gravitational acceleration must be >= 0, got {self.g}")
+        if self.q_scale < 0.0:
+            raise ConfigError(f"process noise scale must be >= 0, got {self.q_scale}")
+        if not (np.isfinite(self.F).all() and np.isfinite(self.u_g).all()):
+            raise ConfigError(f"delta = {self.delta!r} gives a non-finite motion model (F or u_g)")
+        if not np.isfinite(self.process_noise_var):
+            raise ConfigError(
+                f"G_scale = {self.g_scale!r} and Q_scale = {self.q_scale!r} "
+                f"give a non-finite process noise variance"
+            )
+
+    @cached_property
+    def F(self) -> np.ndarray:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.eye(STATE_DIM) + self.delta * _THETA
+
+    @cached_property
+    def u_g(self) -> np.ndarray:
+        n = np.array([0.0, 0.0, 0.0, -self.g])
+        with np.errstate(over="ignore", invalid="ignore"):
+            return (self.delta * np.eye(STATE_DIM) + 0.5 * self.delta * self.delta * _THETA) @ n
+
+    @cached_property
+    def process_noise_var(self) -> float:
+        """g_scale^2 * q_scale, multiplied in the order of (G Q G^T)[0, 0]."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self.g_scale * self.q_scale * self.g_scale
 
     @property
     def process_noise_cov(self) -> np.ndarray:
         """Covariance G Q G^T actually injected into the state."""
-        return self.G @ self.Q @ self.G.T
+        return self.process_noise_var * np.eye(STATE_DIM)
 
 
 def discretize_projectile(
@@ -74,26 +92,7 @@ def discretize_projectile(
     and process noise covariance Q = q_scale*I. A delta so large that F or
     u_g overflows is refused as bad input.
     """
-    if delta <= 0.0:
-        raise ConfigError(f"time step must be positive, got {delta}")
-    if g < 0.0:
-        raise ConfigError(f"gravitational acceleration must be >= 0, got {g}")
-    theta = np.zeros((STATE_DIM, STATE_DIM))
-    theta[0, 2] = theta[1, 3] = 1.0
-    n = np.array([0.0, 0.0, 0.0, -g])
-    with np.errstate(over="ignore", invalid="ignore"):
-        f = np.eye(STATE_DIM) + delta * theta
-        u_g = (delta * np.eye(STATE_DIM) + 0.5 * delta * delta * theta) @ n
-    if not (np.isfinite(f).all() and np.isfinite(u_g).all()):
-        raise ConfigError(f"delta = {delta!r} gives a non-finite motion model (F or u_g)")
-    return MotionModel(
-        F=f,
-        G=g_scale * np.eye(STATE_DIM),
-        Q=q_scale * np.eye(STATE_DIM),
-        u_g=u_g,
-        delta=delta,
-        g=g,
-    )
+    return MotionModel(delta, g, g_scale, q_scale)
 
 
 def initial_state(x0: float, y0: float, v0: float, angle: float) -> np.ndarray:
@@ -102,13 +101,14 @@ def initial_state(x0: float, y0: float, v0: float, angle: float) -> np.ndarray:
 
 
 def step_truth(states: np.ndarray, model: MotionModel, w: np.ndarray) -> np.ndarray:
-    """Advance truths one step: F x + u_g + G q_sqrt w.
+    """Advance truths one step: F x + u_g + g_scale sqrt(q_scale) w.
 
     ``states`` is (..., 4) and ``w`` the matching (..., 4) standard normal
-    draws, which the caller takes from its stream whatever Q is. Each
-    product is a stacked matrix-vector product, so a state's result has the
-    same bits however many states share the call.
+    draws, which the caller takes from its stream whatever q_scale is. The
+    transition is a stacked matrix-vector product and the noise is
+    elementwise, so a state's result has the same bits however many states
+    share the call.
     """
     x = np.asarray(states, dtype=np.float64)[..., None]
-    noise = model.G @ (model.q_sqrt @ np.asarray(w, dtype=np.float64)[..., None])
-    return (model.F @ x)[..., 0] + model.u_g + noise[..., 0]
+    noise = model.g_scale * (np.sqrt(model.q_scale) * np.asarray(w, dtype=np.float64))
+    return (model.F @ x)[..., 0] + model.u_g + noise

@@ -22,9 +22,8 @@ stays (T, n, n): phase 5's product and the caller's snapshots read it.
 Each node observes the full state with noise sigma2 * I, the model has
 F = I + delta*theta and process noise q * I, and the prior is p0 * I, so
 every covariance is M kron I2 for one 2x2 matrix M = [[a, b], [b, c]] over
-(position, velocity); the engine stores (a, b, c). The constructor raises
-``ConfigError`` for a motion model outside that structure. Every iteration
-is a synchronous bulk step over all nodes of all trials:
+(position, velocity); the engine stores (a, b, c). Every iteration is a
+synchronous bulk step over all nodes of all trials:
 
 1. measurements: the step receives every node's measurement y, and a
    non-finite one stops the run, naming the node;
@@ -145,20 +144,6 @@ def time_update(
     return x_pred, p_pred
 
 
-def _closed_form_model(model: MotionModel) -> tuple[float, float]:
-    """(delta, q) of a motion model the 2x2 covariance form represents:
-    F = I + delta*theta and G Q G^T = q*I, both exactly."""
-    f = np.eye(STATE_DIM)
-    f[[0, 1], [2, 3]] = model.delta
-    if not np.array_equal(model.F, f):
-        raise ConfigError("the engine needs a transition matrix F = I + delta*theta")
-    gqg = model.process_noise_cov
-    q = float(gqg[0, 0])
-    if not np.array_equal(gqg, q * np.eye(STATE_DIM)):
-        raise ConfigError("the engine needs process noise G Q G^T = q*I")
-    return float(model.delta), q
-
-
 class DiffusionKalmanEngine:
     """Synchronous multi-node filter over T trials, each on its own
     network.
@@ -206,8 +191,6 @@ class DiffusionKalmanEngine:
             )
         if p0_scale <= 0.0:
             raise ConfigError(f"initial covariance scale must be positive, got {p0_scale}")
-        self._delta, self._q = _closed_form_model(model)
-
         self.model = model
         self.sigma2 = sigma2
         self.policy = policy
@@ -290,7 +273,7 @@ class DiffusionKalmanEngine:
         # Phase 2: adaptation, in closed information form.
         psi, self.M_psi = self._adapt_all(y)
         self.psi = psi
-        self._track_psd(self.M_psi)
+        self._track_psd(self.M_psi, "adapted covariance")
 
         # Phase 3: residuals.
         self.q = y - psi
@@ -320,9 +303,9 @@ class DiffusionKalmanEngine:
         if self.filter_knows_gravity:
             self.x_pred = self.x_pred + self.model.u_g
         a, b, c = np.moveaxis(self.M_psi, -1, 0)
-        d, q = self._delta, self._q
+        d, q = self.model.delta, self.model.process_noise_var
         self.M_pred = np.stack([a + d * (2.0 * b + d * c) + q, b + d * c, c + q], axis=-1)
-        self._track_psd(self.M_pred)
+        self._track_psd(self.M_pred, "predicted covariance")
 
         self.iteration += 1
         return self
@@ -382,16 +365,21 @@ class DiffusionKalmanEngine:
             self._below = self._below[kept]
             self._adopt(pruned)
 
-    def _track_psd(self, cov: np.ndarray) -> None:
+    def _track_psd(self, cov: np.ndarray, name: str) -> None:
         a, b, c = np.moveaxis(cov, -1, 0)
-        low = (0.5 * (a + c) - np.hypot(0.5 * (a - c), b)).min(axis=1)
-        # fmin skips a NaN minimum, as a plain comparison would.
-        np.fmin(self.min_psd_eigenvalue, low, out=self.min_psd_eigenvalue)
-        bad = np.flatnonzero(low < PSD_TOL)
+        low = 0.5 * (a + c) - np.hypot(0.5 * (a - c), b)
+        low_t = low.min(axis=1)
+        # The record skips a NaN minimum; the check below does not.
+        np.fmin(self.min_psd_eigenvalue, low_t, out=self.min_psd_eigenvalue)
+        bad = np.flatnonzero(~(low_t >= PSD_TOL))
         if bad.size:
             t = int(bad[0])
-            raise self._trial_error(
-                t,
-                f"covariance lost positive semidefiniteness "
-                f"(min eigenvalue {low[t]:.3e})",
-            )
+            m = int(np.flatnonzero(~(low[t] >= PSD_TOL))[0])
+            if np.isnan(low[t, m]):
+                what = f"{name} at node {m} has non-finite entries"
+            else:
+                what = (
+                    f"{name} at node {m} lost positive semidefiniteness "
+                    f"(min eigenvalue {low[t, m]:.3e})"
+                )
+            raise self._trial_error(t, what)

@@ -49,7 +49,8 @@ def reference_kf_predict(
     x = model.F @ x
     if knows_gravity:
         x = x + model.u_g
-    p = model.F @ p @ model.F.T + model.G @ model.Q @ model.G.T
+    g = model.g_scale * np.eye(4)
+    p = model.F @ p @ model.F.T + g @ (model.q_scale * np.eye(4)) @ g.T
     return x, 0.5 * (p + p.T)
 
 

@@ -1,5 +1,7 @@
 """Tests for the projectile truth model."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -44,8 +46,9 @@ def test_transition_determinant_is_one():
 
 def test_noise_parameters_default_to_experiment_values():
     m = discretize_projectile(0.1, 10.0)
-    assert np.array_equal(m.G, 0.625 * np.eye(4))
-    assert np.array_equal(m.Q, 0.001 * np.eye(4))
+    assert (m.delta, m.g, m.g_scale, m.q_scale) == (0.1, 10.0, 0.625, 0.001)
+    assert m.process_noise_var == 0.625 * 0.001 * 0.625
+    assert np.array_equal(m.process_noise_cov, m.process_noise_var * np.eye(4))
     assert np.allclose(m.process_noise_cov, 0.625**2 * 0.001 * np.eye(4))
 
 
@@ -113,7 +116,8 @@ def test_step_truth_stack_equals_each_state_alone():
         for i in range(2):
             alone = step_truth(states[t, i], m, w[t, i])
             assert np.array_equal(out[t, i], alone)
-            assert np.array_equal(alone, m.F @ states[t, i] + m.u_g + m.G @ (m.q_sqrt @ w[t, i]))
+            noise = m.g_scale * (np.sqrt(m.q_scale) * w[t, i])
+            assert np.array_equal(alone, m.F @ states[t, i] + m.u_g + noise)
 
 
 def test_vertical_position_matches_closed_form():
@@ -129,13 +133,31 @@ def test_vertical_position_matches_closed_form():
         assert abs(state[1] - (y0 + vy0 * t - 0.5 * 10.0 * t * t)) < 1e-9
 
 
-def test_motion_model_validation():
-    with pytest.raises(ConfigError):
-        MotionModel(
-            F=np.eye(3),
-            G=np.eye(4),
-            Q=np.eye(4),
-            u_g=np.zeros(4),
-            delta=0.1,
-            g=10.0,
-        )
+@pytest.mark.parametrize(
+    "fields,message",
+    [
+        ((0.0, 10.0, 0.625, 0.001), "time step must be positive"),
+        ((0.1, -1.0, 0.625, 0.001), "gravitational acceleration must be >= 0"),
+        ((0.1, 10.0, 0.625, -1e-3), "process noise scale must be >= 0"),
+        ((np.float64(1e200), 10.0, 0.625, 0.001), "delta = .* gives a non-finite motion model"),
+        ((0.1, np.nan, 0.625, 0.001), "non-finite motion model"),
+        ((0.1, 10.0, np.float64(10.0), np.float64(1e308)), "G_scale = .* and Q_scale = .*"),
+        ((0.1, 10.0, np.inf, 0.0), "non-finite process noise variance"),
+        ((0.1, 10.0, 0.625, np.nan), "non-finite process noise variance"),
+    ],
+    ids=[
+        "zero-delta", "negative-g", "negative-q", "overflowing-delta", "nan-g",
+        "overflowing-noise", "infinite-g-scale", "nan-q",
+    ],
+)
+def test_motion_model_validation(fields, message):
+    # numpy scalars would warn on overflow; the refusal comes first.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match=message):
+            MotionModel(*fields)
+
+
+def test_motion_model_computes_its_matrices_once():
+    m = discretize_projectile(0.1, 10.0)
+    assert m.F is m.F and m.u_g is m.u_g

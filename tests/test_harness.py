@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -577,6 +578,38 @@ class TestCli:
         err = capsys.readouterr().err
         assert "delta = 1e+200 gives a non-finite motion model" in err
         assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_non_finite_process_noise_exits_two(self, tmp_path, capsys, recwarn):
+        # g_scale^2 * q_scale overflows: bad input, named before any warning.
+        cfg_path = tmp_path / "noisy.cfg"
+        cfg_path.write_text(SMALL_CFG + "Q_scale = 1e308\nG_scale = 10\n")
+        out = tmp_path / "out"
+        code = main(["run", "--config", str(cfg_path), "--out-dir", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "G_scale = 10.0 and Q_scale = 1e+308 give a non-finite process noise variance" in err
+        assert "Warning" not in err
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "line,iteration", [("P0_scale = 1e308", 0), ("Q_scale = 1e200", 1)]
+    )
+    def test_non_finite_adapted_covariance_exits_three(self, tmp_path, capsys, line, iteration):
+        # The closed-form update overflows to NaN; the step names it before
+        # the weights see it.
+        cfg_path = tmp_path / "huge.cfg"
+        cfg_path.write_text(SMALL_CFG + line + "\n")
+        out = tmp_path / "out"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["run", "--config", str(cfg_path), "--out-dir", str(out)])
+        assert code == 3
+        assert re.search(
+            rf"numeric failure: trial 0: iteration {iteration}: "
+            r"adapted covariance at node \d+ has non-finite entries",
+            capsys.readouterr().err,
+        )
         assert not out.exists()
 
     def test_missing_config_file_exits_four(self, tmp_path):
