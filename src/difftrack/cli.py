@@ -1,4 +1,8 @@
-"""Command-line interface: run, sweep, topology, selftest."""
+"""Command-line interface: run, sweep, topology, selftest.
+
+``run`` is a one-policy ``sweep``: both go through ``policy_sweep`` and
+write the same files and summary lines.
+"""
 
 from __future__ import annotations
 
@@ -14,11 +18,11 @@ from .harness import (
     draw_scene,
     load_config,
     policy_sweep,
-    run_experiment,
     trial_rng,
     write_outputs,
     write_topology,
 )
+from .metrics import steady_state_db
 
 
 def _scene_args(p) -> None:
@@ -78,9 +82,8 @@ def _load(args) -> ExperimentConfig:
 
 def _summarize(run) -> None:
     series = run.series
-    tail = max(1, series.n_iterations // 5)
     for l in range(series.n_clusters):
-        steady = series.msd_db[-tail:, l].mean()
+        steady = steady_state_db(series.msd_db[:, l])
         conv = run.convergence[l]
         print(
             f"policy={run.config.policy} cluster={l + 1} "
@@ -93,20 +96,12 @@ def _summarize(run) -> None:
     )
 
 
-def _cmd_run(args) -> int:
-    cfg = _load(args)
-    if args.policy:
-        cfg = dataclasses.replace(cfg, policy=args.policy)
-    result = run_experiment(cfg, workers=args.workers, weights_every=args.weights_every)
-    write_outputs(result, args.out_dir)
-    _summarize(result)
-    print(f"artifacts written to {args.out_dir}")
-    return 0
-
-
 def _cmd_sweep(args) -> int:
     cfg = _load(args)
-    policies = [p.strip() for p in args.policies.split(",") if p.strip()]
+    if args.command == "run":
+        policies = [args.policy or cfg.policy]
+    else:
+        policies = [p.strip() for p in args.policies.split(",") if p.strip()]
     result = policy_sweep(
         cfg, policies, workers=args.workers, weights_every=args.weights_every
     )
@@ -148,9 +143,7 @@ def _cmd_selftest() -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "sweep":
+        if args.command in ("run", "sweep"):
             return _cmd_sweep(args)
         if args.command == "topology":
             return _cmd_topology(args)

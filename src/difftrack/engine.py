@@ -315,11 +315,15 @@ class DiffusionKalmanEngine:
     def _adapt_all(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         s, x_pred = self._s, self.x_pred
         a, b, c = np.moveaxis(self.M_pred, -1, 0)
-        det = a * c - b * b
-        # s^2 det(M_pred + I/s): with 1 + s*a > 0, the innovation covariance
-        # M_pred + I/s is positive definite exactly when this is positive.
-        den = 1.0 + s * (a + c) + s * s * det
-        ok = np.isfinite(self.M_pred).all(axis=2) & (1.0 + s * a > 0.0) & (den > 0.0)
+        # A huge covariance overflows here; the check below names it, so
+        # numpy need not warn first.
+        with np.errstate(over="ignore", invalid="ignore"):
+            det = a * c - b * b
+            # s^2 det(M_pred + I/s): with 1 + s*a > 0, the innovation covariance
+            # M_pred + I/s is positive definite exactly when this is positive.
+            den = 1.0 + s * (a + c) + s * s * det
+            ok = np.isfinite(self.M_pred).all(axis=2) & (1.0 + s * a > 0.0) & (den > 0.0)
+            m_psi = np.stack([(a + s * det) / den, b / den, (c + s * det) / den], axis=-1)
         if not ok.all():
             t, m = np.argwhere(~ok)[0]
             if np.isfinite(self.M_pred[t, m]).all():
@@ -327,7 +331,6 @@ class DiffusionKalmanEngine:
             else:
                 what = f"predicted covariance at node {m} has non-finite entries"
             raise self._trial_error(t, what)
-        m_psi = np.stack([(a + s * det) / den, b / den, (c + s * det) / den], axis=-1)
 
         # Information vector sum_n y_n / sigma2_n over each neighborhood,
         # less s * x_pred.

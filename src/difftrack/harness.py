@@ -108,7 +108,7 @@ class ExperimentConfig:
         for name in ("head_radius", "delta", "sigma_min", "P0_scale", "eps"):
             if getattr(self, name) is not None and getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
-        for name in ("min_degree", "g", "v0", "sigma_span", "Q_scale"):
+        for name in ("min_degree", "g", "v0", "sigma_span", "G_scale", "Q_scale"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be nonnegative")
         if not 0.0 < self.comm_radius <= math.sqrt(2.0) + 1e-12:
@@ -429,10 +429,6 @@ class SweepResult:
     """Per-policy runs over common random numbers."""
 
     runs: dict
-
-    @property
-    def policies(self) -> tuple:
-        return tuple(self.runs)
 
     @property
     def records(self) -> tuple:

@@ -33,7 +33,7 @@ class MsdSeries:
     """Per-iteration, per-cluster mean squared deviation averaged over trials."""
 
     msd_linear: np.ndarray  # (n_iterations, n_clusters)
-    msd_db: np.ndarray = field(repr=False, default=None)
+    msd_db: np.ndarray = field(init=False, repr=False)
     n_trials: int = 1
 
     def __post_init__(self):
@@ -85,9 +85,15 @@ def msd_accumulate(
     return sums.reshape(lead + (s,)) / assignment.sizes
 
 
+def steady_state_db(series_db: np.ndarray) -> float:
+    """Steady-state level of a 1-D dB series: the mean of its final fifth."""
+    n = series_db.shape[0]
+    return series_db[n - max(1, n // 5) :].mean()
+
+
 def convergence_iteration(series_db: np.ndarray, band_db: float = 3.0):
     """First iteration from which the dB series stays within +/- band_db of
-    its steady-state level (mean over the final 20% of iterations).
+    its steady-state level (``steady_state_db``).
 
     Returns None if the series never settles into the band.
     """
@@ -97,9 +103,7 @@ def convergence_iteration(series_db: np.ndarray, band_db: float = 3.0):
     n = db.shape[0]
     if n < MIN_SERIES_LENGTH:
         raise ValueError("series too short for steady-state detection")
-    tail = max(1, n // 5)
-    steady = db[n - tail :].mean()
-    inside = np.abs(db - steady) <= band_db
+    inside = np.abs(db - steady_state_db(db)) <= band_db
     # first index where every later value is also inside the band
     outside = np.flatnonzero(~inside)
     if outside.size == 0:

@@ -3,7 +3,8 @@
 The reference filter here is an independent textbook Kalman filter in gain
 form, solving against the innovation covariance with LU factorization. It
 shares no linear algebra helpers with the engine, so agreement between the
-two is evidence about the engine rather than about a common bug.
+two is evidence about the engine rather than about a common bug. The
+determinism check runs the harness itself, twice, on one small config.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import numpy as np
 
 from .dynamics import MotionModel, discretize_projectile, initial_state, step_truth
 from .engine import DiffusionKalmanEngine, adapt
+from .harness import ExperimentConfig, run_experiment
 from .numerics import symmetrize
 from .topology import Network
 
@@ -153,33 +155,25 @@ def discretization_max_error(n_steps: int = 100) -> float:
 
 
 def determinism_check(seed: int = 3) -> bool:
-    """Two identically seeded small runs must match bit for bit."""
-    from .topology import generate_geometric, initial_partition
+    """Two identically seeded small harness runs must match bit for bit:
+    the MSD series, the recovery scores, the min-PSD value and every array
+    of trial 0's detail record, weight snapshots included."""
+    cfg = ExperimentConfig(
+        n_nodes=8, comm_radius=0.6, min_degree=2, n_trials=2, n_iterations=20, seed=seed
+    )
 
-    def run_once():
-        rng = np.random.default_rng(seed)
-        net = generate_geometric(8, 0.6, 2, rng)
-        part = initial_partition(net, 0.6, rng)
-        model = discretize_projectile(0.1, 10.0)
-        sigma2 = 0.01 + 0.5 * rng.random(8)
-        truths = np.stack(
-            [
-                initial_state(1.0, 30.0, 15.0, np.pi / 3),
-                initial_state(1.0, 30.0, 15.0, np.pi / 4),
-            ]
-        )
-        stack = Network(net.positions[None], net.adjacency[None])
-        engine = DiffusionKalmanEngine(stack, model, sigma2[None, :], "adaptive")
-        targets = part.cluster_of - 1
-        traj = []
-        for _ in range(20):
-            noise = rng.standard_normal((8, 4))
-            engine.run_step((truths[targets] + np.sqrt(sigma2)[:, None] * noise)[None])
-            truths = step_truth(truths, model, rng.standard_normal((2, 4)))
-            traj.append(engine.x_hat[0].copy())
-        return np.stack(traj)
+    def arrays(run):
+        detail = run.detail
+        return [
+            run.series.msd_linear,
+            run.recovery_scores,
+            run.min_psd_eigenvalue,
+            *(value for key, value in detail.items() if key != "snapshots"),
+            *(c for _, c in detail["snapshots"]),
+        ]
 
-    return np.array_equal(run_once(), run_once())
+    first, again = (arrays(run_experiment(cfg, weights_every=1)) for _ in range(2))
+    return all(map(np.array_equal, first, again))
 
 
 def run_selftest() -> list[CheckResult]:

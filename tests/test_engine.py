@@ -305,6 +305,15 @@ def test_determinism_bitwise():
     assert determinism_check()
 
 
+def test_determinism_check_runs_the_harness(monkeypatch):
+    # Unseeded trial streams make the two harness runs differ; a check with
+    # its own scene and engine would not see it.
+    from difftrack import harness
+
+    monkeypatch.setattr(harness, "trial_rng", lambda seed, trial: np.random.default_rng())
+    assert not determinism_check()
+
+
 def paper_scale_engine(seed, **kwargs):
     # Separation needs geographically localized neighborhoods; small dense
     # graphs mix both targets into every neighborhood and never split.

@@ -68,6 +68,7 @@ class TestExperimentConfig:
             ("prune_window", 0),
             ("eps", 0.0),
             ("P0_scale", 0.0),
+            ("G_scale", -0.625),
             ("seed", -1),
             ("seed", 2**64),
             ("n_iterations", 9),
@@ -480,6 +481,24 @@ class TestCli:
         meta = json.loads((out / "run_meta.json").read_text())
         assert meta["seed"] == 4
 
+    def test_run_is_a_one_policy_sweep(self, tmp_path, capsys):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(SMALL_CFG)
+        common = ["--config", str(cfg_path), "--weights-every", "5"]
+        outputs = {}
+        for command, flag in (("run", "--policy"), ("sweep", "--policies")):
+            out = tmp_path / command
+            assert main([command, flag, "relvar", "--out-dir", str(out), *common]) == 0
+            outputs[command] = capsys.readouterr().out.replace(str(out), "OUT")
+        assert outputs["run"] == outputs["sweep"]
+        names = sorted(os.listdir(tmp_path / "run"))
+        assert names == sorted(os.listdir(tmp_path / "sweep"))
+        assert "weights_relvar.csv" in names
+        for name in names:
+            assert (tmp_path / "run" / name).read_bytes() == (
+                tmp_path / "sweep" / name
+            ).read_bytes(), name
+
     def test_unknown_config_key_exits_two(self, tmp_path, capsys):
         cfg_path = tmp_path / "typo.cfg"
         cfg_path.write_text("n_trails = 5\n")
@@ -596,20 +615,22 @@ class TestCli:
     @pytest.mark.parametrize(
         "line,iteration", [("P0_scale = 1e308", 0), ("Q_scale = 1e200", 1)]
     )
-    def test_non_finite_adapted_covariance_exits_three(self, tmp_path, capsys, line, iteration):
+    def test_non_finite_adapted_covariance_exits_three(
+        self, tmp_path, capsys, recwarn, line, iteration
+    ):
         # The closed-form update overflows to NaN; the step names it before
-        # the weights see it.
+        # the weights see it, and before numpy warns.
         cfg_path = tmp_path / "huge.cfg"
         cfg_path.write_text(SMALL_CFG + line + "\n")
         out = tmp_path / "out"
-        with np.errstate(over="ignore", invalid="ignore"):
-            code = main(["run", "--config", str(cfg_path), "--out-dir", str(out)])
+        code = main(["run", "--config", str(cfg_path), "--out-dir", str(out)])
         assert code == 3
         assert re.search(
             rf"numeric failure: trial 0: iteration {iteration}: "
             r"adapted covariance at node \d+ has non-finite entries",
             capsys.readouterr().err,
         )
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
         assert not out.exists()
 
     def test_missing_config_file_exits_four(self, tmp_path):

@@ -11,6 +11,7 @@ from difftrack.metrics import (
     convergence_iteration,
     msd_accumulate,
     read_clusters,
+    steady_state_db,
     to_db,
 )
 from difftrack.topology import ClusterAssignment
@@ -119,10 +120,22 @@ class TestMsdSeries:
         with pytest.raises(ValueError):
             MsdSeries(np.array([[-1.0]]))
 
+    def test_db_channel_is_not_an_argument(self):
+        with pytest.raises(TypeError):
+            MsdSeries(np.ones((3, 1)), msd_db=np.zeros((3, 1)))
+
     def test_arrays_frozen(self):
         series = MsdSeries(np.ones((3, 1)))
         with pytest.raises(ValueError):
             series.msd_linear[0, 0] = 2.0
+
+
+class TestSteadyStateDb:
+    def test_mean_of_the_final_fifth(self):
+        assert steady_state_db(np.arange(23.0)) == np.mean([19.0, 20.0, 21.0, 22.0])
+
+    def test_short_series_keeps_its_last_point(self):
+        assert steady_state_db(np.array([3.0, 5.0, 8.0])) == 8.0
 
 
 class TestConvergenceIteration:
