@@ -111,7 +111,7 @@ class ExperimentConfig:
         for name in ("min_degree", "g", "v0", "sigma_span", "G_scale", "Q_scale"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be nonnegative")
-        if not 0.0 < self.comm_radius <= math.sqrt(2.0) + 1e-12:
+        if not 0.0 < self.comm_radius <= math.sqrt(2.0):
             raise ConfigError("comm_radius must lie in (0, sqrt(2)]")
         if len(self.angles) != 2:
             raise ConfigError("angles must list exactly two launch angles")
@@ -247,10 +247,6 @@ def _naming(trial: int):
         yield
     except (ConfigError, NumericError) as exc:
         raise type(exc)(f"trial {trial}: {exc}") from exc
-    except OSError:
-        raise
-    except Exception as exc:
-        raise RuntimeError(f"trial {trial}: {exc}") from exc
 
 
 def run_trials(cfg: ExperimentConfig, trials: range, *, weights_every: int = 0):
@@ -264,7 +260,8 @@ def run_trials(cfg: ExperimentConfig, trials: range, *, weights_every: int = 0):
     step, and the step's measurements, y = truth[target] + sqrt(sigma2) *
     noise at each node, go to the engine. Each result holds the trial's MSD rows,
     recovery score and min-PSD eigenvalue; trial 0's also holds the
-    ``detail`` record the artifacts are written from.
+    ``detail`` record the artifacts are written from, whose ``snapshots``
+    list of (iteration, C) pairs is empty when ``weights_every`` is 0.
     """
     model = discretize_projectile(cfg.delta, cfg.g, g_scale=cfg.G_scale, q_scale=cfg.Q_scale)
     rngs, nets, parts, sigma2, truth_noise = [], [], [], [], []
@@ -300,7 +297,7 @@ def run_trials(cfg: ExperimentConfig, trials: range, *, weights_every: int = 0):
     msd = np.empty((len(trials), cfg.n_iterations, n_clusters))
     truths = np.empty((cfg.n_iterations, cfg.n_targets, STATE_DIM)) if keep_detail else None
     est_mean = np.empty((cfg.n_iterations, n_clusters, 2)) if keep_detail else None
-    snapshots = [] if keep_detail and weights_every > 0 else None
+    snapshots = []
     members = [np.flatnonzero(part.cluster_of[0] == l + 1) for l in range(n_clusters)]
     # Node m of trial t measures target cluster_of[t, m].
     targets = (np.arange(len(trials))[:, None], part.cluster_of - 1)
@@ -322,7 +319,7 @@ def run_trials(cfg: ExperimentConfig, trials: range, *, weights_every: int = 0):
             truths[j] = truth[0]
             for l, idx in enumerate(members):
                 est_mean[j, l] = engine.x_hat[0, idx, :2].mean(axis=0)
-            if snapshots is not None and j % weights_every == 0:
+            if weights_every and j % weights_every == 0:
                 snapshots.append((j, engine.C[0].copy()))
     results = []
     for t, trial in enumerate(trials):
@@ -341,7 +338,7 @@ def run_trials(cfg: ExperimentConfig, trials: range, *, weights_every: int = 0):
             "truths": truths,
             "est_mean": est_mean,
             "final_C": engine.C[0].copy(),
-            "snapshots": snapshots or [],
+            "snapshots": snapshots,
         }
     return results
 
@@ -355,7 +352,7 @@ class RunResult:
     series: MsdSeries
     recovery_scores: np.ndarray
     min_psd_eigenvalue: float
-    detail: dict = field(repr=False, default_factory=dict)
+    detail: dict = field(repr=False)
 
     @property
     def records(self) -> tuple:
@@ -381,11 +378,6 @@ class RunResult:
             convergence_iteration(self.series.msd_db[:, l])
             for l in range(self.series.n_clusters)
         )
-
-    @property
-    def head_radius(self) -> float:
-        """The radius the initial cluster assignment used."""
-        return self.config.effective_head_radius
 
 
 def run_experiment(
@@ -417,10 +409,10 @@ def run_experiment(
     stacked = np.stack([res["msd"] for res in results])
     return RunResult(
         config=cfg,
-        series=MsdSeries(stacked.mean(axis=0), n_trials=cfg.n_trials),
+        series=MsdSeries(stacked.mean(axis=0)),
         recovery_scores=np.array([res["recovery"] for res in results]),
         min_psd_eigenvalue=min(res["min_psd"] for res in results),
-        detail=results[0].get("detail", {}),
+        detail=results[0]["detail"],
     )
 
 
@@ -514,17 +506,13 @@ def write_outputs(result, out_dir) -> None:
         result = SweepResult({result.config.policy: result})
     os.makedirs(out_dir, exist_ok=True)
     runs = result.runs
-    first = next(iter(runs.values()))
-    cfg = first.config
+    cfg = next(iter(runs.values())).config
     write_msd_csv(result.records, os.path.join(out_dir, "msd.csv"))
 
     rows = []
     for name, run in runs.items():
-        detail = run.detail
-        if not detail:
-            continue
-        truths = detail["truths"]
-        est = detail["est_mean"]
+        truths = run.detail["truths"]
+        est = run.detail["est_mean"]
         for j in range(truths.shape[0]):
             for i in range(truths.shape[1]):
                 e = est[j, i] if i < est.shape[1] else (math.nan, math.nan)
@@ -540,19 +528,15 @@ def write_outputs(result, out_dir) -> None:
 
     topo_policy = "adaptive" if "adaptive" in runs else next(iter(runs))
     detail = runs[topo_policy].detail
-    if detail:
-        adj0 = detail["adjacency_initial"]
+    adj0 = detail["adjacency_initial"]
+    for stage, alive in (("initial", adj0), ("final", detail["adjacency_final"])):
         write_topology(
-            os.path.join(out_dir, "topology_initial"),
-            detail["positions"], detail["cluster_of"], adj0, adj0,
-        )
-        write_topology(
-            os.path.join(out_dir, "topology_final"),
-            detail["positions"], detail["cluster_of"], adj0, detail["adjacency_final"],
+            os.path.join(out_dir, f"topology_{stage}"),
+            detail["positions"], detail["cluster_of"], adj0, alive,
         )
 
     for name, run in runs.items():
-        snaps = run.detail.get("snapshots") or []
+        snaps = run.detail["snapshots"]
         if not snaps:
             continue
         rows = []
@@ -570,13 +554,10 @@ def write_outputs(result, out_dir) -> None:
     meta = {
         "artifact_version": __version__,
         "seed": cfg.seed,
-        "config": {
-            **{k: v for k, v in dataclasses.asdict(cfg).items()},
-            "angles": list(cfg.angles),
-        },
+        "config": dataclasses.asdict(cfg),
         "policies": list(runs),
-        "topology_final_policy": topo_policy if detail else None,
-        "head_radius": first.head_radius,
+        "topology_final_policy": topo_policy,
+        "head_radius": cfg.effective_head_radius,
         "convergence_iteration": {
             name: list(run.convergence) for name, run in runs.items()
         },

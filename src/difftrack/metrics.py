@@ -34,7 +34,6 @@ class MsdSeries:
 
     msd_linear: np.ndarray  # (n_iterations, n_clusters)
     msd_db: np.ndarray = field(init=False, repr=False)
-    n_trials: int = 1
 
     def __post_init__(self):
         linear = np.asarray(self.msd_linear, dtype=np.float64)
@@ -48,7 +47,6 @@ class MsdSeries:
         db = to_db(linear)
         db.setflags(write=False)
         object.__setattr__(self, "msd_db", db)
-        object.__setattr__(self, "n_trials", int(self.n_trials))
 
     @property
     def n_iterations(self) -> int:

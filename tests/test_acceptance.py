@@ -17,6 +17,7 @@ from difftrack.combiners import (
     validate_combination_matrix,
 )
 from difftrack.harness import ExperimentConfig, policy_sweep, run_experiment, write_outputs
+from difftrack.metrics import steady_state_db
 from difftrack.selftest import (
     discretization_max_error,
     sequential_vs_batch_max_relative,
@@ -39,8 +40,8 @@ def sweep():
 
 
 def _steady_db(run):
-    tail = run.series.n_iterations // 5
-    return run.series.msd_db[-tail:].mean(axis=0)
+    db = run.series.msd_db
+    return np.array([steady_state_db(db[:, l]) for l in range(run.series.n_clusters)])
 
 
 def test_c1_single_node_matches_reference_filter():

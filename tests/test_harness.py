@@ -59,6 +59,8 @@ class TestExperimentConfig:
             ("n_nodes", 0),
             ("comm_radius", 0.0),
             ("comm_radius", 2.0),
+            # Just above sqrt(2), which generate_geometric refuses.
+            ("comm_radius", 1.4142135623731),
             ("delta", 0.0),
             ("sigma_min", 0.0),
             ("sigma_span", -0.1),
@@ -358,6 +360,17 @@ class TestRunExperiment:
         iterations = [it for it, _ in detail["snapshots"]]
         assert iterations == [0, 10, 20]
 
+    def test_detail_is_trial_zeros_whole_record_across_workers(self):
+        cfg = ExperimentConfig(seed=5, **SMALL)
+        detail = run_experiment(cfg, workers=2).detail
+        assert set(detail) == {
+            "positions", "cluster_of", "adjacency_initial", "adjacency_final",
+            "truths", "est_mean", "final_C", "snapshots",
+        }
+        assert detail["snapshots"] == []
+        serial = run_experiment(cfg).detail
+        assert all(np.array_equal(detail[k], serial[k]) for k in detail if k != "snapshots")
+
 
 class TestPolicySweep:
     def test_common_random_numbers_share_scene(self):
@@ -435,12 +448,25 @@ class TestArtifacts:
         assert set(os.listdir(out)) == expected
         meta = json.loads((out / "run_meta.json").read_text())
         assert meta["seed"] == 3
+        assert meta["config"] == {**dataclasses.asdict(cfg), "angles": list(cfg.angles)}
+        # An unset head_radius is comm_radius.
+        assert meta["head_radius"] == cfg.comm_radius
         assert load_config(out / "run_meta.json") == cfg
         # initial edge list marks every edge alive; final marks pruned ones dead
         initial = (out / "topology_initial_edges.csv").read_text().splitlines()[1:]
         assert all(row.endswith(",1") for row in initial)
         final = (out / "topology_final_edges.csv").read_text().splitlines()[1:]
         assert len(final) == len(initial)
+
+    @pytest.mark.parametrize(
+        "policies,expected",
+        [(["uniform", "adaptive"], "adaptive"), (["relvar", "uniform"], "relvar")],
+    )
+    def test_meta_names_the_topology_policy(self, tmp_path, policies, expected):
+        cfg = ExperimentConfig(**{**SMALL, "n_trials": 1, "n_iterations": 10})
+        write_outputs(policy_sweep(cfg, policies), tmp_path)
+        meta = json.loads((tmp_path / "run_meta.json").read_text())
+        assert meta["topology_final_policy"] == expected
 
     def test_weight_snapshot_rows(self, tmp_path):
         # Nonzero entries only, n-major, each weight written as its repr.
@@ -563,7 +589,8 @@ class TestCli:
         args = ["--head-radius", "0.2", "--weights-every", "5"]
         assert main(["run", "--config", str(cfg_path), "--out-dir", str(first), *args]) == 0
         meta = first / "run_meta.json"
-        assert json.loads(meta.read_text())["config"]["head_radius"] == 0.2
+        doc = json.loads(meta.read_text())
+        assert doc["config"]["head_radius"] == doc["head_radius"] == 0.2
         assert main(["run", "--config", str(meta), "--out-dir", str(again), "--weights-every", "5"]) == 0
         names = sorted(os.listdir(first))
         assert names == sorted(os.listdir(again))

@@ -109,10 +109,9 @@ class TestMsdAccumulate:
 class TestMsdSeries:
     def test_db_channel_matches_formula(self):
         linear = np.array([[1.0, 100.0], [0.0, 4.0]])
-        series = MsdSeries(linear, n_trials=7)
+        series = MsdSeries(linear)
         assert series.msd_db[0, 1] == pytest.approx(20.0)
         assert series.msd_db[1, 0] == pytest.approx(-300.0)
-        assert series.n_trials == 7
         assert series.n_iterations == 2
         assert series.n_clusters == 2
 
