@@ -4,7 +4,8 @@ State vectors are float64 arrays [x, y, vx, vy] (meters, meters/second).
 The continuous dynamics are a point mass under constant gravity; the
 discretization below is exact for that system, not an Euler approximation,
 so noiseless trajectories reproduce the closed-form parabola to rounding.
-The process noise is isotropic, so the model is four numbers.
+The process noise is isotropic, so the model is four numbers; a run takes
+them from its config as ``ExperimentConfig.model``.
 """
 
 from __future__ import annotations
@@ -27,8 +28,20 @@ _THETA[0, 2] = _THETA[1, 3] = 1.0
 @dataclass(frozen=True)
 class MotionModel:
     """Discrete-time target motion x' = F x + u_g + G w, w ~ N(0, Q), with
-    G = g_scale*I and Q = q_scale*I. F, u_g and the noise variance are
-    computed once; values that make one of them non-finite are refused."""
+    G = g_scale*I and Q = q_scale*I: the exact one-step discretization of
+    projectile motion.
+
+    The continuous system is dx/dt = theta x + n with theta holding an
+    identity block coupling positions to velocities and n = [0, 0, 0, -g].
+    Because theta is nilpotent (theta^2 = 0) the matrix exponential
+    truncates, giving F = I + delta*theta exactly, and integrating the
+    constant forcing over one step gives u_g = (delta*I + delta^2/2 * theta) n.
+
+    F, u_g and the noise variance are computed once; values that make one
+    of them non-finite, such as a delta so large that F or u_g overflows,
+    are refused as bad input. A run's model is ``ExperimentConfig.model``,
+    which holds the defaults.
+    """
 
     delta: float
     g: float
@@ -71,28 +84,6 @@ class MotionModel:
     def process_noise_cov(self) -> np.ndarray:
         """Covariance G Q G^T actually injected into the state."""
         return self.process_noise_var * np.eye(STATE_DIM)
-
-
-def discretize_projectile(
-    delta: float,
-    g: float,
-    *,
-    g_scale: float = 0.625,
-    q_scale: float = 0.001,
-) -> MotionModel:
-    """Exact one-step discretization of projectile motion.
-
-    The continuous system is dx/dt = theta x + n with theta holding an
-    identity block coupling positions to velocities and n = [0, 0, 0, -g].
-    Because theta is nilpotent (theta^2 = 0) the matrix exponential
-    truncates, giving F = I + delta*theta exactly, and integrating the
-    constant forcing over one step gives u_g = (delta*I + delta^2/2 * theta) n.
-
-    ``g_scale`` and ``q_scale`` fill the noise shaping matrix G = g_scale*I
-    and process noise covariance Q = q_scale*I. A delta so large that F or
-    u_g overflows is refused as bad input.
-    """
-    return MotionModel(delta, g, g_scale, q_scale)
 
 
 def initial_state(x0: float, y0: float, v0: float, angle: float) -> np.ndarray:

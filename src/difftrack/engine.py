@@ -3,11 +3,12 @@
 One engine advances a batch of T independent Monte Carlo trials in
 lockstep. Its state carries a leading trial axis: estimates are (T, n, 4),
 covariances (T, n, 3) and combination matrices (T, n, n). The trials of a
-batch share the node count, the motion model and the policy; each has its
-own network and noise levels. The networks are one stacked ``Network``,
-so static weights and each prune take one call for the whole batch. The
-engine filters the measurements it is given; simulating the targets and
-the sensors that produce them is the caller's job.
+batch share the node count and one ``ExperimentConfig``, from which the
+engine reads the policy, the motion model and every filter setting; each
+trial has its own network and noise levels. The networks are one stacked
+``Network``, so static weights and each prune take one call for the whole
+batch. The engine filters the measurements it is given; simulating the
+targets and the sensors that produce them is the caller's job.
 
 Each node talks only to its neighbors, so everything per link runs over
 the stack's self-inclusive support as one edge list (``Network.edges``,
@@ -63,11 +64,12 @@ to them.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from .combiners import (
     COLUMN_SUM_TOL,
-    POLICIES,
     CombinationError,
     consistent_pairs,
     sq_dist,
@@ -78,6 +80,9 @@ from .dynamics import STATE_DIM, MotionModel
 from .errors import ConfigError, NumericError
 from .numerics import inverse_spd, symmetrize
 from .topology import Network, count_below, prune_cross_links
+
+if TYPE_CHECKING:  # harness imports this module
+    from .harness import ExperimentConfig
 
 # Column-stochasticity slack tolerated at combine time (looser than the
 # construction-time tolerance; rounding accumulates over a run).
@@ -149,29 +154,18 @@ class DiffusionKalmanEngine:
     network.
 
     ``net`` is a Network stack with (T, n, n) adjacency (see
-    ``stack_scenes``) and ``sigma2`` (T, n). ``first_trial`` is the number
-    of the batch's first trial; errors name trials counting from it.
-    ``pruning_enabled`` only affects the adaptive policy: static policies
-    never prune.
+    ``stack_scenes``) and ``sigma2`` (T, n). Every other setting comes
+    from ``cfg``, a ``harness.ExperimentConfig``, which has checked it:
+    the policy, the prior scale ``P0_scale``, the distance floor ``eps``,
+    the prune threshold, window and switch, the gravity switch and the
+    motion model ``cfg.model``. ``pruning_enabled`` only affects the
+    adaptive policy: static policies never prune. ``first_trial`` is the
+    number of the batch's first trial; errors name trials counting from it.
     """
 
     def __init__(
-        self,
-        net: Network,
-        model: MotionModel,
-        sigma2: np.ndarray,
-        policy: str,
-        *,
-        first_trial: int = 0,
-        eps: float = 1e-12,
-        prune_tau: float = 0.05,
-        prune_window: int = 10,
-        pruning_enabled: bool = True,
-        filter_knows_gravity: bool = True,
-        p0_scale: float = 1.0,
+        self, net: Network, sigma2: np.ndarray, cfg: ExperimentConfig, *, first_trial: int = 0
     ) -> None:
-        if policy not in POLICIES:
-            raise ConfigError(f"unknown policy '{policy}', expected one of {POLICIES}")
         if net.adjacency.ndim != 3 or not net.adjacency.shape[0]:
             raise ConfigError("the engine needs a stack of networks, one per trial")
         t_count, n = net.adjacency.shape[:2]
@@ -189,22 +183,14 @@ class DiffusionKalmanEngine:
                 f"trial {self.first_trial + t}: measurement variance at node {m} "
                 f"must be positive, got {float(sigma2[t, m])!r}"
             )
-        if p0_scale <= 0.0:
-            raise ConfigError(f"initial covariance scale must be positive, got {p0_scale}")
-        self.model = model
+        self.cfg = cfg
         self.sigma2 = sigma2
-        self.policy = policy
-        self.eps = float(eps)
-        self.prune_tau = float(prune_tau)
-        self.prune_window = int(prune_window)
-        self.prunes = policy == "adaptive" and bool(pruning_enabled)
-        self.filter_knows_gravity = bool(filter_knows_gravity)
 
         shape = (t_count, n, STATE_DIM)
         self.x_pred = np.zeros(shape)
         # Covariances M kron I2, stored as (a, b, c) = (m_pp, m_pv, m_vv).
         self.M_pred = np.zeros((t_count, n, 3))
-        self.M_pred[..., 0] = self.M_pred[..., 2] = p0_scale
+        self.M_pred[..., 0] = self.M_pred[..., 2] = cfg.P0_scale
         self.psi = self.x_pred.copy()
         self.M_psi = self.M_pred.copy()
         self.q = np.zeros(shape)
@@ -215,12 +201,12 @@ class DiffusionKalmanEngine:
         self._adopt(net)
         # One count per edge. Counts never exceed the window, so the
         # smallest type holding it will do.
-        self._below = np.zeros(len(net.edges), dtype=np.min_scalar_type(self.prune_window))
+        self._below = np.zeros(len(net.edges), dtype=np.min_scalar_type(cfg.prune_window))
 
-        if policy == "adaptive":
+        if cfg.policy == "adaptive":
             c = np.broadcast_to(np.eye(n), (t_count, n, n))
         else:
-            c = static_weights(policy, net, sigma2)
+            c = static_weights(cfg.policy, net, sigma2)
         # C is held as the transposed view of a contiguous C^T, the operand
         # of phase 5's product. The support is checked here, once: every
         # later C is built on the edges.
@@ -279,7 +265,8 @@ class DiffusionKalmanEngine:
         self.q = y - psi
 
         # Phase 4: weight update (adaptive policy only).
-        if self.policy == "adaptive":
+        cfg = self.cfg
+        if cfg.policy == "adaptive":
             self.C = self._adaptive_weights(psi, self.q, y)
 
         # Phase 5: combination. Covariance is intentionally left alone.
@@ -293,17 +280,18 @@ class DiffusionKalmanEngine:
 
         # Phase 6: pruning (adaptive policy only). No count can reach the
         # window before that many steps have run.
-        if self.prunes:
-            self._below = count_below(self._below, weights, self.prune_tau, self.prune_window)
-            if self.iteration + 1 >= self.prune_window:
+        if cfg.policy == "adaptive" and cfg.pruning_enabled:
+            self._below = count_below(self._below, weights, cfg.prune_tau, cfg.prune_window)
+            if self.iteration + 1 >= cfg.prune_window:
                 self._prune()
 
         # Phase 7: time update.
-        self.x_pred = self.x_hat @ self.model.F.T
-        if self.filter_knows_gravity:
-            self.x_pred = self.x_pred + self.model.u_g
+        model = cfg.model
+        self.x_pred = self.x_hat @ model.F.T
+        if cfg.filter_knows_gravity:
+            self.x_pred = self.x_pred + model.u_g
         a, b, c = np.moveaxis(self.M_psi, -1, 0)
-        d, q = self.model.delta, self.model.process_noise_var
+        d, q = model.delta, model.process_noise_var
         self.M_pred = np.stack([a + d * (2.0 * b + d * c) + q, b + d * c, c + q], axis=-1)
         self._track_psd(self.M_pred, "predicted covariance")
 
@@ -351,7 +339,7 @@ class DiffusionKalmanEngine:
         edges = self.net.edges
         n, m = edges.source, edges.key
         psi, own = psi.reshape(-1, STATE_DIM), (psi + q).reshape(-1, STATE_DIM)
-        d = np.maximum(np.sqrt(sq_dist(psi[n], own[m])), self.eps)
+        d = np.maximum(np.sqrt(sq_dist(psi[n], own[m])), self.cfg.eps)
         y, sigma2 = y.reshape(-1, STATE_DIM), self.sigma2.ravel()
         w = np.where(consistent_pairs(y[n], y[m], sigma2[n], sigma2[m]), d**-2.0, 0.0)
         c_t = np.zeros(self.C.shape)
@@ -360,7 +348,7 @@ class DiffusionKalmanEngine:
 
     def _prune(self) -> None:
         edges = self.net.edges
-        pruned = prune_cross_links(self.net, self._below, self.prune_window)
+        pruned = prune_cross_links(self.net, self._below, self.cfg.prune_window)
         if pruned is not self.net:
             # A prune only removes edges, and both lists keep one order, so
             # the survivors' counts carry over in place.

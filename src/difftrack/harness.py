@@ -11,13 +11,13 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
 from . import __version__
 from .combiners import POLICIES
-from .dynamics import STATE_DIM, discretize_projectile, initial_state, step_truth
+from .dynamics import STATE_DIM, MotionModel, initial_state, step_truth
 from .engine import DiffusionKalmanEngine
 from .errors import ConfigError, NumericError
 from .metrics import (
@@ -50,7 +50,9 @@ _FALSE_WORDS = {"false", "0", "no", "off"}
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Complete, explicit description of one tracking experiment."""
+    """Complete, explicit description of one tracking experiment, and the
+    one home of its defaults: the engine and the motion model are built
+    from it."""
 
     n_nodes: int = 30
     comm_radius: float = 0.35
@@ -132,6 +134,12 @@ class ExperimentConfig:
     def effective_head_radius(self) -> float:
         return self.comm_radius if self.head_radius is None else self.head_radius
 
+    @cached_property
+    def model(self) -> MotionModel:
+        """The motion model; built on first use, which refuses values that
+        make it non-finite."""
+        return MotionModel(self.delta, self.g, self.G_scale, self.Q_scale)
+
 
 @dataclass(frozen=True)
 class MetricsRecord:
@@ -204,8 +212,6 @@ def load_config(path) -> ExperimentConfig:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"invalid JSON configuration: {exc}") from exc
-        if not isinstance(doc, dict):
-            raise ConfigError("JSON configuration must be an object")
         if isinstance(doc.get("config"), dict):
             doc = doc["config"]
         return _build_config(doc)
@@ -263,7 +269,8 @@ def run_trials(cfg: ExperimentConfig, trials: range, *, weights_every: int = 0):
     ``detail`` record the artifacts are written from, whose ``snapshots``
     list of (iteration, C) pairs is empty when ``weights_every`` is 0.
     """
-    model = discretize_projectile(cfg.delta, cfg.g, g_scale=cfg.G_scale, q_scale=cfg.Q_scale)
+    # Built before any scene draw, so a model that overflows fails first.
+    model = cfg.model
     rngs, nets, parts, sigma2, truth_noise = [], [], [], [], []
     for trial in trials:
         with _naming(trial):
@@ -279,19 +286,7 @@ def run_trials(cfg: ExperimentConfig, trials: range, *, weights_every: int = 0):
     truth_noise = np.stack(truth_noise, axis=1)
     sigma2 = np.stack(sigma2)
     net, part = stack_scenes(nets, parts)
-    engine = DiffusionKalmanEngine(
-        net,
-        model,
-        sigma2,
-        cfg.policy,
-        first_trial=trials.start,
-        eps=cfg.eps,
-        prune_tau=cfg.prune_tau,
-        prune_window=cfg.prune_window,
-        pruning_enabled=cfg.pruning_enabled,
-        filter_knows_gravity=cfg.filter_knows_gravity,
-        p0_scale=cfg.P0_scale,
-    )
+    engine = DiffusionKalmanEngine(net, sigma2, cfg, first_trial=trials.start)
     n_clusters = part.s
     keep_detail = trials.start == 0
     msd = np.empty((len(trials), cfg.n_iterations, n_clusters))
@@ -471,19 +466,20 @@ def read_msd_csv(path):
         if header != MSD_HEADER:
             raise ConfigError(f"unexpected MSD header '{header}'")
         for raw in fh:
-            parts = raw.rstrip("\n").split(",")
-            if len(parts) != 6:
-                raise ConfigError(f"malformed MSD row '{raw.strip()}'")
-            records.append(
-                MetricsRecord(
-                    iteration=int(parts[0]),
-                    cluster_id=int(parts[1]),
-                    policy=parts[2],
-                    msd_linear=float(parts[3]),
-                    msd_db=float(parts[4]),
-                    n_trials=int(parts[5]),
+            try:
+                iteration, cluster_id, policy, linear, db, n_trials = raw.rstrip("\n").split(",")
+                records.append(
+                    MetricsRecord(
+                        iteration=int(iteration),
+                        cluster_id=int(cluster_id),
+                        policy=policy,
+                        msd_linear=float(linear),
+                        msd_db=float(db),
+                        n_trials=int(n_trials),
+                    )
                 )
-            )
+            except ValueError:
+                raise ConfigError(f"malformed MSD row '{raw.strip()}'") from None
     return tuple(records)
 
 

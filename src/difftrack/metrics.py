@@ -118,24 +118,23 @@ def read_clusters(
 ) -> ClusterAssignment:
     """Read the node clustering out of a finished run.
 
-    Starts from the weight components of ``infer_clusters(c, threshold)``
-    and merges two components whenever some node of one and some node of
-    the other hold final estimates that pass ``consistent_pairs`` at the
-    nodes' measurement variances, the same chi-square test the adaptive
-    policy applies to measurements. A filtered estimate errs less than a raw
-    measurement, so same-target pieces that the network never connected
-    pass easily, while pieces tracking different targets sit far outside
-    the bound. Labels follow each cluster's lowest node index.
+    Two nodes belong together when either direction of their weight in
+    ``c`` reaches ``threshold`` (the links of ``infer_clusters``), or when
+    their final estimates pass ``consistent_pairs`` at the nodes'
+    measurement variances, the same chi-square test the adaptive policy
+    applies to measurements; clusters are the components of that relation.
+    A filtered estimate errs less than a raw measurement, so same-target
+    pieces that the network never connected pass easily, while pieces
+    tracking different targets sit far outside the bound. Labels follow
+    each cluster's lowest node index.
     """
-    weight = infer_clusters(c, threshold).cluster_of
     estimates = np.asarray(estimates, dtype=np.float64)
     sigma2 = np.asarray(sigma2, dtype=np.float64)
-    linked = np.equal.outer(weight, weight) | consistent_pairs(
+    agree = consistent_pairs(
         estimates[:, None], estimates[None, :], sigma2[:, None], sigma2[None, :]
     )
-    # On a 0/1 matrix at threshold 1, infer_clusters returns the connected
-    # components of ``linked``.
-    return infer_clusters(linked.astype(np.float64), 1.0)
+    # An agreeing pair gets a weight no threshold can miss.
+    return infer_clusters(np.where(agree, np.inf, c), threshold)
 
 
 def cluster_recovery_score(

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import MotionModel, discretize_projectile, initial_state, step_truth
+from .dynamics import MotionModel, initial_state, step_truth
 from .engine import DiffusionKalmanEngine, adapt
 from .harness import ExperimentConfig, run_experiment
 from .numerics import symmetrize
@@ -76,33 +76,27 @@ def batch_adapt_reference(
     return psi, 0.5 * (p_out + p_out.T)
 
 
-def _single_node_setup():
-    """A one-trial stack of one isolated node, and the default model."""
-    net = Network(
-        positions=np.array([[[0.5, 0.5]]]),
-        adjacency=np.zeros((1, 1, 1), dtype=bool),
-    )
-    return net, discretize_projectile(0.1, 10.0)
-
-
 def single_node_max_deviation(
     policy: str,
     n_iterations: int = 100,
     seed: int = 12345,
     sigma2: float = 0.2,
 ) -> float:
-    """Worst per-coordinate gap between engine and reference KF."""
-    net, model = _single_node_setup()
+    """Worst per-coordinate gap between engine and reference KF, for one
+    isolated node under the default config with the given policy."""
+    cfg = ExperimentConfig(policy=policy)
+    model = cfg.model
     truth_noise = np.random.default_rng(seed).standard_normal((n_iterations - 1, 4))
-    truth = initial_state(1.0, 30.0, 15.0, np.pi / 3)
+    truth = initial_state(cfg.x0, cfg.y0, cfg.v0, cfg.angles[0])
     truths = [truth]
     for w in truth_noise:
         truths.append(step_truth(truths[-1], model, w))
 
-    engine = DiffusionKalmanEngine(net, model, np.array([[sigma2]]), policy)
+    net = Network(positions=np.array([[[0.5, 0.5]]]), adjacency=np.zeros((1, 1, 1), dtype=bool))
+    engine = DiffusionKalmanEngine(net, np.array([[sigma2]]), cfg)
     meas_rng = np.random.default_rng(seed + 1)
     x = np.zeros(4)
-    p = np.eye(4)
+    p = cfg.P0_scale * np.eye(4)
     h = np.eye(4)
     r = sigma2 * np.eye(4)
     worst = 0.0
@@ -111,7 +105,7 @@ def single_node_max_deviation(
         engine.run_step(y[None, None, :])
         x, p = reference_kf_update(x, p, y, h, r)
         worst = max(worst, np.abs(engine.x_hat[0, 0] - x).max())
-        x, p = reference_kf_predict(x, p, model, knows_gravity=True)
+        x, p = reference_kf_predict(x, p, model, cfg.filter_knows_gravity)
     return worst
 
 
@@ -143,14 +137,15 @@ def sequential_vs_batch_max_relative(n_cases: int = 100, seed: int = 7) -> float
 
 def discretization_max_error(n_steps: int = 100) -> float:
     """Worst gap between stepped and closed-form vertical position."""
-    model = discretize_projectile(0.1, 10.0, q_scale=0.0)
-    state = initial_state(1.0, 30.0, 15.0, np.pi / 3)
+    cfg = ExperimentConfig(Q_scale=0.0)
+    model = cfg.model
+    state = initial_state(cfg.x0, cfg.y0, cfg.v0, cfg.angles[0])
     y0, vy0 = state[1], state[3]
     worst = 0.0
     for k in range(1, n_steps + 1):
         state = step_truth(state, model, np.zeros(4))
         t = k * model.delta
-        worst = max(worst, abs(state[1] - (y0 + vy0 * t - 5.0 * t * t)))
+        worst = max(worst, abs(state[1] - (y0 + vy0 * t - 0.5 * model.g * t * t)))
     return worst
 
 

@@ -13,12 +13,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from difftrack.combiners import CONSISTENCY_CHI2
-from difftrack.dynamics import discretize_projectile, initial_state, step_truth
+from difftrack.dynamics import initial_state, step_truth
 from difftrack.engine import DiffusionKalmanEngine
 from difftrack.harness import ExperimentConfig, draw_scene, trial_rng
 from difftrack.topology import Network, stack_scenes
 
-MODEL = discretize_projectile(0.1, 10.0)
+# A short prune window and a high threshold let links be cut within a
+# dozen steps.
+QUICK_PRUNE = ExperimentConfig(prune_window=2, prune_tau=0.3)
 
 
 def pairwise_sq_dist(a, b):
@@ -66,10 +68,10 @@ def lockstep_with_reference(engine, measurements):
     for y in measurements:
         support = adjacency | eye
         engine.run_step(y)
-        c = dense_weights(engine.psi, engine.q, y, engine.sigma2, support, engine.eps)
+        c = dense_weights(engine.psi, engine.q, y, engine.sigma2, support, engine.cfg.eps)
         assert np.array_equal(engine.C, c)
-        below = dense_count_below(below, c, engine.prune_tau, engine.prune_window)
-        pruned = dense_prune(adjacency, below, engine.prune_window)
+        below = dense_count_below(below, c, engine.cfg.prune_tau, engine.cfg.prune_window)
+        pruned = dense_prune(adjacency, below, engine.cfg.prune_window)
         isolated += int((adjacency.any(axis=2) & ~pruned.any(axis=2)).sum())
         adjacency = pruned
         assert np.array_equal(engine.net.adjacency, adjacency)
@@ -95,7 +97,7 @@ def two_target_scene(seed, t_count, n, radius, n_iterations):
     for _ in range(n_iterations):
         noise = rng.standard_normal((t_count, n, 4))
         steps.append(truth[target] + np.sqrt(sigma2)[:, :, None] * noise)
-        truth = step_truth(truth, MODEL, rng.standard_normal((2, 4)))
+        truth = step_truth(truth, QUICK_PRUNE.model, rng.standard_normal((2, 4)))
     return net, sigma2, steps
 
 
@@ -109,7 +111,7 @@ def two_target_scene(seed, t_count, n, radius, n_iterations):
 @settings(max_examples=60, deadline=None)
 def test_edge_phases_equal_the_dense_reference(seed, t_count, n, radius):
     net, sigma2, steps = two_target_scene(seed, t_count, n, radius, 12)
-    engine = DiffusionKalmanEngine(net, MODEL, sigma2, "adaptive", prune_window=2, prune_tau=0.3)
+    engine = DiffusionKalmanEngine(net, sigma2, QUICK_PRUNE)
     lockstep_with_reference(engine, steps)
 
 
@@ -117,7 +119,7 @@ def test_reference_covers_a_node_pruned_to_isolation():
     # The property's explicit example: within its 12 steps some node loses
     # every link, and the engine still matches the reference after that.
     net, sigma2, steps = two_target_scene(3, 2, 10, 0.6, 12)
-    engine = DiffusionKalmanEngine(net, MODEL, sigma2, "adaptive", prune_window=2, prune_tau=0.3)
+    engine = DiffusionKalmanEngine(net, sigma2, QUICK_PRUNE)
     assert lockstep_with_reference(engine, steps) > 0
 
 
@@ -128,14 +130,12 @@ def test_large_scene_equals_the_dense_reference():
     rngs = [trial_rng(11, t) for t in range(cfg.n_trials)]
     net, part = stack_scenes(*zip(*(draw_scene(cfg, rng) for rng in rngs)))
     sigma2 = np.stack([cfg.sigma_min + cfg.sigma_span * rng.random(cfg.n_nodes) for rng in rngs])
-    engine = DiffusionKalmanEngine(
-        net, MODEL, sigma2, "adaptive", prune_tau=cfg.prune_tau, prune_window=cfg.prune_window
-    )
+    engine = DiffusionKalmanEngine(net, sigma2, cfg)
     truth = np.stack([initial_state(cfg.x0, cfg.y0, cfg.v0, a) for a in cfg.angles])
     steps = []
     for _ in range(cfg.n_iterations):
         noise = np.stack([rng.standard_normal((cfg.n_nodes, 4)) for rng in rngs])
         steps.append(truth[part.cluster_of - 1] + np.sqrt(sigma2)[:, :, None] * noise)
-        truth = step_truth(truth, MODEL, rngs[0].standard_normal((2, 4)))
+        truth = step_truth(truth, cfg.model, rngs[0].standard_normal((2, 4)))
     lockstep_with_reference(engine, steps)
     assert engine.net.adjacency.sum() < net.adjacency.sum()

@@ -1,25 +1,29 @@
 """Tests for the projectile truth model."""
 
+import dataclasses
 import warnings
 
 import numpy as np
 import pytest
 
-from difftrack.dynamics import (
-    MotionModel,
-    discretize_projectile,
-    initial_state,
-    step_truth,
-)
+from difftrack.dynamics import MotionModel, initial_state, step_truth
 from difftrack.errors import ConfigError
+from difftrack.harness import ExperimentConfig
+
+DEFAULT = ExperimentConfig().model
+
+
+def model(**changes):
+    """The default run's motion model with some of its four numbers changed."""
+    return dataclasses.replace(DEFAULT, **changes)
 
 
 def noiseless_model(delta=0.1, g=10.0):
-    return discretize_projectile(delta, g, q_scale=0.0)
+    return model(delta=delta, g=g, q_scale=0.0)
 
 
 def test_transition_matrix_structure():
-    m = discretize_projectile(0.1, 10.0)
+    m = DEFAULT
     f = m.F
     assert f[0, 2] == 0.1 and f[1, 3] == 0.1
     assert np.array_equal(np.diag(f), np.ones(4))
@@ -29,36 +33,27 @@ def test_transition_matrix_structure():
 
 
 def test_gravity_input_value():
-    m = discretize_projectile(0.1, 10.0)
+    m = DEFAULT
     assert np.allclose(m.u_g, [0.0, -0.05, 0.0, -1.0], atol=1e-15)
 
 
 def test_gravity_input_zero_without_gravity():
-    m = discretize_projectile(0.1, 0.0)
+    m = model(g=0.0)
     assert not m.u_g.any()
 
 
 def test_transition_determinant_is_one():
     for delta in (0.01, 0.1, 2.0):
-        m = discretize_projectile(delta, 9.81)
+        m = model(delta=delta, g=9.81)
         assert abs(np.linalg.det(m.F) - 1.0) < 1e-12
 
 
-def test_noise_parameters_default_to_experiment_values():
-    m = discretize_projectile(0.1, 10.0)
+def test_config_model_holds_the_config_values():
+    m = ExperimentConfig().model
     assert (m.delta, m.g, m.g_scale, m.q_scale) == (0.1, 10.0, 0.625, 0.001)
     assert m.process_noise_var == 0.625 * 0.001 * 0.625
     assert np.array_equal(m.process_noise_cov, m.process_noise_var * np.eye(4))
     assert np.allclose(m.process_noise_cov, 0.625**2 * 0.001 * np.eye(4))
-
-
-def test_discretize_rejects_bad_inputs():
-    with pytest.raises(ConfigError):
-        discretize_projectile(0.0, 10.0)
-    with pytest.raises(ConfigError):
-        discretize_projectile(-0.1, 10.0)
-    with pytest.raises(ConfigError):
-        discretize_projectile(0.1, -1.0)
 
 
 def test_initial_state_values():
@@ -71,7 +66,7 @@ def test_initial_state_values():
 
 
 def test_step_truth_constant_velocity_without_noise():
-    m = discretize_projectile(0.1, 0.0, q_scale=0.0)
+    m = model(g=0.0, q_scale=0.0)
     out = step_truth(np.array([0.0, 0.0, 1.0, 1.0]), m, np.ones(4))
     assert np.allclose(out, [0.1, 0.1, 1.0, 1.0], atol=1e-15)
 
@@ -83,7 +78,7 @@ def test_step_truth_projectile_step_without_noise():
 
 
 def test_step_truth_noise_covariance_matches_model():
-    m = discretize_projectile(0.1, 10.0)
+    m = DEFAULT
     rng = np.random.default_rng(42)
     s = np.array([1.0, 30.0, 7.5, 12.99])
     mean = m.F @ s + m.u_g
@@ -96,7 +91,7 @@ def test_step_truth_noise_covariance_matches_model():
 
 
 def test_step_truth_bit_reproducible():
-    m = discretize_projectile(0.1, 10.0)
+    m = DEFAULT
     s = np.array([1.0, 30.0, 7.5, 12.99])
     a = step_truth(s, m, np.random.default_rng(7).standard_normal(4))
     b = step_truth(s, m, np.random.default_rng(7).standard_normal(4))
@@ -106,7 +101,7 @@ def test_step_truth_bit_reproducible():
 def test_step_truth_stack_equals_each_state_alone():
     # One call over a (T, targets, 4) stack gives every state the bits it
     # gets alone, and the bits of the per-state matrix-vector form.
-    m = discretize_projectile(0.1, 10.0)
+    m = DEFAULT
     rng = np.random.default_rng(8)
     states = 30.0 * rng.standard_normal((5, 2, 4))
     w = rng.standard_normal((5, 2, 4))
@@ -137,6 +132,7 @@ def test_vertical_position_matches_closed_form():
     "fields,message",
     [
         ((0.0, 10.0, 0.625, 0.001), "time step must be positive"),
+        ((-0.1, 10.0, 0.625, 0.001), "time step must be positive"),
         ((0.1, -1.0, 0.625, 0.001), "gravitational acceleration must be >= 0"),
         ((0.1, 10.0, 0.625, -1e-3), "process noise scale must be >= 0"),
         ((np.float64(1e200), 10.0, 0.625, 0.001), "delta = .* gives a non-finite motion model"),
@@ -146,7 +142,7 @@ def test_vertical_position_matches_closed_form():
         ((0.1, 10.0, 0.625, np.nan), "non-finite process noise variance"),
     ],
     ids=[
-        "zero-delta", "negative-g", "negative-q", "overflowing-delta", "nan-g",
+        "zero-delta", "negative-delta", "negative-g", "negative-q", "overflowing-delta", "nan-g",
         "overflowing-noise", "infinite-g-scale", "nan-q",
     ],
 )
@@ -159,5 +155,5 @@ def test_motion_model_validation(fields, message):
 
 
 def test_motion_model_computes_its_matrices_once():
-    m = discretize_projectile(0.1, 10.0)
+    m = DEFAULT
     assert m.F is m.F and m.u_g is m.u_g

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from difftrack.combiners import adaptive_weight_row, consistent_pairs
-from difftrack.dynamics import MotionModel, discretize_projectile, initial_state, step_truth
+from difftrack.dynamics import MotionModel, initial_state, step_truth
 from difftrack.engine import (
     DiffusionKalmanEngine,
     adapt,
@@ -16,6 +16,7 @@ from difftrack.engine import (
     time_update,
 )
 from difftrack.errors import ConfigError, NumericError
+from difftrack.harness import ExperimentConfig
 from difftrack.selftest import (
     determinism_check,
     single_node_max_deviation,
@@ -28,7 +29,7 @@ from difftrack.topology import (
     initial_partition,
 )
 
-MODEL = discretize_projectile(0.1, 10.0)
+MODEL = ExperimentConfig().model
 
 
 def two_target_truths(n_iterations, rng):
@@ -78,10 +79,11 @@ def max_relative(got, want):
     return np.abs(got - want).max() / np.abs(want).max()
 
 
-def one_trial_engine(net, sigma2, policy, **kwargs):
-    """An engine over a one-trial stack; tests read trial 0 of its state."""
+def one_trial_engine(net, sigma2, policy, **settings):
+    """An engine over a one-trial stack, under the default config with the
+    given policy and settings; tests read trial 0 of its state."""
     stack = Network(net.positions[None], net.adjacency[None])
-    return DiffusionKalmanEngine(stack, MODEL, sigma2[None], policy, **kwargs)
+    return DiffusionKalmanEngine(stack, sigma2[None], ExperimentConfig(policy=policy, **settings))
 
 
 def build_engine(n, seed, policy="adaptive", **kwargs):
@@ -240,7 +242,7 @@ def test_engine_step_matches_per_node_operations():
     c = np.zeros((6, 6))
     for m in range(6):
         hood = hoods[m][consistent[hoods[m], m]]
-        c[:, m] = adaptive_weight_row(m, psi, q[m], hood, engine.eps)
+        c[:, m] = adaptive_weight_row(m, psi, q[m], hood, engine.cfg.eps)
     assert np.abs(c - engine.C[0]).max() < 1e-14
 
     # gemv vs gemm accumulation differs at 1 ulp; equality is to tolerance.
@@ -251,6 +253,41 @@ def test_engine_step_matches_per_node_operations():
         xp, pp = time_update(x_hat[m], full_cov(m_psi[m]), MODEL, knows_gravity=True)
         assert np.abs(xp - engine.x_pred[0, m]).max() < 1e-12
         assert np.abs(pp - full_cov(engine.M_pred[0, m])).max() < 1e-12
+
+
+@pytest.mark.parametrize("knows_gravity", [True, False])
+def test_gravity_switch_decides_the_predicted_state(knows_gravity):
+    engine, part, rng = build_engine(6, seed=10, filter_knows_gravity=knows_gravity)
+    truths = two_target_truths(1, np.random.default_rng(0))[0]
+    engine.run_step(measure(truths, part, engine.sigma2[0], rng))
+    x_pred = engine.x_hat @ MODEL.F.T
+    if knows_gravity:
+        x_pred = x_pred + MODEL.u_g
+    assert np.array_equal(engine.x_pred, x_pred)
+
+
+def test_distance_floor_above_every_distance_gives_uniform_columns():
+    # With eps far above every estimate distance each weight is eps^-2, so
+    # each adaptive column is uniform over the neighbors whose measurements
+    # pass the consistency test, the node itself included.
+    engine, part, rng = build_engine(8, seed=10, eps=1e3)
+    truths = two_target_truths(1, np.random.default_rng(0))[0]
+    y = measure(truths, part, engine.sigma2[0], rng)[0]
+    engine.run_step(y[None])
+    sigma2 = engine.sigma2[0]
+    support = engine.net.adjacency[0] | np.eye(8, dtype=bool)
+    consistent = support & consistent_pairs(
+        y[:, None], y[None, :], sigma2[:, None], sigma2[None, :]
+    )
+    sizes = []
+    for m in range(8):
+        column = engine.C[0, :, m]
+        hood = np.flatnonzero(consistent[:, m])
+        assert np.array_equal(np.flatnonzero(column), hood)
+        assert (column[hood] == column[hood[0]]).all()
+        assert abs(column.sum() - 1.0) < 1e-15
+        sizes.append(hood.size)
+    assert max(sizes) >= 3
 
 
 def test_single_node_matches_oracle_all_policies():
@@ -330,7 +367,7 @@ def test_adaptive_clustering_recovers_partition():
     truths = two_target_truths(100, rng)
     for j in range(100):
         engine.run_step(measure(truths[j], part, engine.sigma2[0], rng))
-    inferred = infer_clusters(engine.C[0], engine.prune_tau)
+    inferred = infer_clusters(engine.C[0], engine.cfg.prune_tau)
     truth_labels = part.cluster_of
     # Same partition up to label swap.
     match = np.array_equal(inferred.cluster_of, truth_labels)
@@ -387,9 +424,9 @@ def test_node_pruned_to_isolation_runs_its_own_filter():
             assert np.array_equal(engine.M_psi[0, 0], m_psi)
         a, b, c = engine.M_pred[0, 0]
         assert np.isfinite([a, b, c]).all() and a > 0 and a * c - b * b > 0
-    assert isolated and engine.prune_window <= isolated[0] < 50
+    assert isolated and engine.cfg.prune_window <= isolated[0] < 50
     assert isolated == list(range(isolated[0], 60))
-    labels = infer_clusters(engine.C[0], engine.prune_tau).cluster_of
+    labels = infer_clusters(engine.C[0], engine.cfg.prune_tau).cluster_of
     assert (labels == labels[0]).sum() == 1
 
 
@@ -433,15 +470,16 @@ def test_engine_validates_inputs():
         engine.run_step(np.zeros((1, 1, 4)))  # one measurement for five nodes
     net = engine.net
     with pytest.raises(ConfigError):
-        DiffusionKalmanEngine(net, MODEL, np.ones((1, 3)), "uniform")
+        DiffusionKalmanEngine(net, np.ones((1, 3)), ExperimentConfig(policy="uniform"))
     with pytest.raises(ConfigError):
         DiffusionKalmanEngine(
-            net, MODEL, engine.sigma2, "nonsense"
+            Network(net.positions[0], net.adjacency[0]), engine.sigma2, ExperimentConfig()
         )
-    with pytest.raises(ConfigError):
-        DiffusionKalmanEngine(
-            net, MODEL, engine.sigma2, "uniform", p0_scale=0.0
-        )
+    # The config refuses a bad policy or prior scale before any engine is built.
+    with pytest.raises(ConfigError, match="policy must be one of"):
+        ExperimentConfig(policy="nonsense")
+    with pytest.raises(ConfigError, match="P0_scale must be positive"):
+        ExperimentConfig(policy="uniform", P0_scale=0.0)
 
 
 @pytest.mark.parametrize("value", [0.0, -0.5, np.nan])
@@ -459,4 +497,4 @@ def test_engine_names_trial_and_node_of_a_bad_variance(value):
             ConfigError,
             match=rf"^trial 8: measurement variance at node 3 must be positive, got {value!r}$",
         ):
-            DiffusionKalmanEngine(stack, MODEL, sigma2, "adaptive", first_trial=7)
+            DiffusionKalmanEngine(stack, sigma2, ExperimentConfig(), first_trial=7)

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -13,7 +14,7 @@ import pytest
 
 from difftrack import harness
 from difftrack.cli import main
-from difftrack.dynamics import discretize_projectile, initial_state, step_truth
+from difftrack.dynamics import initial_state, step_truth
 from difftrack.engine import DiffusionKalmanEngine
 from difftrack.errors import ConfigError
 from difftrack.harness import (
@@ -51,6 +52,22 @@ class TestExperimentConfig:
         assert (cfg.prune_tau, cfg.prune_window) == (0.05, 10)
         assert cfg.pruning_enabled and cfg.filter_knows_gravity
 
+    def test_model_is_built_from_the_config_and_is_not_a_field(self):
+        cfg = ExperimentConfig(delta=0.2, g=9.0, G_scale=0.5, Q_scale=0.01)
+        m = cfg.model
+        assert (m.delta, m.g, m.g_scale, m.q_scale) == (0.2, 9.0, 0.5, 0.01)
+        assert cfg.model is m
+        assert "model" not in {f.name for f in dataclasses.fields(cfg)}
+        assert "model" not in dataclasses.asdict(cfg)
+        assert cfg == ExperimentConfig(delta=0.2, g=9.0, G_scale=0.5, Q_scale=0.01)
+        assert dataclasses.replace(cfg, delta=0.1).model.delta == 0.1
+        clone = pickle.loads(pickle.dumps(cfg))
+        assert clone == cfg and clone.model == m
+        # A model that overflows is refused when it is first built.
+        bad = ExperimentConfig(delta=1e200)
+        with pytest.raises(ConfigError, match="non-finite motion model"):
+            bad.model
+
     @pytest.mark.parametrize(
         "field,value",
         [
@@ -66,6 +83,7 @@ class TestExperimentConfig:
             ("sigma_span", -0.1),
             ("policy", "fastest"),
             ("angles", (1.0,)),
+            ("angles", 1.0),
             ("prune_tau", 1.5),
             ("prune_window", 0),
             ("eps", 0.0),
@@ -186,11 +204,6 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="duplicate"):
             load_config(path)
 
-    def test_unparseable_value_rejected(self, tmp_path):
-        path = tmp_path / "garbage.cfg"
-        path.write_text("n_trials = three\n")
-        with pytest.raises(ConfigError):
-            load_config(path)
 
     def test_missing_file_is_io_error(self, tmp_path):
         with pytest.raises(OSError):
@@ -230,6 +243,37 @@ class TestLoadConfig:
         path = tmp_path / "bool.json"
         path.write_text(json.dumps({field: value}))
         with pytest.raises(ConfigError, match=rf"^key '{field}' expects "):
+            load_config(path)
+
+    def test_boolean_words_hex_integers_and_bracketed_angles(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text(
+            "pruning_enabled = yes\nfilter_knows_gravity = ON\nseed = 0x10\nangles = [1.0, 0.5]\n"
+        )
+        cfg = load_config(path)
+        assert cfg.pruning_enabled is True and cfg.filter_knows_gravity is True
+        assert cfg.seed == 16
+        assert cfg.angles == (1.0, 0.5)
+        path.write_text("pruning_enabled = no\nfilter_knows_gravity = OFF\n")
+        cfg = load_config(path)
+        assert cfg.pruning_enabled is False and cfg.filter_knows_gravity is False
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("n_trials = three\n", "cannot parse integer value 'three' for key 'n_trials'"),
+            ("pruning_enabled = maybe\n", "cannot parse boolean value 'maybe' for key 'pruning_enabled'"),
+            ("angles = 1.0, pi\n", "cannot parse angle list '1.0, pi'"),
+            ("delta = fast\n", "cannot parse numeric value 'fast' for key 'delta'"),
+            ("seed = 1\nn_trials 2\n", "line 2: expected 'key = value', got 'n_trials 2'"),
+            ('{"n_trials": 2,\n', "invalid JSON configuration"),
+        ],
+        ids=["integer", "boolean", "angles", "number", "no-equals", "json"],
+    )
+    def test_unparseable_value_rejected(self, tmp_path, text, message):
+        path = tmp_path / "garbage.cfg"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
             load_config(path)
 
     def test_json_unknown_key_rejected(self, tmp_path):
@@ -305,9 +349,7 @@ class TestRunExperiment:
         rng = trial_rng(cfg.seed, 0)
         sigma2 = cfg.sigma_min + cfg.sigma_span * rng.random(1)
         truth_noise = rng.standard_normal((cfg.n_iterations - 1, cfg.n_targets, 4))
-        model = discretize_projectile(
-            cfg.delta, cfg.g, g_scale=cfg.G_scale, q_scale=cfg.Q_scale
-        )
+        model = cfg.model
         truth = initial_state(cfg.x0, cfg.y0, cfg.v0, cfg.angles[0])
         x = np.zeros(4)
         p = np.eye(4) * cfg.P0_scale
@@ -490,6 +532,16 @@ class TestArtifacts:
         path = tmp_path / "msd.csv"
         path.write_text("wrong,header\n")
         with pytest.raises(ConfigError):
+            read_msd_csv(path)
+
+    @pytest.mark.parametrize(
+        "row", ["0,1,adaptive,0.5,-3.0", "0,1,adaptive,half,-3.0,20", "0,1,adaptive,0.5,-3.0,20,9"]
+    )
+    def test_malformed_msd_row_rejected(self, tmp_path, row):
+        # A short row, a non-numeric field and a long row fail alike.
+        path = tmp_path / "msd.csv"
+        path.write_text(harness.MSD_HEADER + "\n" + row + "\n")
+        with pytest.raises(ConfigError, match=rf"^malformed MSD row '{row}'$"):
             read_msd_csv(path)
 
 

@@ -15,7 +15,7 @@ import pytest
 import difftrack.engine
 import difftrack.harness
 from difftrack.combiners import POLICIES
-from difftrack.dynamics import discretize_projectile, initial_state
+from difftrack.dynamics import initial_state
 from difftrack.engine import DiffusionKalmanEngine
 from difftrack.errors import NumericError
 from difftrack.harness import ExperimentConfig, run_trials
@@ -140,9 +140,6 @@ def test_batch_composition_does_not_matter():
 
 # -- fault injection ----------------------------------------------------
 
-MODEL = discretize_projectile(0.1, 10.0)
-
-
 def small_batch(n_trials, policy="adaptive", first_trial=0):
     """An engine over n_trials 8-node scenes, their assignment, the (T, 2, 4)
     launch states, and a function drawing one step's measurements of given
@@ -154,7 +151,9 @@ def small_batch(n_trials, policy="adaptive", first_trial=0):
         parts.append(initial_partition(nets[-1], 0.4, rng))
     sigma2 = 0.01 + 0.5 * rng.random((n_trials, 8))
     net, part = stack_scenes(nets, parts)
-    engine = DiffusionKalmanEngine(net, MODEL, sigma2, policy, first_trial=first_trial)
+    engine = DiffusionKalmanEngine(
+        net, sigma2, ExperimentConfig(policy=policy), first_trial=first_trial
+    )
     truths = np.stack(
         [initial_state(1.0, 30.0, 15.0, np.pi / 3), initial_state(1.0, 30.0, 15.0, np.pi / 4)]
     )

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from difftrack.combiners import consistent_pairs
 from difftrack.metrics import (
     MsdSeries,
     cluster_recovery_score,
@@ -14,7 +15,7 @@ from difftrack.metrics import (
     steady_state_db,
     to_db,
 )
-from difftrack.topology import ClusterAssignment
+from difftrack.topology import ClusterAssignment, infer_clusters
 
 
 def assignment(labels):
@@ -267,3 +268,33 @@ class TestReadClusters:
         estimates, sigma2 = self.scene([1, 2, 2])
         c = np.full((3, 3), 1.0 / 3.0)
         assert read_clusters(c, 0.05, estimates, sigma2).s == 1
+
+    @staticmethod
+    def two_pass(c, threshold, estimates, sigma2):
+        """The reference readout: the weight components first, then the
+        components of "same weight component or agreeing estimates"."""
+        weight = infer_clusters(c, threshold).cluster_of
+        linked = np.equal.outer(weight, weight) | consistent_pairs(
+            estimates[:, None], estimates[None, :], sigma2[:, None], sigma2[None, :]
+        )
+        return infer_clusters(linked.astype(np.float64), 1.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 12),
+        threshold=st.floats(0.0, 1.0),
+        spread=st.sampled_from([0.1, 1.0, 3.0]),
+    )
+    def test_one_pass_equals_the_two_pass_reference(self, seed, n, threshold, spread):
+        # Sparse random weights, and estimates spread from well inside to
+        # well outside the consistency bound, so weight links and agreeing
+        # estimates both occur and overlap.
+        rng = np.random.default_rng(seed)
+        c = np.where(rng.random((n, n)) < 0.3, rng.random((n, n)), 0.0)
+        estimates = spread * rng.standard_normal((n, 4))
+        sigma2 = 0.01 + 0.5 * rng.random(n)
+        got = read_clusters(c, threshold, estimates, sigma2)
+        want = self.two_pass(c, threshold, estimates, sigma2)
+        assert got.s == want.s
+        assert np.array_equal(got.cluster_of, want.cluster_of)

@@ -11,7 +11,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from difftrack.dynamics import discretize_projectile, step_truth
+from difftrack.dynamics import MotionModel, step_truth
 
 
 def reference_model(delta, g, g_scale, q_scale):
@@ -46,7 +46,7 @@ def reference_step(states, f, u_g, g_mat, q_sqrt, w):
 @example(delta=0.1, g=10.0, g_scale=1.0, q_scale=0.05, seed=1)
 @example(delta=0.1, g=10.0, g_scale=0.3, q_scale=0.0, seed=2)
 def test_model_matches_matrix_form(delta, g, g_scale, q_scale, seed):
-    model = discretize_projectile(delta, g, g_scale=g_scale, q_scale=q_scale)
+    model = MotionModel(delta, g, g_scale, q_scale)
     f, u_g, g_mat, q_mat, q_sqrt = reference_model(delta, g, g_scale, q_scale)
     gqg = g_mat @ q_mat @ g_mat.T
     assert np.array_equal(model.F, f)

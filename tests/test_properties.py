@@ -17,11 +17,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from difftrack.combiners import POLICIES
-from difftrack.dynamics import discretize_projectile
 from difftrack.engine import DiffusionKalmanEngine, adapt
+from difftrack.harness import ExperimentConfig
 from difftrack.topology import ClusterAssignment, Network
-
-MODEL = discretize_projectile(0.1, 10.0)
 
 
 def full_cov(m):
@@ -92,7 +90,7 @@ def test_one_step_matches_sequential_update_and_keeps_invariants(scene):
             for t in range(t_count)
         ]
     )
-    engine = DiffusionKalmanEngine(stacked(nets), MODEL, sigma2, policy)
+    engine = DiffusionKalmanEngine(stacked(nets), sigma2, ExperimentConfig(policy=policy))
     engine.M_pred = m_pred.copy()
     engine.x_pred = x_pred.copy()
     engine.run_step(y)
@@ -134,10 +132,10 @@ def test_batch_equals_each_trial_alone(policy, batch):
     nets, sigma2, y = batch
     # A short prune window and a high threshold let the adaptive policy
     # cut links within the few steps drawn.
-    prune = dict(prune_window=2, prune_tau=0.3)
-    together = DiffusionKalmanEngine(stacked(nets), MODEL, sigma2, policy, **prune)
+    cfg = ExperimentConfig(policy=policy, prune_window=2, prune_tau=0.3)
+    together = DiffusionKalmanEngine(stacked(nets), sigma2, cfg)
     alone = [
-        DiffusionKalmanEngine(stacked([net]), MODEL, sigma2[t : t + 1], policy, **prune)
+        DiffusionKalmanEngine(stacked([net]), sigma2[t : t + 1], cfg)
         for t, net in enumerate(nets)
     ]
     for y_j in y:
