@@ -294,8 +294,9 @@ def run_trials(cfg: ExperimentConfig, trials: range, *, weights_every: int = 0):
     est_mean = np.empty((cfg.n_iterations, n_clusters, 2)) if keep_detail else None
     snapshots = []
     members = [np.flatnonzero(part.cluster_of[0] == l + 1) for l in range(n_clusters)]
-    # Node m of trial t measures target cluster_of[t, m].
-    targets = (np.arange(len(trials))[:, None], part.cluster_of - 1)
+    # Node m of trial t measures target cluster_of[t, m], row
+    # t * n_targets + cluster_of[t, m] - 1 of the trials' stacked truths.
+    targets = cfg.n_targets * np.arange(len(trials))[:, None] + part.cluster_of - 1
     sd = np.sqrt(sigma2)[:, :, None]
     truth = np.stack([initial_state(cfg.x0, cfg.y0, cfg.v0, a) for a in cfg.angles])
     truth = np.broadcast_to(truth, (len(trials),) + truth.shape)
@@ -308,7 +309,7 @@ def run_trials(cfg: ExperimentConfig, trials: range, *, weights_every: int = 0):
                     f"trial {trials[bad[0]]}: step_truth produced a non-finite state"
                 )
         noise = np.stack([rng.standard_normal((cfg.n_nodes, STATE_DIM)) for rng in rngs])
-        engine.run_step(truth[targets] + sd * noise)
+        engine.run_step(np.take(truth.reshape(-1, STATE_DIM), targets, axis=0) + sd * noise)
         msd[:, j] = msd_accumulate(truth, engine.x_hat, part)
         if keep_detail:
             truths[j] = truth[0]

@@ -79,7 +79,9 @@ class Edges:
     ascending row, as an axis -2 sum of the dense stack does. ``flat``
     indexes entry [t, row, col] of the flattened (..., n, n) stack and
     ``flat_t`` entry [t, col, row], which ascends. ``reverse[e]`` is the
-    edge from col to row and ``is_self`` marks the n self-edges.
+    edge from col to row and ``is_self`` marks the n self-edges. ``half``
+    lists, ascending, the edges with row < col: one direction of each
+    link, whose reverses are the other.
     """
 
     def __init__(self, adjacency: np.ndarray) -> None:
@@ -95,6 +97,7 @@ class Edges:
         self.flat_t = self.key * n + self.row
         self.reverse = np.searchsorted(self.flat_t, self.flat)
         self.is_self = self.row == self.col
+        self.half = np.flatnonzero(self.row < self.col)
 
     def __len__(self) -> int:
         return self.key.size
@@ -190,8 +193,9 @@ def generate_geometric(
         )
     for _ in range(max_attempts):
         pos = rng.random((n, 2))
-        diff = pos[:, None, :] - pos[None, :, :]
-        dist = np.sqrt((diff * diff).sum(axis=2))
+        dx = pos[:, None, 0] - pos[None, :, 0]
+        dy = pos[:, None, 1] - pos[None, :, 1]
+        dist = np.sqrt(dx * dx + dy * dy)
         adj = (dist <= comm_radius) & ~np.eye(n, dtype=bool)
         if adj.sum(axis=0).min() < min_degree:
             continue
@@ -277,7 +281,7 @@ def prune_cross_links(net: Network, below_steps: np.ndarray, window: int) -> Net
     reached = np.asarray(below_steps) >= window
     if reached.shape != (len(edges),):
         raise ConfigError(f"need one count per edge, {len(edges)}, got shape {reached.shape}")
-    kill = reached & reached[edges.reverse] & ~edges.is_self
+    kill = reached & np.take(reached, edges.reverse) & ~edges.is_self
     if not kill.any():
         return net
     adjacency = net.adjacency.copy()

@@ -5,14 +5,16 @@ pruning once took: squared distances and the chi-square consistency test
 over every pair of nodes, columns normalized by axis-1 sums, and per-link
 below counts and prunes on whole n x n blocks. Fed the engine's own psi, q
 and measurements step by step, it must give the engine's combination
-matrices, adjacency and below counts on alive links bit for bit.
+matrices, adjacency and below counts on alive links bit for bit. The
+engine's consistency test, run on one direction of each link and
+mirrored, is held to the same test run on every edge.
 """
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from difftrack.combiners import CONSISTENCY_CHI2
+from difftrack.combiners import CONSISTENCY_CHI2, consistent_pairs
 from difftrack.dynamics import initial_state, step_truth
 from difftrack.engine import DiffusionKalmanEngine
 from difftrack.harness import ExperimentConfig, draw_scene, trial_rng
@@ -121,6 +123,40 @@ def test_reference_covers_a_node_pruned_to_isolation():
     net, sigma2, steps = two_target_scene(3, 2, 10, 0.6, 12)
     engine = DiffusionKalmanEngine(net, sigma2, QUICK_PRUNE)
     assert lockstep_with_reference(engine, steps) > 0
+
+
+def test_one_direction_consistency_test_equals_the_test_on_every_edge(monkeypatch):
+    # The engine tests each link one way (edges.half) and mirrors the
+    # result; on a stack that loses links, and a node every link, the
+    # mirrored mask must be the test run on every edge.
+    import difftrack.engine
+
+    calls = []
+
+    def recording(*args):
+        calls.append(consistent_pairs(*args))
+        return calls[-1]
+
+    monkeypatch.setattr(difftrack.engine, "consistent_pairs", recording)
+    net, sigma2, steps = two_target_scene(3, 2, 10, 0.6, 12)
+    engine = DiffusionKalmanEngine(net, sigma2, QUICK_PRUNE)
+    s2 = sigma2.ravel()
+    for j, y in enumerate(steps):
+        edges = engine.net.edges
+        engine.run_step(y)
+        assert len(calls) == j + 1
+        mirrored = edges.is_self.copy()
+        mirrored[edges.half] = calls[-1]
+        mirrored[edges.reverse[edges.half]] = calls[-1]
+        y2d = y.reshape(-1, 4)
+        n, m = edges.source, edges.key
+        assert np.array_equal(mirrored, consistent_pairs(y2d[n], y2d[m], s2[n], s2[m]))
+        # A weight is zero exactly where the test fails.
+        weights = np.swapaxes(engine.C, -1, -2).ravel()[edges.flat_t]
+        assert np.array_equal(weights > 0.0, mirrored)
+    pruned = engine.net.adjacency
+    assert pruned.sum() < net.adjacency.sum()
+    assert (net.adjacency.any(axis=2) & ~pruned.any(axis=2)).any()
 
 
 def test_large_scene_equals_the_dense_reference():

@@ -271,6 +271,52 @@ def test_edges_list_the_support_in_column_order(adjacency):
         assert np.array_equal(edges.flat[edges.trial == t] - t * n * n, alone.flat)
 
 
+@settings(max_examples=200, deadline=None)
+@given(adjacency_stacks())
+def test_half_is_one_direction_of_each_link(adjacency):
+    for adj in (adjacency, adjacency[0]):
+        edges = Network(np.zeros(adj.shape[:-1] + (2,)), adj).edges
+        half = edges.half
+        assert np.all(np.diff(half) > 0)
+        assert np.all(edges.row[half] < edges.col[half])
+        # The links one way, their reverses and the self-edges are every
+        # edge, each once.
+        parts = np.concatenate([half, edges.reverse[half], np.flatnonzero(edges.is_self)])
+        assert np.array_equal(np.sort(parts), np.arange(len(edges)))
+
+
+def old_form_sq_dist(pos):
+    """The scene draw's squared distances in their former (n, n, 2) form."""
+    return ((pos[:, None] - pos[None]) ** 2).sum(2)
+
+
+@pytest.mark.parametrize("n, radius, min_degree", [(2, 1.0, 1), (30, 0.35, 4), (200, 0.15, 1)])
+@pytest.mark.parametrize("seed", [0, 1, 7, 42])
+def test_draw_distances_equal_the_old_form_bit_for_bit(monkeypatch, n, radius, min_degree, seed):
+    # Every square root the draw takes of an (n, n) array is of one
+    # attempt's squared distances; record them.
+    seen = []
+    sqrt = np.sqrt
+
+    def recording_sqrt(x, *args, **kwargs):
+        if np.ndim(x) == 2:
+            seen.append(np.array(x))
+        return sqrt(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "sqrt", recording_sqrt)
+    net = generate_geometric(n, radius, min_degree, np.random.default_rng(seed))
+    monkeypatch.undo()
+    # The same stream replays each attempt's positions.
+    rng = np.random.default_rng(seed)
+    assert seen
+    for got in seen:
+        pos = rng.random((n, 2))
+        assert np.array_equal(got.view(np.uint64), old_form_sq_dist(pos).view(np.uint64))
+    assert np.array_equal(net.positions, pos)
+    want = (np.sqrt(old_form_sq_dist(pos)) <= radius) & ~np.eye(n, dtype=bool)
+    assert np.array_equal(net.adjacency, want)
+
+
 def test_prune_zero_tau_removes_nothing():
     net = line_network(4)
     history = [np.zeros((4, 4)) for _ in range(10)]
