@@ -255,20 +255,23 @@ def _naming(trial: int):
         raise type(exc)(f"trial {trial}: {exc}") from exc
 
 
-def run_trials(cfg: ExperimentConfig, trials: range, *, weights_every: int = 0):
-    """Run a contiguous range of trials in lockstep; one result per trial.
+def run_trials(cfgs, trials: range, *, weights_every: int = 0):
+    """Run a contiguous range of trials in lockstep under each of ``cfgs``,
+    configs that differ only in policy; per config, one result per trial.
 
-    Trial t draws everything from ``trial_rng(cfg.seed, t)`` in a fixed
-    order: its scene, its noise levels and its whole truth-noise block at
-    setup, then one (n_nodes, 4) measurement-noise block per step. Its
-    results are therefore the same whichever trials share the batch. The
-    truths of every trial advance together, one ``step_truth`` call per
-    step, and the step's measurements, y = truth[target] + sqrt(sigma2) *
-    noise at each node, go to the engine. Each result holds the trial's MSD rows,
-    recovery score and min-PSD eigenvalue; trial 0's also holds the
-    ``detail`` record the artifacts are written from, whose ``snapshots``
-    list of (iteration, C) pairs is empty when ``weights_every`` is 0.
+    Trial t draws everything from ``trial_rng(cfg.seed, t)`` once, in a
+    fixed order: its scene, its noise levels and its whole truth-noise
+    block at setup, then one (n_nodes, 4) measurement-noise block per
+    step. Its results are therefore the same whichever trials share the
+    batch. The truths of every trial advance together, one ``step_truth``
+    call per step, and the step's measurements, y = truth[target] +
+    sqrt(sigma2) * noise at each node, go to one engine per config, in
+    order. Each result holds the trial's MSD rows, recovery score and
+    min-PSD eigenvalue; trial 0's also holds the ``detail`` record the
+    artifacts are written from, whose ``snapshots`` list of (iteration, C)
+    pairs is empty when ``weights_every`` is 0.
     """
+    cfg = cfgs[0]
     # Built before any scene draw, so a model that overflows fails first.
     model = cfg.model
     rngs, nets, parts, sigma2, truth_noise = [], [], [], [], []
@@ -286,13 +289,13 @@ def run_trials(cfg: ExperimentConfig, trials: range, *, weights_every: int = 0):
     truth_noise = np.stack(truth_noise, axis=1)
     sigma2 = np.stack(sigma2)
     net, part = stack_scenes(nets, parts)
-    engine = DiffusionKalmanEngine(net, sigma2, cfg, first_trial=trials.start)
+    engines = [DiffusionKalmanEngine(net, sigma2, c, first_trial=trials.start) for c in cfgs]
     n_clusters = part.s
     keep_detail = trials.start == 0
-    msd = np.empty((len(trials), cfg.n_iterations, n_clusters))
-    truths = np.empty((cfg.n_iterations, cfg.n_targets, STATE_DIM)) if keep_detail else None
-    est_mean = np.empty((cfg.n_iterations, n_clusters, 2)) if keep_detail else None
-    snapshots = []
+    msd = np.empty((len(cfgs), len(trials), cfg.n_iterations, n_clusters))
+    truths = np.empty((cfg.n_iterations, cfg.n_targets, STATE_DIM))
+    est_mean = np.empty((len(cfgs), cfg.n_iterations, n_clusters, 2)) if keep_detail else None
+    snapshots = [[] for _ in cfgs]
     members = [np.flatnonzero(part.cluster_of[0] == l + 1) for l in range(n_clusters)]
     # Node m of trial t measures target cluster_of[t, m], row
     # t * n_targets + cluster_of[t, m] - 1 of the trials' stacked truths.
@@ -309,40 +312,44 @@ def run_trials(cfg: ExperimentConfig, trials: range, *, weights_every: int = 0):
                     f"trial {trials[bad[0]]}: step_truth produced a non-finite state"
                 )
         noise = np.stack([rng.standard_normal((cfg.n_nodes, STATE_DIM)) for rng in rngs])
-        engine.run_step(np.take(truth.reshape(-1, STATE_DIM), targets, axis=0) + sd * noise)
-        msd[:, j] = msd_accumulate(truth, engine.x_hat, part)
+        y = np.take(truth.reshape(-1, STATE_DIM), targets, axis=0) + sd * noise
+        truths[j] = truth[0]
+        for k, engine in enumerate(engines):
+            engine.run_step(y)
+            msd[k, :, j] = msd_accumulate(truth, engine.x_hat, part)
+            if keep_detail:
+                for l, idx in enumerate(members):
+                    est_mean[k, j, l] = engine.x_hat[0, idx, :2].mean(axis=0)
+                if weights_every and j % weights_every == 0:
+                    snapshots[k].append((j, engine.C[0].copy()))
+    runs = []
+    for k, engine in enumerate(engines):
+        results = []
+        for t, trial in enumerate(trials):
+            with _naming(trial):
+                inferred = read_clusters(engine.C[t], cfg.prune_tau, engine.x_hat[t], sigma2[t])
+                score = cluster_recovery_score(inferred, parts[t])
+            psd = float(engine.min_psd_eigenvalue[t])
+            results.append({"msd": msd[k, t], "recovery": score, "min_psd": psd})
         if keep_detail:
-            truths[j] = truth[0]
-            for l, idx in enumerate(members):
-                est_mean[j, l] = engine.x_hat[0, idx, :2].mean(axis=0)
-            if weights_every and j % weights_every == 0:
-                snapshots.append((j, engine.C[0].copy()))
-    results = []
-    for t, trial in enumerate(trials):
-        with _naming(trial):
-            inferred = read_clusters(engine.C[t], cfg.prune_tau, engine.x_hat[t], engine.sigma2[t])
-            score = cluster_recovery_score(inferred, parts[t])
-        results.append(
-            {"msd": msd[t], "recovery": score, "min_psd": float(engine.min_psd_eigenvalue[t])}
-        )
-    if keep_detail:
-        results[0]["detail"] = {
-            "positions": net.positions[0].copy(),
-            "cluster_of": part.cluster_of[0].copy(),
-            "adjacency_initial": net.adjacency[0].copy(),
-            "adjacency_final": engine.net.adjacency[0].copy(),
-            "truths": truths,
-            "est_mean": est_mean,
-            "final_C": engine.C[0].copy(),
-            "snapshots": snapshots,
-        }
-    return results
+            results[0]["detail"] = {
+                "positions": net.positions[0].copy(),
+                "cluster_of": part.cluster_of[0].copy(),
+                "adjacency_initial": net.adjacency[0].copy(),
+                "adjacency_final": engine.net.adjacency[0].copy(),
+                "truths": truths,
+                "est_mean": est_mean[k],
+                "final_C": engine.C[0].copy(),
+                "snapshots": snapshots[k],
+            }
+        runs.append(results)
+    return runs
 
 
 @dataclass(frozen=True)
 class RunResult:
-    """Merged output of one run_experiment call: what the run measured,
-    and the summaries derived from it."""
+    """Merged output of one policy's trials: what the run measured, and
+    the summaries derived from it."""
 
     config: ExperimentConfig
     series: MsdSeries
@@ -376,42 +383,6 @@ class RunResult:
         )
 
 
-def run_experiment(
-    cfg: ExperimentConfig,
-    *,
-    workers: int = 1,
-    weights_every: int = 0,
-) -> RunResult:
-    """Run cfg.n_trials independent trials and merge metrics in trial order.
-
-    All trials advance together in one engine. With ``workers > 1`` the
-    trials are split into that many contiguous chunks, each advanced in
-    its own process; the results do not depend on the split.
-    ``weights_every`` K > 0 snapshots trial 0's combination matrix every K
-    iterations; 0 takes none.
-    """
-    if workers < 1:
-        raise ConfigError(f"workers must be at least 1, got {workers}")
-    if weights_every < 0:
-        raise ConfigError(f"weights_every must be nonnegative, got {weights_every}")
-    run = partial(run_trials, cfg, weights_every=weights_every)
-    if workers > 1 and cfg.n_trials > 1:
-        bounds = [cfg.n_trials * k // workers for k in range(workers + 1)]
-        chunks = [range(a, b) for a, b in zip(bounds, bounds[1:]) if b > a]
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            results = [res for chunk in pool.map(run, chunks) for res in chunk]
-    else:
-        results = run(range(cfg.n_trials))
-    stacked = np.stack([res["msd"] for res in results])
-    return RunResult(
-        config=cfg,
-        series=MsdSeries(stacked.mean(axis=0)),
-        recovery_scores=np.array([res["recovery"] for res in results]),
-        min_psd_eigenvalue=min(res["min_psd"] for res in results),
-        detail=results[0]["detail"],
-    )
-
-
 @dataclass(frozen=True)
 class SweepResult:
     """Per-policy runs over common random numbers."""
@@ -424,8 +395,21 @@ class SweepResult:
         return tuple(rec for run in self.runs.values() for rec in run.records)
 
 
-def policy_sweep(cfg: ExperimentConfig, policies, **kwargs) -> SweepResult:
-    """Run each policy with identical seeds so the curves are comparable."""
+def policy_sweep(
+    cfg: ExperimentConfig, policies, *, workers: int = 1, weights_every: int = 0
+) -> SweepResult:
+    """Run cfg.n_trials trials once under every policy, and merge each
+    policy's metrics in trial order. All policies filter the same draws
+    and measurements (see ``run_trials``): common random numbers hold by
+    construction. The engines step in policy order, so a failing sweep
+    names the earliest failing iteration, and in it the first policy.
+    ``workers`` > 1 splits the trials into that many contiguous chunks,
+    each run in its own process; the results do not depend on the split.
+    ``weights_every`` K > 0 snapshots trial 0's combination matrix every K
+    iterations; 0 takes none.
+    """
+    if isinstance(policies, str):
+        raise ConfigError(f"policy sweep needs a list of policies, got the string '{policies}'")
     policies = list(policies)
     if not policies:
         raise ConfigError("policy sweep needs at least one policy")
@@ -434,10 +418,35 @@ def policy_sweep(cfg: ExperimentConfig, policies, **kwargs) -> SweepResult:
             raise ConfigError(f"unknown policy '{name}' in sweep")
         if name in policies[:i]:
             raise ConfigError(f"policy '{name}' appears more than once in sweep")
+    if workers < 1:
+        raise ConfigError(f"workers must be at least 1, got {workers}")
+    if weights_every < 0:
+        raise ConfigError(f"weights_every must be nonnegative, got {weights_every}")
+    cfgs = [dataclasses.replace(cfg, policy=name) for name in policies]
+    run = partial(run_trials, cfgs, weights_every=weights_every)
+    if workers > 1 and cfg.n_trials > 1:
+        bounds = [cfg.n_trials * k // workers for k in range(workers + 1)]
+        chunks = [range(a, b) for a, b in zip(bounds, bounds[1:]) if b > a]
+        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+            parts = list(pool.map(run, chunks))
+    else:
+        parts = [run(range(cfg.n_trials))]
     runs = {}
-    for name in policies:
-        runs[name] = run_experiment(dataclasses.replace(cfg, policy=name), **kwargs)
+    for k, run_cfg in enumerate(cfgs):
+        results = [res for part in parts for res in part[k]]
+        runs[run_cfg.policy] = RunResult(
+            config=run_cfg,
+            series=MsdSeries(np.stack([res["msd"] for res in results]).mean(axis=0)),
+            recovery_scores=np.array([res["recovery"] for res in results]),
+            min_psd_eigenvalue=min(res["min_psd"] for res in results),
+            detail=results[0]["detail"],
+        )
     return SweepResult(runs)
+
+
+def run_experiment(cfg: ExperimentConfig, **kwargs) -> RunResult:
+    """cfg.policy's run: a one-policy ``policy_sweep``, with its keywords."""
+    return policy_sweep(cfg, [cfg.policy], **kwargs).runs[cfg.policy]
 
 
 def _write_lines(path, header, rows):

@@ -27,21 +27,6 @@ class CheckResult:
     detail: str
 
 
-def reference_kf_update(
-    x: np.ndarray,
-    p: np.ndarray,
-    y: np.ndarray,
-    h: np.ndarray,
-    r: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One textbook measurement update (gain form, LU solve)."""
-    s = h @ p @ h.T + r
-    gain = np.linalg.solve(s, h @ p).T
-    x = x + gain @ (y - h @ x)
-    p = p - gain @ h @ p
-    return x, 0.5 * (p + p.T)
-
-
 def reference_kf_predict(
     x: np.ndarray,
     p: np.ndarray,
@@ -61,7 +46,8 @@ def batch_adapt_reference(
     p: np.ndarray,
     messages: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """All measurements at once: stacked H, block-diagonal R."""
+    """All measurements at once: stacked H, block-diagonal R. With one
+    message this is the textbook measurement update (gain form, LU solve)."""
     k = len(messages)
     dim = x.size
     h_stk = np.vstack([h for _, h, _ in messages])
@@ -103,7 +89,7 @@ def single_node_max_deviation(
     for j in range(n_iterations):
         y = truths[j] + np.sqrt(sigma2) * meas_rng.standard_normal((1, 4))[0]
         engine.run_step(y[None, None, :])
-        x, p = reference_kf_update(x, p, y, h, r)
+        x, p = batch_adapt_reference(x, p, [(y, h, r)])
         worst = max(worst, np.abs(engine.x_hat[0, 0] - x).max())
         x, p = reference_kf_predict(x, p, model, cfg.filter_knows_gravity)
     return worst

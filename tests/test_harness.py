@@ -14,6 +14,7 @@ import pytest
 
 from difftrack import harness
 from difftrack.cli import main
+from difftrack.combiners import POLICIES
 from difftrack.dynamics import initial_state, step_truth
 from difftrack.engine import DiffusionKalmanEngine
 from difftrack.errors import ConfigError
@@ -29,7 +30,7 @@ from difftrack.harness import (
     write_msd_csv,
     write_outputs,
 )
-from difftrack.selftest import reference_kf_predict, reference_kf_update
+from difftrack.selftest import batch_adapt_reference, reference_kf_predict
 
 SMALL = dict(n_nodes=12, comm_radius=0.55, min_degree=2, n_trials=3, n_iterations=25)
 
@@ -331,7 +332,7 @@ class TestTrialStreams:
         for q_scale in (cfg.Q_scale, 0.0):
             streams.clear()
             seen.append([])
-            runs.append(harness.run_trials(dataclasses.replace(cfg, Q_scale=q_scale), range(3)))
+            runs.extend(harness.run_trials([dataclasses.replace(cfg, Q_scale=q_scale)], range(3)))
         noisy, noiseless = (run[0]["detail"] for run in runs)
         for key in ("positions", "cluster_of", "adjacency_initial"):
             assert np.array_equal(noisy[key], noiseless[key]), key
@@ -361,7 +362,7 @@ class TestRunExperiment:
                 truth = step_truth(truth, model, truth_noise[j - 1, 0])
             noise = rng.standard_normal((1, 4))
             y = truth + math.sqrt(sigma2[0]) * noise[0]
-            x, p = reference_kf_update(x, p, y, h, r)
+            x, p = batch_adapt_reference(x, p, [(y, h, r)])
             oracle[j] = np.sum((truth - x) ** 2)
             x, p = reference_kf_predict(x, p, model, knows_gravity=True)
         assert result.series.msd_linear[:, 0] == pytest.approx(oracle, abs=1e-10)
@@ -426,23 +427,34 @@ class TestPolicySweep:
         assert np.array_equal(du["cluster_of"], da["cluster_of"])
 
     def test_singleton_sweep_equals_run(self, tmp_path):
+        # The engines of a sweep share its draws and each step's y and
+        # nothing mutable: each policy's run writes the bytes of its
+        # one-policy sweep, with weights every step and two workers.
         cfg = ExperimentConfig(seed=11, **SMALL)
-        sweep = policy_sweep(cfg, ["uniform"])
-        single = run_experiment(dataclasses.replace(cfg, policy="uniform"))
-        write_outputs(sweep, tmp_path / "sweep")
-        write_outputs(single, tmp_path / "run")
-        for name in os.listdir(tmp_path / "run"):
-            assert (tmp_path / "run" / name).read_bytes() == (
-                tmp_path / "sweep" / name
-            ).read_bytes(), name
+        kwargs = dict(workers=2, weights_every=1)
+        sweep = policy_sweep(cfg, POLICIES, **kwargs)
+        for name in POLICIES:
+            single = run_experiment(dataclasses.replace(cfg, policy=name), **kwargs)
+            write_outputs(sweep.runs[name], tmp_path / name / "sweep")
+            write_outputs(single, tmp_path / name / "run")
+            files = os.listdir(tmp_path / name / "run")
+            assert f"weights_{name}.csv" in files
+            for file in files:
+                assert (tmp_path / name / "run" / file).read_bytes() == (
+                    tmp_path / name / "sweep" / file
+                ).read_bytes(), (name, file)
 
     def test_empty_sweep_rejected(self):
         with pytest.raises(ConfigError):
             policy_sweep(ExperimentConfig(**SMALL), [])
 
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(ConfigError, match="fastest"):
-            policy_sweep(ExperimentConfig(**SMALL), ["fastest"])
+    # A bare string is refused by name, not split into one-letter policies.
+    @pytest.mark.parametrize(
+        "policies,named", [(["fastest"], "'fastest'"), ("adaptive", "string 'adaptive'")]
+    )
+    def test_unknown_policy_rejected(self, policies, named):
+        with pytest.raises(ConfigError, match=named):
+            policy_sweep(ExperimentConfig(**SMALL), policies)
 
     def test_repeated_policy_rejected_before_any_trial(self, monkeypatch, tmp_path, capsys):
         def no_run(*args, **kwargs):
@@ -691,18 +703,21 @@ class TestCli:
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["run", "sweep"])
     @pytest.mark.parametrize(
         "line,iteration", [("P0_scale = 1e308", 0), ("Q_scale = 1e200", 1)]
     )
     def test_non_finite_adapted_covariance_exits_three(
-        self, tmp_path, capsys, recwarn, line, iteration
+        self, tmp_path, capsys, recwarn, line, iteration, command
     ):
         # The closed-form update overflows to NaN; the step names it before
-        # the weights see it, and before numpy warns.
+        # the weights see it, and before numpy warns. A sweep's engines
+        # step in policy order, so it names the earliest failing iteration,
+        # and in it the first policy's failure.
         cfg_path = tmp_path / "huge.cfg"
         cfg_path.write_text(SMALL_CFG + line + "\n")
         out = tmp_path / "out"
-        code = main(["run", "--config", str(cfg_path), "--out-dir", str(out)])
+        code = main([command, "--config", str(cfg_path), "--out-dir", str(out)])
         assert code == 3
         assert re.search(
             rf"numeric failure: trial 0: iteration {iteration}: "

@@ -1,10 +1,11 @@
 """Trials advanced together must equal trials run one at a time.
 
-``run_trials`` advances a contiguous range of trials in lockstep. Every
-result of a trial (its MSD rows, recovery score, min-PSD eigenvalue and,
-for trial 0, the detail record) must come out byte for byte as when the
-trial runs alone, whatever other trials share its batch. A numerical
-failure in one trial of a batch names that trial and the iteration.
+``run_trials`` advances a contiguous range of trials in lockstep, under
+each policy of a sweep. Every result of a trial (its MSD rows, recovery
+score, min-PSD eigenvalue and, for trial 0, the detail record) must come
+out byte for byte as when the trial runs alone, whatever other trials
+share its batch. A numerical failure in one trial of a batch names that
+trial and the iteration.
 """
 
 import dataclasses
@@ -18,7 +19,7 @@ from difftrack.combiners import POLICIES
 from difftrack.dynamics import initial_state
 from difftrack.engine import DiffusionKalmanEngine
 from difftrack.errors import NumericError
-from difftrack.harness import ExperimentConfig, run_trials
+from difftrack.harness import ExperimentConfig, policy_sweep, run_trials
 from difftrack.topology import generate_geometric, initial_partition, stack_scenes
 
 # The default 30-node scene, cut short but long enough for links to be
@@ -52,7 +53,7 @@ def assert_same_trial(got, want):
 @pytest.mark.parametrize("policy", POLICIES)
 def test_batch_equals_each_trial_alone(policy):
     cfg = ExperimentConfig(policy=policy, **SHORT)
-    batch = run_trials(cfg, range(cfg.n_trials), weights_every=7)
+    [batch] = run_trials([cfg], range(cfg.n_trials), weights_every=7)
     assert len(batch) == cfg.n_trials
     assert "detail" in batch[0]
     detail = batch[0]["detail"]
@@ -62,10 +63,12 @@ def test_batch_equals_each_trial_alone(policy):
         # Static policies never prune, so the pruning switch changes nothing.
         assert same_bytes(detail["adjacency_final"], detail["adjacency_initial"])
         unpruned = dataclasses.replace(cfg, pruning_enabled=False)
-        for got, want in zip(batch, run_trials(unpruned, range(cfg.n_trials), weights_every=7)):
+        [again] = run_trials([unpruned], range(cfg.n_trials), weights_every=7)
+        for got, want in zip(batch, again):
             assert_same_trial(got, want)
     for t in range(cfg.n_trials):
-        assert_same_trial(batch[t], run_trials(cfg, range(t, t + 1), weights_every=7)[0])
+        [[alone]] = run_trials([cfg], range(t, t + 1), weights_every=7)
+        assert_same_trial(batch[t], alone)
 
 
 @pytest.mark.parametrize("policy", STATIC)
@@ -77,7 +80,8 @@ def test_static_policy_keeps_dense_graph_and_weights(policy, monkeypatch):
 
     monkeypatch.setattr(difftrack.engine, "prune_cross_links", no_prune)
     cfg = ExperimentConfig(policy=policy, n_nodes=120, n_trials=1, n_iterations=30)
-    detail = run_trials(cfg, range(1), weights_every=30)[0]["detail"]
+    [[trial]] = run_trials([cfg], range(1), weights_every=30)
+    detail = trial["detail"]
     assert detail["adjacency_initial"].sum() == 2 * 1917
     assert same_bytes(detail["adjacency_final"], detail["adjacency_initial"])
     # The snapshot at iteration 0 is the matrix built at construction.
@@ -94,13 +98,14 @@ def test_run_path_inverts_no_matrix(policy, monkeypatch):
 
     monkeypatch.setattr(difftrack.engine, "inverse_spd", no_inverse)
     cfg = ExperimentConfig(policy=policy, n_trials=2, n_iterations=15)
-    assert len(run_trials(cfg, range(2))) == 2
+    assert len(run_trials([cfg], range(2))[0]) == 2
 
 
-@pytest.mark.parametrize("policy", ["adaptive", "uniform"])
-def test_per_batch_work_does_not_grow_with_trials(policy, monkeypatch):
+@pytest.mark.parametrize("policies", [["adaptive"], ["uniform"], list(POLICIES)])
+def test_per_batch_work_does_not_grow_with_trials(policies, monkeypatch):
     # Pruning, static weights, MSD and the truth step each take one call
-    # for the whole batch, so 1 trial and 4 make the same calls.
+    # for the whole batch, so 1 trial and 4 make the same calls. A sweep
+    # draws each trial and steps the truths once for all its policies.
     calls = {}
 
     def counted(owner, name):
@@ -117,25 +122,27 @@ def test_per_batch_work_does_not_grow_with_trials(policy, monkeypatch):
     counted(difftrack.engine, "static_weights")
     counted(difftrack.harness, "msd_accumulate")
     counted(difftrack.harness, "step_truth")
-    cfg = ExperimentConfig(policy=policy, n_iterations=30, seed=3)
-    adaptive = policy == "adaptive"
+    counted(difftrack.harness, "trial_rng")
+    adaptive = policies.count("adaptive")
     for n_trials in (1, 4):
+        cfg = ExperimentConfig(n_trials=n_trials, n_iterations=30, seed=3)
         calls.update(dict.fromkeys(calls, 0))
-        run_trials(cfg, range(n_trials))
+        policy_sweep(cfg, policies)
         assert calls == {
-            "prune_cross_links": cfg.n_iterations - cfg.prune_window + 1 if adaptive else 0,
-            "static_weights": 0 if adaptive else 1,
-            "msd_accumulate": cfg.n_iterations,
+            "prune_cross_links": adaptive * (cfg.n_iterations - cfg.prune_window + 1),
+            "static_weights": len(policies) - adaptive,
+            "msd_accumulate": len(policies) * cfg.n_iterations,
             "step_truth": cfg.n_iterations - 1,
+            "trial_rng": n_trials,
         }, n_trials
 
 
 def test_batch_composition_does_not_matter():
     cfg = ExperimentConfig(**{**SHORT, "n_trials": 8})
-    alone = run_trials(cfg, range(3, 4))[0]
+    [[alone]] = run_trials([cfg], range(3, 4))
     assert "detail" not in alone
-    assert_same_trial(run_trials(cfg, range(8))[3], alone)
-    assert_same_trial(run_trials(cfg, range(2, 5))[1], alone)
+    assert_same_trial(run_trials([cfg], range(8))[0][3], alone)
+    assert_same_trial(run_trials([cfg], range(2, 5))[0][1], alone)
 
 
 # -- fault injection ----------------------------------------------------
@@ -248,7 +255,7 @@ def test_non_finite_truth_names_the_lowest_failing_trial(monkeypatch):
     with pytest.raises(
         NumericError, match=r"^trial 2: step_truth produced a non-finite state$"
     ):
-        run_trials(cfg, range(cfg.n_trials))
+        run_trials([cfg], range(cfg.n_trials))
     assert len(calls) == 4
 
 
