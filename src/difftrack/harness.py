@@ -296,6 +296,11 @@ def run_trials(cfgs, trials: range, *, weights_every: int = 0):
     truths = np.empty((cfg.n_iterations, cfg.n_targets, STATE_DIM))
     est_mean = np.empty((len(cfgs), cfg.n_iterations, n_clusters, 2)) if keep_detail else None
     snapshots = [[] for _ in cfgs]
+    # A static policy's C is built at construction and never reassigned,
+    # so all its snapshots share one copy.
+    static_c = [
+        None if engine.cfg.policy == "adaptive" else engine.C[0].copy() for engine in engines
+    ]
     members = [np.flatnonzero(part.cluster_of[0] == l + 1) for l in range(n_clusters)]
     # Node m of trial t measures target cluster_of[t, m], row
     # t * n_targets + cluster_of[t, m] - 1 of the trials' stacked truths.
@@ -321,7 +326,8 @@ def run_trials(cfgs, trials: range, *, weights_every: int = 0):
                 for l, idx in enumerate(members):
                     est_mean[k, j, l] = engine.x_hat[0, idx, :2].mean(axis=0)
                 if weights_every and j % weights_every == 0:
-                    snapshots[k].append((j, engine.C[0].copy()))
+                    c = engine.C[0].copy() if static_c[k] is None else static_c[k]
+                    snapshots[k].append((j, c))
     runs = []
     for k, engine in enumerate(engines):
         results = []
@@ -507,7 +513,14 @@ def write_topology(prefix, positions, cluster_of, adjacency, alive):
 
 
 def write_outputs(result, out_dir) -> None:
-    """Emit the artifact file set for a RunResult or SweepResult."""
+    """Emit the artifact file set for a RunResult or SweepResult.
+
+    ``weights_<policy>.csv`` holds the header ``iteration,n,m,weight``,
+    then one block per snapshot: the nonzero entries of its C, n-major,
+    each as ``iteration,n,m,repr(weight)``, so the weights read back
+    exactly. A snapshot equal to the one before it reuses that one's
+    formatted body, with its own iteration prefixed to every line.
+    """
     if isinstance(result, RunResult):
         result = SweepResult({result.config.policy: result})
     os.makedirs(out_dir, exist_ok=True)
@@ -545,17 +558,23 @@ def write_outputs(result, out_dir) -> None:
         snaps = run.detail["snapshots"]
         if not snaps:
             continue
-        rows = []
-        for iteration, c in snaps:
-            nn, mm = np.nonzero(c)
-            rows.extend(
-                zip([iteration] * nn.size, nn.tolist(), mm.tolist(), c[nn, mm].tolist())
-            )
-        _write_lines(
-            os.path.join(out_dir, f"weights_{name}.csv"),
-            "iteration,n,m,weight",
-            rows,
-        )
+        path = os.path.join(out_dir, f"weights_{name}.csv")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write("iteration,n,m,weight\n")
+            prev = None
+            for iteration, c in snaps:
+                # Static matrices repeat one after another and adaptive
+                # ones do not come back, so only the previous body is kept.
+                if prev is None or not (c is prev or np.array_equal(c, prev)):
+                    nn, mm = np.nonzero(c)
+                    # The leading "" makes the join put the prefix before
+                    # every line.
+                    body = [""] + [
+                        f"{n},{m},{w!r}\n"
+                        for n, m, w in zip(nn.tolist(), mm.tolist(), c[nn, mm].tolist())
+                    ]
+                    prev = c
+                fh.write(f"{iteration},".join(body))
 
     meta = {
         "artifact_version": __version__,

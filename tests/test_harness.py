@@ -540,6 +540,51 @@ class TestArtifacts:
             b"40,11,0,0.30000000000000004\n"
         )
 
+    def test_weight_snapshot_repeats_and_alternations(self, tmp_path):
+        # Each iteration's block is its own matrix's body, whether that
+        # matrix repeats the previous one, comes back after another, or is
+        # an equal array that is not the same object.
+        res = run_experiment(ExperimentConfig(**{**SMALL, "n_trials": 1, "n_iterations": 10}))
+        c0 = np.zeros((12, 12))
+        c0[0, 0], c0[4, 2] = 0.25, 0.75
+        c1 = np.zeros((12, 12))
+        c1[1, 1] = 1.0
+        c0_equal = c0.copy()
+        snaps = [(0, c0), (1, c0), (2, c1), (3, c1), (4, c0), (5, c0_equal)]
+        detail = {**res.detail, "snapshots": snaps}
+        write_outputs(dataclasses.replace(res, detail=detail), tmp_path)
+        assert (tmp_path / "weights_adaptive.csv").read_bytes() == (
+            b"iteration,n,m,weight\n"
+            b"0,0,0,0.25\n0,4,2,0.75\n"
+            b"1,0,0,0.25\n1,4,2,0.75\n"
+            b"2,1,1,1.0\n"
+            b"3,1,1,1.0\n"
+            b"4,0,0,0.25\n4,4,2,0.75\n"
+            b"5,0,0,0.25\n5,4,2,0.75\n"
+        )
+
+    def test_weights_read_back_exactly(self, tmp_path):
+        # A weight is written as its repr, so every snapshot parses back
+        # to the same bits, with zeros off the written entries.
+        cfg = ExperimentConfig(seed=11, **SMALL)
+        sweep = policy_sweep(cfg, POLICIES, weights_every=1)
+        write_outputs(sweep, tmp_path)
+        for name, run in sweep.runs.items():
+            snaps = run.detail["snapshots"]
+            lines = (tmp_path / f"weights_{name}.csv").read_text().splitlines()
+            assert lines[0] == "iteration,n,m,weight"
+            iterations, entries = [], []
+            for line in lines[1:]:
+                iteration, n, m, weight = line.split(",")
+                if not iterations or iterations[-1] != int(iteration):
+                    iterations.append(int(iteration))
+                entries.append((len(iterations) - 1, int(n), int(m), float(weight)))
+            assert iterations == [it for it, _ in snaps] == list(range(cfg.n_iterations))
+            parsed = np.zeros((len(iterations), cfg.n_nodes, cfg.n_nodes))
+            for i, n, m, weight in entries:
+                parsed[i, n, m] = weight
+            assert parsed.tobytes() == np.stack([c for _, c in snaps]).tobytes(), name
+
     def test_bad_msd_header_rejected(self, tmp_path):
         path = tmp_path / "msd.csv"
         path.write_text("wrong,header\n")
