@@ -15,10 +15,10 @@ The adaptive policy also screens each neighbor's measurement against the
 node's own with ``consistent_pairs``, one pair per edge of the network.
 Two measurements of one target differ by zero-mean Gaussian noise of
 covariance (sigma2_n + sigma2_m) I_4, so ||y_n - y_m||^2 / (sigma2_n +
-sigma2_m) is chi-square with 4 degrees of freedom. A pair beyond the 0.999 quantile (``CONSISTENCY_CHI2``, about
-18.47) is taken to measure different targets. A same-target pair fails one
-step in a thousand, far too rarely to hold its weight under the prune
-threshold for a whole window.
+sigma2_m) is chi-square with 4 degrees of freedom. A pair beyond the 0.999
+quantile (``CONSISTENCY_CHI2``, about 18.47) is taken to measure different
+targets. A same-target pair fails one step in a thousand, far too rarely
+to hold its weight under the prune threshold for a whole window.
 """
 
 from __future__ import annotations

@@ -23,6 +23,12 @@ Per-edge rows are gathered with ``np.take``, which gives the same array
 as fancy indexing at about an eighth of its cost in numpy 2, and each
 step gathers the measurements y per edge once, for phases 2 and 4.
 
+What changes only with the topology is built once per topology, not per
+step: a prune filters the edge list (``prune_cross_links``), and the
+engine then gathers each edge's 1/sigma2 and the half edges' reverses
+and variances once. The adaptive policy writes each step's C^T into one
+buffer the engine owns, so ``C`` holds the latest step's weights only.
+
 Each node observes the full state with noise sigma2 * I, the model has
 F = I + delta*theta and process noise q * I, and the prior is p0 * I, so
 every covariance is M kron I2 for one 2x2 matrix M = [[a, b], [b, c]] over
@@ -165,6 +171,10 @@ class DiffusionKalmanEngine:
     motion model ``cfg.model``. ``pruning_enabled`` only affects the
     adaptive policy: static policies never prune. ``first_trial`` is the
     number of the batch's first trial; errors name trials counting from it.
+
+    Under the adaptive policy ``C`` is a view of one buffer that each
+    ``run_step`` overwrites with that step's weights; a caller that keeps
+    a step's C must copy it.
     """
 
     def __init__(
@@ -211,11 +221,20 @@ class DiffusionKalmanEngine:
             c = np.broadcast_to(np.eye(n), (t_count, n, n))
         else:
             c = static_weights(cfg.policy, net, sigma2)
-        # C is held as the transposed view of a contiguous C^T, the operand
-        # of phase 5's product. The support is checked here, once: every
-        # later C is built on the edges.
-        self.C = np.swapaxes(np.swapaxes(c, -1, -2).copy(), -1, -2)
+        # The support is checked here, once: every later C is built on the
+        # edges.
+        self._c_t = np.swapaxes(c, -1, -2).copy()
         self._validate(self.C, net, COLUMN_SUM_TOL)
+        # Flat indices into C^T of the links the last prune cut, which the
+        # next weight update zeroes.
+        self._cut = np.empty(0, dtype=np.intp)
+
+    @property
+    def C(self) -> np.ndarray:
+        """The combination matrices, (T, n, n): the transposed view of a
+        contiguous C^T, the operand of phase 5's product, which the
+        adaptive policy overwrites each step."""
+        return np.swapaxes(self._c_t, -1, -2)
 
     # -- topology-dependent caches ------------------------------------
 
@@ -223,12 +242,18 @@ class DiffusionKalmanEngine:
         """Make ``net`` the topology: ``_w`` holds 1/sigma2_n on each edge
         (n, m) of ``net.edges``, ``_s`` [t, m] its sum over node m's
         neighborhood, and ``_info_key`` keys the information sums, one bin
-        per node and coordinate."""
+        per node and coordinate. For phase 4, ``_back`` lists the reverses
+        of the half edges, and ``_sigma2_n`` and ``_sigma2_m`` the
+        variances at their two ends."""
         self.net = net
         edges = net.edges
         self._w = np.take((1.0 / self.sigma2).ravel(), edges.source)
         self._s = np.bincount(edges.key, self._w).reshape(self.sigma2.shape)
         self._info_key = (STATE_DIM * edges.key[:, None] + np.arange(STATE_DIM)).ravel()
+        self._back = np.take(edges.reverse, edges.half)
+        sigma2 = self.sigma2.ravel()
+        self._sigma2_n = np.take(sigma2, np.take(edges.source, edges.half))
+        self._sigma2_m = np.take(sigma2, np.take(edges.key, edges.half))
 
     # -- errors -------------------------------------------------------
 
@@ -273,13 +298,13 @@ class DiffusionKalmanEngine:
         # Phase 4: weight update (adaptive policy only).
         cfg = self.cfg
         if cfg.policy == "adaptive":
-            self.C = self._adaptive_weights(psi, self.q, y_src)
+            self._adaptive_weights(psi, self.q, y_src)
 
         # Phase 5: combination. Covariance is intentionally left alone.
         # x_hat = C^T psi, the product taken with C^T in contiguous memory:
-        # on a transposed view matmul rounds differently. The engine's own
-        # C is a view of such a C^T, so nothing is copied.
-        c_t = np.ascontiguousarray(np.swapaxes(self.C, -1, -2))
+        # on a transposed view matmul rounds differently. The engine holds
+        # C as a view of such a C^T, so nothing is copied.
+        c_t = self._c_t
         weights = np.take(c_t.ravel(), self.net.edges.flat_t)
         self._validate(weights, self.net.edges, COMBINE_COL_TOL)
         self.x_hat = c_t @ psi
@@ -296,7 +321,7 @@ class DiffusionKalmanEngine:
         self.x_pred = self.x_hat @ model.F.T
         if cfg.filter_knows_gravity:
             self.x_pred = self.x_pred + model.u_g
-        a, b, c = np.moveaxis(self.M_psi, -1, 0)
+        a, b, c = self.M_psi[..., 0], self.M_psi[..., 1], self.M_psi[..., 2]
         d, q = model.delta, model.process_noise_var
         self.M_pred = np.stack([a + d * (2.0 * b + d * c) + q, b + d * c, c + q], axis=-1)
         self._track_psd(self.M_pred, "predicted covariance")
@@ -308,7 +333,7 @@ class DiffusionKalmanEngine:
 
     def _adapt_all(self, y_src: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         s, x_pred = self._s, self.x_pred
-        a, b, c = np.moveaxis(self.M_pred, -1, 0)
+        a, b, c = self.M_pred[..., 0], self.M_pred[..., 1], self.M_pred[..., 2]
         # A huge covariance overflows here; the check below names it, so
         # numpy need not warn first.
         with np.errstate(over="ignore", invalid="ignore"):
@@ -336,12 +361,16 @@ class DiffusionKalmanEngine:
         psi = x_pred + np.concatenate([a * r_pos + b * r_vel, b * r_pos + c * r_vel], axis=-1)
         return psi, m_psi
 
-    def _adaptive_weights(
-        self, psi: np.ndarray, q: np.ndarray, y_src: np.ndarray
-    ) -> np.ndarray:
+    def _adaptive_weights(self, psi: np.ndarray, q: np.ndarray, y_src: np.ndarray) -> None:
         # Edge (n, m) scores neighbor n's estimate against node m's own
         # data point psi_m + q_m; each column m is then normalized. The
-        # weights go into a fresh C^T, and C is its transposed view.
+        # weights overwrite the edges' entries of the engine's C^T buffer,
+        # of which C is the transposed view. Its other entries are zero
+        # once the links of the last prune are: they are zeroed here, not
+        # at the prune, so that the pruning step's C keeps its weights.
+        c_t = self._c_t.reshape(-1)
+        c_t[self._cut] = 0.0
+        self._cut = self._cut[:0]
         edges = self.net.edges
         n, m = edges.source, edges.key
         psi, own = psi.reshape(-1, STATE_DIM), (psi + q).reshape(-1, STATE_DIM)
@@ -351,21 +380,18 @@ class DiffusionKalmanEngine:
         # direction of each link and is mirrored onto the other; the
         # reverse edge's source measurement is y_m. A self-edge passes,
         # its measurement being finite.
-        half, back = edges.half, np.take(edges.reverse, edges.half)
-        sigma2 = self.sigma2.ravel()
+        half, back = edges.half, self._back
         agree = consistent_pairs(
             np.take(y_src, half, axis=0),
             np.take(y_src, back, axis=0),
-            np.take(sigma2, np.take(n, half)),
-            np.take(sigma2, np.take(m, half)),
+            self._sigma2_n,
+            self._sigma2_m,
         )
         usable = edges.is_self.copy()
         usable[half] = agree
         usable[back] = agree
         w = np.where(usable, d**-2.0, 0.0)
-        c_t = np.zeros(self.C.shape)
-        c_t.ravel()[edges.flat_t] = w / np.take(np.bincount(m, w), m)
-        return np.swapaxes(c_t, -1, -2)
+        c_t[edges.flat_t] = w / np.take(np.bincount(m, w), m)
 
     def _prune(self) -> None:
         edges = self.net.edges
@@ -375,10 +401,11 @@ class DiffusionKalmanEngine:
             # the survivors' counts carry over in place.
             kept = np.take(pruned.adjacency.ravel(), edges.flat) | edges.is_self
             self._below = self._below[kept]
+            self._cut = edges.flat_t[~kept]
             self._adopt(pruned)
 
     def _track_psd(self, cov: np.ndarray, name: str) -> None:
-        a, b, c = np.moveaxis(cov, -1, 0)
+        a, b, c = cov[..., 0], cov[..., 1], cov[..., 2]
         low = 0.5 * (a + c) - np.hypot(0.5 * (a - c), b)
         low_t = low.min(axis=1)
         # The record skips a NaN minimum; the check below does not.

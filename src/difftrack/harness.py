@@ -306,6 +306,7 @@ def run_trials(cfgs, trials: range, *, weights_every: int = 0):
     # t * n_targets + cluster_of[t, m] - 1 of the trials' stacked truths.
     targets = cfg.n_targets * np.arange(len(trials))[:, None] + part.cluster_of - 1
     sd = np.sqrt(sigma2)[:, :, None]
+    noise = np.empty((len(trials), cfg.n_nodes, STATE_DIM))
     truth = np.stack([initial_state(cfg.x0, cfg.y0, cfg.v0, a) for a in cfg.angles])
     truth = np.broadcast_to(truth, (len(trials),) + truth.shape)
     for j in range(cfg.n_iterations):
@@ -316,7 +317,8 @@ def run_trials(cfgs, trials: range, *, weights_every: int = 0):
                 raise NumericError(
                     f"trial {trials[bad[0]]}: step_truth produced a non-finite state"
                 )
-        noise = np.stack([rng.standard_normal((cfg.n_nodes, STATE_DIM)) for rng in rngs])
+        for t, rng in enumerate(rngs):
+            rng.standard_normal(out=noise[t])
         y = np.take(truth.reshape(-1, STATE_DIM), targets, axis=0) + sd * noise
         truths[j] = truth[0]
         for k, engine in enumerate(engines):

@@ -72,13 +72,16 @@ def msd_accumulate(
     labels, s = assignment.cluster_of - 1, assignment.s
     if estimates.shape[:-1] != labels.shape:
         raise ValueError("one estimate row per node required")
-    if truths.shape[-2] < s:
-        raise ValueError("every cluster needs a target state")
-    err = estimates - np.take_along_axis(truths, labels[..., None], axis=-2)
-    sq = np.einsum("...j,...j->...", err, err)
-    # One bincount over the whole batch, entry b's clusters at keys b*s + l.
+    if truths.shape[:-2] != labels.shape[:-1] or truths.shape[-2] < s:
+        raise ValueError("every batch entry needs a target state per cluster")
+    # Entry b's r truths are rows b*r to b*r + r - 1 of the flattened
+    # stack, and its s clusters keys b*s to b*s + s - 1 of one bincount
+    # over the whole batch.
     lead = labels.shape[:-1]
     batch = np.arange(math.prod(lead)).reshape(lead + (1,))
+    r = truths.shape[-2]
+    err = estimates - np.take(truths.reshape(-1, truths.shape[-1]), batch * r + labels, axis=0)
+    sq = np.einsum("...j,...j->...", err, err)
     sums = np.bincount((batch * s + labels).ravel(), weights=sq.ravel(), minlength=batch.size * s)
     return sums.reshape(lead + (s,)) / assignment.sizes
 

@@ -82,6 +82,9 @@ class Edges:
     edge from col to row and ``is_self`` marks the n self-edges. ``half``
     lists, ascending, the edges with row < col: one direction of each
     link, whose reverses are the other.
+
+    A list is built from an adjacency once per stack; the list of a pruned
+    stack is filtered from its parent's by ``kept``, never rebuilt.
     """
 
     def __init__(self, adjacency: np.ndarray) -> None:
@@ -101,6 +104,20 @@ class Edges:
 
     def __len__(self) -> int:
         return self.key.size
+
+    def kept(self, keep: np.ndarray) -> Edges:
+        """The list of the edges where the (E,) mask ``keep`` holds, in the
+        same order: the list of the support that is left when the others
+        go. ``keep`` must hold every self-edge and, with an edge, its
+        reverse."""
+        sub = object.__new__(Edges)
+        sub.n_nodes = self.n_nodes
+        for name in ("trial", "col", "row", "source", "key", "flat", "flat_t", "is_self"):
+            setattr(sub, name, getattr(self, name)[keep])
+        # Old edge e is new edge cumsum(keep)[e] - 1.
+        sub.reverse = np.take(np.cumsum(keep) - 1, self.reverse[keep])
+        sub.half = np.flatnonzero(sub.row < sub.col)
+        return sub
 
 
 @dataclass(frozen=True)
@@ -123,10 +140,10 @@ class ClusterAssignment:
         if empty.size:
             raise ConfigError(f"cluster {empty[0, -1] + 1} is empty")
 
-    @property
+    @cached_property
     def sizes(self) -> np.ndarray:
         """Node count per cluster, (..., s), index 0 holding cluster 1."""
-        return (self.cluster_of[..., None] == np.arange(1, self.s + 1)).sum(axis=-2)
+        return _freeze((self.cluster_of[..., None] == np.arange(1, self.s + 1)).sum(axis=-2))
 
 
 def component_roots(adjacency: np.ndarray) -> np.ndarray:
@@ -258,9 +275,9 @@ def count_below(
 
     ``counts`` and the weights ``c`` match in shape: one entry per link,
     such as one per edge of a network's ``edges``. An entry grows by one
-    while its weight stays below tau and restarts at 0 when it does not. Counts saturate at ``window``: a link
-    is judged only on whether its count reached the window, and a narrow
-    integer type cannot wrap.
+    while its weight stays below tau and restarts at 0 when it does not.
+    Counts saturate at ``window``: a link is judged only on whether its
+    count reached the window, and a narrow integer type cannot wrap.
     """
     return np.where(np.asarray(c) < tau, np.minimum(counts, window - 1) + 1, 0)
 
@@ -273,7 +290,8 @@ def prune_cross_links(net: Network, below_steps: np.ndarray, window: int) -> Net
     (see ``count_below``), so one call prunes a whole stack. An edge (n, m)
     is removed only when both directions reached ``window``; self-edges
     never are. Returns ``net`` unchanged (same object) when nothing
-    qualifies.
+    qualifies; otherwise the pruned network's ``edges`` is ``net.edges``
+    filtered to the survivors.
     """
     if window < 1:
         raise ConfigError(f"prune window must be >= 1, got {window}")
@@ -286,4 +304,7 @@ def prune_cross_links(net: Network, below_steps: np.ndarray, window: int) -> Net
         return net
     adjacency = net.adjacency.copy()
     adjacency.reshape(-1)[edges.flat[kill]] = False
-    return Network(positions=net.positions, adjacency=adjacency)
+    pruned = Network(positions=net.positions, adjacency=adjacency)
+    # Fills the cached property, so the list is not rebuilt from adjacency.
+    pruned.__dict__["edges"] = edges.kept(~kill)
+    return pruned

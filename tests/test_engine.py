@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+import difftrack.engine
 from difftrack.combiners import adaptive_weight_row, consistent_pairs
 from difftrack.dynamics import MotionModel, initial_state, step_truth
 from difftrack.engine import (
@@ -17,7 +18,7 @@ from difftrack.engine import (
     time_update,
 )
 from difftrack.errors import ConfigError, NumericError
-from difftrack.harness import ExperimentConfig
+from difftrack.harness import ExperimentConfig, run_trials
 from difftrack.selftest import (
     determinism_check,
     single_node_max_deviation,
@@ -455,6 +456,37 @@ def test_in_cluster_weights_dominate_after_burn_in():
         if engine.C[0][same].mean() > engine.C[0][cross].mean():
             hits += 1
     assert hits >= int(np.ceil(0.95 * trials)), f"{hits}/{trials}"
+
+
+def test_pruning_step_keeps_its_weights(monkeypatch):
+    # At a threshold of 0.1 some links are cut while their weight is still
+    # positive. The adaptive C is one buffer that each step overwrites, and
+    # a cut link is zeroed by the next step's weight update, not by the
+    # prune: the pruning step's snapshot keeps that step's weights.
+    cuts = []
+    prune = difftrack.engine.prune_cross_links
+
+    def recording(net, *args):
+        pruned = prune(net, *args)
+        cuts.append(net.adjacency[0] & ~pruned.adjacency[0])
+        return pruned
+
+    monkeypatch.setattr(difftrack.engine, "prune_cross_links", recording)
+    cfg = ExperimentConfig(n_trials=1, n_iterations=20, seed=3, prune_tau=0.1)
+    [[result]] = run_trials([cfg], range(1), weights_every=1)
+    snapshots = result["detail"]["snapshots"]
+    assert [j for j, _ in snapshots] == list(range(cfg.n_iterations))
+    held = 0
+    # The first prune comes at the first step a count can reach the window.
+    for j, cut in enumerate(cuts, start=cfg.prune_window - 1):
+        if not cut.any():
+            continue
+        c = snapshots[j][1]
+        held += (c[cut] > 0.0).sum()
+        assert np.abs(c.sum(axis=0) - 1.0).max() < 1e-12
+        for _, later in snapshots[j + 1 :]:
+            assert not later[cut].any()
+    assert held > 0
 
 
 def test_engine_pickle_round_trip_continues_identically():

@@ -15,6 +15,7 @@ import pytest
 
 import difftrack.engine
 import difftrack.harness
+import difftrack.topology
 from difftrack.combiners import POLICIES
 from difftrack.dynamics import initial_state
 from difftrack.engine import DiffusionKalmanEngine
@@ -105,15 +106,17 @@ def test_run_path_inverts_no_matrix(policy, monkeypatch):
 def test_per_batch_work_does_not_grow_with_trials(policies, monkeypatch):
     # Pruning, static weights, MSD and the truth step each take one call
     # for the whole batch, so 1 trial and 4 make the same calls. A sweep
-    # draws each trial and steps the truths once for all its policies.
+    # draws each trial and steps the truths once for all its policies, and
+    # builds one edge list, which each prune filters.
     calls = {}
 
-    def counted(owner, name):
+    def counted(owner, name, key=None):
         original = getattr(owner, name)
-        calls[name] = 0
+        key = key or name
+        calls[key] = 0
 
         def wrapper(*args, **kwargs):
-            calls[name] += 1
+            calls[key] += 1
             return original(*args, **kwargs)
 
         monkeypatch.setattr(owner, name, wrapper)
@@ -123,10 +126,21 @@ def test_per_batch_work_does_not_grow_with_trials(policies, monkeypatch):
     counted(difftrack.harness, "msd_accumulate")
     counted(difftrack.harness, "step_truth")
     counted(difftrack.harness, "trial_rng")
+    counted(difftrack.topology.Edges, "__init__", "Edges")
+    prunes = []
+    prune = difftrack.engine.prune_cross_links
+
+    def recording(net, *args):
+        pruned = prune(net, *args)
+        prunes.append(pruned is not net)
+        return pruned
+
+    monkeypatch.setattr(difftrack.engine, "prune_cross_links", recording)
     adaptive = policies.count("adaptive")
     for n_trials in (1, 4):
         cfg = ExperimentConfig(n_trials=n_trials, n_iterations=30, seed=3)
         calls.update(dict.fromkeys(calls, 0))
+        prunes.clear()
         policy_sweep(cfg, policies)
         assert calls == {
             "prune_cross_links": adaptive * (cfg.n_iterations - cfg.prune_window + 1),
@@ -134,7 +148,9 @@ def test_per_batch_work_does_not_grow_with_trials(policies, monkeypatch):
             "msd_accumulate": len(policies) * cfg.n_iterations,
             "step_truth": cfg.n_iterations - 1,
             "trial_rng": n_trials,
+            "Edges": 1,
         }, n_trials
+        assert any(prunes) == bool(adaptive), n_trials
 
 
 def test_batch_composition_does_not_matter():

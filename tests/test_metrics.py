@@ -102,9 +102,30 @@ class TestMsdAccumulate:
             alone = msd_accumulate(truths[t], estimates[t], assignment(labels[t]))
             assert np.array_equal(out[t], alone)
 
+    def test_more_truth_rows_than_clusters(self):
+        # An n_nodes = 1 run has one cluster but a row for each of its two
+        # targets: entry b's truths are rows 2b and 2b + 1 of the stack.
+        rng = np.random.default_rng(6)
+        truths = rng.normal(size=(3, 2, 4))
+        estimates = rng.normal(size=(3, 1, 4))
+        labels = np.ones((3, 1), dtype=np.int64)
+        out = msd_accumulate(truths, estimates, ClusterAssignment(labels, 1))
+        for t in range(3):
+            alone = msd_accumulate(truths[t], estimates[t], assignment(labels[t]))
+            assert np.array_equal(out[t], alone)
+        # The per-batch form with take_along_axis, as a reference.
+        err = estimates - np.take_along_axis(truths, labels[..., None] - 1, axis=-2)
+        sq = np.einsum("...j,...j->...", err, err)
+        want = np.bincount(np.arange(3), weights=sq.ravel(), minlength=3).reshape(3, 1)
+        assert np.array_equal(out, want)
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             msd_accumulate(np.zeros((1, 4)), np.zeros((3, 4)), assignment([1, 1]))
+        # One truth block per batch entry.
+        labels = ClusterAssignment(np.ones((3, 1), dtype=np.int64), 1)
+        with pytest.raises(ValueError):
+            msd_accumulate(np.zeros((2, 2, 4)), np.zeros((3, 1, 4)), labels)
 
 
 class TestMsdSeries:

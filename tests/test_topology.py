@@ -9,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 from difftrack.errors import ConfigError
 from difftrack.topology import (
     ClusterAssignment,
+    Edges,
     Network,
     component_roots,
     count_below,
@@ -145,6 +146,9 @@ def test_stack_scenes():
         assert np.array_equal(part.cluster_of[t], parts[t].cluster_of)
     assert part.s == 2
     assert part.sizes.tolist() == [[1, 2], [2, 1]]
+    # Counted once per assignment, and read-only like its labels.
+    assert part.sizes is part.sizes
+    assert not part.sizes.flags.writeable
 
 
 def lowest_node_labels(adjacency):
@@ -283,6 +287,53 @@ def test_half_is_one_direction_of_each_link(adjacency):
         # edge, each once.
         parts = np.concatenate([half, edges.reverse[half], np.flatnonzero(edges.is_self)])
         assert np.array_equal(np.sort(parts), np.arange(len(edges)))
+
+
+EDGE_FIELDS = (
+    "trial", "col", "row", "source", "key", "flat", "flat_t", "reverse", "is_self", "half"
+)
+
+
+@st.composite
+def stacks_and_cuts(draw):
+    """An adjacency stack and a symmetric set of its links to cut: random
+    links, at times every link of one node, at times every link."""
+    adjacency = draw(adjacency_stacks())
+    t_count, n = adjacency.shape[:2]
+    upper = np.triu(draw(arrays(bool, adjacency.shape)), 1)
+    cut = adjacency & (upper | upper.swapaxes(1, 2))
+    if draw(st.booleans()):
+        t, k = draw(st.integers(0, t_count - 1)), draw(st.integers(0, n - 1))
+        cut[t, k] = adjacency[t, k]
+        cut[t, :, k] = adjacency[t, :, k]
+    if draw(st.booleans()):
+        cut = adjacency.copy()
+    return adjacency, cut
+
+
+@settings(max_examples=200, deadline=None)
+@given(stacks_and_cuts())
+def test_prune_filters_the_edge_list(case):
+    # The pruned network's list is its parent's, filtered; it must equal
+    # the list built from the pruned adjacency, field by field. A second
+    # prune, of every link left, filters the filtered list.
+    adjacency, cut = case
+    net = Network(np.zeros(adjacency.shape[:-1] + (2,)), adjacency)
+    for links in (cut, adjacency & ~cut):
+        # Self-edges reach the window too, and are kept.
+        below = np.take(links.ravel(), net.edges.flat) | net.edges.is_self
+        pruned = prune_cross_links(net, below, 1)
+        if not links.any():
+            assert pruned is net
+            continue
+        assert np.array_equal(pruned.adjacency, net.adjacency & ~links)
+        want = Edges(pruned.adjacency)
+        assert pruned.edges.n_nodes == want.n_nodes
+        for name in EDGE_FIELDS:
+            got = getattr(pruned.edges, name)
+            assert got.dtype == getattr(want, name).dtype, name
+            assert np.array_equal(got, getattr(want, name)), name
+        net = pruned
 
 
 def old_form_sq_dist(pos):
