@@ -80,11 +80,6 @@ class MotionModel:
         with np.errstate(over="ignore", invalid="ignore"):
             return self.g_scale * self.q_scale * self.g_scale
 
-    @property
-    def process_noise_cov(self) -> np.ndarray:
-        """Covariance G Q G^T actually injected into the state."""
-        return self.process_noise_var * np.eye(STATE_DIM)
-
 
 def initial_state(x0: float, y0: float, v0: float, angle: float) -> np.ndarray:
     """Launch state [x0, y0, v0*cos(angle), v0*sin(angle)]."""

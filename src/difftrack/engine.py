@@ -67,9 +67,9 @@ that fails raises ``NumericError`` naming the trial and the iteration;
 when several trials fail in the same phase of the same step, the
 lowest-numbered one is named.
 
-The module-level functions adapt/residual/combine/time_update are the
-single-node reference forms in general 4x4 matrices; tests hold the engine
-to them.
+The module-level function ``adapt`` is the single-node reference form of
+phase 2 in general 4x4 matrices; gate c2 and the tests hold the engine to
+it.
 """
 
 from __future__ import annotations
@@ -86,7 +86,7 @@ from .combiners import (
     static_weights,
     validate_combination_matrix,
 )
-from .dynamics import STATE_DIM, MotionModel
+from .dynamics import STATE_DIM
 from .errors import ConfigError, NumericError
 from .numerics import inverse_spd, symmetrize
 from .topology import Network, count_below, prune_cross_links
@@ -110,9 +110,9 @@ def adapt(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sequential measurement updates for one node.
 
-    ``messages`` holds (y, H, R) triples; the engine supplies them in
-    ascending neighbor index and this function processes them in the given
-    order. An empty sequence returns the prediction unchanged.
+    ``messages`` holds (y, H, R) triples, which callers give in ascending
+    neighbor index, the order of the engine's sums; this function processes
+    them in the given order. An empty sequence returns the prediction unchanged.
     """
     psi = np.array(x_pred, dtype=np.float64)
     p = np.array(p_pred, dtype=np.float64)
@@ -123,40 +123,6 @@ def adapt(
         psi = psi + gain @ (y - h @ psi)
         p = symmetrize(p - gain @ hp)
     return psi, p
-
-
-def residual(y: np.ndarray, h: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """Post-adaptation innovation q = y - H psi."""
-    return y - h @ psi
-
-
-def combine(psi_all: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Convex combination of intermediate estimates.
-
-    ``psi_all`` is (k, 4) and ``weights`` the matching column slice of C.
-    """
-    weights = np.asarray(weights, dtype=np.float64)
-    if abs(weights.sum() - 1.0) > COMBINE_COL_TOL:
-        raise NumericError(
-            f"combination weights sum to {weights.sum()!r}, not 1"
-        )
-    if (weights < 0.0).any():
-        raise NumericError("combination weights must be nonnegative")
-    return weights @ psi_all
-
-
-def time_update(
-    x_hat: np.ndarray,
-    p: np.ndarray,
-    model: MotionModel,
-    knows_gravity: bool = True,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Propagate one node's estimate through the motion model."""
-    x_pred = model.F @ x_hat
-    if knows_gravity:
-        x_pred = x_pred + model.u_g
-    p_pred = symmetrize(model.F @ p @ model.F.T + model.process_noise_cov)
-    return x_pred, p_pred
 
 
 class DiffusionKalmanEngine:

@@ -3,10 +3,9 @@
 Everything here operates on float64 ndarrays and supports a leading batch
 dimension. The engine's run path carries each covariance in closed 2x2
 form and calls none of this, nor does ``dynamics``; the single-node
-reference forms ``engine.adapt`` and ``engine.time_update``, which tests
-and selftest hold the engine to, do. Inversion is restricted to symmetric
-positive definite matrices because that is the only kind the reference
-filter inverts.
+reference form ``engine.adapt``, which gate c2 and the tests hold the
+engine to, does. Inversion is restricted to symmetric positive definite
+matrices because that is the only kind the reference filter inverts.
 """
 
 from __future__ import annotations

@@ -10,17 +10,12 @@ import pytest
 import difftrack.engine
 from difftrack.combiners import adaptive_weight_row, consistent_pairs
 from difftrack.dynamics import MotionModel, initial_state, step_truth
-from difftrack.engine import (
-    DiffusionKalmanEngine,
-    adapt,
-    combine,
-    residual,
-    time_update,
-)
-from difftrack.errors import ConfigError, NumericError
+from difftrack.engine import DiffusionKalmanEngine, adapt
+from difftrack.errors import ConfigError
 from difftrack.harness import ExperimentConfig, run_trials
 from difftrack.selftest import (
     determinism_check,
+    reference_kf_predict,
     single_node_max_deviation,
 )
 from difftrack.topology import (
@@ -98,7 +93,7 @@ def build_engine(n, seed, policy="adaptive", **kwargs):
     return engine, part, rng
 
 
-# -- module-level reference operations ---------------------------------
+# -- reference forms: engine.adapt and selftest.reference_kf_predict ---
 
 
 def test_adapt_empty_messages_is_identity():
@@ -133,73 +128,38 @@ def test_adapt_never_inflates_covariance():
     assert gap_eigs.min() >= -1e-9
 
 
-def test_residual_cases():
-    psi = np.array([1.0, 2.0, 3.0, 4.0])
-    h = np.eye(4)
-    assert np.array_equal(residual(h @ psi, h, psi), np.zeros(4))
-    e1 = np.array([1.0, 0.0, 0.0, 0.0])
-    assert np.array_equal(residual(psi + e1, h, psi), e1)
-
-
-def test_combine_cases():
-    psi = np.array([[1.0, 2.0, 3.0, 4.0], [3.0, 2.0, 1.0, 0.0]])
-    assert np.array_equal(combine(psi, np.array([1.0, 0.0])), psi[0])
-    assert np.allclose(combine(psi, np.array([0.5, 0.5])), [2.0, 2.0, 2.0, 2.0])
-    same = np.tile(psi[0], (3, 1))
-    out = combine(same, np.array([0.2, 0.5, 0.3]))
-    assert np.allclose(out, psi[0], atol=1e-15)
-
-
-def test_combine_stays_in_convex_hull():
-    rng = np.random.default_rng(2)
-    psi = rng.standard_normal((5, 4))
-    w = rng.random(5)
-    w /= w.sum()
-    out = combine(psi, w)
-    assert (out <= psi.max(axis=0) + 1e-12).all()
-    assert (out >= psi.min(axis=0) - 1e-12).all()
-
-
-def test_combine_rejects_bad_weights():
-    psi = np.zeros((2, 4))
-    with pytest.raises(NumericError, match="sum"):
-        combine(psi, np.array([0.7, 0.7]))
-    with pytest.raises(NumericError, match="nonnegative"):
-        combine(psi, np.array([1.5, -0.5]))
-
-
-def test_time_update_noiseless_constant_velocity():
+def test_reference_kf_predict_noiseless_constant_velocity():
     # Without gravity or noise only positions move, each by delta times
     # its velocity, and P becomes F P F^T.
     model = MotionModel(delta=0.5, g=0.0, g_scale=0.625, q_scale=0.0)
     x = np.arange(4.0)
     p = np.diag([1.0, 2.0, 3.0, 4.0])
-    x2, p2 = time_update(x, p, model)
+    x2, p2 = reference_kf_predict(x, p, model, knows_gravity=True)
     assert np.array_equal(x2, [1.0, 2.5, 2.0, 3.0])
     assert np.array_equal(p2, model.F @ p @ model.F.T)
     assert np.array_equal(p2[[0, 1], [2, 3]], [1.5, 2.0])
 
 
-def test_time_update_noise_injection_value():
+def test_reference_kf_predict_noise_injection_value():
     # The noise alone: with P = 0 nothing else reaches P'.
     model = MotionModel(delta=0.1, g=0.0, g_scale=0.625, q_scale=0.001)
-    _, p2 = time_update(np.zeros(4), np.zeros((4, 4)), model)
+    _, p2 = reference_kf_predict(np.zeros(4), np.zeros((4, 4)), model, knows_gravity=True)
     assert np.allclose(p2, 0.000390625 * np.eye(4), atol=1e-18)
 
 
-def test_time_update_trace_grows_with_noise():
+def test_reference_kf_predict_trace_grows_with_noise():
     rng = np.random.default_rng(3)
     q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
     p = (q * rng.uniform(0.5, 2.0, 4)) @ q.T
-    _, p2 = time_update(np.zeros(4), 0.5 * (p + p.T), MODEL)
+    _, p2 = reference_kf_predict(np.zeros(4), 0.5 * (p + p.T), MODEL, knows_gravity=True)
     fpf = MODEL.F @ (0.5 * (p + p.T)) @ MODEL.F.T
     assert np.trace(p2) >= np.trace(fpf) - 1e-12
 
 
-def test_time_update_gravity_flag():
+def test_reference_kf_predict_gravity_flag():
     x = np.zeros(4)
-    with_g, _ = time_update(x, np.eye(4), MODEL, knows_gravity=True)
-    without_g, _ = time_update(x, np.eye(4), MODEL, knows_gravity=False)
+    with_g, _ = reference_kf_predict(x, np.eye(4), MODEL, knows_gravity=True)
+    without_g, _ = reference_kf_predict(x, np.eye(4), MODEL, knows_gravity=False)
     assert np.array_equal(with_g, MODEL.u_g)
     assert np.array_equal(without_g, np.zeros(4))
 
@@ -234,7 +194,7 @@ def test_engine_step_matches_per_node_operations():
     assert np.array_equal(psi, engine.psi[0])
     assert np.array_equal(m_psi, engine.M_psi[0])
 
-    q = np.stack([residual(y[m], eye, psi[m]) for m in range(6)])
+    q = np.stack([y[m] - eye @ psi[m] for m in range(6)])
     assert np.array_equal(q, engine.q[0])
 
     # Neighbors whose measurements fail the consistency test get no weight;
@@ -248,13 +208,62 @@ def test_engine_step_matches_per_node_operations():
     assert np.abs(c - engine.C[0]).max() < 1e-14
 
     # gemv vs gemm accumulation differs at 1 ulp; equality is to tolerance.
-    x_hat = np.stack([combine(psi, engine.C[0][:, m]) for m in range(6)])
+    x_hat = np.stack([engine.C[0][:, m] @ psi for m in range(6)])
     assert np.abs(x_hat - engine.x_hat[0]).max() < 1e-12
 
     for m in range(6):
-        xp, pp = time_update(x_hat[m], full_cov(m_psi[m]), MODEL, knows_gravity=True)
+        xp, pp = reference_kf_predict(x_hat[m], full_cov(m_psi[m]), MODEL, knows_gravity=True)
         assert np.abs(xp - engine.x_pred[0, m]).max() < 1e-12
         assert np.abs(pp - full_cov(engine.M_pred[0, m])).max() < 1e-12
+
+
+def test_engine_residual_of_a_lone_node_is_the_shrunk_innovation():
+    # Two unlinked nodes start from x_pred = 0 and M_pred = P0 I. Node 0
+    # measures its prediction, so its residual is zero; node 1 measures
+    # e1, so psi = P0 / (sigma2 + P0) e1 and q = sigma2 / (sigma2 + P0) e1.
+    net = Network(np.array([[0.1, 0.1], [0.9, 0.9]]), np.zeros((2, 2), dtype=bool))
+    sigma2 = np.array([0.2, 0.4])
+    engine = one_trial_engine(net, sigma2, "uniform")
+    p0 = engine.cfg.P0_scale
+    y = np.zeros((1, 2, 4))
+    y[0, 1, 0] = 1.0
+    engine.run_step(y)
+    assert np.array_equal(engine.q[0, 0], np.zeros(4))
+    assert np.array_equal(engine.q[0, 1, 1:], np.zeros(3))
+    assert abs(engine.q[0, 1, 0] - 0.4 / (0.4 + p0)) <= 1e-15
+    assert np.array_equal(engine.q, y - engine.psi)
+
+
+def test_engine_combination_cases():
+    # Three linked nodes; phase 5 blends their intermediates with the C
+    # the test writes into the static policy's matrix.
+    net = Network(np.array([[0.1, 0.1], [0.2, 0.1], [0.1, 0.2]]), ~np.eye(3, dtype=bool))
+
+    def combined(c, y, sigma2):
+        engine = one_trial_engine(net, sigma2, "uniform")
+        engine.C[0] = c
+        engine.run_step(y[None])
+        return engine.psi[0], engine.x_hat[0]
+
+    rng = np.random.default_rng(2)
+    y = rng.standard_normal((3, 4))
+    sigma2 = np.array([0.2, 0.3, 0.5])
+    # One-hot columns pick an intermediate exactly.
+    psi, x_hat = combined(np.eye(3)[:, [1, 0, 0]], y, sigma2)
+    assert np.array_equal(x_hat, psi[[1, 0, 0]])
+    # An even split of two intermediates is their midpoint.
+    c = np.array([[0.5, 0.5, 0.0], [0.5, 0.0, 0.5], [0.0, 0.5, 0.5]])
+    psi, x_hat = combined(c, y, sigma2)
+    assert np.allclose(x_hat, 0.5 * np.stack([psi[0] + psi[1], psi[0] + psi[2], psi[1] + psi[2]]))
+    # Equal data give every node the same intermediate, which any
+    # stochastic column gives back.
+    psi, x_hat = combined(
+        np.array([[0.2, 0.6, 0.1], [0.5, 0.3, 0.1], [0.3, 0.1, 0.8]]),
+        np.tile(y[0], (3, 1)),
+        np.full(3, 0.3),
+    )
+    assert (psi == psi[0]).all()
+    assert np.allclose(x_hat, psi, atol=1e-15 * np.abs(psi).max())
 
 
 @pytest.mark.parametrize("knows_gravity", [True, False])
@@ -318,7 +327,7 @@ def test_disconnected_nodes_run_independent_filters():
         for m in range(2):
             psi_m, p_m = adapt(x[m], p[m], [(y[0, m], eye, sigma2[m] * eye)])
             assert np.abs(psi_m - engine.x_hat[0, m]).max() < 1e-12
-            x[m], p[m] = time_update(psi_m, p_m, MODEL)
+            x[m], p[m] = reference_kf_predict(psi_m, p_m, MODEL, knows_gravity=True)
         truth = step_truth(truth, MODEL, rng.standard_normal(4))
 
 

@@ -251,6 +251,18 @@ def test_negative_weight_names_trial_and_column():
         engine.run_step(measure(truths))
 
 
+def test_off_stochastic_column_names_trial_and_column():
+    # Trial 1 of 3 adds weight to column 3: its entries stay nonnegative,
+    # but the column no longer sums to 1.
+    engine, _, truths, measure = small_batch(3, policy="metropolis", first_trial=4)
+    engine.C[1, 3, 3] += 0.1
+    with pytest.raises(
+        NumericError,
+        match=r"^trial 5: iteration 0: combination matrix column 3 off stochastic by 1\.000e-01$",
+    ):
+        engine.run_step(measure(truths))
+
+
 def test_non_finite_truth_names_the_lowest_failing_trial(monkeypatch):
     # Trials 2 and 3 of the batch get a non-finite truth-noise entry at
     # the fourth truth step.

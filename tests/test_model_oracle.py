@@ -51,7 +51,7 @@ def test_model_matches_matrix_form(delta, g, g_scale, q_scale, seed):
     gqg = g_mat @ q_mat @ g_mat.T
     assert np.array_equal(model.F, f)
     assert np.array_equal(model.u_g, u_g)
-    assert np.array_equal(model.process_noise_cov, gqg)
+    assert np.array_equal(model.process_noise_var * np.eye(4), gqg)
     assert model.process_noise_var == gqg[0, 0]
 
     rng = np.random.default_rng(seed)

@@ -5,9 +5,11 @@ Hypothesis draws the networks, noise levels, predicted covariances M
 states, truths and measurement streams. One step of the engine's
 closed-form information update must match the general sequential update
 ``adapt`` at every node, keep every combination matrix column-stochastic
-on its neighborhoods, and leave each covariance positive semidefinite and
-no larger than its prediction. A batch of trials run over a few steps must
-give each trial the bits it gets in an engine of its own.
+on its neighborhoods, combine within the convex hull of each
+neighborhood's intermediate estimates, and leave each covariance positive
+semidefinite and no larger than its prediction. A batch of trials run
+over a few steps must give each trial the bits it gets in an engine of
+its own.
 """
 
 import numpy as np
@@ -108,6 +110,14 @@ def test_one_step_matches_sequential_update_and_keeps_invariants(scene):
         assert (c >= 0.0).all()
         assert not c[~support].any()
         assert np.abs(c.sum(axis=0) - 1.0).max() <= 1e-12
+
+        # Each combined estimate lies in the box spanned by the
+        # intermediate estimates of its node's neighborhood.
+        for m in range(n):
+            hood = engine.psi[t, support[:, m]]
+            slack = 1e-12 * np.abs(hood).max()
+            assert (engine.x_hat[t, m] <= hood.max(axis=0) + slack).all()
+            assert (engine.x_hat[t, m] >= hood.min(axis=0) - slack).all()
 
     scale = np.abs(m_pred).max()
     assert min_eig(engine.M_psi) >= -1e-12 * scale

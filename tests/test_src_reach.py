@@ -1,0 +1,57 @@
+"""Every public name the package defines is used by the package itself.
+
+The scan parses ``src/difftrack/*.py`` with ``ast`` and executes nothing.
+It lists each public module-level function and class and each public
+method or property of a module-level class. A name counts as used when it
+appears anywhere in the package as a bare name, an attribute or an import
+alias. Code that only the tests reach does not belong in the package; the
+allowlist names the few exceptions and why each stays.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "difftrack"
+
+ALLOWED = {
+    "adaptive_weight_row": "gate c3's oracle for the adaptive weight column",
+    "read_msd_csv": "the reader of msd.csv that the benchmark's checks and the tests use",
+}
+
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def public(node):
+    return not node.name.startswith("_")
+
+
+def definitions(module, tree):
+    """(qualified name, bare name) of each public definition in a module."""
+    for node in tree.body:
+        if isinstance(node, (*FUNCTIONS, ast.ClassDef)) and public(node):
+            yield f"{module}.{node.name}", node.name
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, FUNCTIONS) and public(item):
+                    yield f"{module}.{node.name}.{item.name}", item.name
+
+
+def references(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name.rpartition(".")[2]
+
+
+def test_every_public_name_is_reached_from_the_package():
+    trees = {path.stem: ast.parse(path.read_text(), str(path)) for path in SRC.glob("*.py")}
+    used = {name for tree in trees.values() for name in references(tree)}
+    defined = [d for module, tree in sorted(trees.items()) for d in definitions(module, tree)]
+    unused = [qualified for qualified, name in defined if name not in used and name not in ALLOWED]
+    assert not unused, f"public names no package code uses: {unused}"
+    # An allowlist entry whose definition is gone, or that the package
+    # has started to use, is stale.
+    assert set(ALLOWED) <= {name for _, name in defined} - used
