@@ -1,14 +1,15 @@
 """Adapt-then-combine diffusion Kalman filter engine.
 
 One engine advances a batch of T independent Monte Carlo trials in
-lockstep. Its state carries a leading trial axis: estimates are (T, n, 4),
-covariances (T, n, 3) and combination matrices (T, n, n). The trials of a
-batch share the node count and one ``ExperimentConfig``, from which the
-engine reads the policy, the motion model and every filter setting; each
-trial has its own network and noise levels. The networks are one stacked
-``Network``, so static weights and each prune take one call for the whole
-batch. The engine filters the measurements it is given; simulating the
-targets and the sensors that produce them is the caller's job.
+lockstep under one policy. Its state carries a leading trial axis:
+estimates are (T, n, 4), covariances (T, n, 3) and combination matrices
+(T, n, n). The trials of a batch share the node count and one
+``ExperimentConfig``, from which the engine reads the policy, the motion
+model and every filter setting; each trial has its own network and noise
+levels. The networks are one stacked ``Network``, so static weights and
+each prune take one call for the whole batch. The engine filters the
+measurements it is given; simulating the targets and the sensors that
+produce them is the caller's job.
 
 Each node talks only to its neighbors, so everything per link runs over
 the stack's self-inclusive support as one edge list (``Network.edges``,
@@ -20,45 +21,70 @@ in ascending row, the order in which an axis-1 sum of the dense stack
 adds them, so the edge form gives the dense form's bits. Only C itself
 stays (T, n, n): phase 5's product and the caller's snapshots read it.
 Per-edge rows are gathered with ``np.take``, which gives the same array
-as fancy indexing at about an eighth of its cost in numpy 2, and each
-step gathers the measurements y per edge once, for phases 2 and 4.
+as fancy indexing at about an eighth of its cost in numpy 2: phase 2
+gathers the measurements y per edge for the information sums, and phase
+4 gathers y at the two ends of each half edge.
 
 What changes only with the topology is built once per topology, not per
-step: a prune filters the edge list (``prune_cross_links``), and the
-engine then gathers each edge's 1/sigma2 and the half edges' reverses
-and variances once. The adaptive policy writes each step's C^T into one
+step: a prune filters the edge list (``prune_cross_links``), and each
+edge's 1/sigma2 and the half edges' reverses and variances are then
+gathered once. The adaptive policy writes each step's C^T into one
 buffer the engine owns, so ``C`` holds the latest step's weights only.
+
+Each step has a half per topology and a half per policy. In information
+form the covariance recursion never reads a measurement, and the
+information sum reads only the measurements and the edge list, so on one
+topology both are the same under every policy. They are held, with the
+topology's edge arrays, the covariances' PSD checks and the min-PSD
+record, by a ``SharedStep``, and
+engines of several policies on one topology hold one between them (see
+``DiffusionKalmanEngine.sharing``): each step the first engine to reach a
+shared phase runs it and the others read its result, so it runs once per
+step and fails, if it does, in the same engine and phase as when each
+engine ran its own. A standalone engine owns its ``SharedStep``. The
+static policies never prune and share theirs for the whole run; the
+adaptive engine forks its own copy at its first prune that cuts a link,
+the covariances and the min-PSD record copied and the edge arrays
+gathered for the pruned network, and from then on runs both halves
+alone. A later cut, like any cut of a step one engine holds, gathers the
+edge arrays again in place.
 
 Each node observes the full state with noise sigma2 * I, the model has
 F = I + delta*theta and process noise q * I, and the prior is p0 * I, so
 every covariance is M kron I2 for one 2x2 matrix M = [[a, b], [b, c]] over
-(position, velocity); the engine stores (a, b, c). Every iteration is a
-synchronous bulk step over all nodes of all trials:
+(position, velocity); (a, b, c) is what is stored. Every iteration is a
+synchronous bulk step over all nodes of all trials; each phase is marked
+with the half it belongs to, and each covariance the step forms is checked
+for positive semidefiniteness in the topology's half:
 
-1. measurements: the step receives every node's measurement y, and a
-   non-finite one stops the run, naming the node;
+1. [topology] measurements: the step receives every node's measurement
+   y, and a non-finite one stops the run, naming the node;
 2. adaptation in information form (Cattivelli & Sayed, IEEE TAC 2010),
-   in closed form: M_psi^-1 = M_pred^-1 + s I, with s the sum of 1/sigma2
-   over the neighborhood (self included), and
+   in closed form. [topology] M_psi^-1 = M_pred^-1 + s I, with s the sum
+   of 1/sigma2 over the neighborhood (self included), and the information
+   sum sum_n y_n / sigma2_n; [policy]
    psi = x_pred + (M_psi kron I2)(sum_n y_n / sigma2_n - s x_pred);
-3. residuals q = y - psi;
-4. adaptive policy only: recompute all combination weight columns from the
-   fresh psi snapshot. A neighbor whose measurement fails the chi-square
-   consistency test against the node's own (see
+3. [policy] residuals q = y - psi;
+4. [policy] adaptive policy only: recompute all combination weight
+   columns from the fresh psi snapshot. A neighbor whose measurement fails
+   the chi-square consistency test against the node's own (see
    ``combiners.consistent_pairs``) gets zero weight at that step. The test
    is symmetric to the bit, so it runs on one direction of each link and
    is mirrored onto the other; both directions of such a link drop below
    the prune threshold together, and once phase 6 cuts the link phase 2
    stops fusing that neighbor's measurement;
-5. combination: convex blend of neighbor intermediates (covariance is NOT
-   blended; each node keeps its own);
-6. adaptive policy only: link pruning, a per-link count of consecutive
-   steps with weight below the threshold; a link is cut once both
-   directions reach the window, in one ``prune_cross_links`` call over the
-   network stack, and the surviving links keep their counts. A static
+5. [policy] combination: convex blend of neighbor intermediates
+   (covariance is NOT blended; each node keeps its own);
+6. [policy] adaptive policy only: link pruning, a per-link count of
+   consecutive steps with weight below the threshold; a link is cut once
+   both directions reach the window, in one ``prune_cross_links`` call
+   over the network stack, and the surviving links keep their counts. A static
    policy keeps its initial graph and the combination matrix built for it
-   at construction;
-7. time update: M becomes (a + delta(2b + delta c) + q, b + delta c, c + q).
+   at construction. The first prune that cuts a link forks the adaptive
+   engine's ``SharedStep`` when other engines hold it too;
+7. time update: [policy] x_pred = F x_hat (plus gravity when the filter
+   knows it); [topology] M becomes
+   (a + delta(2b + delta c) + q, b + delta c, c + q).
 
 Phases read only the previous phase's snapshot. Each sum over a
 neighborhood adds its terms in ascending neighbor index, so a trial's
@@ -74,6 +100,7 @@ it.
 
 from __future__ import annotations
 
+import copy
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -125,22 +152,19 @@ def adapt(
     return psi, p
 
 
-class DiffusionKalmanEngine:
-    """Synchronous multi-node filter over T trials, each on its own
-    network.
+class SharedStep:
+    """The policy-independent half of every step on one network stack.
 
     ``net`` is a Network stack with (T, n, n) adjacency (see
-    ``stack_scenes``) and ``sigma2`` (T, n). Every other setting comes
-    from ``cfg``, a ``harness.ExperimentConfig``, which has checked it:
-    the policy, the prior scale ``P0_scale``, the distance floor ``eps``,
-    the prune threshold, window and switch, the gravity switch and the
-    motion model ``cfg.model``. ``pruning_enabled`` only affects the
-    adaptive policy: static policies never prune. ``first_trial`` is the
-    number of the batch's first trial; errors name trials counting from it.
-
-    Under the adaptive policy ``C`` is a view of one buffer that each
-    ``run_step`` overwrites with that step's weights; a caller that keeps
-    a step's C must copy it.
+    ``stack_scenes``) and ``sigma2`` (T, n); of ``cfg`` it reads the
+    prior scale ``P0_scale`` and the motion model ``cfg.model``. It holds
+    the topology's edge arrays, the covariances (a, b, c) ``M_pred`` and
+    ``M_psi``, the latest step's measurements ``y`` and information sums
+    ``info``, and ``min_psd_eigenvalue``, the lowest covariance
+    eigenvalue seen per trial. ``done`` counts the halves run,
+    two per step: ``adapt`` runs phases 1 and 2's shared part, and
+    ``predict`` phase 7's. ``first_trial`` is the number of the batch's
+    first trial; errors name trials counting from it.
     """
 
     def __init__(
@@ -163,143 +187,75 @@ class DiffusionKalmanEngine:
                 f"trial {self.first_trial + t}: measurement variance at node {m} "
                 f"must be positive, got {float(sigma2[t, m])!r}"
             )
-        self.cfg = cfg
         self.sigma2 = sigma2
-
-        shape = (t_count, n, STATE_DIM)
-        self.x_pred = np.zeros(shape)
+        self.cfg = cfg
         # Covariances M kron I2, stored as (a, b, c) = (m_pp, m_pv, m_vv).
         self.M_pred = np.zeros((t_count, n, 3))
         self.M_pred[..., 0] = self.M_pred[..., 2] = cfg.P0_scale
-        self.psi = self.x_pred.copy()
         self.M_psi = self.M_pred.copy()
-        self.q = np.zeros(shape)
-        self.x_hat = np.zeros(shape)
-
-        self.iteration = 0
         self.min_psd_eigenvalue = np.full(t_count, np.inf)
+        self.done = 0
+        # The engines on this step.
+        self.holders = 0
         self._adopt(net)
-        # One count per edge. Counts never exceed the window, so the
-        # smallest type holding it will do.
-        self._below = np.zeros(len(net.edges), dtype=np.min_scalar_type(cfg.prune_window))
-
-        if cfg.policy == "adaptive":
-            c = np.broadcast_to(np.eye(n), (t_count, n, n))
-        else:
-            c = static_weights(cfg.policy, net, sigma2)
-        # The support is checked here, once: every later C is built on the
-        # edges.
-        self._c_t = np.swapaxes(c, -1, -2).copy()
-        self._validate(self.C, net, COLUMN_SUM_TOL)
-        # Flat indices into C^T of the links the last prune cut, which the
-        # next weight update zeroes.
-        self._cut = np.empty(0, dtype=np.intp)
-
-    @property
-    def C(self) -> np.ndarray:
-        """The combination matrices, (T, n, n): the transposed view of a
-        contiguous C^T, the operand of phase 5's product, which the
-        adaptive policy overwrites each step."""
-        return np.swapaxes(self._c_t, -1, -2)
-
-    # -- topology-dependent caches ------------------------------------
 
     def _adopt(self, net: Network) -> None:
         """Make ``net`` the topology: ``_w`` holds 1/sigma2_n on each edge
-        (n, m) of ``net.edges``, ``_s`` [t, m] its sum over node m's
+        (n, m) of ``net.edges``, ``s`` [t, m] its sum over node m's
         neighborhood, and ``_info_key`` keys the information sums, one bin
-        per node and coordinate. For phase 4, ``_back`` lists the reverses
-        of the half edges, and ``_sigma2_n`` and ``_sigma2_m`` the
-        variances at their two ends."""
+        per node and coordinate. For phase 4, ``back`` lists the reverses
+        of the half edges, ``half_n`` and ``half_m`` number the nodes at
+        their two ends over the stack, and ``sigma2_n`` and ``sigma2_m``
+        hold those nodes' variances."""
         self.net = net
         edges = net.edges
         self._w = np.take((1.0 / self.sigma2).ravel(), edges.source)
-        self._s = np.bincount(edges.key, self._w).reshape(self.sigma2.shape)
+        self.s = np.bincount(edges.key, self._w).reshape(self.sigma2.shape)
         self._info_key = (STATE_DIM * edges.key[:, None] + np.arange(STATE_DIM)).ravel()
-        self._back = np.take(edges.reverse, edges.half)
+        self.back = np.take(edges.reverse, edges.half)
         sigma2 = self.sigma2.ravel()
-        self._sigma2_n = np.take(sigma2, np.take(edges.source, edges.half))
-        self._sigma2_m = np.take(sigma2, np.take(edges.key, edges.half))
+        self.half_n = np.take(edges.source, edges.half)
+        self.half_m = np.take(edges.key, edges.half)
+        self.sigma2_n = np.take(sigma2, self.half_n)
+        self.sigma2_m = np.take(sigma2, self.half_m)
 
-    # -- errors -------------------------------------------------------
+    def cut_to(self, net: Network) -> SharedStep:
+        """The shared step of an engine whose prune cut its topology to
+        ``net``. Held by that engine alone, it is this one, with its edge
+        arrays gathered for ``net``. Otherwise it is a copy on ``net``,
+        which that engine holds in place of this one and which moves on
+        apart: the covariances and the min-PSD record are copied."""
+        step = self
+        if self.holders > 1:
+            self.holders -= 1
+            step = copy.copy(self)
+            step.holders = 1
+            step.M_pred, step.M_psi = self.M_pred.copy(), self.M_psi.copy()
+            step.min_psd_eigenvalue = self.min_psd_eigenvalue.copy()
+        step._adopt(net)
+        return step
 
-    def _trial_error(self, t: int, what) -> NumericError:
-        return NumericError(
-            f"trial {self.first_trial + t}: iteration {self.iteration}: {what}"
-        )
+    def error(self, t: int, iteration: int, what) -> NumericError:
+        return NumericError(f"trial {self.first_trial + t}: iteration {iteration}: {what}")
 
-    def _validate(self, c: np.ndarray, support, col_tol: float) -> None:
-        try:
-            validate_combination_matrix(c, support, col_tol)
-        except CombinationError as exc:
-            raise self._trial_error(exc.trial, exc) from None
-
-    # -- the synchronous step -------------------------------------------
-
-    def run_step(self, y: np.ndarray) -> "DiffusionKalmanEngine":
-        """Advance every node of every trial one iteration on the step's
-        measurements ``y``, (T, n, 4): node m of trial t measured y[t, m].
-        """
+    def adapt(self, y: np.ndarray) -> None:
+        """Phase 1 and phase 2's covariance update and information sums,
+        on the step's measurements ``y``, (T, n, 4): node m of trial t
+        measured y[t, m]."""
         # Phase 1: measurements, one finite 4-vector per node.
         y = np.asarray(y, dtype=np.float64)
-        if y.shape != self.x_hat.shape:
-            raise ConfigError(
-                f"measurements must have shape {self.x_hat.shape}, got {y.shape}"
-            )
+        shape = self.sigma2.shape + (STATE_DIM,)
+        if y.shape != shape:
+            raise ConfigError(f"measurements must have shape {shape}, got {y.shape}")
         bad = np.argwhere(~np.isfinite(y).all(axis=2))
         if bad.size:
             t, m = bad[0]
-            raise self._trial_error(t, f"non-finite measurement at node {m}")
+            raise self.error(t, self.done // 2, f"non-finite measurement at node {m}")
+        self.y = y
 
-        # Phase 2: adaptation, in closed information form. Each edge's
-        # source measurement is gathered once, for phases 2 and 4.
-        y_src = np.take(y.reshape(-1, STATE_DIM), self.net.edges.source, axis=0)
-        psi, self.M_psi = self._adapt_all(y_src)
-        self.psi = psi
-        self._track_psd(self.M_psi, "adapted covariance")
-
-        # Phase 3: residuals.
-        self.q = y - psi
-
-        # Phase 4: weight update (adaptive policy only).
-        cfg = self.cfg
-        if cfg.policy == "adaptive":
-            self._adaptive_weights(psi, self.q, y_src)
-
-        # Phase 5: combination. Covariance is intentionally left alone.
-        # x_hat = C^T psi, the product taken with C^T in contiguous memory:
-        # on a transposed view matmul rounds differently. The engine holds
-        # C as a view of such a C^T, so nothing is copied.
-        c_t = self._c_t
-        weights = np.take(c_t.ravel(), self.net.edges.flat_t)
-        self._validate(weights, self.net.edges, COMBINE_COL_TOL)
-        self.x_hat = c_t @ psi
-
-        # Phase 6: pruning (adaptive policy only). No count can reach the
-        # window before that many steps have run.
-        if cfg.policy == "adaptive" and cfg.pruning_enabled:
-            self._below = count_below(self._below, weights, cfg.prune_tau, cfg.prune_window)
-            if self.iteration + 1 >= cfg.prune_window:
-                self._prune()
-
-        # Phase 7: time update.
-        model = cfg.model
-        self.x_pred = self.x_hat @ model.F.T
-        if cfg.filter_knows_gravity:
-            self.x_pred = self.x_pred + model.u_g
-        a, b, c = self.M_psi[..., 0], self.M_psi[..., 1], self.M_psi[..., 2]
-        d, q = model.delta, model.process_noise_var
-        self.M_pred = np.stack([a + d * (2.0 * b + d * c) + q, b + d * c, c + q], axis=-1)
-        self._track_psd(self.M_pred, "predicted covariance")
-
-        self.iteration += 1
-        return self
-
-    # -- internals --------------------------------------------------------
-
-    def _adapt_all(self, y_src: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        s, x_pred = self._s, self.x_pred
-        a, b, c = self.M_pred[..., 0], self.M_pred[..., 1], self.M_pred[..., 2]
+        # Phase 2, in closed information form.
+        s, m_pred = self.s, self.M_pred
+        a, b, c = m_pred[..., 0], m_pred[..., 1], m_pred[..., 2]
         # A huge covariance overflows here; the check below names it, so
         # numpy need not warn first.
         with np.errstate(over="ignore", invalid="ignore"):
@@ -307,68 +263,32 @@ class DiffusionKalmanEngine:
             # s^2 det(M_pred + I/s): with 1 + s*a > 0, the innovation covariance
             # M_pred + I/s is positive definite exactly when this is positive.
             den = 1.0 + s * (a + c) + s * s * det
-            ok = np.isfinite(self.M_pred).all(axis=2) & (1.0 + s * a > 0.0) & (den > 0.0)
+            ok = np.isfinite(m_pred).all(axis=2) & (1.0 + s * a > 0.0) & (den > 0.0)
             m_psi = np.stack([(a + s * det) / den, b / den, (c + s * det) / den], axis=-1)
         if not ok.all():
             t, m = np.argwhere(~ok)[0]
-            if np.isfinite(self.M_pred[t, m]).all():
+            if np.isfinite(m_pred[t, m]).all():
                 what = f"innovation covariance at node {m} is not positive definite"
             else:
                 what = f"predicted covariance at node {m} has non-finite entries"
-            raise self._trial_error(t, what)
-
+            raise self.error(t, self.done // 2, what)
+        self.M_psi = m_psi
         # Information vector sum_n y_n / sigma2_n over each neighborhood,
-        # less s * x_pred.
+        # from each edge's source measurement.
+        y_src = np.take(y.reshape(-1, STATE_DIM), self.net.edges.source, axis=0)
         terms = self._w[:, None] * y_src
-        info = np.bincount(self._info_key, terms.ravel()).reshape(x_pred.shape)
-        r = info - s[:, :, None] * x_pred
-        r_pos, r_vel = r[..., :2], r[..., 2:]
-        a, b, c = (m_psi[..., k, None] for k in range(3))
-        psi = x_pred + np.concatenate([a * r_pos + b * r_vel, b * r_pos + c * r_vel], axis=-1)
-        return psi, m_psi
+        self.info = np.bincount(self._info_key, terms.ravel()).reshape(y.shape)
+        self._track_psd(m_psi, "adapted covariance")
+        self.done += 1
 
-    def _adaptive_weights(self, psi: np.ndarray, q: np.ndarray, y_src: np.ndarray) -> None:
-        # Edge (n, m) scores neighbor n's estimate against node m's own
-        # data point psi_m + q_m; each column m is then normalized. The
-        # weights overwrite the edges' entries of the engine's C^T buffer,
-        # of which C is the transposed view. Its other entries are zero
-        # once the links of the last prune are: they are zeroed here, not
-        # at the prune, so that the pruning step's C keeps its weights.
-        c_t = self._c_t.reshape(-1)
-        c_t[self._cut] = 0.0
-        self._cut = self._cut[:0]
-        edges = self.net.edges
-        n, m = edges.source, edges.key
-        psi, own = psi.reshape(-1, STATE_DIM), (psi + q).reshape(-1, STATE_DIM)
-        d = np.sqrt(sq_dist(np.take(psi, n, axis=0), np.take(own, m, axis=0)))
-        d = np.maximum(d, self.cfg.eps)
-        # The consistency test is symmetric to the bit, so it runs on one
-        # direction of each link and is mirrored onto the other; the
-        # reverse edge's source measurement is y_m. A self-edge passes,
-        # its measurement being finite.
-        half, back = edges.half, self._back
-        agree = consistent_pairs(
-            np.take(y_src, half, axis=0),
-            np.take(y_src, back, axis=0),
-            self._sigma2_n,
-            self._sigma2_m,
-        )
-        usable = edges.is_self.copy()
-        usable[half] = agree
-        usable[back] = agree
-        w = np.where(usable, d**-2.0, 0.0)
-        c_t[edges.flat_t] = w / np.take(np.bincount(m, w), m)
-
-    def _prune(self) -> None:
-        edges = self.net.edges
-        pruned = prune_cross_links(self.net, self._below, self.cfg.prune_window)
-        if pruned is not self.net:
-            # A prune only removes edges, and both lists keep one order, so
-            # the survivors' counts carry over in place.
-            kept = np.take(pruned.adjacency.ravel(), edges.flat) | edges.is_self
-            self._below = self._below[kept]
-            self._cut = edges.flat_t[~kept]
-            self._adopt(pruned)
+    def predict(self) -> None:
+        """Phase 7's covariance time update."""
+        a, b, c = self.M_psi[..., 0], self.M_psi[..., 1], self.M_psi[..., 2]
+        model = self.cfg.model
+        d, q = model.delta, model.process_noise_var
+        self.M_pred = np.stack([a + d * (2.0 * b + d * c) + q, b + d * c, c + q], axis=-1)
+        self._track_psd(self.M_pred, "predicted covariance")
+        self.done += 1
 
     def _track_psd(self, cov: np.ndarray, name: str) -> None:
         a, b, c = cov[..., 0], cov[..., 1], cov[..., 2]
@@ -387,4 +307,214 @@ class DiffusionKalmanEngine:
                     f"{name} at node {m} lost positive semidefiniteness "
                     f"(min eigenvalue {low[t, m]:.3e})"
                 )
-            raise self._trial_error(t, what)
+            raise self.error(t, self.done // 2, what)
+
+
+class DiffusionKalmanEngine:
+    """Synchronous multi-node filter over T trials, each on its own
+    network.
+
+    ``net`` is a Network stack with (T, n, n) adjacency (see
+    ``stack_scenes``) and ``sigma2`` (T, n). Every other setting comes
+    from ``cfg``, a ``harness.ExperimentConfig``, which has checked it:
+    the policy, the prior scale ``P0_scale``, the distance floor ``eps``,
+    the prune threshold, window and switch, the gravity switch and the
+    motion model ``cfg.model``. ``pruning_enabled`` only affects the
+    adaptive policy: static policies never prune. ``first_trial`` is the
+    number of the batch's first trial; errors name trials counting from it.
+    The engine owns the ``SharedStep`` it builds from these; ``sharing``
+    builds the engines of several policies on one.
+
+    Under the adaptive policy ``C`` is a view of one buffer that each
+    ``run_step`` overwrites with that step's weights; a caller that keeps
+    a step's C must copy it.
+    """
+
+    def __init__(
+        self, net: Network, sigma2: np.ndarray, cfg: ExperimentConfig, *, first_trial: int = 0
+    ) -> None:
+        self._join(SharedStep(net, sigma2, cfg, first_trial=first_trial), cfg)
+
+    @classmethod
+    def sharing(
+        cls, net: Network, sigma2: np.ndarray, cfgs, *, first_trial: int = 0
+    ) -> list[DiffusionKalmanEngine]:
+        """One engine per config of ``cfgs``, configs that differ in the
+        policy alone, all on one ``SharedStep`` built from ``cfgs[0]``.
+        They step in lockstep: each is given the same measurements each
+        step. Only the engines hold the shared step, so it is freed once
+        none of them does."""
+        shared = SharedStep(net, sigma2, cfgs[0], first_trial=first_trial)
+        engines = [cls.__new__(cls) for _ in cfgs]
+        for engine, cfg in zip(engines, cfgs):
+            engine._join(shared, cfg)
+        return engines
+
+    def _join(self, shared: SharedStep, cfg: ExperimentConfig) -> None:
+        self.shared = shared
+        shared.holders += 1
+        self.cfg = cfg
+        net = shared.net
+        t_count, n = shared.sigma2.shape
+        self.x_pred = np.zeros((t_count, n, STATE_DIM))
+        self.psi = self.x_pred.copy()
+        self.q = self.x_pred.copy()
+        self.x_hat = self.x_pred.copy()
+        self.iteration = 0
+        # One count per edge. Counts never exceed the window, so the
+        # smallest type holding it will do.
+        self._below = np.zeros(len(net.edges), dtype=np.min_scalar_type(cfg.prune_window))
+
+        if cfg.policy == "adaptive":
+            c = np.broadcast_to(np.eye(n), (t_count, n, n))
+        else:
+            c = static_weights(cfg.policy, net, shared.sigma2)
+        # The support is checked here, once: every later C is built on the
+        # edges.
+        self._c_t = np.swapaxes(c, -1, -2).copy()
+        self._validate(self.C, net, COLUMN_SUM_TOL)
+        # Flat indices into C^T of the links the last prune cut, which the
+        # next weight update zeroes.
+        self._cut = np.empty(0, dtype=np.intp)
+
+    @property
+    def C(self) -> np.ndarray:
+        """The combination matrices, (T, n, n): the transposed view of a
+        contiguous C^T, the operand of phase 5's product, which the
+        adaptive policy overwrites each step."""
+        return np.swapaxes(self._c_t, -1, -2)
+
+    # -- the shared half, as the engine sees it --------------------------
+
+    @property
+    def net(self) -> Network:
+        return self.shared.net
+
+    @property
+    def sigma2(self) -> np.ndarray:
+        return self.shared.sigma2
+
+    @property
+    def M_pred(self) -> np.ndarray:
+        return self.shared.M_pred
+
+    @M_pred.setter
+    def M_pred(self, value: np.ndarray) -> None:
+        self.shared.M_pred = value
+
+    @property
+    def M_psi(self) -> np.ndarray:
+        return self.shared.M_psi
+
+    @property
+    def min_psd_eigenvalue(self) -> np.ndarray:
+        return self.shared.min_psd_eigenvalue
+
+    def _validate(self, c: np.ndarray, support, col_tol: float) -> None:
+        try:
+            validate_combination_matrix(c, support, col_tol)
+        except CombinationError as exc:
+            raise self.shared.error(exc.trial, self.iteration, exc) from None
+
+    # -- the synchronous step -------------------------------------------
+
+    def run_step(self, y: np.ndarray) -> "DiffusionKalmanEngine":
+        """Advance every node of every trial one iteration on the step's
+        measurements ``y``, (T, n, 4): node m of trial t measured y[t, m].
+        """
+        # Phases 1 and 2, per topology: run by the first engine on the
+        # shared half to reach them this step.
+        shared, j = self.shared, self.iteration
+        if shared.done == 2 * j:
+            shared.adapt(y)
+
+        # Phase 2, per policy: psi = x_pred + M_psi (info - s x_pred).
+        x_pred = self.x_pred
+        r = shared.info - shared.s[:, :, None] * x_pred
+        r_pos, r_vel = r[..., :2], r[..., 2:]
+        a, b, c = (shared.M_psi[..., k, None] for k in range(3))
+        psi = x_pred + np.concatenate([a * r_pos + b * r_vel, b * r_pos + c * r_vel], axis=-1)
+        self.psi = psi
+
+        # Phase 3: residuals.
+        self.q = shared.y - psi
+
+        # Phase 4: weight update (adaptive policy only).
+        cfg = self.cfg
+        if cfg.policy == "adaptive":
+            self._adaptive_weights(psi, self.q)
+
+        # Phase 5: combination. Covariance is intentionally left alone.
+        # x_hat = C^T psi, the product taken with C^T in contiguous memory:
+        # on a transposed view matmul rounds differently. The engine holds
+        # C as a view of such a C^T, so nothing is copied.
+        c_t = self._c_t
+        edges = shared.net.edges
+        weights = np.take(c_t.ravel(), edges.flat_t)
+        self._validate(weights, edges, COMBINE_COL_TOL)
+        self.x_hat = c_t @ psi
+
+        # Phase 6: pruning (adaptive policy only). No count can reach the
+        # window before that many steps have run.
+        if cfg.policy == "adaptive" and cfg.pruning_enabled:
+            self._below = count_below(self._below, weights, cfg.prune_tau, cfg.prune_window)
+            if j + 1 >= cfg.prune_window:
+                self._prune()
+
+        # Phase 7: time update, the estimate per policy and the covariance
+        # per topology. A prune may have forked the shared half.
+        model = cfg.model
+        self.x_pred = self.x_hat @ model.F.T
+        if cfg.filter_knows_gravity:
+            self.x_pred = self.x_pred + model.u_g
+        if self.shared.done == 2 * j + 1:
+            self.shared.predict()
+
+        self.iteration += 1
+        return self
+
+    # -- internals --------------------------------------------------------
+
+    def _adaptive_weights(self, psi: np.ndarray, q: np.ndarray) -> None:
+        # Edge (n, m) scores neighbor n's estimate against node m's own
+        # data point psi_m + q_m; each column m is then normalized. The
+        # weights overwrite the edges' entries of the engine's C^T buffer,
+        # of which C is the transposed view. Its other entries are zero
+        # once the links of the last prune are: they are zeroed here, not
+        # at the prune, so that the pruning step's C keeps its weights.
+        c_t = self._c_t.reshape(-1)
+        c_t[self._cut] = 0.0
+        self._cut = self._cut[:0]
+        shared = self.shared
+        edges = shared.net.edges
+        n, m = edges.source, edges.key
+        psi, own = psi.reshape(-1, STATE_DIM), (psi + q).reshape(-1, STATE_DIM)
+        d = np.sqrt(sq_dist(np.take(psi, n, axis=0), np.take(own, m, axis=0)))
+        d = np.maximum(d, self.cfg.eps)
+        # The consistency test is symmetric to the bit, so it runs on one
+        # direction of each link, on the measurements y_n and y_m at its
+        # two ends, and is mirrored onto the other. A self-edge passes,
+        # its measurement being finite.
+        half, back, y = edges.half, shared.back, shared.y.reshape(-1, STATE_DIM)
+        agree = consistent_pairs(
+            np.take(y, shared.half_n, axis=0),
+            np.take(y, shared.half_m, axis=0),
+            shared.sigma2_n,
+            shared.sigma2_m,
+        )
+        usable = edges.is_self.copy()
+        usable[half] = agree
+        usable[back] = agree
+        w = np.where(usable, d**-2.0, 0.0)
+        c_t[edges.flat_t] = w / np.take(np.bincount(m, w), m)
+
+    def _prune(self) -> None:
+        shared = self.shared
+        pruned = prune_cross_links(shared.net, self._below, self.cfg.prune_window)
+        if pruned is not shared.net:
+            # A prune only removes edges, and both lists keep one order, so
+            # the survivors' counts carry over in place.
+            keep = pruned.edges.keep
+            self._below = self._below[keep]
+            self._cut = shared.net.edges.flat_t[~keep]
+            self.shared = shared.cut_to(pruned)

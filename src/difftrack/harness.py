@@ -266,10 +266,16 @@ def run_trials(cfgs, trials: range, *, weights_every: int = 0):
     batch. The truths of every trial advance together, one ``step_truth``
     call per step, and the step's measurements, y = truth[target] +
     sqrt(sigma2) * noise at each node, go to one engine per config, in
-    order. Each result holds the trial's MSD rows, recovery score and
-    min-PSD eigenvalue; trial 0's also holds the ``detail`` record the
-    artifacts are written from, whose ``snapshots`` list of (iteration, C)
-    pairs is empty when ``weights_every`` is 0.
+    order. The engines share one ``SharedStep``: the covariance recursion,
+    the information sums and the min-PSD record, which do not depend on
+    the policy, run once per step for all of them, by the first engine
+    to reach each, and the adaptive engine forks its own copy when a
+    prune first changes its network. A step that fails does so at the
+    same iteration, engine and phase as if each engine ran its own, so
+    the error is the same. Each result holds the trial's MSD rows,
+    recovery score and min-PSD eigenvalue; trial 0's also holds the
+    ``detail`` record the artifacts are written from, whose ``snapshots``
+    list of (iteration, C) pairs is empty when ``weights_every`` is 0.
     """
     cfg = cfgs[0]
     # Built before any scene draw, so a model that overflows fails first.
@@ -289,7 +295,7 @@ def run_trials(cfgs, trials: range, *, weights_every: int = 0):
     truth_noise = np.stack(truth_noise, axis=1)
     sigma2 = np.stack(sigma2)
     net, part = stack_scenes(nets, parts)
-    engines = [DiffusionKalmanEngine(net, sigma2, c, first_trial=trials.start) for c in cfgs]
+    engines = DiffusionKalmanEngine.sharing(net, sigma2, cfgs, first_trial=trials.start)
     n_clusters = part.s
     keep_detail = trials.start == 0
     msd = np.empty((len(cfgs), len(trials), cfg.n_iterations, n_clusters))
@@ -409,8 +415,10 @@ def policy_sweep(
     """Run cfg.n_trials trials once under every policy, and merge each
     policy's metrics in trial order. All policies filter the same draws
     and measurements (see ``run_trials``): common random numbers hold by
-    construction. The engines step in policy order, so a failing sweep
-    names the earliest failing iteration, and in it the first policy.
+    construction, and the policy-independent half of each step runs once
+    for all of them (see ``run_trials``). The engines step in policy
+    order, so a failing sweep names the earliest failing iteration, and
+    in it the first policy.
     ``workers`` > 1 splits the trials into that many contiguous chunks,
     each run in its own process; the results do not depend on the split.
     ``weights_every`` K > 0 snapshots trial 0's combination matrix every K

@@ -84,7 +84,9 @@ class Edges:
     link, whose reverses are the other.
 
     A list is built from an adjacency once per stack; the list of a pruned
-    stack is filtered from its parent's by ``kept``, never rebuilt.
+    stack is filtered from its parent's by ``kept``, never rebuilt, and
+    its ``keep`` is the mask over the parent's edges it was filtered by
+    (None on a built list).
     """
 
     def __init__(self, adjacency: np.ndarray) -> None:
@@ -101,6 +103,7 @@ class Edges:
         self.reverse = np.searchsorted(self.flat_t, self.flat)
         self.is_self = self.row == self.col
         self.half = np.flatnonzero(self.row < self.col)
+        self.keep = None
 
     def __len__(self) -> int:
         return self.key.size
@@ -117,6 +120,7 @@ class Edges:
         # Old edge e is new edge cumsum(keep)[e] - 1.
         sub.reverse = np.take(np.cumsum(keep) - 1, self.reverse[keep])
         sub.half = np.flatnonzero(sub.row < sub.col)
+        sub.keep = keep
         return sub
 
 
@@ -291,7 +295,7 @@ def prune_cross_links(net: Network, below_steps: np.ndarray, window: int) -> Net
     is removed only when both directions reached ``window``; self-edges
     never are. Returns ``net`` unchanged (same object) when nothing
     qualifies; otherwise the pruned network's ``edges`` is ``net.edges``
-    filtered to the survivors.
+    filtered to the survivors, whose ``keep`` marks them.
     """
     if window < 1:
         raise ConfigError(f"prune window must be >= 1, got {window}")
@@ -304,7 +308,12 @@ def prune_cross_links(net: Network, below_steps: np.ndarray, window: int) -> Net
         return net
     adjacency = net.adjacency.copy()
     adjacency.reshape(-1)[edges.flat[kill]] = False
-    pruned = Network(positions=net.positions, adjacency=adjacency)
-    # Fills the cached property, so the list is not rebuilt from adjacency.
-    pruned.__dict__["edges"] = edges.kept(~kill)
+    # Cutting both directions of off-diagonal links leaves a checked
+    # adjacency symmetric and free of self-loops, so the pruned network
+    # skips the checks and shares its parent's frozen positions. Filling
+    # the cached ``edges`` keeps the list from being rebuilt.
+    pruned = object.__new__(Network)
+    pruned.__dict__.update(
+        positions=net.positions, adjacency=_freeze(adjacency), edges=edges.kept(~kill)
+    )
     return pruned

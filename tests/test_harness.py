@@ -427,9 +427,10 @@ class TestPolicySweep:
         assert np.array_equal(du["cluster_of"], da["cluster_of"])
 
     def test_singleton_sweep_equals_run(self, tmp_path):
-        # The engines of a sweep share its draws and each step's y and
-        # nothing mutable: each policy's run writes the bytes of its
-        # one-policy sweep, with weights every step and two workers.
+        # The engines of a sweep share its draws, each step's y and the
+        # policy-independent half of each step: each policy's run writes
+        # the bytes of its one-policy sweep, with weights every step and
+        # two workers.
         cfg = ExperimentConfig(seed=11, **SMALL)
         kwargs = dict(workers=2, weights_every=1)
         sweep = policy_sweep(cfg, POLICIES, **kwargs)

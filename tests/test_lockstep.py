@@ -18,7 +18,7 @@ import difftrack.harness
 import difftrack.topology
 from difftrack.combiners import POLICIES
 from difftrack.dynamics import initial_state
-from difftrack.engine import DiffusionKalmanEngine
+from difftrack.engine import DiffusionKalmanEngine, SharedStep
 from difftrack.errors import NumericError
 from difftrack.harness import ExperimentConfig, policy_sweep, run_trials
 from difftrack.topology import generate_geometric, initial_partition, stack_scenes
@@ -107,7 +107,10 @@ def test_per_batch_work_does_not_grow_with_trials(policies, monkeypatch):
     # Pruning, static weights, MSD and the truth step each take one call
     # for the whole batch, so 1 trial and 4 make the same calls. A sweep
     # draws each trial and steps the truths once for all its policies, and
-    # builds one edge list, which each prune filters.
+    # builds one edge list, which each prune filters. Its engines share
+    # one SharedStep, whose halves run once per step for all of them; the
+    # first prune that cuts a link forks the adaptive engine's, which runs
+    # both halves alone after the step of that cut.
     calls = {}
 
     def counted(owner, name, key=None):
@@ -127,6 +130,10 @@ def test_per_batch_work_does_not_grow_with_trials(policies, monkeypatch):
     counted(difftrack.harness, "step_truth")
     counted(difftrack.harness, "trial_rng")
     counted(difftrack.topology.Edges, "__init__", "Edges")
+    counted(SharedStep, "__init__", "SharedStep")
+    counted(SharedStep, "adapt")
+    counted(SharedStep, "predict")
+    counted(SharedStep, "cut_to")
     prunes = []
     prune = difftrack.engine.prune_cross_links
 
@@ -137,20 +144,49 @@ def test_per_batch_work_does_not_grow_with_trials(policies, monkeypatch):
 
     monkeypatch.setattr(difftrack.engine, "prune_cross_links", recording)
     adaptive = policies.count("adaptive")
-    for n_trials in (1, 4):
-        cfg = ExperimentConfig(n_trials=n_trials, n_iterations=30, seed=3)
-        calls.update(dict.fromkeys(calls, 0))
-        prunes.clear()
-        policy_sweep(cfg, policies)
-        assert calls == {
-            "prune_cross_links": adaptive * (cfg.n_iterations - cfg.prune_window + 1),
-            "static_weights": len(policies) - adaptive,
-            "msd_accumulate": len(policies) * cfg.n_iterations,
-            "step_truth": cfg.n_iterations - 1,
-            "trial_rng": n_trials,
-            "Edges": 1,
-        }, n_trials
-        assert any(prunes) == bool(adaptive), n_trials
+    for pruning in (True, False):
+        for n_trials in (1, 4):
+            cfg = ExperimentConfig(
+                n_trials=n_trials, n_iterations=30, seed=3, pruning_enabled=pruning
+            )
+            calls.update(dict.fromkeys(calls, 0))
+            prunes.clear()
+            policy_sweep(cfg, policies)
+            forks = adaptive * pruning
+            assert any(prunes) == bool(forks), n_trials
+            alone_after = 0
+            if forks and len(policies) > 1:
+                first_cut = cfg.prune_window - 1 + prunes.index(True)
+                alone_after = cfg.n_iterations - first_cut - 1
+            assert calls == {
+                "prune_cross_links": forks * (cfg.n_iterations - cfg.prune_window + 1),
+                "static_weights": len(policies) - adaptive,
+                "msd_accumulate": len(policies) * cfg.n_iterations,
+                "step_truth": cfg.n_iterations - 1,
+                "trial_rng": n_trials,
+                "Edges": 1,
+                "SharedStep": 1,
+                "adapt": cfg.n_iterations + alone_after,
+                "predict": cfg.n_iterations + alone_after,
+                "cut_to": sum(prunes),
+            }, (pruning, n_trials)
+
+
+@pytest.mark.parametrize("order", [POLICIES, POLICIES[::-1]])
+def test_each_policy_of_a_sweep_equals_its_run_alone(order):
+    # The static engines share one SharedStep for the whole run, and the
+    # adaptive engine shares it until its first cut, before or after the
+    # static engines have run that step's time update.
+    cfgs = [ExperimentConfig(policy=policy, **SHORT) for policy in order]
+    trials = range(SHORT["n_trials"])
+    sweep = run_trials(cfgs, trials, weights_every=7)
+    for cfg, results in zip(cfgs, sweep):
+        [alone] = run_trials([cfg], trials, weights_every=7)
+        for got, want in zip(results, alone, strict=True):
+            assert_same_trial(got, want)
+        detail = results[0]["detail"]
+        cut = detail["adjacency_final"].sum() < detail["adjacency_initial"].sum()
+        assert cut == (cfg.policy == "adaptive")
 
 
 def test_batch_composition_does_not_matter():
@@ -293,3 +329,106 @@ def test_several_failing_trials_name_the_lowest():
     engine.M_pred[1, 6] = (-1.0, 0.0, -1.0)
     with pytest.raises(NumericError, match=r"^trial 1: iteration 0: "):
         engine.run_step(measure(truths))
+
+
+# -- the shared half -------------------------------------------------------
+
+class Spiked:
+    """A trial's stream whose measurement noise turns NaN at node ``node``
+    on step ``step``, the step's noise being the block it draws into
+    ``out``."""
+
+    def __init__(self, rng, step, node):
+        self._rng, self._step, self._node, self._drawn = rng, step, node, 0
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+    def standard_normal(self, *args, out=None, **kwargs):
+        result = self._rng.standard_normal(*args, out=out, **kwargs)
+        if out is not None:
+            if self._drawn == self._step:
+                out[self._node, 1] = np.nan
+            self._drawn += 1
+        return result
+
+
+@pytest.mark.parametrize("trial, step, node", [(2, 0, 5), (1, 17, 0), (3, 39, 29)])
+def test_nan_measurement_in_a_sweep_names_what_one_policy_names(trial, step, node, monkeypatch):
+    trial_rng = difftrack.harness.trial_rng
+
+    def spiked(seed, t):
+        rng = trial_rng(seed, t)
+        return Spiked(rng, step, node) if t == trial else rng
+
+    monkeypatch.setattr(difftrack.harness, "trial_rng", spiked)
+    want = rf"^trial {trial}: iteration {step}: non-finite measurement at node {node}$"
+    messages = []
+    for policies in (list(POLICIES), ["adaptive"], ["uniform"]):
+        with pytest.raises(NumericError, match=want) as info:
+            policy_sweep(ExperimentConfig(**SHORT), policies)
+        messages.append(str(info.value))
+    assert len(set(messages)) == 1
+
+
+def forked_sweep():
+    """Engines of every policy on one SharedStep over four 8-node scenes,
+    stepped until a prune has forked the adaptive engine's; the shared
+    step, a function drawing one step's measurements, and the steps run."""
+    engine, _, truths, measure = small_batch(4)
+    cfg = ExperimentConfig(prune_window=2, prune_tau=0.3)
+    cfgs = [dataclasses.replace(cfg, policy=policy) for policy in POLICIES]
+    engines = DiffusionKalmanEngine.sharing(engine.net, engine.sigma2, cfgs)
+    shared = engines[0].shared
+    for step in range(30):
+        y = measure(truths)
+        for engine in engines:
+            engine.run_step(y)
+        if engines[-1].shared is not shared:
+            break
+    assert all(engine.shared is shared for engine in engines[:-1])
+    assert engines[-1].shared is not shared
+    assert (shared.holders, engines[-1].shared.holders) == (3, 1)
+    return engines, shared, lambda: measure(truths), step + 1
+
+
+def test_later_cuts_keep_the_forked_state():
+    # Once forked, the adaptive engine holds its step alone, and a later
+    # cut gathers its edge arrays in place.
+    engines, shared, measure, _ = forked_sweep()
+    adaptive = engines[-1]
+    own, edges = adaptive.shared, {len(adaptive.net.edges)}
+    for _ in range(30):
+        y = measure()
+        for engine in engines:
+            engine.run_step(y)
+        edges.add(len(adaptive.net.edges))
+    assert len(edges) > 1
+    assert adaptive.shared is own
+    assert all(engine.shared is shared for engine in engines[:-1])
+
+
+@pytest.mark.parametrize(
+    "bad, what",
+    [
+        (np.nan, "predicted covariance at node 5 has non-finite entries"),
+        ((-1.0, 0.0, -1.0), "innovation covariance at node 5 is not positive definite"),
+        ((-1e-3, 0.0, 1.0), r"adapted covariance at node 5 lost positive semidefiniteness .*"),
+    ],
+)
+def test_forked_state_fails_alone(bad, what):
+    engines, shared, measure, steps = forked_sweep()
+    *static, adaptive = engines
+    fields = ("M_pred", "M_psi", "min_psd_eigenvalue")
+    before = [getattr(shared, name).copy() for name in fields]
+    y = measure()
+    adaptive.M_pred[1, 5] = bad
+    with pytest.raises(NumericError, match=rf"^trial 1: iteration {steps}: {what}$"):
+        adaptive.run_step(y)
+    # The fork copied the covariances and the record: what was written
+    # into the adaptive engine's leaves the shared ones as they were, and
+    # the static engines step on.
+    for name, want in zip(fields, before):
+        assert same_bytes(getattr(shared, name), want), name
+    for engine in static:
+        engine.run_step(y)

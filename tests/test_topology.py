@@ -336,6 +336,36 @@ def test_prune_filters_the_edge_list(case):
         net = pruned
 
 
+@settings(max_examples=100, deadline=None)
+@given(stacks_and_cuts())
+def test_pruned_network_equals_one_built_through_the_checks(case):
+    # A prune builds its network without the checks of a new one; it must
+    # equal the network the checks build from the same arrays, and its
+    # list must record which of the parent's edges it kept.
+    adjacency, cut = case
+    positions = np.random.default_rng(0).random(adjacency.shape[:-1] + (2,))
+    net = Network(positions, adjacency)
+    below = np.take(cut.ravel(), net.edges.flat) | net.edges.is_self
+    pruned = prune_cross_links(net, below, 1)
+    if not cut.any():
+        assert pruned is net
+        return
+    checked = Network(positions, adjacency & ~cut)
+    for name in ("positions", "adjacency"):
+        got, want = getattr(pruned, name), getattr(checked, name)
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
+        assert not got.flags.writeable, name
+    want = Edges(checked.adjacency)
+    assert pruned.edges.n_nodes == want.n_nodes
+    for name in EDGE_FIELDS:
+        got = getattr(pruned.edges, name)
+        assert got.dtype == getattr(want, name).dtype, name
+        assert np.array_equal(got, getattr(want, name)), name
+    assert want.keep is None
+    assert np.array_equal(pruned.edges.keep, ~np.take(cut.ravel(), net.edges.flat))
+
+
 def old_form_sq_dist(pos):
     """The scene draw's squared distances in their former (n, n, 2) form."""
     return ((pos[:, None] - pos[None]) ** 2).sum(2)
