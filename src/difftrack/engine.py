@@ -31,6 +31,14 @@ edge's 1/sigma2 and the half edges' reverses and variances are then
 gathered once. The adaptive policy writes each step's C^T into one
 buffer the engine owns, so ``C`` holds the latest step's weights only.
 
+Every per-node or per-edge product of a step runs as one contiguous
+pass at the state width of 4, not as a broadcast over a size-1 axis,
+which numpy runs as one short inner loop per node: each node's
+neighborhood sum s, each edge's 1/sigma2 and, once per step, M_psi's
+coefficients are laid out 4 wide before the products that read them.
+The finiteness checks test the whole array at once and seek the failing
+node only when one fails.
+
 Each step has a half per topology and a half per policy. In information
 form the covariance recursion never reads a measurement, and the
 information sum reads only the measurements and the edge list, so on one
@@ -129,6 +137,9 @@ COMBINE_COL_TOL = 1e-9
 # engine calls it a failure.
 PSD_TOL = -1e-9
 
+# A state's coordinates with its position and velocity halves swapped.
+_HALVES_SWAPPED = np.array([2, 3, 0, 1])
+
 
 def adapt(
     x_pred: np.ndarray,
@@ -159,8 +170,8 @@ class SharedStep:
     ``stack_scenes``) and ``sigma2`` (T, n); of ``cfg`` it reads the
     prior scale ``P0_scale`` and the motion model ``cfg.model``. It holds
     the topology's edge arrays, the covariances (a, b, c) ``M_pred`` and
-    ``M_psi``, the latest step's measurements ``y`` and information sums
-    ``info``, and ``min_psd_eigenvalue``, the lowest covariance
+    ``M_psi``, the latest step's measurements ``y``, information sums
+    ``info`` and blend coefficients ``k_own`` and ``k_cross``, and ``min_psd_eigenvalue``, the lowest covariance
     eigenvalue seen per trial. ``done`` counts the halves run,
     two per step: ``adapt`` runs phases 1 and 2's shared part, and
     ``predict`` phase 7's. ``first_trial`` is the number of the batch's
@@ -200,17 +211,21 @@ class SharedStep:
         self._adopt(net)
 
     def _adopt(self, net: Network) -> None:
-        """Make ``net`` the topology: ``_w`` holds 1/sigma2_n on each edge
-        (n, m) of ``net.edges``, ``s`` [t, m] its sum over node m's
-        neighborhood, and ``_info_key`` keys the information sums, one bin
-        per node and coordinate. For phase 4, ``back`` lists the reverses
+        """Make ``net`` the topology: ``s`` [t, m] holds the sum of
+        1/sigma2_n over node m's neighborhood and ``s4`` the same repeated
+        over the state's coordinates, (T, n, 4). ``_w4`` holds 1/sigma2_n
+        once per coordinate of each edge (n, m) of ``net.edges``, edge after
+        edge, and ``_info_key`` keys the information sums, one bin per node
+        and coordinate. For phase 4, ``back`` lists the reverses
         of the half edges, ``half_n`` and ``half_m`` number the nodes at
         their two ends over the stack, and ``sigma2_n`` and ``sigma2_m``
         hold those nodes' variances."""
         self.net = net
         edges = net.edges
-        self._w = np.take((1.0 / self.sigma2).ravel(), edges.source)
-        self.s = np.bincount(edges.key, self._w).reshape(self.sigma2.shape)
+        w = np.take((1.0 / self.sigma2).ravel(), edges.source)
+        self.s = np.bincount(edges.key, w).reshape(self.sigma2.shape)
+        self.s4 = np.repeat(self.s[..., None], STATE_DIM, axis=2)
+        self._w4 = np.repeat(w, STATE_DIM)
         self._info_key = (STATE_DIM * edges.key[:, None] + np.arange(STATE_DIM)).ravel()
         self.back = np.take(edges.reverse, edges.half)
         sigma2 = self.sigma2.ravel()
@@ -247,9 +262,8 @@ class SharedStep:
         shape = self.sigma2.shape + (STATE_DIM,)
         if y.shape != shape:
             raise ConfigError(f"measurements must have shape {shape}, got {y.shape}")
-        bad = np.argwhere(~np.isfinite(y).all(axis=2))
-        if bad.size:
-            t, m = bad[0]
+        if not np.isfinite(y).all():
+            t, m = np.argwhere(~np.isfinite(y).all(axis=2))[0]
             raise self.error(t, self.done // 2, f"non-finite measurement at node {m}")
         self.y = y
 
@@ -263,21 +277,28 @@ class SharedStep:
             # s^2 det(M_pred + I/s): with 1 + s*a > 0, the innovation covariance
             # M_pred + I/s is positive definite exactly when this is positive.
             den = 1.0 + s * (a + c) + s * s * det
-            ok = np.isfinite(m_pred).all(axis=2) & (1.0 + s * a > 0.0) & (den > 0.0)
+            ok = (1.0 + s * a > 0.0) & (den > 0.0)
             m_psi = np.stack([(a + s * det) / den, b / den, (c + s * det) / den], axis=-1)
-        if not ok.all():
-            t, m = np.argwhere(~ok)[0]
+        # An infinite entry can pass the tests of ok, so finiteness is
+        # checked apart, flat; the node is sought only once a check fails.
+        if not (ok.all() and np.isfinite(m_pred).all()):
+            t, m = np.argwhere(~(ok & np.isfinite(m_pred).all(axis=2)))[0]
             if np.isfinite(m_pred[t, m]).all():
                 what = f"innovation covariance at node {m} is not positive definite"
             else:
                 what = f"predicted covariance at node {m} has non-finite entries"
             raise self.error(t, self.done // 2, what)
         self.M_psi = m_psi
+        # The coefficients of every engine's blend at the state width:
+        # (a, a, c, c) on each coordinate of r and b on its partner in the
+        # other half.
+        self.k_own = m_psi[..., [0, 0, 2, 2]]
+        self.k_cross = np.repeat(m_psi[..., 1:2], STATE_DIM, axis=2)
         # Information vector sum_n y_n / sigma2_n over each neighborhood,
         # from each edge's source measurement.
         y_src = np.take(y.reshape(-1, STATE_DIM), self.net.edges.source, axis=0)
-        terms = self._w[:, None] * y_src
-        self.info = np.bincount(self._info_key, terms.ravel()).reshape(y.shape)
+        terms = self._w4 * y_src.ravel()
+        self.info = np.bincount(self._info_key, terms).reshape(y.shape)
         self._track_psd(m_psi, "adapted covariance")
         self.done += 1
 
@@ -428,12 +449,14 @@ class DiffusionKalmanEngine:
         if shared.done == 2 * j:
             shared.adapt(y)
 
-        # Phase 2, per policy: psi = x_pred + M_psi (info - s x_pred).
+        # Phase 2, per policy: psi = x_pred + (M_psi kron I2) r, with
+        # r = info - s x_pred, as products at the state width: the
+        # position half is a r_pos + b r_vel and the velocity half
+        # c r_vel + b r_pos, which rounds as b r_pos + c r_vel does, IEEE
+        # addition being commutative.
         x_pred = self.x_pred
-        r = shared.info - shared.s[:, :, None] * x_pred
-        r_pos, r_vel = r[..., :2], r[..., 2:]
-        a, b, c = (shared.M_psi[..., k, None] for k in range(3))
-        psi = x_pred + np.concatenate([a * r_pos + b * r_vel, b * r_pos + c * r_vel], axis=-1)
+        r = shared.info - shared.s4 * x_pred
+        psi = x_pred + (shared.k_own * r + shared.k_cross * r[..., _HALVES_SWAPPED])
         self.psi = psi
 
         # Phase 3: residuals.

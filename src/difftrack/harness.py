@@ -8,7 +8,6 @@ import json
 import math
 import numbers
 import os
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property, partial
@@ -311,7 +310,9 @@ def run_trials(cfgs, trials: range, *, weights_every: int = 0):
     # Node m of trial t measures target cluster_of[t, m], row
     # t * n_targets + cluster_of[t, m] - 1 of the trials' stacked truths.
     targets = cfg.n_targets * np.arange(len(trials))[:, None] + part.cluster_of - 1
-    sd = np.sqrt(sigma2)[:, :, None]
+    # Each node's noise scale at the state width, so the step's
+    # measurements are one contiguous product.
+    sd = np.repeat(np.sqrt(sigma2)[:, :, None], STATE_DIM, axis=2)
     noise = np.empty((len(trials), cfg.n_nodes, STATE_DIM))
     truth = np.stack([initial_state(cfg.x0, cfg.y0, cfg.v0, a) for a in cfg.angles])
     truth = np.broadcast_to(truth, (len(trials),) + truth.shape)
@@ -416,9 +417,8 @@ def policy_sweep(
     policy's metrics in trial order. All policies filter the same draws
     and measurements (see ``run_trials``): common random numbers hold by
     construction, and the policy-independent half of each step runs once
-    for all of them (see ``run_trials``). The engines step in policy
-    order, so a failing sweep names the earliest failing iteration, and
-    in it the first policy.
+    for all of them. The engines step in policy order, so a failing sweep
+    names the earliest failing iteration, and in it the first policy.
     ``workers`` > 1 splits the trials into that many contiguous chunks,
     each run in its own process; the results do not depend on the split.
     ``weights_every`` K > 0 snapshots trial 0's combination matrix every K
@@ -443,6 +443,9 @@ def policy_sweep(
     if workers > 1 and cfg.n_trials > 1:
         bounds = [cfg.n_trials * k // workers for k in range(workers + 1)]
         chunks = [range(a, b) for a, b in zip(bounds, bounds[1:]) if b > a]
+        # Imported here: a run in one process should not pay for it.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
             parts = list(pool.map(run, chunks))
     else:

@@ -216,11 +216,15 @@ def generate_geometric(
         pos = rng.random((n, 2))
         dx = pos[:, None, 0] - pos[None, :, 0]
         dy = pos[:, None, 1] - pos[None, :, 1]
-        dist = np.sqrt(dx * dx + dy * dy)
-        adj = (dist <= comm_radius) & ~np.eye(n, dtype=bool)
-        if adj.sum(axis=0).min() < min_degree:
+        dx *= dx
+        dy *= dy
+        dx += dy
+        within = np.sqrt(dx, out=dx) <= comm_radius
+        # Each node lies within range of itself, at distance 0.
+        if np.count_nonzero(within, axis=0).min() - 1 < min_degree:
             continue
-        net = Network(positions=pos, adjacency=adj)
+        np.fill_diagonal(within, False)
+        net = Network(positions=pos, adjacency=within)
         if net.is_connected():
             return net
     raise ConfigError(

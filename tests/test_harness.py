@@ -284,20 +284,32 @@ class TestLoadConfig:
             load_config(path)
 
 
-def test_harness_import_leaves_scipy_stats_unloaded():
-    # scipy is a test-only dependency: no CLI entry point may load any of it.
+def loaded_on_import(package):
+    """The modules of ``package`` loaded once a fresh interpreter has
+    imported ``difftrack.harness`` and ``difftrack.cli``."""
     import difftrack
 
     src = os.path.dirname(os.path.dirname(difftrack.__file__))
     code = (
-        "import sys, difftrack.cli; "
-        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+        "import sys, difftrack.harness, difftrack.cli; "
+        f"print(sorted(m for m in sys.modules if m == {package!r} "
+        f"or m.startswith({package + '.'!r})))"
     )
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_harness_import_leaves_scipy_stats_unloaded():
+    # scipy is a test-only dependency: no CLI entry point may load any of it.
+    assert loaded_on_import("scipy") == "[]"
+
+
+def test_harness_import_leaves_process_pools_unloaded():
+    # Only a run with workers > 1 needs a process pool.
+    assert loaded_on_import("concurrent.futures.process") == "[]"
 
 
 class TestTrialStreams:

@@ -250,6 +250,53 @@ def test_nan_measurement_names_trial_iteration_and_node(policy):
         engine.run_step(measure(truths))
 
 
+@pytest.mark.parametrize("value", [np.inf, -np.inf])
+def test_infinite_measurement_names_trial_iteration_and_node(value):
+    engine, _, truths, measure = small_batch(4)
+    for _ in range(2):
+        engine.run_step(measure(truths))
+    y = measure(truths)
+    y[2, 6, 3] = value
+    with pytest.raises(
+        NumericError, match=r"^trial 2: iteration 2: non-finite measurement at node 6$"
+    ):
+        engine.run_step(y)
+
+
+def test_several_bad_measurements_name_the_lowest_trial_and_node():
+    engine, _, truths, measure = small_batch(4)
+    y = measure(truths)
+    y[3, 0, 0] = np.nan
+    y[1, 6, 1] = -np.inf
+    y[1, 4, 2] = np.inf
+    with pytest.raises(
+        NumericError, match=r"^trial 1: iteration 0: non-finite measurement at node 4$"
+    ):
+        engine.run_step(y)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        # An infinite variance passes the definiteness tests, and the
+        # adapted covariance it gives is NaN: the prediction is named.
+        {(2, 5): (np.inf, 0.0, 1.0)},
+        {(2, 6): (np.inf, 0.0, 1.0), (2, 5): (1.0, -np.inf, 1.0), (3, 1): np.nan},
+        {(2, 5): (1.0, 0.0, np.inf), (2, 7): (-1.0, 0.0, -1.0)},
+    ],
+)
+def test_infinite_covariance_names_the_lowest_node_and_the_prediction(bad):
+    engine, _, truths, measure = small_batch(4)
+    engine.run_step(measure(truths))
+    for node, value in bad.items():
+        engine.M_pred[node] = value
+    with pytest.raises(
+        NumericError,
+        match=r"^trial 2: iteration 1: predicted covariance at node 5 has non-finite entries$",
+    ):
+        engine.run_step(measure(truths))
+
+
 def test_indefinite_covariance_names_trial_counted_from_first_trial():
     engine, _, truths, measure = small_batch(4, first_trial=40)
     engine.M_pred[1, 3] = (-1.0, 0.0, -1.0)

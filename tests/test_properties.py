@@ -9,7 +9,8 @@ on its neighborhoods, combine within the convex hull of each
 neighborhood's intermediate estimates, and leave each covariance positive
 semidefinite and no larger than its prediction. A batch of trials run
 over a few steps must give each trial the bits it gets in an engine of
-its own.
+its own, and the blend that forms psi gives the bits of its half-by-half
+form on any finite inputs.
 """
 
 import numpy as np
@@ -47,6 +48,22 @@ def stacked(nets):
     return Network(np.stack([n.positions for n in nets]), np.stack([n.adjacency for n in nets]))
 
 
+def covariances(draw, shape):
+    """SPD M of the given stack shape, (a, b, c) on a last axis, from two
+    eigenvalues and the angle of the eigenvectors."""
+    lam = draw(arrays(float, shape + (2,), elements=st.floats(1e-3, 10.0)))
+    angle = draw(arrays(float, shape, elements=st.floats(0.0, np.pi)))
+    cos, sin = np.cos(angle), np.sin(angle)
+    return np.stack(
+        [
+            lam[..., 0] * cos**2 + lam[..., 1] * sin**2,
+            (lam[..., 0] - lam[..., 1]) * sin * cos,
+            lam[..., 0] * sin**2 + lam[..., 1] * cos**2,
+        ],
+        axis=-1,
+    )
+
+
 @st.composite
 def scenes(draw):
     t_count = draw(st.integers(1, 3))
@@ -60,18 +77,7 @@ def scenes(draw):
         labels[:s] = np.arange(1, s + 1)
         parts.append(ClusterAssignment(labels, s))
     sigma2 = draw(arrays(float, (t_count, n), elements=st.floats(0.01, 1.0)))
-    # SPD M from its two eigenvalues and the angle of its eigenvectors.
-    lam = draw(arrays(float, (t_count, n, 2), elements=st.floats(1e-3, 10.0)))
-    angle = draw(arrays(float, (t_count, n), elements=st.floats(0.0, np.pi)))
-    cos, sin = np.cos(angle), np.sin(angle)
-    m_pred = np.stack(
-        [
-            lam[..., 0] * cos**2 + lam[..., 1] * sin**2,
-            (lam[..., 0] - lam[..., 1]) * sin * cos,
-            lam[..., 0] * sin**2 + lam[..., 1] * cos**2,
-        ],
-        axis=-1,
-    )
+    m_pred = covariances(draw, (t_count, n))
     coords = st.floats(-50.0, 50.0)
     x_pred = draw(arrays(float, (t_count, n, 4), elements=coords))
     truths = draw(arrays(float, (t_count, 2, 4), elements=coords))
@@ -157,3 +163,47 @@ def test_batch_equals_each_trial_alone(policy, batch):
         assert np.array_equal(together.M_pred[t], engine.M_pred[0])
         assert np.array_equal(together.C[t], engine.C[0])
         assert np.array_equal(together.net.adjacency[t], engine.net.adjacency[0])
+
+
+def same_bytes(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+# Finite doubles from every range the blend's products can meet: signed
+# zeros, subnormals, and magnitudes whose products overflow.
+EXTREME = st.one_of(
+    st.floats(-1e300, 1e300),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, 1e300, -1e300]),
+)
+
+
+@st.composite
+def blends(draw):
+    t_count = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 6))
+    nets = [network(draw, n) for _ in range(t_count)]
+    sigma2 = draw(arrays(float, (t_count, n), elements=st.floats(0.01, 1.0)))
+    m_pred = covariances(draw, (t_count, n))
+    x_pred = draw(arrays(float, (t_count, n, 4), elements=EXTREME))
+    y = draw(arrays(float, (t_count, n, 4), elements=EXTREME))
+    return nets, sigma2, m_pred, x_pred, y
+
+
+@settings(max_examples=200, deadline=None)
+@given(blends())
+def test_blend_gives_the_bits_of_the_half_by_half_form(blend):
+    # psi = x_pred + (M_psi kron I2) r, r = info - s x_pred, written half
+    # by half: a r_pos + b r_vel, then b r_pos + c r_vel.
+    nets, sigma2, m_pred, x_pred, y = blend
+    engine = DiffusionKalmanEngine(stacked(nets), sigma2, ExperimentConfig(policy="uniform"))
+    engine.M_pred = m_pred
+    engine.x_pred = x_pred.copy()
+    with np.errstate(all="ignore"):
+        engine.run_step(y)
+        shared = engine.shared
+        r = shared.info - shared.s[:, :, None] * x_pred
+        r_pos, r_vel = r[..., :2], r[..., 2:]
+        a, b, c = (engine.M_psi[..., k, None] for k in range(3))
+        want = x_pred + np.concatenate([a * r_pos + b * r_vel, b * r_pos + c * r_vel], axis=-1)
+    assert same_bytes(engine.psi, want)

@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from difftrack.errors import ConfigError
+from difftrack.harness import trial_rng
 from difftrack.topology import (
+    MAX_ATTEMPTS,
     ClusterAssignment,
     Edges,
     Network,
@@ -396,6 +398,39 @@ def test_draw_distances_equal_the_old_form_bit_for_bit(monkeypatch, n, radius, m
     assert np.array_equal(net.positions, pos)
     want = (np.sqrt(old_form_sq_dist(pos)) <= radius) & ~np.eye(n, dtype=bool)
     assert np.array_equal(net.adjacency, want)
+
+
+def parent_draw(n, radius, min_degree, rng):
+    """The scene draw as it was: each attempt's full distance and
+    adjacency matrices, then the degree and connectivity checks; the
+    network and the number of attempts made."""
+    for attempt in range(1, MAX_ATTEMPTS + 1):
+        pos = rng.random((n, 2))
+        dx = pos[:, None, 0] - pos[None, :, 0]
+        dy = pos[:, None, 1] - pos[None, :, 1]
+        dist = np.sqrt(dx * dx + dy * dy)
+        adj = (dist <= radius) & ~np.eye(n, dtype=bool)
+        if adj.sum(axis=0).min() < min_degree:
+            continue
+        net = Network(positions=pos, adjacency=adj)
+        if net.is_connected():
+            return net, attempt
+    raise AssertionError("no draw")
+
+
+def test_rejected_attempts_leave_the_stream_where_the_parent_loop_does():
+    # The large-network scene: these four trials' draws reject 7, 16, 2
+    # and 13 attempts before one passes.
+    attempts = []
+    for trial in range(4):
+        rng, replay = trial_rng(11, trial), trial_rng(11, trial)
+        net = generate_geometric(200, 0.15, 4, rng)
+        want, made = parent_draw(200, 0.15, 4, replay)
+        attempts.append(made)
+        assert rng.bit_generator.state == replay.bit_generator.state
+        assert np.array_equal(net.positions, want.positions)
+        assert np.array_equal(net.adjacency, want.adjacency)
+    assert attempts == [8, 17, 3, 14]
 
 
 def test_prune_zero_tau_removes_nothing():
