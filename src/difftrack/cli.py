@@ -64,7 +64,8 @@ def build_parser() -> argparse.ArgumentParser:
         )
 
     common(sub.add_parser("run", help="run one experiment"), with_policy=True)
-    common(sub.add_parser("sweep", help="run a common-random-number policy sweep"), with_policies=True)
+    sweep = sub.add_parser("sweep", help="run a common-random-number policy sweep")
+    common(sweep, with_policies=True)
     _scene_args(sub.add_parser("topology", help="generate and export one topology draw"))
 
     sub.add_parser("selftest", help="run the oracle-equivalence checks")

@@ -4,12 +4,13 @@ A combination matrix C is left-stochastic with c[n, m] being the weight
 node m assigns to neighbor n; support is restricted to the self-inclusive
 neighborhood N_m, so the combination step blends estimates as C^T psi.
 Static policies depend only on the topology (and noise levels), and build
-one matrix per network of a Network stack; the adaptive rule re-derives
-every column each iteration from how far each neighbor's intermediate
-estimate sits from the node's own data. The engine applies that rule and
-``validate_combination_matrix`` per edge of the network's ``edges``, with
-``sq_dist`` scoring each edge's pair of points; ``adaptive_weight_row`` is
-the single-node reference form.
+one matrix per network of a Network stack, which the engine checks once
+with ``validate_combination_matrix``; the adaptive rule re-derives every
+column each iteration from how far each neighbor's intermediate estimate
+sits from the node's own data. The engine applies that rule per edge of
+the network's ``edges``, with ``sq_dist`` scoring each edge's pair of
+points, and checks each iteration's weights as it makes them;
+``adaptive_weight_row`` is the single-node reference form.
 
 The adaptive policy also screens each neighbor's measurement against the
 node's own with ``consistent_pairs``, one pair per edge of the network.
@@ -161,11 +162,11 @@ def validate_combination_matrix(
 
     ``support`` is the Network C belongs to, with C dense in the shape of
     its adjacency, or that network's ``edges``, with C the (E,) weights on
-    them, which lie on the support by construction. Used both by tests and
-    by the engine each iteration; a violation at runtime means a weight
-    policy produced garbage, which is a numeric failure rather than a
-    configuration problem. The ``CombinationError`` raised names the first
-    failing column of the lowest failing matrix.
+    them, which lie on the support by construction. The engine checks every
+    C it builds, and the adaptive weights of each iteration; a violation
+    at runtime means a weight policy produced garbage, which is a numeric
+    failure rather than a configuration problem. The ``CombinationError``
+    raised names the first failing column of the lowest failing matrix.
     """
     c = np.asarray(c)
     if isinstance(support, Network):

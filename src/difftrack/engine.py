@@ -44,18 +44,17 @@ form the covariance recursion never reads a measurement, and the
 information sum reads only the measurements and the edge list, so on one
 topology both are the same under every policy. They are held, with the
 topology's edge arrays, the covariances' PSD checks and the min-PSD
-record, by a ``SharedStep``, and
-engines of several policies on one topology hold one between them (see
-``DiffusionKalmanEngine.sharing``): each step the first engine to reach a
-shared phase runs it and the others read its result, so it runs once per
-step and fails, if it does, in the same engine and phase as when each
-engine ran its own. A standalone engine owns its ``SharedStep``. The
-static policies never prune and share theirs for the whole run; the
-adaptive engine forks its own copy at its first prune that cuts a link,
-the covariances and the min-PSD record copied and the edge arrays
-gathered for the pruned network, and from then on runs both halves
-alone. A later cut, like any cut of a step one engine holds, gathers the
-edge arrays again in place.
+record, by a ``SharedStep``, and engines of several policies on one
+topology hold one between them (see ``DiffusionKalmanEngine.sharing``):
+each step the first engine to reach a shared phase runs it and the
+others read its result, so it runs once per step and fails, if it does,
+in the same engine and phase as when each engine ran its own. A
+standalone engine owns its ``SharedStep``. The static policies never
+prune and share theirs for the whole run; the adaptive engine forks its
+own copy at its first prune that cuts a link, the covariances and the
+min-PSD record copied and the edge arrays gathered for the pruned
+network, and from then on runs both halves alone. A later cut, like any
+cut of a step one engine holds, gathers the edge arrays again in place.
 
 Each node observes the full state with noise sigma2 * I, the model has
 F = I + delta*theta and process noise q * I, and the prior is p0 * I, so
@@ -80,16 +79,18 @@ for positive semidefiniteness in the topology's half:
    is symmetric to the bit, so it runs on one direction of each link and
    is mirrored onto the other; both directions of such a link drop below
    the prune threshold together, and once phase 6 cuts the link phase 2
-   stops fusing that neighbor's measurement;
+   stops fusing that neighbor's measurement. The weights are checked as
+   they are made;
 5. [policy] combination: convex blend of neighbor intermediates
-   (covariance is NOT blended; each node keeps its own);
+   (covariance is NOT blended; each node keeps its own). A static C is
+   checked at construction and then frozen, so no step checks it again;
 6. [policy] adaptive policy only: link pruning, a per-link count of
    consecutive steps with weight below the threshold; a link is cut once
    both directions reach the window, in one ``prune_cross_links`` call
-   over the network stack, and the surviving links keep their counts. A static
-   policy keeps its initial graph and the combination matrix built for it
-   at construction. The first prune that cuts a link forks the adaptive
-   engine's ``SharedStep`` when other engines hold it too;
+   over the network stack, and the surviving links keep their counts. A
+   static policy keeps its initial graph. The first prune that cuts a
+   link forks the adaptive engine's ``SharedStep`` when other engines
+   hold it too;
 7. time update: [policy] x_pred = F x_hat (plus gravity when the filter
    knows it); [topology] M becomes
    (a + delta(2b + delta c) + q, b + delta c, c + q).
@@ -167,15 +168,15 @@ class SharedStep:
     """The policy-independent half of every step on one network stack.
 
     ``net`` is a Network stack with (T, n, n) adjacency (see
-    ``stack_scenes``) and ``sigma2`` (T, n); of ``cfg`` it reads the
-    prior scale ``P0_scale`` and the motion model ``cfg.model``. It holds
-    the topology's edge arrays, the covariances (a, b, c) ``M_pred`` and
+    ``stack_scenes``) and ``sigma2`` (T, n); of ``cfg`` it reads the prior
+    scale ``P0_scale`` and the motion model ``cfg.model``. It holds the
+    topology's edge arrays, the covariances (a, b, c) ``M_pred`` and
     ``M_psi``, the latest step's measurements ``y``, information sums
-    ``info`` and blend coefficients ``k_own`` and ``k_cross``, and ``min_psd_eigenvalue``, the lowest covariance
-    eigenvalue seen per trial. ``done`` counts the halves run,
-    two per step: ``adapt`` runs phases 1 and 2's shared part, and
-    ``predict`` phase 7's. ``first_trial`` is the number of the batch's
-    first trial; errors name trials counting from it.
+    ``info`` and blend coefficients ``k_own`` and ``k_cross``, and
+    ``min_psd_eigenvalue``, the lowest covariance eigenvalue seen per trial.
+    ``done`` counts the halves run, two per step: ``adapt`` runs phases 1
+    and 2's shared part, and ``predict`` phase 7's. ``first_trial`` is the
+    number of the batch's first trial; errors name trials counting from it.
     """
 
     def __init__(
@@ -348,7 +349,8 @@ class DiffusionKalmanEngine:
 
     Under the adaptive policy ``C`` is a view of one buffer that each
     ``run_step`` overwrites with that step's weights; a caller that keeps
-    a step's C must copy it.
+    a step's C must copy it. A static policy's C is checked at
+    construction and then read-only, so it may be kept as it is.
     """
 
     def __init__(
@@ -391,9 +393,10 @@ class DiffusionKalmanEngine:
         else:
             c = static_weights(cfg.policy, net, shared.sigma2)
         # The support is checked here, once: every later C is built on the
-        # edges.
+        # edges. A static C is then frozen, so no step need check it again.
         self._c_t = np.swapaxes(c, -1, -2).copy()
         self._validate(self.C, net, COLUMN_SUM_TOL)
+        self._c_t.flags.writeable = cfg.policy == "adaptive"
         # Flat indices into C^T of the links the last prune cut, which the
         # next weight update zeroes.
         self._cut = np.empty(0, dtype=np.intp)
@@ -402,7 +405,7 @@ class DiffusionKalmanEngine:
     def C(self) -> np.ndarray:
         """The combination matrices, (T, n, n): the transposed view of a
         contiguous C^T, the operand of phase 5's product, which the
-        adaptive policy overwrites each step."""
+        adaptive policy overwrites each step and a static policy freezes."""
         return np.swapaxes(self._c_t, -1, -2)
 
     # -- the shared half, as the engine sees it --------------------------
@@ -462,20 +465,17 @@ class DiffusionKalmanEngine:
         # Phase 3: residuals.
         self.q = shared.y - psi
 
-        # Phase 4: weight update (adaptive policy only).
+        # Phase 4: weight update (adaptive policy only), checked as made.
         cfg = self.cfg
         if cfg.policy == "adaptive":
-            self._adaptive_weights(psi, self.q)
+            weights = self._adaptive_weights(psi, self.q)
+            self._validate(weights, shared.net.edges, COMBINE_COL_TOL)
 
         # Phase 5: combination. Covariance is intentionally left alone.
         # x_hat = C^T psi, the product taken with C^T in contiguous memory:
         # on a transposed view matmul rounds differently. The engine holds
         # C as a view of such a C^T, so nothing is copied.
-        c_t = self._c_t
-        edges = shared.net.edges
-        weights = np.take(c_t.ravel(), edges.flat_t)
-        self._validate(weights, edges, COMBINE_COL_TOL)
-        self.x_hat = c_t @ psi
+        self.x_hat = self._c_t @ psi
 
         # Phase 6: pruning (adaptive policy only). No count can reach the
         # window before that many steps have run.
@@ -498,11 +498,11 @@ class DiffusionKalmanEngine:
 
     # -- internals --------------------------------------------------------
 
-    def _adaptive_weights(self, psi: np.ndarray, q: np.ndarray) -> None:
+    def _adaptive_weights(self, psi: np.ndarray, q: np.ndarray) -> np.ndarray:
         # Edge (n, m) scores neighbor n's estimate against node m's own
         # data point psi_m + q_m; each column m is then normalized. The
-        # weights overwrite the edges' entries of the engine's C^T buffer,
-        # of which C is the transposed view. Its other entries are zero
+        # (E,) weights are returned, and overwrite the edges' entries of
+        # the engine's C^T buffer, of which C is the transposed view. Its other entries are zero
         # once the links of the last prune are: they are zeroed here, not
         # at the prune, so that the pruning step's C keeps its weights.
         c_t = self._c_t.reshape(-1)
@@ -529,7 +529,9 @@ class DiffusionKalmanEngine:
         usable[half] = agree
         usable[back] = agree
         w = np.where(usable, d**-2.0, 0.0)
-        c_t[edges.flat_t] = w / np.take(np.bincount(m, w), m)
+        w /= np.take(np.bincount(m, w), m)
+        c_t[edges.flat_t] = w
+        return w
 
     def _prune(self) -> None:
         shared = self.shared

@@ -301,12 +301,10 @@ def run_trials(cfgs, trials: range, *, weights_every: int = 0):
     truths = np.empty((cfg.n_iterations, cfg.n_targets, STATE_DIM))
     est_mean = np.empty((len(cfgs), cfg.n_iterations, n_clusters, 2)) if keep_detail else None
     snapshots = [[] for _ in cfgs]
-    # A static policy's C is built at construction and never reassigned,
-    # so all its snapshots share one copy.
-    static_c = [
-        None if engine.cfg.policy == "adaptive" else engine.C[0].copy() for engine in engines
-    ]
-    members = [np.flatnonzero(part.cluster_of[0] == l + 1) for l in range(n_clusters)]
+    # A C the engine froze never changes, so all its snapshots share it.
+    frozen = [None if engine.C.flags.writeable else engine.C[0] for engine in engines]
+    # Trial 0's cluster l sums its nodes' positions in bins 2l and 2l + 1.
+    mean_bins = (2 * part.cluster_of[0, :, None] - 2 + np.arange(2)).ravel()
     # Node m of trial t measures target cluster_of[t, m], row
     # t * n_targets + cluster_of[t, m] - 1 of the trials' stacked truths.
     targets = cfg.n_targets * np.arange(len(trials))[:, None] + part.cluster_of - 1
@@ -326,16 +324,17 @@ def run_trials(cfgs, trials: range, *, weights_every: int = 0):
                 )
         for t, rng in enumerate(rngs):
             rng.standard_normal(out=noise[t])
-        y = np.take(truth.reshape(-1, STATE_DIM), targets, axis=0) + sd * noise
+        rows = np.take(truth.reshape(-1, STATE_DIM), targets, axis=0)
+        y = rows + sd * noise
         truths[j] = truth[0]
         for k, engine in enumerate(engines):
             engine.run_step(y)
-            msd[k, :, j] = msd_accumulate(truth, engine.x_hat, part)
+            msd[k, :, j] = msd_accumulate(rows, engine.x_hat, part)
             if keep_detail:
-                for l, idx in enumerate(members):
-                    est_mean[k, j, l] = engine.x_hat[0, idx, :2].mean(axis=0)
+                sums = np.bincount(mean_bins, engine.x_hat[0, :, :2].ravel(), 2 * n_clusters)
+                est_mean[k, j] = sums.reshape(n_clusters, 2) / part.sizes[0, :, None]
                 if weights_every and j % weights_every == 0:
-                    c = engine.C[0].copy() if static_c[k] is None else static_c[k]
+                    c = engine.C[0].copy() if frozen[k] is None else frozen[k]
                     snapshots[k].append((j, c))
     runs = []
     for k, engine in enumerate(engines):

@@ -4,7 +4,6 @@ recovery scoring."""
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,32 +57,23 @@ class MsdSeries:
 
 
 def msd_accumulate(
-    truths: np.ndarray, estimates: np.ndarray, assignment: ClusterAssignment
+    rows: np.ndarray, estimates: np.ndarray, assignment: ClusterAssignment
 ) -> np.ndarray:
-    """Per-cluster mean of ||truth - estimate||^2 over the cluster's nodes.
+    """Per-cluster mean of ||row - estimate||^2 over the cluster's nodes.
 
-    truths has one row per cluster (the cluster's target state); estimates has
-    one row per node. Node m is scored against the target of its cluster.
+    rows and estimates have one row per node: node m's estimate is scored
+    against rows[..., m, :], the true state of the target it tracks.
     Leading batch axes, shared by all three, give a (..., s) result whose
     entries equal those of one call per batch entry.
     """
-    truths = np.asarray(truths, dtype=np.float64)
+    rows = np.asarray(rows, dtype=np.float64)
     estimates = np.asarray(estimates, dtype=np.float64)
-    labels, s = assignment.cluster_of - 1, assignment.s
-    if estimates.shape[:-1] != labels.shape:
-        raise ValueError("one estimate row per node required")
-    if truths.shape[:-2] != labels.shape[:-1] or truths.shape[-2] < s:
-        raise ValueError("every batch entry needs a target state per cluster")
-    # Entry b's r truths are rows b*r to b*r + r - 1 of the flattened
-    # stack, and its s clusters keys b*s to b*s + s - 1 of one bincount
-    # over the whole batch.
-    lead = labels.shape[:-1]
-    batch = np.arange(math.prod(lead)).reshape(lead + (1,))
-    r = truths.shape[-2]
-    err = estimates - np.take(truths.reshape(-1, truths.shape[-1]), batch * r + labels, axis=0)
+    if rows.shape != estimates.shape or estimates.shape[:-1] != assignment.cluster_of.shape:
+        raise ValueError("one truth row and one estimate row per node required")
+    err = estimates - rows
     sq = np.einsum("...j,...j->...", err, err)
-    sums = np.bincount((batch * s + labels).ravel(), weights=sq.ravel(), minlength=batch.size * s)
-    return sums.reshape(lead + (s,)) / assignment.sizes
+    sums = np.bincount(assignment.bins, sq.ravel(), minlength=assignment.sizes.size)
+    return sums.reshape(assignment.sizes.shape) / assignment.sizes
 
 
 def steady_state_db(series_db: np.ndarray) -> float:

@@ -149,6 +149,12 @@ class ClusterAssignment:
         """Node count per cluster, (..., s), index 0 holding cluster 1."""
         return _freeze((self.cluster_of[..., None] == np.arange(1, self.s + 1)).sum(axis=-2))
 
+    @cached_property
+    def bins(self) -> np.ndarray:
+        """Each node's cluster as a bin over the stack: entry b's are b*s to b*s + s - 1."""
+        labels = self.cluster_of.reshape(-1, self.cluster_of.shape[-1]) - 1
+        return _freeze((self.s * np.arange(len(labels))[:, None] + labels).ravel())
+
 
 def component_roots(adjacency: np.ndarray) -> np.ndarray:
     """Label each node with the lowest node index in its connected component.

@@ -234,14 +234,14 @@ def test_engine_residual_of_a_lone_node_is_the_shrunk_innovation():
     assert np.array_equal(engine.q, y - engine.psi)
 
 
-def test_engine_combination_cases():
+def test_engine_combination_cases(monkeypatch):
     # Three linked nodes; phase 5 blends their intermediates with the C
-    # the test writes into the static policy's matrix.
+    # the test has the static policy build.
     net = Network(np.array([[0.1, 0.1], [0.2, 0.1], [0.1, 0.2]]), ~np.eye(3, dtype=bool))
 
     def combined(c, y, sigma2):
+        monkeypatch.setattr(difftrack.engine, "static_weights", lambda *args: c[None])
         engine = one_trial_engine(net, sigma2, "uniform")
-        engine.C[0] = c
         engine.run_step(y[None])
         return engine.psi[0], engine.x_hat[0]
 

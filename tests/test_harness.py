@@ -355,6 +355,8 @@ class TestTrialStreams:
 
 class TestRunExperiment:
     def test_single_node_uniform_matches_centralized_kf(self):
+        # One node forms one cluster, but the run draws two targets: the
+        # harness scores the node's MSD against its own target's row.
         cfg = ExperimentConfig(
             n_nodes=1, policy="uniform", n_trials=1, n_iterations=40, seed=123
         )

@@ -110,7 +110,8 @@ def test_per_batch_work_does_not_grow_with_trials(policies, monkeypatch):
     # builds one edge list, which each prune filters. Its engines share
     # one SharedStep, whose halves run once per step for all of them; the
     # first prune that cuts a link forks the adaptive engine's, which runs
-    # both halves alone after the step of that cut.
+    # both halves alone after the step of that cut. Every C is checked at
+    # construction, and only the adaptive engine's again, once per step.
     calls = {}
 
     def counted(owner, name, key=None):
@@ -126,6 +127,7 @@ def test_per_batch_work_does_not_grow_with_trials(policies, monkeypatch):
 
     counted(difftrack.engine, "prune_cross_links")
     counted(difftrack.engine, "static_weights")
+    counted(difftrack.engine, "validate_combination_matrix")
     counted(difftrack.harness, "msd_accumulate")
     counted(difftrack.harness, "step_truth")
     counted(difftrack.harness, "trial_rng")
@@ -161,6 +163,7 @@ def test_per_batch_work_does_not_grow_with_trials(policies, monkeypatch):
             assert calls == {
                 "prune_cross_links": forks * (cfg.n_iterations - cfg.prune_window + 1),
                 "static_weights": len(policies) - adaptive,
+                "validate_combination_matrix": len(policies) + adaptive * cfg.n_iterations,
                 "msd_accumulate": len(policies) * cfg.n_iterations,
                 "step_truth": cfg.n_iterations - 1,
                 "trial_rng": n_trials,
@@ -313,37 +316,80 @@ def test_lost_semidefiniteness_names_trial():
         engine.run_step(measure(truths))
 
 
-def test_bad_static_weights_name_trial():
-    engine, _, truths, measure = small_batch(4, policy="uniform")
-    engine.C[2, 0, 0] = -1.0
+def faulty_static_weights(monkeypatch, fault):
+    """Have the engine build its static C through ``fault(c, net)``,
+    which writes into the matrix stack the policy builds on ``net``; the
+    check at construction then sees the fault."""
+    build = difftrack.engine.static_weights
+
+    def faulty(policy, net, sigma2):
+        c = build(policy, net, sigma2)
+        fault(c, net)
+        return c
+
+    monkeypatch.setattr(difftrack.engine, "static_weights", faulty)
+
+
+def test_bad_static_weights_name_trial(monkeypatch):
+    def fault(c, net):
+        c[2, 0, 0] = -1.0
+
+    faulty_static_weights(monkeypatch, fault)
     with pytest.raises(NumericError, match=r"^trial 2: iteration 0: .*negative"):
-        engine.run_step(measure(truths))
+        small_batch(4, policy="uniform")
 
 
-def test_negative_weight_names_trial_and_column():
+def test_negative_weight_names_trial_and_column(monkeypatch):
     # Trial 1 of 3 moves a unit of weight within column 4, onto a
     # neighbor: the column still sums to 1, but its self-weight is negative.
-    engine, _, truths, measure = small_batch(3, policy="uniform", first_trial=6)
-    neighbor = np.flatnonzero(engine.net.adjacency[1, :, 4])[0]
-    engine.C[1, neighbor, 4] += 1.0
-    engine.C[1, 4, 4] -= 1.0
+    def fault(c, net):
+        neighbor = np.flatnonzero(net.adjacency[1, :, 4])[0]
+        c[1, neighbor, 4] += 1.0
+        c[1, 4, 4] -= 1.0
+
+    faulty_static_weights(monkeypatch, fault)
     with pytest.raises(
         NumericError,
         match=r"^trial 7: iteration 0: combination matrix has negative entries in column 4$",
     ):
-        engine.run_step(measure(truths))
+        small_batch(3, policy="uniform", first_trial=6)
 
 
-def test_off_stochastic_column_names_trial_and_column():
+def test_off_stochastic_column_names_trial_and_column(monkeypatch):
     # Trial 1 of 3 adds weight to column 3: its entries stay nonnegative,
     # but the column no longer sums to 1.
-    engine, _, truths, measure = small_batch(3, policy="metropolis", first_trial=4)
-    engine.C[1, 3, 3] += 0.1
+    def fault(c, net):
+        c[1, 3, 3] += 0.1
+
+    faulty_static_weights(monkeypatch, fault)
     with pytest.raises(
         NumericError,
         match=r"^trial 5: iteration 0: combination matrix column 3 off stochastic by 1\.000e-01$",
     ):
+        small_batch(3, policy="metropolis", first_trial=4)
+
+
+def test_bad_adaptive_weights_name_trial_and_column():
+    # The step's weights are checked as they are made: a NaN estimate at
+    # node 5 of trial 2 makes NaN weights in the columns of its
+    # neighborhood, the lowest of which is named.
+    engine, _, truths, measure = small_batch(4, first_trial=10)
+    engine.x_pred[2, 5] = np.nan
+    with pytest.raises(
+        NumericError,
+        match=r"^trial 12: iteration 0: combination matrix column 2 off stochastic by nan$",
+    ):
         engine.run_step(measure(truths))
+
+
+@pytest.mark.parametrize("policy", STATIC)
+def test_static_combination_matrix_is_frozen(policy):
+    engine, _, truths, measure = small_batch(3, policy=policy)
+    with pytest.raises(ValueError, match="read-only"):
+        engine.C[1, 0, 0] = 0.5
+    for _ in range(12):
+        engine.run_step(measure(truths))
+    assert same_bytes(engine.C, difftrack.engine.static_weights(policy, engine.net, engine.sigma2))
 
 
 def test_non_finite_truth_names_the_lowest_failing_trial(monkeypatch):

@@ -49,18 +49,23 @@ class TestToDb:
         assert np.all(out == 0.0)
 
 
+def per_node(truths, labels):
+    """Each node's row of its cluster's truth, for ``msd_accumulate``."""
+    return np.take_along_axis(truths, np.asarray(labels)[..., None] - 1, axis=-2)
+
+
 class TestMsdAccumulate:
     def test_perfect_estimates_give_zero(self):
         truths = np.array([[1.0, 2.0, 3.0, 4.0]])
         estimates = np.tile(truths, (5, 1))
-        out = msd_accumulate(truths, estimates, assignment([1] * 5))
+        out = msd_accumulate(per_node(truths, [1] * 5), estimates, assignment([1] * 5))
         assert out.shape == (1,)
         assert out[0] == 0.0
 
     def test_single_node_unit_error_vector(self):
         truths = np.zeros((1, 4))
         estimates = np.ones((1, 4))
-        out = msd_accumulate(truths, estimates, assignment([1]))
+        out = msd_accumulate(per_node(truths, [1]), estimates, assignment([1]))
         assert out[0] == pytest.approx(4.0)
 
     def test_two_node_cluster_mean(self):
@@ -68,7 +73,7 @@ class TestMsdAccumulate:
         estimates = np.array(
             [[1.0, 1.0, 0.0, 0.0], [2.0, 0.0, 0.0, 0.0]]
         )
-        out = msd_accumulate(truths, estimates, assignment([1, 1]))
+        out = msd_accumulate(per_node(truths, [1, 1]), estimates, assignment([1, 1]))
         assert out[0] == pytest.approx(3.0)
 
     def test_two_clusters_score_against_own_targets(self):
@@ -76,7 +81,7 @@ class TestMsdAccumulate:
         estimates = np.array(
             [[1.0, 0.0, 0.0, 0.0], [10.0, 2.0, 0.0, 0.0]]
         )
-        out = msd_accumulate(truths, estimates, assignment([1, 2]))
+        out = msd_accumulate(per_node(truths, [1, 2]), estimates, assignment([1, 2]))
         assert out == pytest.approx([1.0, 4.0])
 
     def test_node_order_invariance(self):
@@ -84,10 +89,10 @@ class TestMsdAccumulate:
         truths = rng.normal(size=(2, 4))
         estimates = rng.normal(size=(6, 4))
         labels = np.array([1, 2, 1, 2, 1, 2])
-        base = msd_accumulate(truths, estimates, assignment(labels))
+        base = msd_accumulate(per_node(truths, labels), estimates, assignment(labels))
         perm = rng.permutation(6)
         shuffled = msd_accumulate(
-            truths, estimates[perm], assignment(labels[perm])
+            per_node(truths, labels[perm]), estimates[perm], assignment(labels[perm])
         )
         assert shuffled == pytest.approx(base, rel=1e-12)
 
@@ -96,36 +101,37 @@ class TestMsdAccumulate:
         truths = rng.normal(size=(2, 2, 4))
         estimates = rng.normal(size=(2, 7, 4))
         labels = np.array([[1, 2, 1, 2, 2, 1, 1], [2, 2, 2, 1, 2, 2, 2]])
-        out = msd_accumulate(truths, estimates, ClusterAssignment(labels, 2))
+        rows = per_node(truths, labels)
+        out = msd_accumulate(rows, estimates, ClusterAssignment(labels, 2))
         assert out.shape == (2, 2)
         for t in range(2):
-            alone = msd_accumulate(truths[t], estimates[t], assignment(labels[t]))
+            alone = msd_accumulate(rows[t], estimates[t], assignment(labels[t]))
             assert np.array_equal(out[t], alone)
 
-    def test_more_truth_rows_than_clusters(self):
-        # An n_nodes = 1 run has one cluster but a row for each of its two
-        # targets: entry b's truths are rows 2b and 2b + 1 of the stack.
+    def test_one_cluster_stack_equals_each_trial_alone(self):
+        # Each node is scored against its own row, so a stack of
+        # one-cluster entries needs no truth row per cluster.
         rng = np.random.default_rng(6)
-        truths = rng.normal(size=(3, 2, 4))
+        rows = rng.normal(size=(3, 1, 4))
         estimates = rng.normal(size=(3, 1, 4))
         labels = np.ones((3, 1), dtype=np.int64)
-        out = msd_accumulate(truths, estimates, ClusterAssignment(labels, 1))
+        out = msd_accumulate(rows, estimates, ClusterAssignment(labels, 1))
         for t in range(3):
-            alone = msd_accumulate(truths[t], estimates[t], assignment(labels[t]))
+            alone = msd_accumulate(rows[t], estimates[t], assignment(labels[t]))
             assert np.array_equal(out[t], alone)
-        # The per-batch form with take_along_axis, as a reference.
-        err = estimates - np.take_along_axis(truths, labels[..., None] - 1, axis=-2)
-        sq = np.einsum("...j,...j->...", err, err)
-        want = np.bincount(np.arange(3), weights=sq.ravel(), minlength=3).reshape(3, 1)
-        assert np.array_equal(out, want)
+        err = estimates - rows
+        assert np.array_equal(out, np.einsum("...j,...j->...", err, err))
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            msd_accumulate(np.zeros((1, 4)), np.zeros((3, 4)), assignment([1, 1]))
-        # One truth block per batch entry.
+            msd_accumulate(np.zeros((1, 4)), np.zeros((3, 4)), assignment([1, 1, 1]))
+        # One estimate row per node of the assignment.
+        with pytest.raises(ValueError):
+            msd_accumulate(np.zeros((3, 4)), np.zeros((3, 4)), assignment([1, 1]))
+        # One truth row per node, in every batch entry.
         labels = ClusterAssignment(np.ones((3, 1), dtype=np.int64), 1)
         with pytest.raises(ValueError):
-            msd_accumulate(np.zeros((2, 2, 4)), np.zeros((3, 1, 4)), labels)
+            msd_accumulate(np.zeros((2, 1, 4)), np.zeros((3, 1, 4)), labels)
 
 
 class TestMsdSeries:

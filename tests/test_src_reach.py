@@ -5,7 +5,8 @@ It lists each public module-level function and class and each public
 method or property of a module-level class. A name counts as used when it
 appears anywhere in the package as a bare name, an attribute or an import
 alias. Code that only the tests reach does not belong in the package; the
-allowlist names the few exceptions and why each stays.
+allowlist names the few exceptions and why each stays. No linter runs on
+the package, so a last check holds its lines to ``MAX_COLUMNS``.
 """
 
 import ast
@@ -19,6 +20,8 @@ ALLOWED = {
 }
 
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+MAX_COLUMNS = 100
 
 
 def public(node):
@@ -55,3 +58,13 @@ def test_every_public_name_is_reached_from_the_package():
     # An allowlist entry whose definition is gone, or that the package
     # has started to use, is stale.
     assert set(ALLOWED) <= {name for _, name in defined} - used
+
+
+def test_no_source_line_is_longer_than_max_columns():
+    long = [
+        f"{path.name}:{number}"
+        for path in sorted(SRC.glob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), start=1)
+        if len(line) > MAX_COLUMNS
+    ]
+    assert not long, f"lines over {MAX_COLUMNS} columns: {long}"
