@@ -2,14 +2,14 @@
 
 One engine advances a batch of T independent Monte Carlo trials in
 lockstep under one policy. Its state carries a leading trial axis:
-estimates are (T, n, 4), covariances (T, n, 3) and combination matrices
-(T, n, n). The trials of a batch share the node count and one
-``ExperimentConfig``, from which the engine reads the policy, the motion
-model and every filter setting; each trial has its own network and noise
-levels. The networks are one stacked ``Network``, so static weights and
-each prune take one call for the whole batch. The engine filters the
-measurements it is given; simulating the targets and the sensors that
-produce them is the caller's job.
+estimates are (T, n, 4), covariances (T, n, 3), views of three planar
+(T, n) rows, and combination matrices (T, n, n). The trials of a batch
+share the node count and one ``ExperimentConfig``, from which the engine
+reads the policy, the motion model and every filter setting; each trial
+has its own network and noise levels. The networks are one stacked
+``Network``, so static weights and each prune take one call for the
+whole batch. The engine filters the measurements it is given; simulating
+the targets and the sensors that produce them is the caller's job.
 
 Each node talks only to its neighbors, so everything per link runs over
 the stack's self-inclusive support as one edge list (``Network.edges``,
@@ -22,22 +22,27 @@ adds them, so the edge form gives the dense form's bits. Only C itself
 stays (T, n, n): phase 5's product and the caller's snapshots read it.
 Per-edge rows are gathered with ``np.take``, which gives the same array
 as fancy indexing at about an eighth of its cost in numpy 2: phase 2
-gathers the measurements y per edge for the information sums, and phase
-4 gathers y at the two ends of each half edge.
+gathers the measurements y_n / sigma2_n per edge for the information
+sums, and phase 4 gathers y at the two ends of each half edge.
 
 What changes only with the topology is built once per topology, not per
-step: a prune filters the edge list (``prune_cross_links``), and each
-edge's 1/sigma2 and the half edges' reverses and variances are then
-gathered once. The adaptive policy writes each step's C^T into one
-buffer the engine owns, so ``C`` holds the latest step's weights only.
+step: a prune filters the edge list (``prune_cross_links``), and the
+neighborhood sums of 1/sigma2 and the half edges' reverses and variances
+are then gathered once. The adaptive policy writes each step's C^T into
+one buffer the engine owns, so ``C`` holds the latest step's weights only.
 
-Every per-node or per-edge product of a step runs as one contiguous
-pass at the state width of 4, not as a broadcast over a size-1 axis,
-which numpy runs as one short inner loop per node: each node's
-neighborhood sum s, each edge's 1/sigma2 and, once per step, M_psi's
-coefficients are laid out 4 wide before the products that read them.
-The finiteness checks test the whole array at once and seek the failing
-node only when one fails.
+Each product of a step runs at the width of the quantity it makes: a
+per-node factor is applied once per node, not once per edge copy, and a
+per-node product runs as one contiguous pass at the state width of 4,
+not as a broadcast over a size-1 axis, which numpy runs as one short
+inner loop per node. So each node's measurement is scaled by its
+1/sigma2 once per step, before the per-edge gather, and each node's
+1/sigma2 and neighborhood sum s and, once per step, M_psi's coefficients
+are laid out 4 wide before the products that read them. The covariance
+recursion runs on planar rows: a, b and c are each one contiguous (T, n)
+row of a (3, T, n) array, updated in place, one pass per term. The
+finiteness and PSD checks test the whole array at once and seek the
+failing node only when one fails.
 
 Each step has a half per topology and a half per policy. In information
 form the covariance recursion never reads a measurement, and the
@@ -170,13 +175,16 @@ class SharedStep:
     ``net`` is a Network stack with (T, n, n) adjacency (see
     ``stack_scenes``) and ``sigma2`` (T, n); of ``cfg`` it reads the prior
     scale ``P0_scale`` and the motion model ``cfg.model``. It holds the
-    topology's edge arrays, the covariances (a, b, c) ``M_pred`` and
-    ``M_psi``, the latest step's measurements ``y``, information sums
-    ``info`` and blend coefficients ``k_own`` and ``k_cross``, and
-    ``min_psd_eigenvalue``, the lowest covariance eigenvalue seen per trial.
-    ``done`` counts the halves run, two per step: ``adapt`` runs phases 1
-    and 2's shared part, and ``predict`` phase 7's. ``first_trial`` is the
-    number of the batch's first trial; errors name trials counting from it.
+    topology's edge arrays, the covariances ``M_pred`` and ``M_psi``, the
+    latest step's measurements ``y``, information sums ``info`` and blend
+    coefficients ``k_own`` and ``k_cross``, and ``min_psd_eigenvalue``, the
+    lowest covariance eigenvalue seen per trial. Each covariance is stored
+    planar, its rows (a, b, c) one (3, T, n) array that each step updates
+    in place; ``M_pred`` and ``M_psi`` are (T, n, 3) views of it, through
+    which a write lands in the stored rows. ``done`` counts the halves run,
+    two per step: ``adapt`` runs phases 1 and 2's shared part, and
+    ``predict`` phase 7's. ``first_trial`` is the number of the batch's
+    first trial; errors name trials counting from it.
     """
 
     def __init__(
@@ -200,33 +208,48 @@ class SharedStep:
                 f"must be positive, got {float(sigma2[t, m])!r}"
             )
         self.sigma2 = sigma2
+        # Each node's 1/sigma2 at the state width, which scales its
+        # measurement once for every information sum it enters.
+        self._inv4 = np.repeat((1.0 / sigma2)[..., None], STATE_DIM, axis=2)
         self.cfg = cfg
-        # Covariances M kron I2, stored as (a, b, c) = (m_pp, m_pv, m_vv).
-        self.M_pred = np.zeros((t_count, n, 3))
-        self.M_pred[..., 0] = self.M_pred[..., 2] = cfg.P0_scale
-        self.M_psi = self.M_pred.copy()
+        # Covariances M kron I2, stored as the rows (a, b, c) = (m_pp, m_pv, m_vv).
+        self._pred = np.zeros((3, t_count, n))
+        self._pred[0] = self._pred[2] = cfg.P0_scale
+        self._psi = self._pred.copy()
         self.min_psd_eigenvalue = np.full(t_count, np.inf)
         self.done = 0
         # The engines on this step.
         self.holders = 0
         self._adopt(net)
 
+    @property
+    def M_pred(self) -> np.ndarray:
+        return self._pred.transpose(1, 2, 0)
+
+    @M_pred.setter
+    def M_pred(self, value: np.ndarray) -> None:
+        self.M_pred[...] = value
+
+    @property
+    def M_psi(self) -> np.ndarray:
+        return self._psi.transpose(1, 2, 0)
+
     def _adopt(self, net: Network) -> None:
         """Make ``net`` the topology: ``s`` [t, m] holds the sum of
-        1/sigma2_n over node m's neighborhood and ``s4`` the same repeated
-        over the state's coordinates, (T, n, 4). ``_w4`` holds 1/sigma2_n
-        once per coordinate of each edge (n, m) of ``net.edges``, edge after
-        edge, and ``_info_key`` keys the information sums, one bin per node
-        and coordinate. For phase 4, ``back`` lists the reverses
-        of the half edges, ``half_n`` and ``half_m`` number the nodes at
-        their two ends over the stack, and ``sigma2_n`` and ``sigma2_m``
-        hold those nodes' variances."""
+        1/sigma2_n over node m's neighborhood, ``s2`` its square and ``s4``
+        ``s`` repeated over the state's coordinates, (T, n, 4).
+        ``_info_key`` keys the information sums, one bin per node and
+        coordinate, for each coordinate of each edge (n, m) of
+        ``net.edges``, edge after edge. For phase 4, ``back`` lists the
+        reverses of the half edges, ``half_n`` and ``half_m`` number the
+        nodes at their two ends over the stack, and ``sigma2_n`` and
+        ``sigma2_m`` hold those nodes' variances."""
         self.net = net
         edges = net.edges
         w = np.take((1.0 / self.sigma2).ravel(), edges.source)
         self.s = np.bincount(edges.key, w).reshape(self.sigma2.shape)
+        self.s2 = self.s * self.s
         self.s4 = np.repeat(self.s[..., None], STATE_DIM, axis=2)
-        self._w4 = np.repeat(w, STATE_DIM)
         self._info_key = (STATE_DIM * edges.key[:, None] + np.arange(STATE_DIM)).ravel()
         self.back = np.take(edges.reverse, edges.half)
         sigma2 = self.sigma2.ravel()
@@ -240,13 +263,14 @@ class SharedStep:
         ``net``. Held by that engine alone, it is this one, with its edge
         arrays gathered for ``net``. Otherwise it is a copy on ``net``,
         which that engine holds in place of this one and which moves on
-        apart: the covariances and the min-PSD record are copied."""
+        apart: the covariances, which each step updates in place, and the
+        min-PSD record are copied."""
         step = self
         if self.holders > 1:
             self.holders -= 1
             step = copy.copy(self)
             step.holders = 1
-            step.M_pred, step.M_psi = self.M_pred.copy(), self.M_psi.copy()
+            step._pred, step._psi = self._pred.copy(), self._psi.copy()
             step.min_psd_eigenvalue = self.min_psd_eigenvalue.copy()
         step._adopt(net)
         return step
@@ -268,59 +292,87 @@ class SharedStep:
             raise self.error(t, self.done // 2, f"non-finite measurement at node {m}")
         self.y = y
 
-        # Phase 2, in closed information form.
-        s, m_pred = self.s, self.M_pred
-        a, b, c = m_pred[..., 0], m_pred[..., 1], m_pred[..., 2]
+        # Phase 2, in closed information form, row by row of the planar
+        # covariances.
+        s, s2, m_pred = self.s, self.s2, self._pred
+        a, b, c = m_pred
         # A huge covariance overflows here; the check below names it, so
         # numpy need not warn first.
         with np.errstate(over="ignore", invalid="ignore"):
-            det = a * c - b * b
+            det = a * c
+            det -= b * b
             # s^2 det(M_pred + I/s): with 1 + s*a > 0, the innovation covariance
             # M_pred + I/s is positive definite exactly when this is positive.
-            den = 1.0 + s * (a + c) + s * s * det
-            ok = (1.0 + s * a > 0.0) & (den > 0.0)
-            m_psi = np.stack([(a + s * det) / den, b / den, (c + s * det) / den], axis=-1)
-        # An infinite entry can pass the tests of ok, so finiteness is
-        # checked apart, flat; the node is sought only once a check fails.
-        if not (ok.all() and np.isfinite(m_pred).all()):
-            t, m = np.argwhere(~(ok & np.isfinite(m_pred).all(axis=2)))[0]
-            if np.isfinite(m_pred[t, m]).all():
-                what = f"innovation covariance at node {m} is not positive definite"
-            else:
-                what = f"predicted covariance at node {m} has non-finite entries"
-            raise self.error(t, self.done // 2, what)
-        self.M_psi = m_psi
+            den = a + c
+            den *= s
+            den += 1.0
+            den += s2 * det
+            ok = s * a
+            ok += 1.0
+            ok = ok > 0.0
+            ok &= den > 0.0
+            # An infinite entry can pass the tests of ok, so finiteness is
+            # checked apart, flat; the node is sought only once a check fails.
+            if not (ok.all() and np.isfinite(m_pred).all()):
+                t, m = np.argwhere(~(ok & np.isfinite(m_pred).all(axis=0)))[0]
+                if np.isfinite(m_pred[:, t, m]).all():
+                    what = f"innovation covariance at node {m} is not positive definite"
+                else:
+                    what = f"predicted covariance at node {m} has non-finite entries"
+                raise self.error(t, self.done // 2, what)
+            m_psi = self._psi
+            # s det, which a and c both take.
+            s_det = np.multiply(det, s, out=det)
+            np.add(a, s_det, out=m_psi[0])
+            m_psi[0] /= den
+            np.divide(b, den, out=m_psi[1])
+            np.add(c, s_det, out=m_psi[2])
+            m_psi[2] /= den
         # The coefficients of every engine's blend at the state width:
         # (a, a, c, c) on each coordinate of r and b on its partner in the
         # other half.
-        self.k_own = m_psi[..., [0, 0, 2, 2]]
-        self.k_cross = np.repeat(m_psi[..., 1:2], STATE_DIM, axis=2)
-        # Information vector sum_n y_n / sigma2_n over each neighborhood,
-        # from each edge's source measurement.
-        y_src = np.take(y.reshape(-1, STATE_DIM), self.net.edges.source, axis=0)
-        terms = self._w4 * y_src.ravel()
-        self.info = np.bincount(self._info_key, terms).reshape(y.shape)
+        self.k_own = self.M_psi[..., [0, 0, 2, 2]]
+        self.k_cross = np.repeat(m_psi[1][..., None], STATE_DIM, axis=2)
+        # Information vector sum_n y_n / sigma2_n over each neighborhood:
+        # each node's scaled measurement, gathered per edge by its source.
+        y_w = (y * self._inv4).reshape(-1, STATE_DIM)
+        y_src = np.take(y_w, self.net.edges.source, axis=0)
+        self.info = np.bincount(self._info_key, y_src.ravel()).reshape(y.shape)
         self._track_psd(m_psi, "adapted covariance")
         self.done += 1
 
     def predict(self) -> None:
         """Phase 7's covariance time update."""
-        a, b, c = self.M_psi[..., 0], self.M_psi[..., 1], self.M_psi[..., 2]
+        a, b, c = self._psi
         model = self.cfg.model
         d, q = model.delta, model.process_noise_var
-        self.M_pred = np.stack([a + d * (2.0 * b + d * c) + q, b + d * c, c + q], axis=-1)
-        self._track_psd(self.M_pred, "predicted covariance")
+        # M_pred = (a + delta(2b + delta c) + q, b + delta c, c + q).
+        m_pred = self._pred
+        d_c = d * c
+        row = np.multiply(b, 2.0, out=m_pred[0])
+        row += d_c
+        row *= d
+        np.add(a, row, out=row)
+        row += q
+        np.add(b, d_c, out=m_pred[1])
+        np.add(c, q, out=m_pred[2])
+        self._track_psd(m_pred, "predicted covariance")
         self.done += 1
 
     def _track_psd(self, cov: np.ndarray, name: str) -> None:
-        a, b, c = cov[..., 0], cov[..., 1], cov[..., 2]
-        low = 0.5 * (a + c) - np.hypot(0.5 * (a - c), b)
+        # The lower eigenvalue 0.5 (a + c) - hypot(0.5 (a - c), b) of each
+        # node's M, from the planar rows ``cov``.
+        a, b, c = cov
+        low = a + c
+        low *= 0.5
+        gap = a - c
+        gap *= 0.5
+        low -= np.hypot(gap, b, out=gap)
         low_t = low.min(axis=1)
         # The record skips a NaN minimum; the check below does not.
         np.fmin(self.min_psd_eigenvalue, low_t, out=self.min_psd_eigenvalue)
-        bad = np.flatnonzero(~(low_t >= PSD_TOL))
-        if bad.size:
-            t = int(bad[0])
+        if not (low_t >= PSD_TOL).all():
+            t = int(np.flatnonzero(~(low_t >= PSD_TOL))[0])
             m = int(np.flatnonzero(~(low[t] >= PSD_TOL))[0])
             if np.isnan(low[t, m]):
                 what = f"{name} at node {m} has non-finite entries"

@@ -10,8 +10,13 @@ neighborhood's intermediate estimates, and leave each covariance positive
 semidefinite and no larger than its prediction. A batch of trials run
 over a few steps must give each trial the bits it gets in an engine of
 its own, and the blend that forms psi gives the bits of its half-by-half
-form on any finite inputs.
+form on any finite inputs. Over a run in which the adaptive engine of a
+sweep prunes and forks its shared step, the covariances, the min-PSD
+record and the information sums give the bits of their (T, n, 3) closed
+forms and of the per-edge sum.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -207,3 +212,129 @@ def test_blend_gives_the_bits_of_the_half_by_half_form(blend):
         a, b, c = (engine.M_psi[..., k, None] for k in range(3))
         want = x_pred + np.concatenate([a * r_pos + b * r_vel, b * r_pos + c * r_vel], axis=-1)
     assert same_bytes(engine.psi, want)
+
+
+# A prune window and threshold under which a link whose ends disagree is
+# cut within two steps.
+CUT = ExperimentConfig(prune_window=2, prune_tau=0.3)
+
+
+def cov_adapt(m_pred, s):
+    """Phase 2's covariance update, closed form on (T, n, 3) stacks."""
+    a, b, c = m_pred[..., 0], m_pred[..., 1], m_pred[..., 2]
+    det = a * c - b * b
+    den = 1.0 + s * (a + c) + s * s * det
+    return np.stack([(a + s * det) / den, b / den, (c + s * det) / den], axis=-1)
+
+
+def cov_predict(m_psi, model):
+    """Phase 7's covariance update, closed form on (T, n, 3) stacks."""
+    a, b, c = m_psi[..., 0], m_psi[..., 1], m_psi[..., 2]
+    d, q = model.delta, model.process_noise_var
+    return np.stack([a + d * (2.0 * b + d * c) + q, b + d * c, c + q], axis=-1)
+
+
+def low_eigenvalue(cov):
+    """The lower eigenvalue of each 2x2 M in a (T, n, 3) stack."""
+    a, b, c = cov[..., 0], cov[..., 1], cov[..., 2]
+    return 0.5 * (a + c) - np.hypot(0.5 * (a - c), b)
+
+
+def info_sum(net, sigma2, y):
+    """sum_n y_n / sigma2_n over each neighborhood of ``net``, one term per
+    edge and coordinate."""
+    edges = net.edges
+    terms = (1.0 / sigma2).ravel()[edges.source, None] * y.reshape(-1, 4)[edges.source]
+    key = 4 * edges.key[:, None] + np.arange(4)
+    return np.bincount(key.ravel(), terms.ravel()).reshape(y.shape)
+
+
+@st.composite
+def linked_sweeps(draw):
+    """A network stack in which nodes 0 and 1 are linked in every trial,
+    with noise levels, predicted covariances and a measurement seed."""
+    t_count = draw(st.integers(1, 3))
+    n = draw(st.integers(2, 6))
+    nets = []
+    for _ in range(t_count):
+        net = network(draw, n)
+        adjacency = net.adjacency.copy()
+        adjacency[0, 1] = adjacency[1, 0] = True
+        nets.append(Network(net.positions, adjacency))
+    sigma2 = draw(arrays(float, (t_count, n), elements=st.floats(0.01, 1.0)))
+    m_pred = covariances(draw, (t_count, n))
+    return stacked(nets), sigma2, m_pred, draw(st.integers(0, 2**32 - 1))
+
+
+def linked_measurements(rng, sigma2):
+    """One step's measurements about the origin, with node 1's moved far
+    off: its link to node 0 fails the consistency test, so the adaptive
+    policy cuts it at the second step."""
+    y = np.sqrt(sigma2)[..., None] * rng.standard_normal(sigma2.shape + (4,))
+    y[:, 1] += 1e3
+    return y
+
+
+def sweep_engines(net, sigma2):
+    return DiffusionKalmanEngine.sharing(
+        net, sigma2, [dataclasses.replace(CUT, policy=policy) for policy in POLICIES]
+    )
+
+
+@settings(max_examples=25, deadline=None)
+@given(linked_sweeps())
+def test_covariances_give_the_bits_of_the_closed_form(sweep):
+    net, sigma2, m_pred, seed = sweep
+    engines = sweep_engines(net, sigma2)
+    static, adaptive = engines[0], engines[-1]
+    static.M_pred = m_pred
+    want = [m_pred.copy() for _ in engines]
+    record = [np.full(len(sigma2), np.inf) for _ in engines]
+    rng = np.random.default_rng(seed)
+    written = False
+    for _ in range(50):
+        y = linked_measurements(rng, sigma2)
+        s = [engine.shared.s for engine in engines]
+        for engine in engines:
+            engine.run_step(y)
+        for k, engine in enumerate(engines):
+            m_psi = cov_adapt(want[k], s[k])
+            want[k] = cov_predict(m_psi, CUT.model)
+            for cov in (m_psi, want[k]):
+                np.fmin(record[k], low_eigenvalue(cov).min(axis=1), out=record[k])
+            assert same_bytes(engine.M_psi, m_psi)
+            assert same_bytes(engine.M_pred, want[k])
+            assert same_bytes(engine.min_psd_eigenvalue, record[k])
+        if adaptive.shared is not static.shared and not written:
+            # The prune forked the adaptive engine's step: a write into its
+            # covariances lands in its own copy, and the static engines'
+            # stay as they were.
+            before = static.M_pred.copy(), static.M_psi.copy()
+            adaptive.M_pred[0, 0] = (2.0, 0.5, 1.0)
+            want[-1][0, 0] = (2.0, 0.5, 1.0)
+            assert same_bytes(static.M_pred, before[0])
+            assert same_bytes(static.M_psi, before[1])
+            written = True
+    assert written
+
+
+@settings(max_examples=25, deadline=None)
+@given(linked_sweeps())
+def test_information_sums_give_the_bits_of_the_per_edge_form(sweep):
+    net, sigma2, _, seed = sweep
+    engines = sweep_engines(net, sigma2)
+    alone = DiffusionKalmanEngine(net, sigma2, dataclasses.replace(CUT, policy="adaptive"))
+    own = alone.shared
+    rng = np.random.default_rng(seed)
+    for _ in range(6):
+        y = linked_measurements(rng, sigma2)
+        for engine in (*engines, alone):
+            before = engine.net
+            engine.run_step(y)
+            assert same_bytes(engine.shared.info, info_sum(before, sigma2, y))
+    # The static engines kept the fresh stack; the sweep's adaptive engine
+    # cut links in its forked copy, the standalone one in its own step.
+    assert all(engine.net is net for engine in engines[:-1])
+    assert engines[-1].shared is not engines[0].shared
+    assert alone.shared is own
+    assert len(engines[-1].net.edges) < len(net.edges) > len(alone.net.edges)
