@@ -49,17 +49,15 @@ form the covariance recursion never reads a measurement, and the
 information sum reads only the measurements and the edge list, so on one
 topology both are the same under every policy. They are held, with the
 topology's edge arrays, the covariances' PSD checks and the min-PSD
-record, by a ``SharedStep``, and engines of several policies on one
-topology hold one between them (see ``DiffusionKalmanEngine.sharing``):
+record, by a ``SharedStep``. Only an engine that prunes changes its
+topology, so it holds a step of its own, and every other engine of a
+sweep holds one step with the rest (see ``DiffusionKalmanEngine.sharing``):
 each step the first engine to reach a shared phase runs it and the
 others read its result, so it runs once per step and fails, if it does,
 in the same engine and phase as when each engine ran its own. A
-standalone engine owns its ``SharedStep``. The static policies never
-prune and share theirs for the whole run; the adaptive engine forks its
-own copy at its first prune that cuts a link, the covariances and the
-min-PSD record copied and the edge arrays gathered for the pruned
-network, and from then on runs both halves alone. A later cut, like any
-cut of a step one engine holds, gathers the edge arrays again in place.
+standalone engine owns its ``SharedStep``. A cut gathers the edge arrays
+of the engine's own step again in place, so no shared step ever changes
+topology.
 
 Each node observes the full state with noise sigma2 * I, the model has
 F = I + delta*theta and process noise q * I, and the prior is p0 * I, so
@@ -93,9 +91,8 @@ for positive semidefiniteness in the topology's half:
    consecutive steps with weight below the threshold; a link is cut once
    both directions reach the window, in one ``prune_cross_links`` call
    over the network stack, and the surviving links keep their counts. A
-   static policy keeps its initial graph. The first prune that cuts a
-   link forks the adaptive engine's ``SharedStep`` when other engines
-   hold it too;
+   static policy keeps its initial graph. A cut re-gathers the edge
+   arrays of the adaptive engine's own ``SharedStep``;
 7. time update: [policy] x_pred = F x_hat (plus gravity when the filter
    knows it); [topology] M becomes
    (a + delta(2b + delta c) + q, b + delta c, c + q).
@@ -114,7 +111,6 @@ it.
 
 from __future__ import annotations
 
-import copy
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -184,7 +180,8 @@ class SharedStep:
     which a write lands in the stored rows. ``done`` counts the halves run,
     two per step: ``adapt`` runs phases 1 and 2's shared part, and
     ``predict`` phase 7's. ``first_trial`` is the number of the batch's
-    first trial; errors name trials counting from it.
+    first trial; errors name trials counting from it. Only an engine that
+    holds its step alone may cut the topology, by ``adopt``.
     """
 
     def __init__(
@@ -208,9 +205,23 @@ class SharedStep:
                 f"must be positive, got {float(sigma2[t, m])!r}"
             )
         self.sigma2 = sigma2
-        # Each node's 1/sigma2 at the state width, which scales its
-        # measurement once for every information sum it enters.
-        self._inv4 = np.repeat((1.0 / sigma2)[..., None], STATE_DIM, axis=2)
+        # A variance so small that 1/sigma2 or s^2 overflows is named
+        # below, so numpy need not warn first.
+        with np.errstate(over="ignore"):
+            # Each node's 1/sigma2 at the state width, which scales its
+            # measurement once for every information sum it enters.
+            self._inv4 = np.repeat((1.0 / sigma2)[..., None], STATE_DIM, axis=2)
+            self.adopt(net)
+        # An infinite s^2 would make every M_psi 0, so that no step fused a
+        # measurement. Each node's s holds its own 1/sigma2, and a cut only
+        # shrinks s, so this check covers every later topology too.
+        bad = np.argwhere(~np.isfinite(self.s2))
+        if bad.size:
+            t, m = bad[0]
+            raise ConfigError(
+                f"trial {self.first_trial + t}: the sum of 1/sigma2 over node {m}'s "
+                f"neighborhood, {float(self.s[t, m])!r}, overflows when squared"
+            )
         self.cfg = cfg
         # Covariances M kron I2, stored as the rows (a, b, c) = (m_pp, m_pv, m_vv).
         self._pred = np.zeros((3, t_count, n))
@@ -218,23 +229,16 @@ class SharedStep:
         self._psi = self._pred.copy()
         self.min_psd_eigenvalue = np.full(t_count, np.inf)
         self.done = 0
-        # The engines on this step.
-        self.holders = 0
-        self._adopt(net)
 
     @property
     def M_pred(self) -> np.ndarray:
         return self._pred.transpose(1, 2, 0)
 
-    @M_pred.setter
-    def M_pred(self, value: np.ndarray) -> None:
-        self.M_pred[...] = value
-
     @property
     def M_psi(self) -> np.ndarray:
         return self._psi.transpose(1, 2, 0)
 
-    def _adopt(self, net: Network) -> None:
+    def adopt(self, net: Network) -> None:
         """Make ``net`` the topology: ``s`` [t, m] holds the sum of
         1/sigma2_n over node m's neighborhood, ``s2`` its square and ``s4``
         ``s`` repeated over the state's coordinates, (T, n, 4).
@@ -243,7 +247,8 @@ class SharedStep:
         ``net.edges``, edge after edge. For phase 4, ``back`` lists the
         reverses of the half edges, ``half_n`` and ``half_m`` number the
         nodes at their two ends over the stack, and ``sigma2_n`` and
-        ``sigma2_m`` hold those nodes' variances."""
+        ``sigma2_m`` hold those nodes' variances. The covariances and the
+        min-PSD record are left as they are."""
         self.net = net
         edges = net.edges
         w = np.take((1.0 / self.sigma2).ravel(), edges.source)
@@ -257,23 +262,6 @@ class SharedStep:
         self.half_m = np.take(edges.key, edges.half)
         self.sigma2_n = np.take(sigma2, self.half_n)
         self.sigma2_m = np.take(sigma2, self.half_m)
-
-    def cut_to(self, net: Network) -> SharedStep:
-        """The shared step of an engine whose prune cut its topology to
-        ``net``. Held by that engine alone, it is this one, with its edge
-        arrays gathered for ``net``. Otherwise it is a copy on ``net``,
-        which that engine holds in place of this one and which moves on
-        apart: the covariances, which each step updates in place, and the
-        min-PSD record are copied."""
-        step = self
-        if self.holders > 1:
-            self.holders -= 1
-            step = copy.copy(self)
-            step.holders = 1
-            step._pred, step._psi = self._pred.copy(), self._psi.copy()
-            step.min_psd_eigenvalue = self.min_psd_eigenvalue.copy()
-        step._adopt(net)
-        return step
 
     def error(self, t: int, iteration: int, what) -> NumericError:
         return NumericError(f"trial {self.first_trial + t}: iteration {iteration}: {what}")
@@ -384,6 +372,12 @@ class SharedStep:
             raise self.error(t, self.done // 2, what)
 
 
+def _prunes(cfg: ExperimentConfig) -> bool:
+    """Whether an engine under ``cfg`` cuts links: only the adaptive
+    policy does, and only with pruning on."""
+    return cfg.policy == "adaptive" and cfg.pruning_enabled
+
+
 class DiffusionKalmanEngine:
     """Synchronous multi-node filter over T trials, each on its own
     network.
@@ -397,7 +391,7 @@ class DiffusionKalmanEngine:
     adaptive policy: static policies never prune. ``first_trial`` is the
     number of the batch's first trial; errors name trials counting from it.
     The engine owns the ``SharedStep`` it builds from these; ``sharing``
-    builds the engines of several policies on one.
+    builds the engines of several policies, those that never prune on one.
 
     Under the adaptive policy ``C`` is a view of one buffer that each
     ``run_step`` overwrites with that step's weights; a caller that keeps
@@ -415,19 +409,24 @@ class DiffusionKalmanEngine:
         cls, net: Network, sigma2: np.ndarray, cfgs, *, first_trial: int = 0
     ) -> list[DiffusionKalmanEngine]:
         """One engine per config of ``cfgs``, configs that differ in the
-        policy alone, all on one ``SharedStep`` built from ``cfgs[0]``.
-        They step in lockstep: each is given the same measurements each
-        step. Only the engines hold the shared step, so it is freed once
-        none of them does."""
-        shared = SharedStep(net, sigma2, cfgs[0], first_trial=first_trial)
-        engines = [cls.__new__(cls) for _ in cfgs]
-        for engine, cfg in zip(engines, cfgs):
+        policy alone. They step in lockstep: each is given the same
+        measurements each step. An engine that prunes owns its
+        ``SharedStep``, as a standalone engine does; all the others hold
+        one between them, built for the first of them."""
+        engines, shared = [], None
+        for cfg in cfgs:
+            if _prunes(cfg):
+                engines.append(cls(net, sigma2, cfg, first_trial=first_trial))
+                continue
+            if shared is None:
+                shared = SharedStep(net, sigma2, cfg, first_trial=first_trial)
+            engine = cls.__new__(cls)
             engine._join(shared, cfg)
+            engines.append(engine)
         return engines
 
     def _join(self, shared: SharedStep, cfg: ExperimentConfig) -> None:
         self.shared = shared
-        shared.holders += 1
         self.cfg = cfg
         net = shared.net
         t_count, n = shared.sigma2.shape
@@ -473,10 +472,6 @@ class DiffusionKalmanEngine:
     @property
     def M_pred(self) -> np.ndarray:
         return self.shared.M_pred
-
-    @M_pred.setter
-    def M_pred(self, value: np.ndarray) -> None:
-        self.shared.M_pred = value
 
     @property
     def M_psi(self) -> np.ndarray:
@@ -531,19 +526,19 @@ class DiffusionKalmanEngine:
 
         # Phase 6: pruning (adaptive policy only). No count can reach the
         # window before that many steps have run.
-        if cfg.policy == "adaptive" and cfg.pruning_enabled:
+        if _prunes(cfg):
             self._below = count_below(self._below, weights, cfg.prune_tau, cfg.prune_window)
             if j + 1 >= cfg.prune_window:
                 self._prune()
 
         # Phase 7: time update, the estimate per policy and the covariance
-        # per topology. A prune may have forked the shared half.
+        # per topology.
         model = cfg.model
         self.x_pred = self.x_hat @ model.F.T
         if cfg.filter_knows_gravity:
             self.x_pred = self.x_pred + model.u_g
-        if self.shared.done == 2 * j + 1:
-            self.shared.predict()
+        if shared.done == 2 * j + 1:
+            shared.predict()
 
         self.iteration += 1
         return self
@@ -594,4 +589,4 @@ class DiffusionKalmanEngine:
             keep = pruned.edges.keep
             self._below = self._below[keep]
             self._cut = shared.net.edges.flat_t[~keep]
-            self.shared = shared.cut_to(pruned)
+            shared.adopt(pruned)

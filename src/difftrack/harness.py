@@ -265,16 +265,16 @@ def run_trials(cfgs, trials: range, *, weights_every: int = 0):
     batch. The truths of every trial advance together, one ``step_truth``
     call per step, and the step's measurements, y = truth[target] +
     sqrt(sigma2) * noise at each node, go to one engine per config, in
-    order. The engines share one ``SharedStep``: the covariance recursion,
-    the information sums and the min-PSD record, which do not depend on
-    the policy, run once per step for all of them, by the first engine
-    to reach each, and the adaptive engine forks its own copy when a
-    prune first changes its network. A step that fails does so at the
-    same iteration, engine and phase as if each engine ran its own, so
-    the error is the same. Each result holds the trial's MSD rows,
-    recovery score and min-PSD eigenvalue; trial 0's also holds the
-    ``detail`` record the artifacts are written from, whose ``snapshots``
-    list of (iteration, C) pairs is empty when ``weights_every`` is 0.
+    order. The engines that never prune share one ``SharedStep``: the
+    covariance recursion, the information sums and the min-PSD record,
+    which do not depend on the policy, run once per step for all of them,
+    by the first engine to reach each; a pruning adaptive engine runs its
+    own. A step that fails does so at the same iteration, engine and phase
+    as if each engine ran its own, so the error is the same. Each result
+    holds the trial's MSD rows, recovery score and min-PSD eigenvalue;
+    trial 0's also holds the ``detail`` record the artifacts are written
+    from, whose ``snapshots`` list of (iteration, C) pairs is empty when
+    ``weights_every`` is 0.
     """
     cfg = cfgs[0]
     # Built before any scene draw, so a model that overflows fails first.

@@ -12,7 +12,7 @@ from difftrack.combiners import adaptive_weight_row, consistent_pairs
 from difftrack.dynamics import MotionModel, initial_state, step_truth
 from difftrack.engine import DiffusionKalmanEngine, adapt
 from difftrack.errors import ConfigError
-from difftrack.harness import ExperimentConfig, run_trials
+from difftrack.harness import ExperimentConfig, run_experiment, run_trials
 from difftrack.selftest import (
     determinism_check,
     reference_kf_predict,
@@ -546,3 +546,32 @@ def test_engine_names_trial_and_node_of_a_bad_variance(value):
             match=rf"^trial 8: measurement variance at node 3 must be positive, got {value!r}$",
         ):
             DiffusionKalmanEngine(stack, sigma2, ExperimentConfig(), first_trial=7)
+
+
+def tiny_variance_run(sigma2):
+    cfg = ExperimentConfig(
+        sigma_min=sigma2, sigma_span=0.0, n_trials=2, n_iterations=10, policy="uniform"
+    )
+    return run_experiment(cfg)
+
+
+@pytest.mark.parametrize("sigma2", [1e-160, 1e-200, 1e-310])
+def test_variance_whose_squared_sum_overflows_is_refused(sigma2):
+    # With s^2 infinite every M_psi would be 0 and no measurement fused.
+    # The check names the overflow, so numpy does not warn first.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(
+            ConfigError,
+            match=r"^trial 0: the sum of 1/sigma2 over node 0's neighborhood, "
+            r"\S+, overflows when squared$",
+        ):
+            tiny_variance_run(sigma2)
+
+
+def test_tiny_variance_whose_squared_sum_is_finite_still_filters():
+    # Ignoring every measurement leaves the final MSD above 30 dB.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = tiny_variance_run(1e-150)
+    assert result.series.msd_db[-1].max() < 10.0

@@ -107,10 +107,10 @@ def test_per_batch_work_does_not_grow_with_trials(policies, monkeypatch):
     # Pruning, static weights, MSD and the truth step each take one call
     # for the whole batch, so 1 trial and 4 make the same calls. A sweep
     # draws each trial and steps the truths once for all its policies, and
-    # builds one edge list, which each prune filters. Its engines share
-    # one SharedStep, whose halves run once per step for all of them; the
-    # first prune that cuts a link forks the adaptive engine's, which runs
-    # both halves alone after the step of that cut. Every C is checked at
+    # builds one edge list, which each prune filters. Its engines that
+    # never prune share one SharedStep, whose halves run once per step for
+    # all of them; a pruning adaptive engine runs both halves of its own,
+    # and each cut re-adopts it in place. Every C is checked at
     # construction, and only the adaptive engine's again, once per step.
     calls = {}
 
@@ -135,7 +135,7 @@ def test_per_batch_work_does_not_grow_with_trials(policies, monkeypatch):
     counted(SharedStep, "__init__", "SharedStep")
     counted(SharedStep, "adapt")
     counted(SharedStep, "predict")
-    counted(SharedStep, "cut_to")
+    counted(SharedStep, "adopt")
     prunes = []
     prune = difftrack.engine.prune_cross_links
 
@@ -154,32 +154,51 @@ def test_per_batch_work_does_not_grow_with_trials(policies, monkeypatch):
             calls.update(dict.fromkeys(calls, 0))
             prunes.clear()
             policy_sweep(cfg, policies)
-            forks = adaptive * pruning
-            assert any(prunes) == bool(forks), n_trials
-            alone_after = 0
-            if forks and len(policies) > 1:
-                first_cut = cfg.prune_window - 1 + prunes.index(True)
-                alone_after = cfg.n_iterations - first_cut - 1
+            pruners = adaptive * pruning
+            assert any(prunes) == bool(pruners), n_trials
+            steps = pruners + (len(policies) > pruners)
             assert calls == {
-                "prune_cross_links": forks * (cfg.n_iterations - cfg.prune_window + 1),
+                "prune_cross_links": pruners * (cfg.n_iterations - cfg.prune_window + 1),
                 "static_weights": len(policies) - adaptive,
                 "validate_combination_matrix": len(policies) + adaptive * cfg.n_iterations,
                 "msd_accumulate": len(policies) * cfg.n_iterations,
                 "step_truth": cfg.n_iterations - 1,
                 "trial_rng": n_trials,
                 "Edges": 1,
-                "SharedStep": 1,
-                "adapt": cfg.n_iterations + alone_after,
-                "predict": cfg.n_iterations + alone_after,
-                "cut_to": sum(prunes),
+                "SharedStep": steps,
+                "adapt": steps * cfg.n_iterations,
+                "predict": steps * cfg.n_iterations,
+                "adopt": steps + sum(prunes),
             }, (pruning, n_trials)
+
+
+@pytest.mark.parametrize(
+    "policies",
+    [list(POLICIES), POLICIES[::-1], ["adaptive"], ["adaptive", "uniform"], STATIC],
+)
+@pytest.mark.parametrize("pruning", [True, False])
+def test_only_engines_that_never_prune_share_a_step(policies, pruning):
+    # Each pruning engine holds a step no other engine holds, and all the
+    # others hold one; no engine's step is replaced as links are cut.
+    engines, measure = cutting_sweep(policies, pruning_enabled=pruning)
+    steps = [engine.shared for engine in engines]
+    held = [sum(other is step for other in steps) for step in steps]
+    alone = [engine.cfg.policy == "adaptive" and pruning for engine in engines]
+    assert held == [1 if prunes else alone.count(False) for prunes in alone]
+    edges = [len(engine.net.edges) for engine in engines]
+    for _ in range(30):
+        y = measure()
+        for engine in engines:
+            engine.run_step(y)
+    assert all(engine.shared is step for engine, step in zip(engines, steps))
+    cut = [len(engine.net.edges) < count for engine, count in zip(engines, edges)]
+    assert cut == alone
 
 
 @pytest.mark.parametrize("order", [POLICIES, POLICIES[::-1]])
 def test_each_policy_of_a_sweep_equals_its_run_alone(order):
-    # The static engines share one SharedStep for the whole run, and the
-    # adaptive engine shares it until its first cut, before or after the
-    # static engines have run that step's time update.
+    # The static engines share one SharedStep, and the adaptive engine
+    # runs its own, before or after the static engines run theirs.
     cfgs = [ExperimentConfig(policy=policy, **SHORT) for policy in order]
     trials = range(SHORT["n_trials"])
     sweep = run_trials(cfgs, trials, weights_every=7)
@@ -464,33 +483,39 @@ def test_nan_measurement_in_a_sweep_names_what_one_policy_names(trial, step, nod
     assert len(set(messages)) == 1
 
 
-def forked_sweep():
-    """Engines of every policy on one SharedStep over four 8-node scenes,
-    stepped until a prune has forked the adaptive engine's; the shared
-    step, a function drawing one step's measurements, and the steps run."""
+def cutting_sweep(policies, **changes):
+    """Engines of the given policies built by ``sharing`` over four 8-node
+    scenes, under a prune window and threshold that cut links within a
+    few steps, and a function drawing one step's measurements."""
     engine, _, truths, measure = small_batch(4)
-    cfg = ExperimentConfig(prune_window=2, prune_tau=0.3)
-    cfgs = [dataclasses.replace(cfg, policy=policy) for policy in POLICIES]
+    cfg = ExperimentConfig(prune_window=2, prune_tau=0.3, **changes)
+    cfgs = [dataclasses.replace(cfg, policy=policy) for policy in policies]
     engines = DiffusionKalmanEngine.sharing(engine.net, engine.sigma2, cfgs)
-    shared = engines[0].shared
+    return engines, lambda: measure(truths)
+
+
+def cut_sweep():
+    """A sweep of every policy, stepped until the adaptive engine's first
+    cut; its engines, a function drawing one step's measurements, and the
+    steps run."""
+    engines, measure = cutting_sweep(POLICIES)
+    net = engines[-1].net
     for step in range(30):
-        y = measure(truths)
+        y = measure()
         for engine in engines:
             engine.run_step(y)
-        if engines[-1].shared is not shared:
+        if engines[-1].net is not net:
             break
-    assert all(engine.shared is shared for engine in engines[:-1])
-    assert engines[-1].shared is not shared
-    assert (shared.holders, engines[-1].shared.holders) == (3, 1)
-    return engines, shared, lambda: measure(truths), step + 1
+    assert engines[-1].net is not net
+    return engines, measure, step + 1
 
 
-def test_later_cuts_keep_the_forked_state():
-    # Once forked, the adaptive engine holds its step alone, and a later
-    # cut gathers its edge arrays in place.
-    engines, shared, measure, _ = forked_sweep()
-    adaptive = engines[-1]
-    own, edges = adaptive.shared, {len(adaptive.net.edges)}
+def test_later_cuts_keep_the_adaptive_step():
+    # Each later cut re-adopts the adaptive engine's own step in place,
+    # and the static engines keep theirs.
+    engines, measure, _ = cut_sweep()
+    *static, adaptive = engines
+    own, shared, edges = adaptive.shared, static[0].shared, {len(adaptive.net.edges)}
     for _ in range(30):
         y = measure()
         for engine in engines:
@@ -498,7 +523,7 @@ def test_later_cuts_keep_the_forked_state():
         edges.add(len(adaptive.net.edges))
     assert len(edges) > 1
     assert adaptive.shared is own
-    assert all(engine.shared is shared for engine in engines[:-1])
+    assert all(engine.shared is shared for engine in static)
 
 
 @pytest.mark.parametrize(
@@ -509,18 +534,19 @@ def test_later_cuts_keep_the_forked_state():
         ((-1e-3, 0.0, 1.0), r"adapted covariance at node 5 lost positive semidefiniteness .*"),
     ],
 )
-def test_forked_state_fails_alone(bad, what):
-    engines, shared, measure, steps = forked_sweep()
+def test_adaptive_step_fails_alone(bad, what):
+    engines, measure, steps = cut_sweep()
     *static, adaptive = engines
+    shared = static[0].shared
     fields = ("M_pred", "M_psi", "min_psd_eigenvalue")
     before = [getattr(shared, name).copy() for name in fields]
     y = measure()
     adaptive.M_pred[1, 5] = bad
     with pytest.raises(NumericError, match=rf"^trial 1: iteration {steps}: {what}$"):
         adaptive.run_step(y)
-    # The fork copied the covariances and the record: what was written
-    # into the adaptive engine's leaves the shared ones as they were, and
-    # the static engines step on.
+    # What was written into the adaptive engine's covariances leaves the
+    # static engines' covariances and record as they were, and the static
+    # engines step on.
     for name, want in zip(fields, before):
         assert same_bytes(getattr(shared, name), want), name
     for engine in static:

@@ -11,9 +11,9 @@ semidefinite and no larger than its prediction. A batch of trials run
 over a few steps must give each trial the bits it gets in an engine of
 its own, and the blend that forms psi gives the bits of its half-by-half
 form on any finite inputs. Over a run in which the adaptive engine of a
-sweep prunes and forks its shared step, the covariances, the min-PSD
-record and the information sums give the bits of their (T, n, 3) closed
-forms and of the per-edge sum.
+sweep cuts links in its own step, the covariances, the min-PSD record
+and the information sums give the bits of their (T, n, 3) closed forms
+and of the per-edge sum.
 """
 
 import dataclasses
@@ -104,7 +104,7 @@ def test_one_step_matches_sequential_update_and_keeps_invariants(scene):
         ]
     )
     engine = DiffusionKalmanEngine(stacked(nets), sigma2, ExperimentConfig(policy=policy))
-    engine.M_pred = m_pred.copy()
+    engine.M_pred[...] = m_pred
     engine.x_pred = x_pred.copy()
     engine.run_step(y)
 
@@ -202,7 +202,7 @@ def test_blend_gives_the_bits_of_the_half_by_half_form(blend):
     # by half: a r_pos + b r_vel, then b r_pos + c r_vel.
     nets, sigma2, m_pred, x_pred, y = blend
     engine = DiffusionKalmanEngine(stacked(nets), sigma2, ExperimentConfig(policy="uniform"))
-    engine.M_pred = m_pred
+    engine.M_pred[...] = m_pred
     engine.x_pred = x_pred.copy()
     with np.errstate(all="ignore"):
         engine.run_step(y)
@@ -287,7 +287,9 @@ def test_covariances_give_the_bits_of_the_closed_form(sweep):
     net, sigma2, m_pred, seed = sweep
     engines = sweep_engines(net, sigma2)
     static, adaptive = engines[0], engines[-1]
-    static.M_pred = m_pred
+    assert adaptive.shared is not static.shared
+    for engine in (static, adaptive):
+        engine.M_pred[...] = m_pred
     want = [m_pred.copy() for _ in engines]
     record = [np.full(len(sigma2), np.inf) for _ in engines]
     rng = np.random.default_rng(seed)
@@ -305,10 +307,10 @@ def test_covariances_give_the_bits_of_the_closed_form(sweep):
             assert same_bytes(engine.M_psi, m_psi)
             assert same_bytes(engine.M_pred, want[k])
             assert same_bytes(engine.min_psd_eigenvalue, record[k])
-        if adaptive.shared is not static.shared and not written:
-            # The prune forked the adaptive engine's step: a write into its
-            # covariances lands in its own copy, and the static engines'
-            # stay as they were.
+        if adaptive.net is not net and not written:
+            # A cut re-adopted the adaptive engine's own step: a write into
+            # its covariances lands there, and the static engines' stay as
+            # they were.
             before = static.M_pred.copy(), static.M_psi.copy()
             adaptive.M_pred[0, 0] = (2.0, 0.5, 1.0)
             want[-1][0, 0] = (2.0, 0.5, 1.0)
@@ -324,7 +326,7 @@ def test_information_sums_give_the_bits_of_the_per_edge_form(sweep):
     net, sigma2, _, seed = sweep
     engines = sweep_engines(net, sigma2)
     alone = DiffusionKalmanEngine(net, sigma2, dataclasses.replace(CUT, policy="adaptive"))
-    own = alone.shared
+    steps = [engine.shared for engine in (*engines, alone)]
     rng = np.random.default_rng(seed)
     for _ in range(6):
         y = linked_measurements(rng, sigma2)
@@ -333,8 +335,7 @@ def test_information_sums_give_the_bits_of_the_per_edge_form(sweep):
             engine.run_step(y)
             assert same_bytes(engine.shared.info, info_sum(before, sigma2, y))
     # The static engines kept the fresh stack; the sweep's adaptive engine
-    # cut links in its forked copy, the standalone one in its own step.
+    # and the standalone one cut links, each in its own step.
     assert all(engine.net is net for engine in engines[:-1])
-    assert engines[-1].shared is not engines[0].shared
-    assert alone.shared is own
+    assert all(engine.shared is step for engine, step in zip((*engines, alone), steps))
     assert len(engines[-1].net.edges) < len(net.edges) > len(alone.net.edges)
