@@ -7,10 +7,11 @@ Static policies depend only on the topology (and noise levels), and build
 one matrix per network of a Network stack, which the engine checks once
 with ``validate_combination_matrix``; the adaptive rule re-derives every
 column each iteration from how far each neighbor's intermediate estimate
-sits from the node's own data. The engine applies that rule per edge of
-the network's ``edges``, with ``sq_dist`` scoring each edge's pair of
-points, and checks each iteration's weights as it makes them;
-``adaptive_weight_row`` is the single-node reference form.
+sits from the node's own measurement, as 1 / max(d^2, eps^2) (Zhao &
+Sayed, 2012). The engine applies that rule per edge of the network's
+``edges``, with ``sq_dist`` scoring each edge's pair of points, and checks
+each iteration's weights as it makes them; ``adaptive_weight_row`` is the
+single-node reference form.
 
 The adaptive policy also screens each neighbor's measurement against the
 node's own with ``consistent_pairs``, one pair per edge of the network.
@@ -76,26 +77,25 @@ def relative_variance_weights(net: Network, sigma2: np.ndarray) -> np.ndarray:
 def adaptive_weight_row(
     m: int,
     psi: np.ndarray,
-    q_m: np.ndarray,
+    target: np.ndarray,
     neighborhood: np.ndarray,
     eps: float = 1e-12,
 ) -> np.ndarray:
     """Weight column for node m from current intermediate estimates.
 
-    Each neighbor n in N_m is scored by the distance between its estimate
-    psi[n] and the node's own data point psi[m] + q_m; weights are inverse
-    squared distances normalized over the neighborhood. The self term's
-    distance is just ||q_m||. Returns a full length-N column, zero outside
-    N_m.
+    Each neighbor n in N_m, m itself included, is scored by the squared
+    distance d^2 between its estimate psi[n] and the node's own point
+    ``target``, its measurement y_m in the engine; the weights
+    1 / max(d^2, eps^2) are normalized over the neighborhood. Returns a
+    full length-N column, zero outside N_m.
     """
     if eps <= 0.0:
         raise ConfigError(f"eps must be positive, got {eps}")
     psi = np.asarray(psi, dtype=np.float64)
-    target = psi[m] + np.asarray(q_m, dtype=np.float64)
-    d = np.linalg.norm(target - psi[neighborhood], axis=1)
-    inv_sq = np.maximum(d, eps) ** -2.0
+    diff = np.asarray(target, dtype=np.float64) - psi[neighborhood]
+    w = 1.0 / np.maximum((diff * diff).sum(axis=1), eps * eps)
     col = np.zeros(psi.shape[0])
-    col[neighborhood] = inv_sq / inv_sq.sum()
+    col[neighborhood] = w / w.sum()
     return col
 
 

@@ -14,16 +14,17 @@ the targets and the sensors that produce them is the caller's job.
 Each node talks only to its neighbors, so everything per link runs over
 the stack's self-inclusive support as one edge list (``Network.edges``,
 E edges, in order of trial, column node, row node) rather than over
-(T, n, n) blocks: phase 2's neighborhood sums, phase 4's weights and
-phase 6's counts and prune are (E,) arrays. A column sum is one
+(T, n, n) blocks: phase 2's neighborhood sums, phase 3's weights and
+phase 5's counts and prune are (E,) arrays. A column sum is one
 ``np.bincount`` keyed by the column node, which adds each column's terms
 in ascending row, the order in which an axis-1 sum of the dense stack
 adds them, so the edge form gives the dense form's bits. Only C itself
-stays (T, n, n): phase 5's product and the caller's snapshots read it.
+stays (T, n, n): phase 4's product and the caller's snapshots read it.
 Per-edge rows are gathered with ``np.take``, which gives the same array
 as fancy indexing at about an eighth of its cost in numpy 2: phase 2
 gathers the measurements y_n / sigma2_n per edge for the information
-sums, and phase 4 gathers y at the two ends of each half edge.
+sums, and phase 3 gathers psi_n and y_m for each edge (n, m) and y at
+the two ends of each half edge.
 
 What changes only with the topology is built once per topology, not per
 step: a prune filters the edge list (``prune_cross_links``), and the
@@ -74,26 +75,29 @@ for positive semidefiniteness in the topology's half:
    of 1/sigma2 over the neighborhood (self included), and the information
    sum sum_n y_n / sigma2_n; [policy]
    psi = x_pred + (M_psi kron I2)(sum_n y_n / sigma2_n - s x_pred);
-3. [policy] residuals q = y - psi;
-4. [policy] adaptive policy only: recompute all combination weight
-   columns from the fresh psi snapshot. A neighbor whose measurement fails
+3. [policy] adaptive policy only: recompute all combination weight
+   columns from the fresh psi snapshot. Node m weighs neighbor n (itself
+   included) by 1 / max(||psi_n - y_m||^2, eps^2), the inverse squared
+   distance from n's intermediate estimate to m's own measurement, and
+   each column is normalized (Zhao & Sayed, "Clustering via diffusion
+   adaptation over networks", 2012). A neighbor whose measurement fails
    the chi-square consistency test against the node's own (see
    ``combiners.consistent_pairs``) gets zero weight at that step. The test
    is symmetric to the bit, so it runs on one direction of each link and
    is mirrored onto the other; both directions of such a link drop below
-   the prune threshold together, and once phase 6 cuts the link phase 2
+   the prune threshold together, and once phase 5 cuts the link phase 2
    stops fusing that neighbor's measurement. The weights are checked as
    they are made;
-5. [policy] combination: convex blend of neighbor intermediates
+4. [policy] combination: convex blend of neighbor intermediates
    (covariance is NOT blended; each node keeps its own). A static C is
    checked at construction and then frozen, so no step checks it again;
-6. [policy] adaptive policy only: link pruning, a per-link count of
+5. [policy] adaptive policy only: link pruning, a per-link count of
    consecutive steps with weight below the threshold; a link is cut once
    both directions reach the window, in one ``prune_cross_links`` call
    over the network stack, and the surviving links keep their counts. A
    static policy keeps its initial graph. A cut re-gathers the edge
    arrays of the adaptive engine's own ``SharedStep``;
-7. time update: [policy] x_pred = F x_hat (plus gravity when the filter
+6. time update: [policy] x_pred = F x_hat (plus gravity when the filter
    knows it); [topology] M becomes
    (a + delta(2b + delta c) + q, b + delta c, c + q).
 
@@ -179,7 +183,7 @@ class SharedStep:
     in place; ``M_pred`` and ``M_psi`` are (T, n, 3) views of it, through
     which a write lands in the stored rows. ``done`` counts the halves run,
     two per step: ``adapt`` runs phases 1 and 2's shared part, and
-    ``predict`` phase 7's. ``first_trial`` is the number of the batch's
+    ``predict`` phase 6's. ``first_trial`` is the number of the batch's
     first trial; errors name trials counting from it. Only an engine that
     holds its step alone may cut the topology, by ``adopt``.
     """
@@ -244,7 +248,7 @@ class SharedStep:
         ``s`` repeated over the state's coordinates, (T, n, 4).
         ``_info_key`` keys the information sums, one bin per node and
         coordinate, for each coordinate of each edge (n, m) of
-        ``net.edges``, edge after edge. For phase 4, ``back`` lists the
+        ``net.edges``, edge after edge. For phase 3, ``back`` lists the
         reverses of the half edges, ``half_n`` and ``half_m`` number the
         nodes at their two ends over the stack, and ``sigma2_n`` and
         ``sigma2_m`` hold those nodes' variances. The covariances and the
@@ -299,14 +303,19 @@ class SharedStep:
             ok += 1.0
             ok = ok > 0.0
             ok &= den > 0.0
-            # An infinite entry can pass the tests of ok, so finiteness is
-            # checked apart, flat; the node is sought only once a check fails.
-            if not (ok.all() and np.isfinite(m_pred).all()):
-                t, m = np.argwhere(~(ok & np.isfinite(m_pred).all(axis=0)))[0]
-                if np.isfinite(m_pred[:, t, m]).all():
+            # An overflowing den can pass the tests of ok, and would round
+            # M_psi to 0, fusing no measurement, so its finiteness is checked
+            # apart, flat; the node is sought only once a check fails. With
+            # s finite and positive, den is finite only where M_pred is, so
+            # this check covers a non-finite M_pred as well.
+            if not (ok.all() and np.isfinite(den).all()):
+                t, m = np.argwhere(~(ok & np.isfinite(den)))[0]
+                if not np.isfinite(m_pred[:, t, m]).all():
+                    what = f"predicted covariance at node {m} has non-finite entries"
+                elif not ok[t, m]:
                     what = f"innovation covariance at node {m} is not positive definite"
                 else:
-                    what = f"predicted covariance at node {m} has non-finite entries"
+                    what = f"innovation covariance at node {m} overflows"
                 raise self.error(t, self.done // 2, what)
             m_psi = self._psi
             # s det, which a and c both take.
@@ -330,7 +339,7 @@ class SharedStep:
         self.done += 1
 
     def predict(self) -> None:
-        """Phase 7's covariance time update."""
+        """Phase 6's covariance time update."""
         a, b, c = self._psi
         model = self.cfg.model
         d, q = model.delta, model.process_noise_var
@@ -432,7 +441,6 @@ class DiffusionKalmanEngine:
         t_count, n = shared.sigma2.shape
         self.x_pred = np.zeros((t_count, n, STATE_DIM))
         self.psi = self.x_pred.copy()
-        self.q = self.x_pred.copy()
         self.x_hat = self.x_pred.copy()
         self.iteration = 0
         # One count per edge. Counts never exceed the window, so the
@@ -455,7 +463,7 @@ class DiffusionKalmanEngine:
     @property
     def C(self) -> np.ndarray:
         """The combination matrices, (T, n, n): the transposed view of a
-        contiguous C^T, the operand of phase 5's product, which the
+        contiguous C^T, the operand of phase 4's product, which the
         adaptive policy overwrites each step and a static policy freezes."""
         return np.swapaxes(self._c_t, -1, -2)
 
@@ -509,29 +517,26 @@ class DiffusionKalmanEngine:
         psi = x_pred + (shared.k_own * r + shared.k_cross * r[..., _HALVES_SWAPPED])
         self.psi = psi
 
-        # Phase 3: residuals.
-        self.q = shared.y - psi
-
-        # Phase 4: weight update (adaptive policy only), checked as made.
+        # Phase 3: weight update (adaptive policy only), checked as made.
         cfg = self.cfg
         if cfg.policy == "adaptive":
-            weights = self._adaptive_weights(psi, self.q)
+            weights = self._adaptive_weights(psi)
             self._validate(weights, shared.net.edges, COMBINE_COL_TOL)
 
-        # Phase 5: combination. Covariance is intentionally left alone.
+        # Phase 4: combination. Covariance is intentionally left alone.
         # x_hat = C^T psi, the product taken with C^T in contiguous memory:
         # on a transposed view matmul rounds differently. The engine holds
         # C as a view of such a C^T, so nothing is copied.
         self.x_hat = self._c_t @ psi
 
-        # Phase 6: pruning (adaptive policy only). No count can reach the
+        # Phase 5: pruning (adaptive policy only). No count can reach the
         # window before that many steps have run.
         if _prunes(cfg):
             self._below = count_below(self._below, weights, cfg.prune_tau, cfg.prune_window)
             if j + 1 >= cfg.prune_window:
                 self._prune()
 
-        # Phase 7: time update, the estimate per policy and the covariance
+        # Phase 6: time update, the estimate per policy and the covariance
         # per topology.
         model = cfg.model
         self.x_pred = self.x_hat @ model.F.T
@@ -545,27 +550,29 @@ class DiffusionKalmanEngine:
 
     # -- internals --------------------------------------------------------
 
-    def _adaptive_weights(self, psi: np.ndarray, q: np.ndarray) -> np.ndarray:
+    def _adaptive_weights(self, psi: np.ndarray) -> np.ndarray:
         # Edge (n, m) scores neighbor n's estimate against node m's own
-        # data point psi_m + q_m; each column m is then normalized. The
-        # (E,) weights are returned, and overwrite the edges' entries of
-        # the engine's C^T buffer, of which C is the transposed view. Its other entries are zero
-        # once the links of the last prune are: they are zeroed here, not
-        # at the prune, so that the pruning step's C keeps its weights.
+        # measurement y_m as 1 / max(d^2, eps^2); each column m is then
+        # normalized. The (E,) weights are returned, and overwrite the
+        # edges' entries of the engine's C^T buffer, of which C is the
+        # transposed view. Its other entries are zero once the links of the
+        # last prune are: they are zeroed here, not at the prune, so that
+        # the pruning step's C keeps its weights.
         c_t = self._c_t.reshape(-1)
         c_t[self._cut] = 0.0
         self._cut = self._cut[:0]
         shared = self.shared
         edges = shared.net.edges
         n, m = edges.source, edges.key
-        psi, own = psi.reshape(-1, STATE_DIM), (psi + q).reshape(-1, STATE_DIM)
-        d = np.sqrt(sq_dist(np.take(psi, n, axis=0), np.take(own, m, axis=0)))
-        d = np.maximum(d, self.cfg.eps)
+        psi, y = psi.reshape(-1, STATE_DIM), shared.y.reshape(-1, STATE_DIM)
+        d2 = sq_dist(np.take(psi, n, axis=0), np.take(y, m, axis=0))
+        eps = self.cfg.eps
+        np.maximum(d2, eps * eps, out=d2)
         # The consistency test is symmetric to the bit, so it runs on one
         # direction of each link, on the measurements y_n and y_m at its
         # two ends, and is mirrored onto the other. A self-edge passes,
         # its measurement being finite.
-        half, back, y = edges.half, shared.back, shared.y.reshape(-1, STATE_DIM)
+        half, back = edges.half, shared.back
         agree = consistent_pairs(
             np.take(y, shared.half_n, axis=0),
             np.take(y, shared.half_m, axis=0),
@@ -575,7 +582,7 @@ class DiffusionKalmanEngine:
         usable = edges.is_self.copy()
         usable[half] = agree
         usable[back] = agree
-        w = np.where(usable, d**-2.0, 0.0)
+        w = np.where(usable, 1.0 / d2, 0.0)
         w /= np.take(np.bincount(m, w), m)
         c_t[edges.flat_t] = w
         return w

@@ -109,6 +109,13 @@ class ExperimentConfig:
         for name in ("head_radius", "delta", "sigma_min", "P0_scale", "eps"):
             if getattr(self, name) is not None and getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
+        # An adaptive weight is 1/max(d^2, eps^2), bounded by 1/eps^2 only
+        # when eps^2 neither underflows to 0 nor overflows.
+        floor = self.eps * self.eps
+        if not (0.0 < floor and math.isfinite(floor) and math.isfinite(1.0 / floor)):
+            raise ConfigError(
+                f"eps = {self.eps!r}: eps^2 and 1/eps^2 must both be finite and positive"
+            )
         for name in ("min_degree", "g", "v0", "sigma_span", "G_scale", "Q_scale"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be nonnegative")

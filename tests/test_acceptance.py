@@ -78,8 +78,8 @@ def test_c3_weight_matrices_are_left_stochastic_on_random_networks():
             if policy == "adaptive":
                 c = np.zeros((n, n))
                 for m in range(n):
-                    q_m = rng.standard_normal(4)
-                    c[:, m] = adaptive_weight_row(m, psi, q_m, support[:, m])
+                    target = psi[m] + rng.standard_normal(4)
+                    c[:, m] = adaptive_weight_row(m, psi, target, support[:, m])
             else:
                 c = static_weights(policy, net, sigma2)
             try:

@@ -84,12 +84,13 @@ def test_relative_variance_rejects_bad_sigma():
 
 
 def test_adaptive_self_and_one_neighbor():
-    # Self distance is ||q|| = 1; the neighbor sits at distance 2 from
-    # psi[0] + q, so inverse-square weights are (1, 1/4) -> (0.8, 0.2).
+    # The self estimate sits at distance 1 from the target and the
+    # neighbor's at distance 2, so inverse-square weights are (1, 1/4) ->
+    # (0.8, 0.2).
     psi = np.zeros((2, 4))
     psi[1] = [3.0, 0.0, 0.0, 0.0]
-    q = np.array([1.0, 0.0, 0.0, 0.0])
-    col = adaptive_weight_row(0, psi, q, np.array([0, 1]))
+    target = np.array([1.0, 0.0, 0.0, 0.0])
+    col = adaptive_weight_row(0, psi, target, np.array([0, 1]))
     assert np.allclose(col, [0.8, 0.2])
 
 
@@ -109,8 +110,8 @@ def test_adaptive_scale_invariance():
     psi = rng.standard_normal((5, 4))
     q = rng.standard_normal(4)
     nb = np.array([0, 2, 3])
-    base = adaptive_weight_row(0, psi, q, nb)
-    scaled = adaptive_weight_row(0, psi[0] + 7.0 * (psi - psi[0]), 7.0 * q, nb)
+    base = adaptive_weight_row(0, psi, psi[0] + q, nb)
+    scaled = adaptive_weight_row(0, psi[0] + 7.0 * (psi - psi[0]), psi[0] + 7.0 * q, nb)
     assert np.allclose(base, scaled, atol=1e-12)
 
 
@@ -118,11 +119,11 @@ def test_adaptive_monotone_in_distance():
     psi = np.zeros((3, 4))
     psi[1, 0] = 2.0
     psi[2, 0] = -3.0
-    q = np.array([1.0, 0.0, 0.0, 0.0])
+    target = np.array([1.0, 0.0, 0.0, 0.0])
     nb = np.array([0, 1, 2])
-    before = adaptive_weight_row(0, psi, q, nb)
-    psi[1, 0] = 1.5  # neighbor 1 moves closer to psi[0] + q
-    after = adaptive_weight_row(0, psi, q, nb)
+    before = adaptive_weight_row(0, psi, target, nb)
+    psi[1, 0] = 1.5  # neighbor 1 moves closer to the target
+    after = adaptive_weight_row(0, psi, target, nb)
     assert after[1] > before[1]
 
 
@@ -148,7 +149,7 @@ def test_all_policies_satisfy_invariants():
         c = np.zeros((20, 20))
         hoods = neighborhoods(net)
         for m in range(20):
-            c[:, m] = adaptive_weight_row(m, psi, rng.standard_normal(4), hoods[m])
+            c[:, m] = adaptive_weight_row(m, psi, psi[m] + rng.standard_normal(4), hoods[m])
         validate_combination_matrix(c, net)
 
 

@@ -1,9 +1,9 @@
-"""The engine's edge-list phases 4 and 6 against a dense reference.
+"""The engine's edge-list phases 3 and 5 against a dense reference.
 
 The reference is the (T, n, n) form the engine's adaptive weights and
 pruning once took: squared distances and the chi-square consistency test
 over every pair of nodes, columns normalized by axis-1 sums, and per-link
-below counts and prunes on whole n x n blocks. Fed the engine's own psi, q
+below counts and prunes on whole n x n blocks. Fed the engine's own psi
 and measurements step by step, it must give the engine's combination
 matrices, adjacency and below counts on alive links bit for bit. The
 engine's consistency test, run on one direction of each link and
@@ -39,13 +39,14 @@ def pairwise_sq_dist(a, b):
     return total
 
 
-def dense_weights(psi, q, y, sigma2, support, eps):
-    """Phase 4 on (T, n, n): entry [t, n, m] scores neighbor n's estimate
-    against node m's data point psi_m + q_m, and each column is normalized."""
-    d = np.maximum(np.sqrt(pairwise_sq_dist(psi, psi + q)), eps)
+def dense_weights(psi, y, sigma2, support, eps):
+    """Phase 3 on (T, n, n): entry [t, n, m] scores neighbor n's estimate
+    against node m's measurement y_m as 1 / max(d^2, eps^2), and each column
+    is normalized."""
+    d2 = np.maximum(pairwise_sq_dist(psi, y), eps * eps)
     bound = CONSISTENCY_CHI2 * (sigma2[..., :, None] + sigma2[..., None, :])
     usable = support & (pairwise_sq_dist(y, y) <= bound)
-    w = np.where(usable, d**-2.0, 0.0)
+    w = np.where(usable, 1.0 / d2, 0.0)
     return w / w.sum(axis=1, keepdims=True)
 
 
@@ -59,7 +60,7 @@ def dense_prune(adjacency, below, window):
 
 
 def lockstep_with_reference(engine, measurements):
-    """Run the engine on each step's measurements and check phases 4 and 6
+    """Run the engine on each step's measurements and check phases 3 and 5
     against the reference after every step. Returns the number of nodes
     that lost their last link to a prune."""
     t_count, n = engine.sigma2.shape
@@ -70,7 +71,7 @@ def lockstep_with_reference(engine, measurements):
     for y in measurements:
         support = adjacency | eye
         engine.run_step(y)
-        c = dense_weights(engine.psi, engine.q, y, engine.sigma2, support, engine.cfg.eps)
+        c = dense_weights(engine.psi, y, engine.sigma2, support, engine.cfg.eps)
         assert np.array_equal(engine.C, c)
         below = dense_count_below(below, c, engine.cfg.prune_tau, engine.cfg.prune_window)
         pruned = dense_prune(adjacency, below, engine.cfg.prune_window)

@@ -11,7 +11,7 @@ import difftrack.engine
 from difftrack.combiners import adaptive_weight_row, consistent_pairs
 from difftrack.dynamics import MotionModel, initial_state, step_truth
 from difftrack.engine import DiffusionKalmanEngine, adapt
-from difftrack.errors import ConfigError
+from difftrack.errors import ConfigError, NumericError
 from difftrack.harness import ExperimentConfig, run_experiment, run_trials
 from difftrack.selftest import (
     determinism_check,
@@ -195,7 +195,7 @@ def test_engine_step_matches_per_node_operations():
     assert np.array_equal(m_psi, engine.M_psi[0])
 
     q = np.stack([y[m] - eye @ psi[m] for m in range(6)])
-    assert np.array_equal(q, engine.q[0])
+    assert np.array_equal(q, y - engine.psi[0])
 
     # Neighbors whose measurements fail the consistency test get no weight;
     # in this scene that holds for both cross-task edges.
@@ -204,7 +204,7 @@ def test_engine_step_matches_per_node_operations():
     c = np.zeros((6, 6))
     for m in range(6):
         hood = hoods[m][consistent[hoods[m], m]]
-        c[:, m] = adaptive_weight_row(m, psi, q[m], hood, engine.cfg.eps)
+        c[:, m] = adaptive_weight_row(m, psi, y[m], hood, engine.cfg.eps)
     assert np.abs(c - engine.C[0]).max() < 1e-14
 
     # gemv vs gemm accumulation differs at 1 ulp; equality is to tolerance.
@@ -228,14 +228,14 @@ def test_engine_residual_of_a_lone_node_is_the_shrunk_innovation():
     y = np.zeros((1, 2, 4))
     y[0, 1, 0] = 1.0
     engine.run_step(y)
-    assert np.array_equal(engine.q[0, 0], np.zeros(4))
-    assert np.array_equal(engine.q[0, 1, 1:], np.zeros(3))
-    assert abs(engine.q[0, 1, 0] - 0.4 / (0.4 + p0)) <= 1e-15
-    assert np.array_equal(engine.q, y - engine.psi)
+    q = y - engine.psi
+    assert np.array_equal(q[0, 0], np.zeros(4))
+    assert np.array_equal(q[0, 1, 1:], np.zeros(3))
+    assert abs(q[0, 1, 0] - 0.4 / (0.4 + p0)) <= 1e-15
 
 
 def test_engine_combination_cases(monkeypatch):
-    # Three linked nodes; phase 5 blends their intermediates with the C
+    # Three linked nodes; phase 4 blends their intermediates with the C
     # the test has the static policy build.
     net = Network(np.array([[0.1, 0.1], [0.2, 0.1], [0.1, 0.2]]), ~np.eye(3, dtype=bool))
 
@@ -548,9 +548,14 @@ def test_engine_names_trial_and_node_of_a_bad_variance(value):
             DiffusionKalmanEngine(stack, sigma2, ExperimentConfig(), first_trial=7)
 
 
-def tiny_variance_run(sigma2):
+def tiny_variance_run(sigma2, p0=1.0):
     cfg = ExperimentConfig(
-        sigma_min=sigma2, sigma_span=0.0, n_trials=2, n_iterations=10, policy="uniform"
+        sigma_min=sigma2,
+        sigma_span=0.0,
+        P0_scale=p0,
+        n_trials=2,
+        n_iterations=10,
+        policy="uniform",
     )
     return run_experiment(cfg)
 
@@ -575,3 +580,36 @@ def test_tiny_variance_whose_squared_sum_is_finite_still_filters():
         warnings.simplefilter("error")
         result = tiny_variance_run(1e-150)
     assert result.series.msd_db[-1].max() < 10.0
+
+
+def test_innovation_covariance_that_overflows_is_named():
+    # s^2 is finite at sigma2 = 1e-150, but s^2 det(M_pred) is not once the
+    # prior is 1e10 I: the innovation covariance's determinant overflows,
+    # so every M_psi would round to 0 and the first step fuse nothing.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(
+            NumericError,
+            match=r"^trial 0: iteration 0: innovation covariance at node 0 overflows$",
+        ):
+            tiny_variance_run(1e-150, p0=1e10)
+
+
+@pytest.mark.parametrize("eps", [1e-200, 1e200])
+def test_distance_floor_whose_square_leaves_the_floats_is_refused(eps):
+    # 1e-200 squares to 0, so a weight 1 / max(d^2, eps^2) has no bound;
+    # 1e200 squares to inf, so every weight would be 0 and every column NaN.
+    with pytest.raises(
+        ConfigError,
+        match=r"^eps = \S+: eps\^2 and 1/eps\^2 must both be finite and positive$",
+    ):
+        ExperimentConfig(eps=eps)
+
+
+@pytest.mark.parametrize("eps", [1e-150, 1e150])
+def test_distance_floor_whose_square_is_finite_still_runs(eps):
+    cfg = ExperimentConfig(eps=eps, n_trials=2, n_iterations=10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = run_experiment(cfg)
+    assert np.isfinite(result.series.msd_db).all()

@@ -767,13 +767,14 @@ class TestCli:
     @pytest.mark.parametrize(
         "line,iteration", [("P0_scale = 1e308", 0), ("Q_scale = 1e200", 1)]
     )
-    def test_non_finite_adapted_covariance_exits_three(
+    def test_overflowing_innovation_covariance_exits_three(
         self, tmp_path, capsys, recwarn, line, iteration, command
     ):
-        # The closed-form update overflows to NaN; the step names it before
-        # the weights see it, and before numpy warns. A sweep's engines
-        # step in policy order, so it names the earliest failing iteration,
-        # and in it the first policy's failure.
+        # The closed-form update's denominator, s^2 det(M_pred + I/s),
+        # overflows; the step names it before the weights see it, and before
+        # numpy warns. A sweep's engines step in policy order, so it names
+        # the earliest failing iteration, and in it the first policy's
+        # failure.
         cfg_path = tmp_path / "huge.cfg"
         cfg_path.write_text(SMALL_CFG + line + "\n")
         out = tmp_path / "out"
@@ -781,7 +782,7 @@ class TestCli:
         assert code == 3
         assert re.search(
             rf"numeric failure: trial 0: iteration {iteration}: "
-            r"adapted covariance at node \d+ has non-finite entries",
+            r"innovation covariance at node \d+ overflows",
             capsys.readouterr().err,
         )
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]

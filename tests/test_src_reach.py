@@ -15,7 +15,10 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src" / "difftrack"
 
 ALLOWED = {
-    "adaptive_weight_row": "gate c3's oracle for the adaptive weight column",
+    "adaptive_weight_row": (
+        "the single-node reference form of the adaptive weight column: "
+        "gate c3's oracle, and the engine's in the tests"
+    ),
     "read_msd_csv": "the reader of msd.csv that the benchmark's checks and the tests use",
 }
 
