@@ -3,14 +3,16 @@
 A combination matrix C is left-stochastic with c[n, m] being the weight
 node m assigns to neighbor n; support is restricted to the self-inclusive
 neighborhood N_m, so the combination step blends estimates as C^T psi.
-Static policies depend only on the topology (and noise levels), and build
-one matrix per network of a Network stack, which the engine checks once
-with ``validate_combination_matrix``; the adaptive rule re-derives every
-column each iteration from how far each neighbor's intermediate estimate
-sits from the node's own measurement, as 1 / max(d^2, eps^2) (Zhao &
-Sayed, 2012). The engine applies that rule per edge of the network's
-``edges``, with ``sq_dist`` scoring each edge's pair of points, and checks
-each iteration's weights as it makes them; ``adaptive_weight_row`` is the
+Every policy gives C as (E,) weights on the edge list of a Network stack
+(``Network.edges``), which the engine checks with
+``validate_combination_matrix`` and scatters into its matrices. The
+static policies depend only on the topology (and noise levels), so
+``static_weights`` makes their weights once; the adaptive rule re-derives
+every column each iteration from how far each neighbor's intermediate
+estimate sits from the node's own measurement, as 1 / max(d^2, eps^2)
+(Zhao & Sayed, 2012). The engine applies that rule per edge, with
+``sq_dist`` scoring each edge's pair of points, and checks each
+iteration's weights as it makes them; ``adaptive_weight_row`` is the
 single-node reference form.
 
 The adaptive policy also screens each neighbor's measurement against the
@@ -40,38 +42,6 @@ COLUMN_SUM_TOL = 1e-12
 # twice the inverse regularized incomplete gamma function at (2, 0.999),
 # written out as the float that scipy.stats.chi2.ppf(0.999, 4) returns.
 CONSISTENCY_CHI2 = 18.46682695290317
-
-
-def _support(net: Network) -> np.ndarray:
-    return net.adjacency | np.eye(net.n_nodes, dtype=bool)
-
-
-def uniform_weights(net: Network) -> np.ndarray:
-    """c[n, m] = 1/|N_m| for every n in N_m."""
-    sup = _support(net)
-    return sup / sup.sum(axis=-2, keepdims=True)
-
-
-def metropolis_weights(net: Network) -> np.ndarray:
-    """Off-diagonal 1/max(|N_n|, |N_m|); diagonal takes the remainder."""
-    sizes = _support(net).sum(axis=-2)
-    c = np.where(net.adjacency, 1.0 / np.maximum(sizes[..., :, None], sizes[..., None, :]), 0.0)
-    diag = np.arange(net.n_nodes)
-    c[..., diag, diag] = 1.0 - c.sum(axis=-2)
-    return c
-
-
-def relative_variance_weights(net: Network, sigma2: np.ndarray) -> np.ndarray:
-    """Weight neighbors by inverse noise variance, normalized over N_m."""
-    sigma2 = np.asarray(sigma2, dtype=np.float64)
-    if sigma2.shape != net.adjacency.shape[:-1]:
-        raise ConfigError(
-            f"sigma2 must have one entry per node, got shape {sigma2.shape}"
-        )
-    if (sigma2 <= 0.0).any():
-        raise ConfigError("all measurement variances must be positive")
-    w = _support(net) * (1.0 / sigma2)[..., :, None]
-    return w / w.sum(axis=-2, keepdims=True)
 
 
 def adaptive_weight_row(
@@ -105,12 +75,15 @@ def sq_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     The squared coordinate differences are summed in coordinate order,
     which is what numpy's reduction does over an axis shorter than 8, so
     for 4-d points the bits equal those of ``((a - b) ** 2).sum(axis=-1)``.
+    A distance past the float range is inf, which every caller reads as
+    far, so numpy is kept from warning of it.
     """
-    diff = np.subtract(a, b)
-    diff *= diff
-    total = diff[..., 0].copy()
-    for k in range(1, diff.shape[-1]):
-        total += diff[..., k]
+    with np.errstate(over="ignore"):
+        diff = np.subtract(a, b)
+        diff *= diff
+        total = diff[..., 0].copy()
+        for k in range(1, diff.shape[-1]):
+            total += diff[..., k]
     return total
 
 
@@ -134,13 +107,34 @@ def consistent_pairs(
 
 
 def static_weights(policy: str, net: Network, sigma2: np.ndarray) -> np.ndarray:
-    """Build the combination matrix (stack) for a static policy by name."""
+    """The (E,) weights of a static policy by name, on ``net.edges``.
+
+    With |N_m| the size of node m's neighborhood, edge (n, m) weighs
+    1/|N_m| under "uniform"; 1/max(|N_n|, |N_m|) off the self-edges under
+    "metropolis", each self-edge taking what its column leaves; and
+    (1/sigma2_n) / sum over N_m of 1/sigma2 under "relvar" (Cattivelli &
+    Sayed, IEEE TAC 2010). Every column sum adds its terms in ascending
+    row, so the weights carry the bits of the dense (..., n, n) forms.
+    """
+    edges = net.edges
+    n, m = edges.source, edges.key
+    size = np.bincount(m)
     if policy == "uniform":
-        return uniform_weights(net)
+        return 1.0 / np.take(size, m)
     if policy == "metropolis":
-        return metropolis_weights(net)
+        w = np.where(edges.is_self, 0.0, 1.0 / np.maximum(np.take(size, n), np.take(size, m)))
+        w[edges.is_self] = 1.0 - np.bincount(m, w)
+        return w
     if policy == "relvar":
-        return relative_variance_weights(net, sigma2)
+        sigma2 = np.asarray(sigma2, dtype=np.float64)
+        if sigma2.shape != net.adjacency.shape[:-1]:
+            raise ConfigError(
+                f"sigma2 must have one entry per node, got shape {sigma2.shape}"
+            )
+        if (sigma2 <= 0.0).any():
+            raise ConfigError("all measurement variances must be positive")
+        w = np.take((1.0 / sigma2).ravel(), n)
+        return w / np.take(np.bincount(m, w), m)
     raise ConfigError(f"unknown static policy '{policy}'")
 
 

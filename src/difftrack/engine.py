@@ -20,6 +20,10 @@ phase 5's counts and prune are (E,) arrays. A column sum is one
 in ascending row, the order in which an axis-1 sum of the dense stack
 adds them, so the edge form gives the dense form's bits. Only C itself
 stays (T, n, n): phase 4's product and the caller's snapshots read it.
+Every C starts as (E,) weights on the edges, a static policy's from
+``combiners.static_weights`` or the identity under the adaptive policy,
+is checked in that form and is scattered into a zeroed C^T, so it lies
+on the support by construction.
 Per-edge rows are gathered with ``np.take``, which gives the same array
 as fancy indexing at about an eighth of its cost in numpy 2: phase 2
 gathers the measurements y_n / sigma2_n per edge for the information
@@ -73,7 +77,7 @@ for positive semidefiniteness in the topology's half:
 2. adaptation in information form (Cattivelli & Sayed, IEEE TAC 2010),
    in closed form. [topology] M_psi^-1 = M_pred^-1 + s I, with s the sum
    of 1/sigma2 over the neighborhood (self included), and the information
-   sum sum_n y_n / sigma2_n; [policy]
+   sum sum_n y_n / sigma2_n, a non-finite one stopping the run; [policy]
    psi = x_pred + (M_psi kron I2)(sum_n y_n / sigma2_n - s x_pred);
 3. [policy] adaptive policy only: recompute all combination weight
    columns from the fresh psi snapshot. Node m weighs neighbor n (itself
@@ -86,8 +90,9 @@ for positive semidefiniteness in the topology's half:
    is symmetric to the bit, so it runs on one direction of each link and
    is mirrored onto the other; both directions of such a link drop below
    the prune threshold together, and once phase 5 cuts the link phase 2
-   stops fusing that neighbor's measurement. The weights are checked as
-   they are made;
+   stops fusing that neighbor's measurement. A squared distance that
+   overflows gives weight 0, and a column left with no weight at all
+   stops the run, naming the node. The weights are checked as made;
 4. [policy] combination: convex blend of neighbor intermediates
    (covariance is NOT blended; each node keeps its own). A static C is
    checked at construction and then frozen, so no step checks it again;
@@ -288,8 +293,8 @@ class SharedStep:
         # covariances.
         s, s2, m_pred = self.s, self.s2, self._pred
         a, b, c = m_pred
-        # A huge covariance overflows here; the check below names it, so
-        # numpy need not warn first.
+        # A huge covariance or measurement overflows here; the checks
+        # below name it, so numpy need not warn first.
         with np.errstate(over="ignore", invalid="ignore"):
             det = a * c
             det -= b * b
@@ -325,17 +330,21 @@ class SharedStep:
             np.divide(b, den, out=m_psi[1])
             np.add(c, s_det, out=m_psi[2])
             m_psi[2] /= den
+            # Information vector sum_n y_n / sigma2_n over each neighborhood:
+            # each node's scaled measurement, gathered per edge by its
+            # source. A huge measurement overflows here, and is named below.
+            y_w = (y * self._inv4).reshape(-1, STATE_DIM)
+        y_src = np.take(y_w, self.net.edges.source, axis=0)
+        self.info = np.bincount(self._info_key, y_src.ravel()).reshape(y.shape)
         # The coefficients of every engine's blend at the state width:
         # (a, a, c, c) on each coordinate of r and b on its partner in the
         # other half.
         self.k_own = self.M_psi[..., [0, 0, 2, 2]]
         self.k_cross = np.repeat(m_psi[1][..., None], STATE_DIM, axis=2)
-        # Information vector sum_n y_n / sigma2_n over each neighborhood:
-        # each node's scaled measurement, gathered per edge by its source.
-        y_w = (y * self._inv4).reshape(-1, STATE_DIM)
-        y_src = np.take(y_w, self.net.edges.source, axis=0)
-        self.info = np.bincount(self._info_key, y_src.ravel()).reshape(y.shape)
         self._track_psd(m_psi, "adapted covariance")
+        if not np.isfinite(self.info).all():
+            t, m = np.argwhere(~np.isfinite(self.info).all(axis=2))[0]
+            raise self.error(t, self.done // 2, f"information sum at node {m} overflows")
         self.done += 1
 
     def predict(self) -> None:
@@ -437,7 +446,7 @@ class DiffusionKalmanEngine:
     def _join(self, shared: SharedStep, cfg: ExperimentConfig) -> None:
         self.shared = shared
         self.cfg = cfg
-        net = shared.net
+        edges = shared.net.edges
         t_count, n = shared.sigma2.shape
         self.x_pred = np.zeros((t_count, n, STATE_DIM))
         self.psi = self.x_pred.copy()
@@ -445,16 +454,18 @@ class DiffusionKalmanEngine:
         self.iteration = 0
         # One count per edge. Counts never exceed the window, so the
         # smallest type holding it will do.
-        self._below = np.zeros(len(net.edges), dtype=np.min_scalar_type(cfg.prune_window))
+        self._below = np.zeros(len(edges), dtype=np.min_scalar_type(cfg.prune_window))
 
+        # Every C is checked as (E,) weights on the edges and scattered
+        # into a zeroed C^T, so it lies on the support. A static C is then
+        # frozen, so no step need check it again.
         if cfg.policy == "adaptive":
-            c = np.broadcast_to(np.eye(n), (t_count, n, n))
+            weights = edges.is_self.astype(np.float64)
         else:
-            c = static_weights(cfg.policy, net, shared.sigma2)
-        # The support is checked here, once: every later C is built on the
-        # edges. A static C is then frozen, so no step need check it again.
-        self._c_t = np.swapaxes(c, -1, -2).copy()
-        self._validate(self.C, net, COLUMN_SUM_TOL)
+            weights = static_weights(cfg.policy, shared.net, shared.sigma2)
+        self._validate(weights, edges, COLUMN_SUM_TOL)
+        self._c_t = np.zeros((t_count, n, n))
+        self._c_t.reshape(-1)[edges.flat_t] = weights
         self._c_t.flags.writeable = cfg.policy == "adaptive"
         # Flat indices into C^T of the links the last prune cut, which the
         # next weight update zeroes.
@@ -583,7 +594,14 @@ class DiffusionKalmanEngine:
         usable[half] = agree
         usable[back] = agree
         w = np.where(usable, 1.0 / d2, 0.0)
-        w /= np.take(np.bincount(m, w), m)
+        # A column is left no weight only when every usable distance, its
+        # own included, overflowed.
+        total = np.bincount(m, w)
+        if (total == 0.0).any():
+            t, node = divmod(int(np.flatnonzero(total == 0.0)[0]), edges.n_nodes)
+            what = f"every squared distance at node {node} overflows, leaving it no weight"
+            raise shared.error(t, self.iteration, what)
+        w /= np.take(total, m)
         c_t[edges.flat_t] = w
         return w
 

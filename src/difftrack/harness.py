@@ -337,6 +337,12 @@ def run_trials(cfgs, trials: range, *, weights_every: int = 0):
         for k, engine in enumerate(engines):
             engine.run_step(y)
             msd[k, :, j] = msd_accumulate(rows, engine.x_hat, part)
+            if not np.isfinite(msd[k, :, j]).all():
+                t, l = np.argwhere(~np.isfinite(msd[k, :, j]))[0]
+                raise NumericError(
+                    f"trial {trials[t]}: iteration {j}: MSD of cluster {l + 1} "
+                    f"is not finite ({float(msd[k, t, j, l])!r})"
+                )
             if keep_detail:
                 sums = np.bincount(mean_bins, engine.x_hat[0, :, :2].ravel(), 2 * n_clusters)
                 est_mean[k, j] = sums.reshape(n_clusters, 2) / part.sizes[0, :, None]

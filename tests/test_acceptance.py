@@ -81,7 +81,8 @@ def test_c3_weight_matrices_are_left_stochastic_on_random_networks():
                     target = psi[m] + rng.standard_normal(4)
                     c[:, m] = adaptive_weight_row(m, psi, target, support[:, m])
             else:
-                c = static_weights(policy, net, sigma2)
+                c = np.zeros((n, n))
+                c.ravel()[net.edges.flat] = static_weights(policy, net, sigma2)
             try:
                 validate_combination_matrix(c, net, col_tol=1e-12)
             except Exception:

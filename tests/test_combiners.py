@@ -8,10 +8,7 @@ from difftrack.combiners import (
     CombinationError,
     adaptive_weight_row,
     consistent_pairs,
-    metropolis_weights,
-    relative_variance_weights,
     static_weights,
-    uniform_weights,
     validate_combination_matrix,
 )
 from difftrack.errors import ConfigError, NumericError
@@ -22,6 +19,22 @@ def neighborhoods(net):
     """Self-inclusive neighborhoods N_m, ascending, read off the adjacency."""
     with_self = net.adjacency | np.eye(net.n_nodes, dtype=bool)
     return [np.flatnonzero(with_self[:, m]) for m in range(net.n_nodes)]
+
+
+def dense(net, w):
+    """The (..., n, n) combination matrices of the (E,) weights ``w`` on
+    ``net.edges``, zero off the support."""
+    c = np.zeros(net.adjacency.shape)
+    c.ravel()[net.edges.flat] = w
+    return c
+
+
+def weights(policy, net, sigma2=None):
+    """A static policy's weights on ``net`` as dense matrices; every
+    variance is 1 unless ``sigma2`` is given."""
+    if sigma2 is None:
+        sigma2 = np.ones(net.adjacency.shape[:-1])
+    return dense(net, static_weights(policy, net, sigma2))
 
 
 def path3():
@@ -41,46 +54,46 @@ def clique2():
 
 
 def test_uniform_path_column():
-    c = uniform_weights(path3())
+    c = weights("uniform", path3())
     assert np.allclose(c[:, 1], [1 / 3, 1 / 3, 1 / 3])
     assert np.allclose(c[:, 0], [0.5, 0.5, 0.0])
 
 
 def test_uniform_matches_neighborhood_size():
     net = generate_geometric(12, 0.5, 2, np.random.default_rng(0))
-    c = uniform_weights(net)
+    c = weights("uniform", net)
     for m, nb in enumerate(neighborhoods(net)):
         assert np.allclose(c[nb, m], 1.0 / len(nb))
 
 
 def test_metropolis_path_columns():
-    c = metropolis_weights(path3())
+    c = weights("metropolis", path3())
     assert np.allclose(c[:, 0], [2 / 3, 1 / 3, 0.0])
     assert np.allclose(c[:, 1], [1 / 3, 1 / 3, 1 / 3])
 
 
 def test_metropolis_two_clique():
-    c = metropolis_weights(clique2())
+    c = weights("metropolis", clique2())
     assert np.allclose(c, [[0.5, 0.5], [0.5, 0.5]])
 
 
 def test_relative_variance_two_clique():
-    c = relative_variance_weights(clique2(), np.array([1.0, 4.0]))
+    c = weights("relvar", clique2(), np.array([1.0, 4.0]))
     assert np.allclose(c[:, 0], [0.8, 0.2])
     assert np.allclose(c[:, 1], [0.8, 0.2])
 
 
 def test_relative_variance_equal_noise_is_uniform():
     net = generate_geometric(10, 0.5, 2, np.random.default_rng(1))
-    c = relative_variance_weights(net, np.full(10, 0.3))
-    assert np.allclose(c, uniform_weights(net), atol=1e-14)
+    c = weights("relvar", net, np.full(10, 0.3))
+    assert np.allclose(c, weights("uniform", net), atol=1e-14)
 
 
 def test_relative_variance_rejects_bad_sigma():
     with pytest.raises(ConfigError):
-        relative_variance_weights(clique2(), np.array([1.0, 0.0]))
+        static_weights("relvar", clique2(), np.array([1.0, 0.0]))
     with pytest.raises(ConfigError):
-        relative_variance_weights(clique2(), np.array([1.0]))
+        static_weights("relvar", clique2(), np.array([1.0]))
 
 
 def test_adaptive_self_and_one_neighbor():
@@ -144,7 +157,7 @@ def test_all_policies_satisfy_invariants():
         net = generate_geometric(20, 0.45, 3, rng)
         sigma2 = 0.01 + 0.5 * rng.random(20)
         for policy in ("uniform", "metropolis", "relvar"):
-            validate_combination_matrix(static_weights(policy, net, sigma2), net)
+            validate_combination_matrix(static_weights(policy, net, sigma2), net.edges)
         psi = rng.standard_normal((20, 4))
         c = np.zeros((20, 20))
         hoods = neighborhoods(net)
@@ -158,12 +171,13 @@ def test_static_builders_on_a_stack_equal_each_network_alone():
     nets = [generate_geometric(20, 0.45, 3, rng) for _ in range(2)]
     sigma2 = 0.01 + 0.5 * rng.random((2, 20))
     stack = Network(np.stack([n.positions for n in nets]), np.stack([n.adjacency for n in nets]))
+    trial = stack.edges.trial
     for policy in ("uniform", "metropolis", "relvar"):
-        c = static_weights(policy, stack, sigma2)
-        assert c.shape == (2, 20, 20)
+        w = static_weights(policy, stack, sigma2)
+        assert w.shape == (len(stack.edges),)
         for t, net in enumerate(nets):
-            assert np.array_equal(c[t], static_weights(policy, net, sigma2[t])), policy
-        validate_combination_matrix(c, stack)
+            assert np.array_equal(w[trial == t], static_weights(policy, net, sigma2[t])), policy
+        validate_combination_matrix(w, stack.edges)
 
 
 def test_validate_rejects_bad_matrices():
@@ -184,7 +198,7 @@ def test_validate_rejects_bad_matrices():
 
 def test_validate_rejects_nan_column():
     net = clique2()
-    c = uniform_weights(net)
+    c = weights("uniform", net)
     c[:, 1] = np.nan
     with pytest.raises(NumericError, match="stochastic"):
         validate_combination_matrix(c, net)
@@ -215,9 +229,8 @@ def test_validate_edge_weights_names_trial_and_column():
     rng = np.random.default_rng(8)
     nets = [generate_geometric(12, 0.5, 2, rng) for _ in range(3)]
     stack = Network(np.stack([n.positions for n in nets]), np.stack([n.adjacency for n in nets]))
-    c = uniform_weights(stack)
-    weights = c.ravel()[stack.edges.flat]
-    validate_combination_matrix(weights, stack.edges)
+    c = weights("uniform", stack)
+    validate_combination_matrix(c.ravel()[stack.edges.flat], stack.edges)
     with pytest.raises(NumericError, match="shape"):
         validate_combination_matrix(c, stack.edges)
     # Column 5 of trial 2 off stochastic, column 3 of trial 1 negative:

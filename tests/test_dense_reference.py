@@ -1,24 +1,28 @@
-"""The engine's edge-list phases 3 and 5 against a dense reference.
+"""The engine's edge-list weights and phase 5 against a dense reference.
 
-The reference is the (T, n, n) form the engine's adaptive weights and
-pruning once took: squared distances and the chi-square consistency test
-over every pair of nodes, columns normalized by axis-1 sums, and per-link
-below counts and prunes on whole n x n blocks. Fed the engine's own psi
-and measurements step by step, it must give the engine's combination
-matrices, adjacency and below counts on alive links bit for bit. The
-engine's consistency test, run on one direction of each link and
-mirrored, is held to the same test run on every edge.
+The reference is the (T, n, n) form the static weights, the engine's
+adaptive weights and pruning once took: the static policies built on the
+self-inclusive support, squared distances and the chi-square consistency
+test over every pair of nodes, columns normalized by axis-1 sums, and
+per-link below counts and prunes on whole n x n blocks. The static
+weights on the edges, scattered into zeros, must give the dense
+matrices bit for bit. Fed the engine's own psi and measurements step by
+step, the reference must give the engine's combination matrices,
+adjacency and below counts on alive links bit for bit. The engine's
+consistency test, run on one direction of each link and mirrored, is
+held to the same test run on every edge.
 """
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from difftrack.combiners import CONSISTENCY_CHI2, consistent_pairs
+from difftrack.combiners import CONSISTENCY_CHI2, consistent_pairs, static_weights
 from difftrack.dynamics import initial_state, step_truth
 from difftrack.engine import DiffusionKalmanEngine
 from difftrack.harness import ExperimentConfig, draw_scene, trial_rng
-from difftrack.topology import Network, stack_scenes
+from difftrack.topology import Network, generate_geometric, stack_scenes
 
 # A short prune window and a high threshold let links be cut within a
 # dozen steps.
@@ -37,6 +41,74 @@ def pairwise_sq_dist(a, b):
         else:
             total += diff
     return total
+
+
+def dense_support(net):
+    return net.adjacency | np.eye(net.n_nodes, dtype=bool)
+
+
+def uniform_weights(net):
+    """c[n, m] = 1/|N_m| for every n in N_m."""
+    sup = dense_support(net)
+    return sup / sup.sum(axis=-2, keepdims=True)
+
+
+def metropolis_weights(net):
+    """Off-diagonal 1/max(|N_n|, |N_m|); diagonal takes the remainder."""
+    sizes = dense_support(net).sum(axis=-2)
+    c = np.where(net.adjacency, 1.0 / np.maximum(sizes[..., :, None], sizes[..., None, :]), 0.0)
+    diag = np.arange(net.n_nodes)
+    c[..., diag, diag] = 1.0 - c.sum(axis=-2)
+    return c
+
+
+def relative_variance_weights(net, sigma2):
+    """Weight neighbors by inverse noise variance, normalized over N_m."""
+    w = dense_support(net) * (1.0 / sigma2)[..., :, None]
+    return w / w.sum(axis=-2, keepdims=True)
+
+
+DENSE_STATIC = {
+    "uniform": lambda net, sigma2: uniform_weights(net),
+    "metropolis": lambda net, sigma2: metropolis_weights(net),
+    "relvar": relative_variance_weights,
+}
+
+
+def same_bytes(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def harness_stack(n_nodes, comm_radius, t_count, seed):
+    """A stack of the harness' own scenes and their noise levels."""
+    cfg = ExperimentConfig(n_nodes=n_nodes, comm_radius=comm_radius)
+    rngs = [trial_rng(seed, t) for t in range(t_count)]
+    net, _ = stack_scenes(*zip(*(draw_scene(cfg, rng) for rng in rngs)))
+    sigma2 = np.stack([cfg.sigma_min + cfg.sigma_span * rng.random(n_nodes) for rng in rngs])
+    return net, sigma2
+
+
+@pytest.mark.parametrize("policy", list(DENSE_STATIC))
+@pytest.mark.parametrize(
+    "n_nodes, comm_radius, t_count", [(30, 0.35, 50), (200, 0.15, 4), (12, 0.5, 30)]
+)
+def test_static_weights_give_the_dense_matrices(policy, n_nodes, comm_radius, t_count):
+    net, sigma2 = harness_stack(n_nodes, comm_radius, t_count, seed=t_count)
+    c = np.zeros(net.adjacency.shape)
+    c.ravel()[net.edges.flat] = static_weights(policy, net, sigma2)
+    assert same_bytes(c, DENSE_STATIC[policy](net, sigma2))
+
+
+@pytest.mark.parametrize("policy", list(DENSE_STATIC))
+def test_static_weights_of_single_networks_give_the_dense_matrices(policy):
+    rng = np.random.default_rng(9)
+    for n in (2, 5, 12, 30):
+        net = generate_geometric(n, 0.5, 1, rng)
+        sigma2 = 0.01 + 0.5 * rng.random(n)
+        c = np.zeros((n, n))
+        c.ravel()[net.edges.flat] = static_weights(policy, net, sigma2)
+        assert same_bytes(c, DENSE_STATIC[policy](net, sigma2)), n
 
 
 def dense_weights(psi, y, sigma2, support, eps):

@@ -240,7 +240,9 @@ def test_engine_combination_cases(monkeypatch):
     net = Network(np.array([[0.1, 0.1], [0.2, 0.1], [0.1, 0.2]]), ~np.eye(3, dtype=bool))
 
     def combined(c, y, sigma2):
-        monkeypatch.setattr(difftrack.engine, "static_weights", lambda *args: c[None])
+        monkeypatch.setattr(
+            difftrack.engine, "static_weights", lambda policy, net, sigma2: c.ravel()[net.edges.flat]
+        )
         engine = one_trial_engine(net, sigma2, "uniform")
         engine.run_step(y[None])
         return engine.psi[0], engine.x_hat[0]
@@ -609,6 +611,50 @@ def test_distance_floor_whose_square_leaves_the_floats_is_refused(eps):
 @pytest.mark.parametrize("eps", [1e-150, 1e150])
 def test_distance_floor_whose_square_is_finite_still_runs(eps):
     cfg = ExperimentConfig(eps=eps, n_trials=2, n_iterations=10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = run_experiment(cfg)
+    assert np.isfinite(result.series.msd_db).all()
+
+
+@pytest.mark.parametrize("policy", ["uniform", "metropolis", "relvar", "adaptive"])
+def test_information_sum_that_overflows_is_named(policy):
+    # Each measurement is finite, but y / sigma2 is not once y0 = 1e308 and
+    # sigma2 < 1: the information sum, and so psi, would be NaN.
+    cfg = ExperimentConfig(y0=1e308, n_trials=2, n_iterations=10, policy=policy)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(
+            NumericError, match=r"^trial 0: iteration 0: information sum at node \d+ overflows$"
+        ):
+            run_experiment(cfg)
+
+
+OVERFLOW_NAMED = {
+    "uniform": r"MSD of cluster \d is not finite \(inf\)",
+    "adaptive": r"every squared distance at node \d+ overflows, leaving it no weight",
+}
+
+
+@pytest.mark.parametrize("policy", list(OVERFLOW_NAMED))
+@pytest.mark.parametrize("huge", [dict(x0=1e300), dict(v0=1e160)], ids=["x0", "v0"])
+def test_squared_error_that_overflows_is_named(policy, huge):
+    # The estimates are finite, but their squared distances from the truth
+    # and from the measurements are not: a static policy would average inf
+    # into the MSD, and the adaptive one would weigh every neighbor 0.
+    cfg = ExperimentConfig(n_trials=2, n_iterations=10, policy=policy, **huge)
+    what = OVERFLOW_NAMED[policy]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match=rf"^trial 0: iteration 0: {what}$"):
+            run_experiment(cfg)
+
+
+@pytest.mark.parametrize("policy", ["uniform", "adaptive"])
+def test_huge_state_whose_squared_errors_are_finite_still_runs(policy):
+    # With a prior this wide every estimate starts at its measurement, so
+    # the squared errors stay near 1e288.
+    cfg = ExperimentConfig(x0=1e160, P0_scale=1e100, n_trials=2, n_iterations=10, policy=policy)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         result = run_experiment(cfg)

@@ -788,6 +788,23 @@ class TestCli:
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
         assert not out.exists()
 
+    def test_overflowing_squared_error_exits_three(self, tmp_path, capsys, recwarn):
+        # x0 = 1e300 keeps every state finite, but its squared error from
+        # the truth overflows; the run names it instead of writing an
+        # infinite MSD.
+        cfg_path = tmp_path / "huge.cfg"
+        cfg_path.write_text(SMALL_CFG + "x0 = 1e300\n")
+        out = tmp_path / "out"
+        args = ["run", "--config", str(cfg_path), "--out-dir", str(out), "--policy", "uniform"]
+        code = main(args)
+        assert code == 3
+        assert re.search(
+            r"numeric failure: trial 0: iteration 0: MSD of cluster \d is not finite \(inf\)",
+            capsys.readouterr().err,
+        )
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+        assert not out.exists()
+
     def test_missing_config_file_exits_four(self, tmp_path):
         code = main(["run", "--config", str(tmp_path / "absent.cfg")])
         assert code == 4

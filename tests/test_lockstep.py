@@ -335,23 +335,29 @@ def test_lost_semidefiniteness_names_trial():
         engine.run_step(measure(truths))
 
 
+def entry(net, t, row, col):
+    """The index in ``net.edges`` of entry [t, row, col] of the stack's C."""
+    n = net.n_nodes
+    return int(np.flatnonzero(net.edges.flat == (t * n + row) * n + col)[0])
+
+
 def faulty_static_weights(monkeypatch, fault):
-    """Have the engine build its static C through ``fault(c, net)``,
-    which writes into the matrix stack the policy builds on ``net``; the
-    check at construction then sees the fault."""
+    """Have the engine build its static C through ``fault(w, net)``,
+    which writes into the (E,) weights the policy builds on ``net.edges``;
+    the check at construction then sees the fault."""
     build = difftrack.engine.static_weights
 
     def faulty(policy, net, sigma2):
-        c = build(policy, net, sigma2)
-        fault(c, net)
-        return c
+        w = build(policy, net, sigma2)
+        fault(w, net)
+        return w
 
     monkeypatch.setattr(difftrack.engine, "static_weights", faulty)
 
 
 def test_bad_static_weights_name_trial(monkeypatch):
-    def fault(c, net):
-        c[2, 0, 0] = -1.0
+    def fault(w, net):
+        w[entry(net, 2, 0, 0)] = -1.0
 
     faulty_static_weights(monkeypatch, fault)
     with pytest.raises(NumericError, match=r"^trial 2: iteration 0: .*negative"):
@@ -361,10 +367,10 @@ def test_bad_static_weights_name_trial(monkeypatch):
 def test_negative_weight_names_trial_and_column(monkeypatch):
     # Trial 1 of 3 moves a unit of weight within column 4, onto a
     # neighbor: the column still sums to 1, but its self-weight is negative.
-    def fault(c, net):
+    def fault(w, net):
         neighbor = np.flatnonzero(net.adjacency[1, :, 4])[0]
-        c[1, neighbor, 4] += 1.0
-        c[1, 4, 4] -= 1.0
+        w[entry(net, 1, neighbor, 4)] += 1.0
+        w[entry(net, 1, 4, 4)] -= 1.0
 
     faulty_static_weights(monkeypatch, fault)
     with pytest.raises(
@@ -377,8 +383,8 @@ def test_negative_weight_names_trial_and_column(monkeypatch):
 def test_off_stochastic_column_names_trial_and_column(monkeypatch):
     # Trial 1 of 3 adds weight to column 3: its entries stay nonnegative,
     # but the column no longer sums to 1.
-    def fault(c, net):
-        c[1, 3, 3] += 0.1
+    def fault(w, net):
+        w[entry(net, 1, 3, 3)] += 0.1
 
     faulty_static_weights(monkeypatch, fault)
     with pytest.raises(
@@ -408,7 +414,11 @@ def test_static_combination_matrix_is_frozen(policy):
         engine.C[1, 0, 0] = 0.5
     for _ in range(12):
         engine.run_step(measure(truths))
-    assert same_bytes(engine.C, difftrack.engine.static_weights(policy, engine.net, engine.sigma2))
+    built = np.zeros(engine.C.shape)
+    built.ravel()[engine.net.edges.flat] = difftrack.engine.static_weights(
+        policy, engine.net, engine.sigma2
+    )
+    assert same_bytes(engine.C, built)
 
 
 def test_non_finite_truth_names_the_lowest_failing_trial(monkeypatch):

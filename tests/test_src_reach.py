@@ -6,7 +6,10 @@ method or property of a module-level class. A name counts as used when it
 appears anywhere in the package as a bare name, an attribute or an import
 alias. Code that only the tests reach does not belong in the package; the
 allowlist names the few exceptions and why each stays. No linter runs on
-the package, so a last check holds its lines to ``MAX_COLUMNS``.
+the package, so the scan also refuses an import that nothing in its
+module reads, unless ``__all__`` re-exports it or its line gives a reason
+after ``# noqa: F401``, and a last check holds its lines to
+``MAX_COLUMNS``.
 """
 
 import ast
@@ -61,6 +64,39 @@ def test_every_public_name_is_reached_from_the_package():
     # An allowlist entry whose definition is gone, or that the package
     # has started to use, is stale.
     assert set(ALLOWED) <= {name for _, name in defined} - used
+
+
+def exported(tree):
+    """The names a module's ``__all__`` lists."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def test_every_import_is_read_by_its_module():
+    # An import stays unread only when ``__all__`` re-exports it or its
+    # line says why, after ``# noqa: F401``.
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text()
+        tree = ast.parse(text, str(path))
+        lines = text.splitlines()
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        allowed = exported(tree)
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                _, _, reason = lines[alias.lineno - 1].partition("# noqa: F401")
+                name = alias.asname or alias.name.partition(".")[0]
+                if name not in read and name not in allowed and not reason.strip():
+                    unread.append(f"{path.name}:{alias.lineno} {name}")
+    assert not unread, f"imports nothing in their module reads: {unread}"
 
 
 def test_no_source_line_is_longer_than_max_columns():

@@ -441,9 +441,10 @@ def test_prune_zero_tau_removes_nothing():
 
 def test_prune_uniform_weights_survive_sane_tau():
     net = line_network(4)
-    from difftrack.combiners import uniform_weights
+    from difftrack.combiners import static_weights
 
-    c = uniform_weights(net)
+    c = np.zeros((4, 4))
+    c.ravel()[net.edges.flat] = static_weights("uniform", net, np.ones(4))
     history = [c] * 10
     # Largest neighborhood has 3 members, so weights are >= 1/3.
     assert prune_cross_links(net, steps_below(net, history, 1.0 / 3.0, 10), 10) is net
