@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import json
 import math
@@ -11,6 +10,7 @@ import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property, partial
+from itertools import repeat
 
 import numpy as np
 
@@ -263,7 +263,7 @@ def _naming(trial: int):
 
 def run_trials(cfgs, trials: range, *, weights_every: int = 0):
     """Run a contiguous range of trials in lockstep under each of ``cfgs``,
-    configs that differ only in policy; per config, one result per trial.
+    configs that differ only in policy; one result per config.
 
     Trial t draws everything from ``trial_rng(cfg.seed, t)`` once, in a
     fixed order: its scene, its noise levels and its whole truth-noise
@@ -277,9 +277,13 @@ def run_trials(cfgs, trials: range, *, weights_every: int = 0):
     which do not depend on the policy, run once per step for all of them,
     by the first engine to reach each; a pruning adaptive engine runs its
     own. A step that fails does so at the same iteration, engine and phase
-    as if each engine ran its own, so the error is the same. Each result
-    holds the trial's MSD rows, recovery score and min-PSD eigenvalue;
-    trial 0's also holds the ``detail`` record the artifacts are written
+    as if each engine ran its own, so the error is the same. After the
+    last step each engine's clusters are read out (``read_clusters``) and
+    scored (``cluster_recovery_score``) in one call each for the whole
+    batch. A result holds the stacked MSD rows ("msd", one (iterations,
+    clusters) block per trial), recovery scores ("recovery") and min-PSD
+    eigenvalues ("min_psd"), in trial order; when the range starts at
+    trial 0 it also holds the ``detail`` record the artifacts are written
     from, whose ``snapshots`` list of (iteration, C) pairs is empty when
     ``weights_every`` is 0.
     """
@@ -351,15 +355,14 @@ def run_trials(cfgs, trials: range, *, weights_every: int = 0):
                     snapshots[k].append((j, c))
     runs = []
     for k, engine in enumerate(engines):
-        results = []
-        for t, trial in enumerate(trials):
-            with _naming(trial):
-                inferred = read_clusters(engine.C[t], cfg.prune_tau, engine.x_hat[t], sigma2[t])
-                score = cluster_recovery_score(inferred, parts[t])
-            psd = float(engine.min_psd_eigenvalue[t])
-            results.append({"msd": msd[k, t], "recovery": score, "min_psd": psd})
+        inferred = read_clusters(engine.C, cfg.prune_tau, engine.x_hat, sigma2)
+        result = {
+            "msd": msd[k],
+            "recovery": cluster_recovery_score(inferred, part.cluster_of),
+            "min_psd": engine.min_psd_eigenvalue.copy(),
+        }
         if keep_detail:
-            results[0]["detail"] = {
+            result["detail"] = {
                 "positions": net.positions[0].copy(),
                 "cluster_of": part.cluster_of[0].copy(),
                 "adjacency_initial": net.adjacency[0].copy(),
@@ -369,7 +372,7 @@ def run_trials(cfgs, trials: range, *, weights_every: int = 0):
                 "final_C": engine.C[0].copy(),
                 "snapshots": snapshots[k],
             }
-        runs.append(results)
+        runs.append(result)
     return runs
 
 
@@ -401,7 +404,7 @@ class RunResult:
             for l in range(series.n_clusters)
         )
 
-    @property
+    @cached_property
     def convergence(self) -> tuple:
         """Per-cluster convergence iteration of the mean MSD curve."""
         return tuple(
@@ -464,13 +467,15 @@ def policy_sweep(
         parts = [run(range(cfg.n_trials))]
     runs = {}
     for k, run_cfg in enumerate(cfgs):
-        results = [res for part in parts for res in part[k]]
+        chunks = [part[k] for part in parts]
         runs[run_cfg.policy] = RunResult(
             config=run_cfg,
-            series=MsdSeries(np.stack([res["msd"] for res in results]).mean(axis=0)),
-            recovery_scores=np.array([res["recovery"] for res in results]),
-            min_psd_eigenvalue=min(res["min_psd"] for res in results),
-            detail=results[0]["detail"],
+            series=MsdSeries(np.concatenate([chunk["msd"] for chunk in chunks]).mean(axis=0)),
+            recovery_scores=np.concatenate([chunk["recovery"] for chunk in chunks]),
+            min_psd_eigenvalue=min(
+                np.concatenate([chunk["min_psd"] for chunk in chunks]).tolist()
+            ),
+            detail=chunks[0]["detail"],
         )
     return SweepResult(runs)
 
@@ -480,23 +485,49 @@ def run_experiment(cfg: ExperimentConfig, **kwargs) -> RunResult:
     return policy_sweep(cfg, [cfg.policy], **kwargs).runs[cfg.policy]
 
 
-def _write_lines(path, header, rows):
-    """Write a header line, then one comma-separated line per row; csv
-    writes a float as its repr, so the value reads back exactly."""
+def _ints(values):
+    """Each integer of an array, in C order, as text."""
+    return map(str, np.ravel(values).tolist())
+
+
+def _floats(values):
+    """Each float of an array, in C order, as its repr: the text that
+    reads back to the same bits."""
+    return map(repr, np.ravel(values).tolist())
+
+
+def _lines(*columns) -> str:
+    """One comma-separated line per row, the columns' items taken in step
+    as its cells; every column is an iterable of strings."""
+    text = "\n".join(map(",".join, zip(*columns)))
+    return text + "\n" if text else ""
+
+
+def _write_lines(path, header, blocks):
+    """Write a header line, then each block of lines in turn."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(header + "\n")
-        csv.writer(fh, lineterminator="\n").writerows(rows)
+        for block in blocks:
+            fh.write(block)
 
 
 MSD_HEADER = "iteration,cluster_id,policy,msd_linear,msd_db,n_trials"
 
 
-def write_msd_csv(records, path) -> None:
-    rows = (
-        (r.iteration, r.cluster_id, r.policy, r.msd_linear, r.msd_db, r.n_trials)
-        for r in records
+def _msd_lines(run) -> str:
+    """A run's ``records`` as msd.csv lines, one per (iteration, cluster)."""
+    series, cfg = run.series, run.config
+    iteration, cluster = np.indices(series.msd_linear.shape).reshape(2, -1)
+    return _lines(
+        _ints(iteration), _ints(cluster + 1), repeat(cfg.policy),
+        _floats(series.msd_linear), _floats(series.msd_db), repeat(str(cfg.n_trials)),
     )
-    _write_lines(path, MSD_HEADER, rows)
+
+
+def write_msd_csv(runs, path) -> None:
+    """Write every run's ``records`` to ``path``, run after run, each
+    float as its repr, so ``read_msd_csv`` returns the records exactly."""
+    _write_lines(path, MSD_HEADER, map(_msd_lines, runs))
 
 
 def read_msd_csv(path):
@@ -527,19 +558,71 @@ def read_msd_csv(path):
 def write_topology(prefix, positions, cluster_of, adjacency, alive):
     """Write ``prefix``.csv (nodes) and ``prefix``_edges.csv (edges of
     ``adjacency``, each flagged alive where ``alive`` still holds it)."""
-    _write_lines(
-        f"{prefix}.csv",
-        "node_id,x,y,cluster",
-        zip(range(len(positions)), *positions.T.tolist(), cluster_of.tolist()),
+    nodes = _lines(
+        _ints(range(len(positions))), _floats(positions[:, 0]), _floats(positions[:, 1]),
+        _ints(cluster_of),
     )
+    _write_lines(f"{prefix}.csv", "node_id,x,y,cluster", [nodes])
     a, b = np.nonzero(np.triu(adjacency, 1))
-    rows = zip(a.tolist(), b.tolist(), alive[a, b].astype(int).tolist())
-    _write_lines(f"{prefix}_edges.csv", "node_a,node_b,alive", rows)
+    edges = _lines(_ints(a), _ints(b), _ints(alive[a, b].astype(int)))
+    _write_lines(f"{prefix}_edges.csv", "node_a,node_b,alive", [edges])
+
+
+def _trajectory_blocks(runs):
+    """trajectory.csv's lines, one block per policy: each (iteration,
+    target) row's truth cells, then the policy's mean estimate of the
+    cluster of the same number, NaN where no such cluster exists. Runs
+    that share their truths share the formatted truth cells."""
+    prev = None
+    for name, run in runs.items():
+        truths, est = run.detail["truths"], run.detail["est_mean"]
+        if prev is None or not (truths is prev or np.array_equal(truths, prev)):
+            iteration, target = np.indices(truths.shape[:2]).reshape(2, -1)
+            heads = list(
+                map(",".join, zip(
+                    _ints(iteration), _ints(target + 1),
+                    _floats(truths[..., 0]), _floats(truths[..., 1]),
+                ))
+            )
+            prev = truths
+        cells = np.full(truths.shape[:2] + (2,), math.nan)
+        cells[:, : est.shape[1]] = est[:, : truths.shape[1]]
+        yield _lines(heads, repeat(name), _floats(cells[..., 0]), _floats(cells[..., 1]))
+
+
+def _weight_blocks(snapshots, numbers):
+    """weights_<policy>.csv's lines, one block per snapshot: the nonzero
+    entries of its C, n-major, as ``iteration,n,m,repr(weight)``. A
+    snapshot equal to the one before it reuses that one's body, the
+    entries' ``n,m,weight`` cells, with its own iteration prefixed to each.
+    ``numbers`` holds each node index as text."""
+    prev = None
+    for iteration, c in snapshots:
+        # Static matrices repeat one after another and adaptive ones do
+        # not come back, so only the previous body is kept.
+        if prev is None or not (c is prev or np.array_equal(c, prev)):
+            nn, mm = np.nonzero(c)
+            body = list(
+                map(",".join, zip(
+                    map(numbers.__getitem__, nn.tolist()),
+                    map(numbers.__getitem__, mm.tolist()),
+                    _floats(c[nn, mm]),
+                ))
+            )
+            prev = c
+        if body:
+            head = f"{iteration},"
+            yield head + f"\n{head}".join(body) + "\n"
 
 
 def write_outputs(result, out_dir) -> None:
     """Emit the artifact file set for a RunResult or SweepResult.
 
+    Each file is formatted column by column, every float column by one
+    ``repr`` pass over its values and the node indices of the weights from
+    one table of texts per call, and written block by block: one policy's
+    rows of msd.csv and trajectory.csv, one snapshot's rows of a weights
+    file.
     ``weights_<policy>.csv`` holds the header ``iteration,n,m,weight``,
     then one block per snapshot: the nonzero entries of its C, n-major,
     each as ``iteration,n,m,repr(weight)``, so the weights read back
@@ -551,23 +634,11 @@ def write_outputs(result, out_dir) -> None:
     os.makedirs(out_dir, exist_ok=True)
     runs = result.runs
     cfg = next(iter(runs.values())).config
-    write_msd_csv(result.records, os.path.join(out_dir, "msd.csv"))
-
-    rows = []
-    for name, run in runs.items():
-        truths = run.detail["truths"]
-        est = run.detail["est_mean"]
-        for j in range(truths.shape[0]):
-            for i in range(truths.shape[1]):
-                e = est[j, i] if i < est.shape[1] else (math.nan, math.nan)
-                rows.append(
-                    (j, i + 1, float(truths[j, i, 0]), float(truths[j, i, 1]),
-                     name, float(e[0]), float(e[1]))
-                )
+    write_msd_csv(runs.values(), os.path.join(out_dir, "msd.csv"))
     _write_lines(
         os.path.join(out_dir, "trajectory.csv"),
         "iteration,target_id,x,y,policy,est_x,est_y",
-        rows,
+        _trajectory_blocks(runs),
     )
 
     topo_policy = "adaptive" if "adaptive" in runs else next(iter(runs))
@@ -579,27 +650,15 @@ def write_outputs(result, out_dir) -> None:
             detail["positions"], detail["cluster_of"], adj0, alive,
         )
 
+    numbers = list(_ints(range(len(adj0))))
     for name, run in runs.items():
         snaps = run.detail["snapshots"]
-        if not snaps:
-            continue
-        path = os.path.join(out_dir, f"weights_{name}.csv")
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("iteration,n,m,weight\n")
-            prev = None
-            for iteration, c in snaps:
-                # Static matrices repeat one after another and adaptive
-                # ones do not come back, so only the previous body is kept.
-                if prev is None or not (c is prev or np.array_equal(c, prev)):
-                    nn, mm = np.nonzero(c)
-                    # The leading "" makes the join put the prefix before
-                    # every line.
-                    body = [""] + [
-                        f"{n},{m},{w!r}\n"
-                        for n, m, w in zip(nn.tolist(), mm.tolist(), c[nn, mm].tolist())
-                    ]
-                    prev = c
-                fh.write(f"{iteration},".join(body))
+        if snaps:
+            _write_lines(
+                os.path.join(out_dir, f"weights_{name}.csv"),
+                "iteration,n,m,weight",
+                _weight_blocks(snaps, numbers),
+            )
 
     meta = {
         "artifact_version": __version__,

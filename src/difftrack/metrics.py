@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .combiners import consistent_pairs
-from .topology import ClusterAssignment, infer_clusters
+from .topology import ClusterAssignment, component_roots, root_labels, weight_components
 
 DB_FLOOR = 1e-30
 
@@ -108,46 +108,77 @@ def read_clusters(
     threshold: float,
     estimates: np.ndarray,
     sigma2: np.ndarray,
-) -> ClusterAssignment:
-    """Read the node clustering out of a finished run.
+) -> np.ndarray:
+    """Read the node clustering out of a finished run, for every trial at
+    once.
 
-    Two nodes belong together when either direction of their weight in
-    ``c`` reaches ``threshold`` (the links of ``infer_clusters``), or when
-    their final estimates pass ``consistent_pairs`` at the nodes'
-    measurement variances, the same chi-square test the adaptive policy
-    applies to measurements; clusters are the components of that relation.
-    A filtered estimate errs less than a raw measurement, so same-target
-    pieces that the network never connected pass easily, while pieces
-    tracking different targets sit far outside the bound. Labels follow
-    each cluster's lowest node index.
+    ``c`` is (..., n, n), ``estimates`` (..., n, 4) and ``sigma2`` (..., n),
+    one leading entry per trial; the result is (..., n) labels. Two nodes
+    belong together when either direction of their weight in ``c`` reaches
+    ``threshold`` (``weight_components``), or when their final estimates
+    pass ``consistent_pairs`` at the nodes' measurement variances, the same
+    chi-square test the adaptive policy applies to measurements; clusters
+    are the components of that relation. A filtered estimate errs less
+    than a raw measurement, so same-target pieces that the network never
+    connected pass easily, while pieces tracking different targets sit far
+    outside the bound. Only pairs in different weight components are
+    tested, and each agreeing pair links the two components' roots. Each
+    trial's clusters are labeled 1, 2, ... in order of their lowest node.
     """
-    estimates = np.asarray(estimates, dtype=np.float64)
-    sigma2 = np.asarray(sigma2, dtype=np.float64)
-    agree = consistent_pairs(
-        estimates[:, None], estimates[None, :], sigma2[:, None], sigma2[None, :]
-    )
-    # An agreeing pair gets a weight no threshold can miss.
-    return infer_clusters(np.where(agree, np.inf, c), threshold)
+    roots = weight_components(c, threshold)
+    shape = roots.shape
+    n = shape[-1]
+    roots = roots.reshape(-1, n)
+    estimates = np.asarray(estimates, dtype=np.float64).reshape(len(roots), n, -1)
+    sigma2 = np.asarray(sigma2, dtype=np.float64).reshape(roots.shape)
+    upper = np.arange(n)[:, None] < np.arange(n)
+    t, i, j = np.nonzero((roots[:, :, None] != roots[:, None, :]) & upper)
+    agree = consistent_pairs(estimates[t, i], estimates[t, j], sigma2[t, i], sigma2[t, j])
+    t, i, j = t[agree], roots[t[agree], i[agree]], roots[t[agree], j[agree]]
+    joined = np.zeros(roots.shape + (n,), dtype=bool)
+    joined[t, i, j] = joined[t, j, i] = True
+    roots = np.take_along_axis(component_roots(joined), roots, axis=-1)
+    return root_labels(roots).reshape(shape)
 
 
-def cluster_recovery_score(
-    inferred: ClusterAssignment, truth: ClusterAssignment
-) -> float:
-    """Best-permutation agreement between two assignments, in [0, 1].
+def cluster_recovery_score(inferred: np.ndarray, truth: np.ndarray) -> np.ndarray:
+    """Best-matching agreement between two labelings of each trial, in [0, 1].
 
-    The exact maximum over every injective map of the side with fewer
-    clusters into the other; with k <= l clusters that is l!/(l-k)! maps,
-    at most l(l-1) for the two-target truths a config can reach.
+    ``inferred`` and ``truth`` are (..., n) cluster labels from 1, one
+    leading entry per trial; the result is (...). Every trial's confusion
+    counts come from one ``np.bincount`` over (trial, inferred, true),
+    sized by the stack's largest label on each side; a trial with fewer
+    clusters has zero rows there, which change no maximum. A trial's score
+    is the largest total over every injective map of the side with fewer
+    clusters into the other, over n. Some optimal map sends each of those
+    k clusters to one of its k best partners: if one goes elsewhere, the
+    others hold at most k - 1 of its best, and moving it to a free one
+    loses nothing. So the maximum runs over the k^k choices of best
+    partners, 4 for the two-target truths a config can reach, whatever
+    the other side's count.
     """
-    ci = inferred.cluster_of
-    ct = truth.cluster_of
-    if ci.shape[0] != ct.shape[0]:
+    inferred = np.asarray(inferred, dtype=np.int64)
+    truth = np.asarray(truth, dtype=np.int64)
+    if inferred.shape != truth.shape:
         raise ValueError("assignments must cover the same nodes")
-    confusion = np.zeros((inferred.s, truth.s))
-    np.add.at(confusion, (ci - 1, ct - 1), 1.0)
-    if inferred.s > truth.s:
-        confusion = confusion.T
-    small, large = confusion.shape
-    maps = np.array(list(itertools.permutations(range(large), small)))
-    best = confusion[np.arange(small), maps].sum(axis=-1).max()
-    return float(best / ci.shape[0])
+    shape, n = inferred.shape[:-1], inferred.shape[-1]
+    inferred = inferred.reshape(-1, n) - 1
+    truth = truth.reshape(-1, n) - 1
+    trials = len(inferred)
+    a, b = int(inferred.max()) + 1, int(truth.max()) + 1
+    bins = (a * np.arange(trials)[:, None] + inferred) * b + truth
+    confusion = np.bincount(bins.ravel(), minlength=trials * a * b).reshape(trials, a, b)
+    if a < b:
+        confusion = confusion.swapaxes(1, 2)
+    k = confusion.shape[2]
+    # best[t, r, col]: the row of column col's (r + 1)-th largest count.
+    best = np.empty((trials, k, k), dtype=np.int64)
+    left = confusion.copy()
+    for r in range(k):
+        best[:, r] = left.argmax(axis=1)
+        np.put_along_axis(left, best[:, r, None], -1, axis=1)
+    choices = np.array(list(itertools.product(range(k), repeat=k)))
+    rows = best[:, choices, np.arange(k)]
+    totals = confusion[np.arange(trials)[:, None, None], rows, np.arange(k)].sum(axis=-1)
+    injective = (rows[..., :, None] != rows[..., None, :]).sum(axis=(-2, -1)) == k * (k - 1)
+    return (np.where(injective, totals, -1).max(axis=-1) / n).reshape(shape)

@@ -265,21 +265,36 @@ def initial_partition(
     )
 
 
-def infer_clusters(c: np.ndarray, threshold: float) -> ClusterAssignment:
-    """Read cluster structure out of a combination matrix.
+def weight_components(c: np.ndarray, threshold: float) -> np.ndarray:
+    """The ``component_roots`` of a (..., n, n) stack of combination
+    matrices under the weight relation: two nodes are linked when either
+    direction of their mutual weight reaches ``threshold``."""
+    c = np.asarray(c, dtype=np.float64)
+    return component_roots(np.maximum(c, np.swapaxes(c, -1, -2)) >= threshold)
 
-    Two nodes belong together when either direction of their mutual weight
-    reaches ``threshold``; clusters are the connected components of that
-    relation. Labels are assigned in order of each component's lowest node
-    index so the result is deterministic.
+
+def root_labels(roots: np.ndarray) -> np.ndarray:
+    """Number each graph's components 1, 2, ... in order of their roots.
+
+    ``roots`` is a (..., n) ``component_roots`` result: a node is its
+    component's root when it labels itself, so a root's rank among its
+    graph's roots is the running count of such nodes up to it.
+    """
+    rank = np.cumsum(roots == np.arange(roots.shape[-1]), axis=-1)
+    return np.take_along_axis(rank, roots, axis=-1)
+
+
+def infer_clusters(c: np.ndarray, threshold: float) -> ClusterAssignment:
+    """Read cluster structure out of one combination matrix: the
+    components of ``weight_components``, labeled in order of each
+    component's lowest node index so the result is deterministic.
     """
     c = np.asarray(c, dtype=np.float64)
     n = c.shape[0]
     if c.shape != (n, n):
         raise ConfigError(f"combination matrix must be square, got {c.shape}")
-    linked = np.maximum(c, c.T) >= threshold
-    roots, labels = np.unique(component_roots(linked), return_inverse=True)
-    return ClusterAssignment(cluster_of=labels + 1, s=roots.size)
+    labels = root_labels(weight_components(c, threshold))
+    return ClusterAssignment(cluster_of=labels, s=int(labels.max(initial=0)))
 
 
 def count_below(

@@ -241,7 +241,9 @@ def test_engine_combination_cases(monkeypatch):
 
     def combined(c, y, sigma2):
         monkeypatch.setattr(
-            difftrack.engine, "static_weights", lambda policy, net, sigma2: c.ravel()[net.edges.flat]
+            difftrack.engine,
+            "static_weights",
+            lambda policy, net, sigma2: c.ravel()[net.edges.flat],
         )
         engine = one_trial_engine(net, sigma2, "uniform")
         engine.run_step(y[None])
@@ -484,7 +486,7 @@ def test_pruning_step_keeps_its_weights(monkeypatch):
 
     monkeypatch.setattr(difftrack.engine, "prune_cross_links", recording)
     cfg = ExperimentConfig(n_trials=1, n_iterations=20, seed=3, prune_tau=0.1)
-    [[result]] = run_trials([cfg], range(1), weights_every=1)
+    [result] = run_trials([cfg], range(1), weights_every=1)
     snapshots = result["detail"]["snapshots"]
     assert [j for j, _ in snapshots] == list(range(cfg.n_iterations))
     held = 0

@@ -21,6 +21,7 @@ from difftrack.errors import ConfigError
 from difftrack.harness import (
     ExperimentConfig,
     MetricsRecord,
+    RunResult,
     draw_scene,
     load_config,
     policy_sweep,
@@ -30,6 +31,7 @@ from difftrack.harness import (
     write_msd_csv,
     write_outputs,
 )
+from difftrack.metrics import MsdSeries, convergence_iteration
 from difftrack.selftest import batch_adapt_reference, reference_kf_predict
 
 SMALL = dict(n_nodes=12, comm_radius=0.55, min_degree=2, n_trials=3, n_iterations=25)
@@ -263,7 +265,10 @@ class TestLoadConfig:
         "text,message",
         [
             ("n_trials = three\n", "cannot parse integer value 'three' for key 'n_trials'"),
-            ("pruning_enabled = maybe\n", "cannot parse boolean value 'maybe' for key 'pruning_enabled'"),
+            (
+                "pruning_enabled = maybe\n",
+                "cannot parse boolean value 'maybe' for key 'pruning_enabled'",
+            ),
             ("angles = 1.0, pi\n", "cannot parse angle list '1.0, pi'"),
             ("delta = fast\n", "cannot parse numeric value 'fast' for key 'delta'"),
             ("seed = 1\nn_trials 2\n", "line 2: expected 'key = value', got 'n_trials 2'"),
@@ -345,7 +350,7 @@ class TestTrialStreams:
             streams.clear()
             seen.append([])
             runs.extend(harness.run_trials([dataclasses.replace(cfg, Q_scale=q_scale)], range(3)))
-        noisy, noiseless = (run[0]["detail"] for run in runs)
+        noisy, noiseless = (run["detail"] for run in runs)
         for key in ("positions", "cluster_of", "adjacency_initial"):
             assert np.array_equal(noisy[key], noiseless[key]), key
         assert not np.array_equal(noisy["truths"], noiseless["truths"])
@@ -428,6 +433,15 @@ class TestRunExperiment:
         serial = run_experiment(cfg).detail
         assert all(np.array_equal(detail[k], serial[k]) for k in detail if k != "snapshots")
 
+    def test_convergence_is_computed_once(self):
+        run = run_experiment(ExperimentConfig(seed=5, **SMALL))
+        assert run.convergence is run.convergence
+        assert run.convergence == tuple(
+            convergence_iteration(run.series.msd_db[:, l]) for l in range(run.series.n_clusters)
+        )
+        # The cached value is no field: it leaves equality and copies alone.
+        assert dataclasses.replace(run) == run
+
 
 class TestPolicySweep:
     def test_common_random_numbers_share_scene(self):
@@ -491,13 +505,24 @@ class TestArtifacts:
         assert path.read_text() == "iteration,cluster_id,policy,msd_linear,msd_db,n_trials\n"
 
     def test_records_round_trip_identically(self, tmp_path):
-        records = (
-            MetricsRecord(0, 1, "adaptive", 1.2345678901234567, -12.5, 200),
-            MetricsRecord(1, 2, "uniform", 3e-17, -165.22878745280337, 200),
-        )
+        # Each float is written as its repr, so it reads back to the same bits.
+        cfg = ExperimentConfig()
+        runs = [
+            RunResult(
+                dataclasses.replace(cfg, policy=policy), MsdSeries(np.array(linear)),
+                np.ones(cfg.n_trials), 1.0, {},
+            )
+            for policy, linear in (
+                ("adaptive", [[1.2345678901234567, 0.1 + 0.2]]),
+                ("uniform", [[3e-17, 5e-324], [1e300, 0.0]]),
+            )
+        ]
         path = tmp_path / "msd.csv"
-        write_msd_csv(records, path)
-        assert read_msd_csv(path) == records
+        write_msd_csv(runs, path)
+        records = read_msd_csv(path)
+        assert records == tuple(rec for run in runs for rec in run.records)
+        assert records[1].msd_linear == 0.30000000000000004
+        assert records[-1].msd_db == -300.0
 
     def test_full_artifact_set_and_meta_reload(self, tmp_path):
         cfg = ExperimentConfig(seed=3, **SMALL)
@@ -715,7 +740,8 @@ class TestCli:
         meta = first / "run_meta.json"
         doc = json.loads(meta.read_text())
         assert doc["config"]["head_radius"] == doc["head_radius"] == 0.2
-        assert main(["run", "--config", str(meta), "--out-dir", str(again), "--weights-every", "5"]) == 0
+        argv = ["run", "--config", str(meta), "--out-dir", str(again), "--weights-every", "5"]
+        assert main(argv) == 0
         names = sorted(os.listdir(first))
         assert names == sorted(os.listdir(again))
         for name in names:

@@ -34,6 +34,15 @@ def same_bytes(a, b) -> bool:
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
+def trial(result, t):
+    """Trial t's share of one policy's ``run_trials`` result, whose
+    "detail" belongs to the first trial of a range that starts at 0."""
+    share = {key: result[key][t] for key in ("msd", "recovery", "min_psd")}
+    if t == 0 and "detail" in result:
+        share["detail"] = result["detail"]
+    return share
+
+
 def assert_same_trial(got, want):
     assert got.keys() == want.keys()
     assert same_bytes(got["msd"], want["msd"])
@@ -55,9 +64,9 @@ def assert_same_trial(got, want):
 def test_batch_equals_each_trial_alone(policy):
     cfg = ExperimentConfig(policy=policy, **SHORT)
     [batch] = run_trials([cfg], range(cfg.n_trials), weights_every=7)
-    assert len(batch) == cfg.n_trials
-    assert "detail" in batch[0]
-    detail = batch[0]["detail"]
+    assert len(batch["recovery"]) == cfg.n_trials
+    assert "detail" in batch
+    detail = batch["detail"]
     if policy == "adaptive":
         assert detail["adjacency_final"].sum() < detail["adjacency_initial"].sum()
     else:
@@ -65,11 +74,11 @@ def test_batch_equals_each_trial_alone(policy):
         assert same_bytes(detail["adjacency_final"], detail["adjacency_initial"])
         unpruned = dataclasses.replace(cfg, pruning_enabled=False)
         [again] = run_trials([unpruned], range(cfg.n_trials), weights_every=7)
-        for got, want in zip(batch, again):
-            assert_same_trial(got, want)
+        for t in range(cfg.n_trials):
+            assert_same_trial(trial(batch, t), trial(again, t))
     for t in range(cfg.n_trials):
-        [[alone]] = run_trials([cfg], range(t, t + 1), weights_every=7)
-        assert_same_trial(batch[t], alone)
+        [alone] = run_trials([cfg], range(t, t + 1), weights_every=7)
+        assert_same_trial(trial(batch, t), trial(alone, 0))
 
 
 @pytest.mark.parametrize("policy", STATIC)
@@ -81,8 +90,8 @@ def test_static_policy_keeps_dense_graph_and_weights(policy, monkeypatch):
 
     monkeypatch.setattr(difftrack.engine, "prune_cross_links", no_prune)
     cfg = ExperimentConfig(policy=policy, n_nodes=120, n_trials=1, n_iterations=30)
-    [[trial]] = run_trials([cfg], range(1), weights_every=30)
-    detail = trial["detail"]
+    [result] = run_trials([cfg], range(1), weights_every=30)
+    detail = result["detail"]
     assert detail["adjacency_initial"].sum() == 2 * 1917
     assert same_bytes(detail["adjacency_final"], detail["adjacency_initial"])
     # The snapshot at iteration 0 is the matrix built at construction.
@@ -99,7 +108,7 @@ def test_run_path_inverts_no_matrix(policy, monkeypatch):
 
     monkeypatch.setattr(difftrack.engine, "inverse_spd", no_inverse)
     cfg = ExperimentConfig(policy=policy, n_trials=2, n_iterations=15)
-    assert len(run_trials([cfg], range(2))[0]) == 2
+    assert len(run_trials([cfg], range(2))[0]["recovery"]) == 2
 
 
 @pytest.mark.parametrize("policies", [["adaptive"], ["uniform"], list(POLICIES)])
@@ -204,19 +213,21 @@ def test_each_policy_of_a_sweep_equals_its_run_alone(order):
     sweep = run_trials(cfgs, trials, weights_every=7)
     for cfg, results in zip(cfgs, sweep):
         [alone] = run_trials([cfg], trials, weights_every=7)
-        for got, want in zip(results, alone, strict=True):
-            assert_same_trial(got, want)
-        detail = results[0]["detail"]
+        assert len(results["recovery"]) == len(alone["recovery"])
+        for t in trials:
+            assert_same_trial(trial(results, t), trial(alone, t))
+        detail = results["detail"]
         cut = detail["adjacency_final"].sum() < detail["adjacency_initial"].sum()
         assert cut == (cfg.policy == "adaptive")
 
 
 def test_batch_composition_does_not_matter():
     cfg = ExperimentConfig(**{**SHORT, "n_trials": 8})
-    [[alone]] = run_trials([cfg], range(3, 4))
+    [alone] = run_trials([cfg], range(3, 4))
     assert "detail" not in alone
-    assert_same_trial(run_trials([cfg], range(8))[0][3], alone)
-    assert_same_trial(run_trials([cfg], range(2, 5))[0][1], alone)
+    alone = trial(alone, 0)
+    assert_same_trial(trial(run_trials([cfg], range(8))[0], 3), alone)
+    assert_same_trial(trial(run_trials([cfg], range(2, 5))[0], 1), alone)
 
 
 # -- fault injection ----------------------------------------------------

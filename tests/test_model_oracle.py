@@ -57,4 +57,5 @@ def test_model_matches_matrix_form(delta, g, g_scale, q_scale, seed):
     rng = np.random.default_rng(seed)
     states = 30.0 * rng.standard_normal((5, 2, 4))
     w = rng.standard_normal((5, 2, 4))
-    assert np.array_equal(step_truth(states, model, w), reference_step(states, f, u_g, g_mat, q_sqrt, w))
+    want = reference_step(states, f, u_g, g_mat, q_sqrt, w)
+    assert np.array_equal(step_truth(states, model, w), want)

@@ -248,7 +248,9 @@ def dense_support(adjacency):
 @given(
     adjacency=st.integers(1, 3).flatmap(
         lambda t: st.integers(1, 9).flatmap(
-            lambda n: arrays(bool, (t, n, n)).map(lambda a: np.triu(a, 1) | np.triu(a, 1).swapaxes(1, 2))
+            lambda n: arrays(bool, (t, n, n)).map(
+                lambda a: np.triu(a, 1) | np.triu(a, 1).swapaxes(1, 2)
+            )
         )
     )
 )
@@ -264,8 +266,10 @@ def test_edges_list_the_support_in_column_order(adjacency):
     assert np.array_equal(order, np.arange(len(edges)))
     assert np.array_equal(edges.key, edges.trial * n + edges.col)
     assert np.array_equal(edges.source, edges.trial * n + edges.row)
-    assert np.array_equal(edges.flat, np.ravel_multi_index((edges.trial, edges.row, edges.col), support.shape))
-    assert np.array_equal(edges.flat_t, np.ravel_multi_index((edges.trial, edges.col, edges.row), support.shape))
+    flat = np.ravel_multi_index((edges.trial, edges.row, edges.col), support.shape)
+    flat_t = np.ravel_multi_index((edges.trial, edges.col, edges.row), support.shape)
+    assert np.array_equal(edges.flat, flat)
+    assert np.array_equal(edges.flat_t, flat_t)
     rev = edges.reverse
     assert np.array_equal(edges.trial[rev], edges.trial)
     assert np.array_equal(edges.row[rev], edges.col)
