@@ -14,55 +14,52 @@ the targets and the sensors that produce them is the caller's job.
 Each node talks only to its neighbors, so everything per link runs over
 the stack's self-inclusive support as one edge list (``Network.edges``,
 E edges, in order of trial, column node, row node) rather than over
-(T, n, n) blocks: phase 2's neighborhood sums, phase 3's weights and
+(T, n, n) blocks: phase 2's sums of 1/sigma2, phase 3's weights and
 phase 5's counts and prune are (E,) arrays. A column sum is one
 ``np.bincount`` keyed by the column node, which adds each column's terms
 in ascending row, the order in which an axis-1 sum of the dense stack
-adds them, so the edge form gives the dense form's bits. Only C itself
-stays (T, n, n): phase 4's product and the caller's snapshots read it.
-Every C starts as (E,) weights on the edges, a static policy's from
-``combiners.static_weights`` or the identity under the adaptive policy,
-is checked in that form and is scattered into a zeroed C^T, so it lies
-on the support by construction.
-Per-edge rows are gathered with ``np.take``, which gives the same array
-as fancy indexing at about an eighth of its cost in numpy 2: phase 2
-gathers the measurements y_n / sigma2_n per edge for the information
-sums, and phase 3 gathers psi_n and y_m for each edge (n, m) and y at
-the two ends of each half edge.
+adds them, so the edge form gives the dense form's bits. Two operands
+stay (T, n, n), each read by one batched product: C^T, by phase 4's
+C^T @ psi and the caller's snapshots, and W, 1/sigma2_n on the support,
+by phase 2's information sums W @ y. Both are scattered from (E,)
+weights on the edges into a zeroed buffer, so they lie on the support by
+construction. A static policy's C comes from ``combiners.static_weights``
+and the adaptive policy's starts as the identity, each checked in edge
+form. Per-edge rows are gathered with ``np.take``, which gives the same
+array as fancy indexing at about an eighth of its cost in numpy 2:
+phase 3 gathers psi_n and y_m for each edge (n, m) and y at the two ends
+of each half edge.
 
 What changes only with the topology is built once per topology, not per
 step: a prune filters the edge list (``prune_cross_links``), and the
-neighborhood sums of 1/sigma2 and the half edges' reverses and variances
-are then gathered once. The adaptive policy writes each step's C^T into
-one buffer the engine owns, so ``C`` holds the latest step's weights only.
+neighborhood sums of 1/sigma2, W and the half edges' reverses and
+variances are then formed once, W in its own buffer. The adaptive policy
+writes each step's C^T into one buffer the engine owns, so ``C`` holds
+the latest step's weights only.
 
-Each product of a step runs at the width of the quantity it makes: a
-per-node factor is applied once per node, not once per edge copy, and a
-per-node product runs as one contiguous pass at the state width of 4,
+A per-node product runs as one contiguous pass at the state width of 4,
 not as a broadcast over a size-1 axis, which numpy runs as one short
-inner loop per node. So each node's measurement is scaled by its
-1/sigma2 once per step, before the per-edge gather, and each node's
-1/sigma2 and neighborhood sum s and, once per step, M_psi's coefficients
-are laid out 4 wide before the products that read them. The covariance
-recursion runs on planar rows: a, b and c are each one contiguous (T, n)
-row of a (3, T, n) array, updated in place, one pass per term. The
-finiteness and PSD checks test the whole array at once and seek the
-failing node only when one fails.
+inner loop per node: each node's neighborhood sum s and, once per step,
+M_psi's coefficients are laid out 4 wide before the products that read
+them. The covariance recursion runs on planar rows: a, b and c are each
+one contiguous (T, n) row of a (3, T, n) array, updated in place, one
+pass per term. The finiteness and PSD checks test the whole array at
+once and seek the failing node only when one fails.
 
 Each step has a half per topology and a half per policy. In information
 form the covariance recursion never reads a measurement, and the
-information sum reads only the measurements and the edge list, so on one
-topology both are the same under every policy. They are held, with the
-topology's edge arrays, the covariances' PSD checks and the min-PSD
-record, by a ``SharedStep``. Only an engine that prunes changes its
+information sum reads only the measurements and W, so on one topology
+both are the same under every policy. They are held, with the topology's
+edge arrays and W, the covariances' PSD checks and the min-PSD record,
+by a ``SharedStep``. Only an engine that prunes changes its
 topology, so it holds a step of its own, and every other engine of a
 sweep holds one step with the rest (see ``DiffusionKalmanEngine.sharing``):
 each step the first engine to reach a shared phase runs it and the
 others read its result, so it runs once per step and fails, if it does,
 in the same engine and phase as when each engine ran its own. A
 standalone engine owns its ``SharedStep``. A cut gathers the edge arrays
-of the engine's own step again in place, so no shared step ever changes
-topology.
+of the engine's own step again and refills its W in place, so no shared
+step ever changes topology.
 
 Each node observes the full state with noise sigma2 * I, the model has
 F = I + delta*theta and process noise q * I, and the prior is p0 * I, so
@@ -101,16 +98,17 @@ for positive semidefiniteness in the topology's half:
    both directions reach the window, in one ``prune_cross_links`` call
    over the network stack, and the surviving links keep their counts. A
    static policy keeps its initial graph. A cut re-gathers the edge
-   arrays of the adaptive engine's own ``SharedStep``;
+   arrays and refills the W of the adaptive engine's own ``SharedStep``;
 6. time update: [policy] x_pred = F x_hat (plus gravity when the filter
    knows it); [topology] M becomes
    (a + delta(2b + delta c) + q, b + delta c, c + q).
 
-Phases read only the previous phase's snapshot. Each sum over a
-neighborhood adds its terms in ascending neighbor index, so a trial's
-results are byte-identical whether it runs alone or with others. A step
-that fails raises ``NumericError`` naming the trial and the iteration;
-when several trials fail in the same phase of the same step, the
+Phases read only the previous phase's snapshot. Each bincount sum over a
+neighborhood adds its terms in ascending neighbor index, and each batched
+product computes every trial's matrix on its own, so a trial's results
+are byte-identical whether it runs alone or with others. A step that
+fails raises ``NumericError`` naming the trial and the iteration; when
+several trials fail in the same phase of the same step, the
 lowest-numbered one is named.
 
 The module-level function ``adapt`` is the single-node reference form of
@@ -180,17 +178,19 @@ class SharedStep:
     ``net`` is a Network stack with (T, n, n) adjacency (see
     ``stack_scenes``) and ``sigma2`` (T, n); of ``cfg`` it reads the prior
     scale ``P0_scale`` and the motion model ``cfg.model``. It holds the
-    topology's edge arrays, the covariances ``M_pred`` and ``M_psi``, the
-    latest step's measurements ``y``, information sums ``info`` and blend
-    coefficients ``k_own`` and ``k_cross``, and ``min_psd_eigenvalue``, the
-    lowest covariance eigenvalue seen per trial. Each covariance is stored
-    planar, its rows (a, b, c) one (3, T, n) array that each step updates
-    in place; ``M_pred`` and ``M_psi`` are (T, n, 3) views of it, through
-    which a write lands in the stored rows. ``done`` counts the halves run,
-    two per step: ``adapt`` runs phases 1 and 2's shared part, and
-    ``predict`` phase 6's. ``first_trial`` is the number of the batch's
-    first trial; errors name trials counting from it. Only an engine that
-    holds its step alone may cut the topology, by ``adopt``.
+    topology's edge arrays and its (T, n, n) matrix ``W`` of 1/sigma2 on
+    the support (see ``adopt``), the covariances ``M_pred`` and ``M_psi``,
+    the latest step's measurements ``y``, information sums ``info`` and
+    blend coefficients ``k_own`` and ``k_cross``, and
+    ``min_psd_eigenvalue``, the lowest covariance eigenvalue seen per
+    trial. Each covariance is stored planar, its rows (a, b, c) one
+    (3, T, n) array that each step updates in place; ``M_pred`` and
+    ``M_psi`` are (T, n, 3) views of it, through which a write lands in
+    the stored rows. ``done`` counts the halves run, two per step:
+    ``adapt`` runs phases 1 and 2's shared part, and ``predict`` phase
+    6's. ``first_trial`` is the number of the batch's first trial; errors
+    name trials counting from it. Only an engine that holds its step alone
+    may cut the topology, by ``adopt``.
     """
 
     def __init__(
@@ -216,10 +216,8 @@ class SharedStep:
         self.sigma2 = sigma2
         # A variance so small that 1/sigma2 or s^2 overflows is named
         # below, so numpy need not warn first.
+        self.W = np.zeros((t_count, n, n))
         with np.errstate(over="ignore"):
-            # Each node's 1/sigma2 at the state width, which scales its
-            # measurement once for every information sum it enters.
-            self._inv4 = np.repeat((1.0 / sigma2)[..., None], STATE_DIM, axis=2)
             self.adopt(net)
         # An infinite s^2 would make every M_psi 0, so that no step fused a
         # measurement. Each node's s holds its own 1/sigma2, and a cut only
@@ -250,21 +248,22 @@ class SharedStep:
     def adopt(self, net: Network) -> None:
         """Make ``net`` the topology: ``s`` [t, m] holds the sum of
         1/sigma2_n over node m's neighborhood, ``s2`` its square and ``s4``
-        ``s`` repeated over the state's coordinates, (T, n, 4).
-        ``_info_key`` keys the information sums, one bin per node and
-        coordinate, for each coordinate of each edge (n, m) of
-        ``net.edges``, edge after edge. For phase 3, ``back`` lists the
-        reverses of the half edges, ``half_n`` and ``half_m`` number the
-        nodes at their two ends over the stack, and ``sigma2_n`` and
-        ``sigma2_m`` hold those nodes' variances. The covariances and the
-        min-PSD record are left as they are."""
+        ``s`` repeated over the state's coordinates, (T, n, 4). ``W``
+        [t, m, n] holds 1/sigma2_n for each edge (n, m) of ``net.edges``
+        and 0 elsewhere, refilled in place, so that node m's information
+        sum is row m of W @ y. For phase 3, ``back`` lists the reverses of
+        the half edges, ``half_n`` and ``half_m`` number the nodes at their
+        two ends over the stack, and ``sigma2_n`` and ``sigma2_m`` hold
+        those nodes' variances. The covariances and the min-PSD record are
+        left as they are."""
         self.net = net
         edges = net.edges
         w = np.take((1.0 / self.sigma2).ravel(), edges.source)
         self.s = np.bincount(edges.key, w).reshape(self.sigma2.shape)
         self.s2 = self.s * self.s
         self.s4 = np.repeat(self.s[..., None], STATE_DIM, axis=2)
-        self._info_key = (STATE_DIM * edges.key[:, None] + np.arange(STATE_DIM)).ravel()
+        self.W.fill(0.0)
+        self.W.reshape(-1)[edges.flat_t] = w
         self.back = np.take(edges.reverse, edges.half)
         sigma2 = self.sigma2.ravel()
         self.half_n = np.take(edges.source, edges.half)
@@ -330,12 +329,9 @@ class SharedStep:
             np.divide(b, den, out=m_psi[1])
             np.add(c, s_det, out=m_psi[2])
             m_psi[2] /= den
-            # Information vector sum_n y_n / sigma2_n over each neighborhood:
-            # each node's scaled measurement, gathered per edge by its
-            # source. A huge measurement overflows here, and is named below.
-            y_w = (y * self._inv4).reshape(-1, STATE_DIM)
-        y_src = np.take(y_w, self.net.edges.source, axis=0)
-        self.info = np.bincount(self._info_key, y_src.ravel()).reshape(y.shape)
+            # Information sums sum_n y_n / sigma2_n, one product per trial. A
+            # huge measurement overflows here, and is named below.
+            self.info = self.W @ y
         # The coefficients of every engine's blend at the state width:
         # (a, a, c, c) on each coordinate of r and b on its partner in the
         # other half.

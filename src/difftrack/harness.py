@@ -7,7 +7,8 @@ import json
 import math
 import numbers
 import os
-from contextlib import contextmanager
+import typing
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from itertools import repeat
@@ -35,14 +36,6 @@ from .topology import (
     stack_scenes,
 )
 
-_INT_FIELDS = ("n_nodes", "min_degree", "n_trials", "n_iterations", "prune_window", "seed")
-_BOOL_FIELDS = ("pruning_enabled", "filter_knows_gravity")
-# Real-valued keys, each required to be finite; head_radius may be None,
-# and angles holds a tuple of them.
-_FLOAT_FIELDS = (
-    "comm_radius", "head_radius", "delta", "g", "x0", "y0", "v0",
-    "sigma_min", "sigma_span", "G_scale", "Q_scale", "P0_scale", "eps", "prune_tau",
-)
 _TRUE_WORDS = {"true", "1", "yes", "on"}
 _FALSE_WORDS = {"false", "0", "no", "off"}
 
@@ -83,7 +76,7 @@ class ExperimentConfig:
     def __post_init__(self):
         # Types are checked here, for library callers and config files alike.
         for name in _FLOAT_FIELDS:
-            if getattr(self, name) is not None or name != "head_radius":
+            if getattr(self, name) is not None or _HINTS[name] is float:
                 object.__setattr__(self, name, _real(name, getattr(self, name)))
         try:
             angles = tuple(self.angles)
@@ -91,10 +84,7 @@ class ExperimentConfig:
             raise ConfigError(f"key 'angles' expects real numbers, got {self.angles!r}") from None
         object.__setattr__(self, "angles", tuple(_real("angles", a) for a in angles))
         for name in _INT_FIELDS:
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ConfigError(f"key '{name}' expects an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, _integer(f"key '{name}'", getattr(self, name)))
         for name in _BOOL_FIELDS:
             if not isinstance(getattr(self, name), bool):
                 raise ConfigError(f"key '{name}' expects a boolean, got {getattr(self, name)!r}")
@@ -147,6 +137,13 @@ class ExperimentConfig:
         return MotionModel(self.delta, self.g, self.G_scale, self.Q_scale)
 
 
+# Each key's type, from its annotation; head_radius alone may be None.
+_HINTS = typing.get_type_hints(ExperimentConfig)
+_INT_FIELDS = tuple(name for name, hint in _HINTS.items() if hint is int)
+_BOOL_FIELDS = tuple(name for name, hint in _HINTS.items() if hint is bool)
+_FLOAT_FIELDS = tuple(name for name, hint in _HINTS.items() if hint in (float, float | None))
+
+
 @dataclass(frozen=True)
 class MetricsRecord:
     """One row of the long-format MSD table."""
@@ -168,29 +165,40 @@ def _real(key: str, value) -> float:
     return float(value)
 
 
+def _integer(name: str, value) -> int:
+    """An integer as an int; a bool or a non-integral value is refused by name."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} expects an integer, got {value!r}")
+    return int(value)
+
+
 def _coerce(key: str, value):
-    """Parse a text value by its key's type; ExperimentConfig checks the rest."""
+    """Parse a text value by its key's type, refusing an unknown key;
+    ExperimentConfig checks the rest."""
+    if key not in _HINTS:
+        raise ConfigError(f"unknown configuration key '{key}'")
     if not isinstance(value, str):
         return value
     text = value.strip()
-    if key in _BOOL_FIELDS:
+    hint = _HINTS[key]
+    if hint is bool:
         if text.lower() in _TRUE_WORDS:
             return True
         if text.lower() in _FALSE_WORDS:
             return False
         raise ConfigError(f"cannot parse boolean value '{value}' for key '{key}'")
-    if key in _INT_FIELDS:
+    if hint is int:
         try:
             return int(text, 0)
         except ValueError as exc:
             raise ConfigError(f"cannot parse integer value '{value}' for key '{key}'") from exc
-    if key == "angles":
+    if hint is tuple:
         parts = [p for p in text.strip("[]()").replace(",", " ").split() if p]
         try:
             return tuple(float(p) for p in parts)
         except ValueError as exc:
             raise ConfigError(f"cannot parse angle list '{value}'") from exc
-    if key == "policy":
+    if hint is str:
         return text
     try:
         return float(text)
@@ -199,13 +207,7 @@ def _coerce(key: str, value):
 
 
 def _build_config(mapping: dict) -> ExperimentConfig:
-    known = {f.name for f in dataclasses.fields(ExperimentConfig)}
-    resolved = {}
-    for key, value in mapping.items():
-        if key not in known:
-            raise ConfigError(f"unknown configuration key '{key}'")
-        resolved[key] = _coerce(key, value)
-    return ExperimentConfig(**resolved)
+    return ExperimentConfig(**{key: _coerce(key, value) for key, value in mapping.items()})
 
 
 def load_config(path) -> ExperimentConfig:
@@ -445,10 +447,10 @@ def policy_sweep(
     if not policies:
         raise ConfigError("policy sweep needs at least one policy")
     for i, name in enumerate(policies):
-        if name not in POLICIES:
-            raise ConfigError(f"unknown policy '{name}' in sweep")
         if name in policies[:i]:
             raise ConfigError(f"policy '{name}' appears more than once in sweep")
+    workers = _integer("workers", workers)
+    weights_every = _integer("weights_every", weights_every)
     if workers < 1:
         raise ConfigError(f"workers must be at least 1, got {workers}")
     if weights_every < 0:
@@ -651,14 +653,15 @@ def write_outputs(result, out_dir) -> None:
         )
 
     numbers = list(_ints(range(len(adj0))))
-    for name, run in runs.items():
-        snaps = run.detail["snapshots"]
+    for name in POLICIES:
+        path = os.path.join(out_dir, f"weights_{name}.csv")
+        snaps = runs[name].detail["snapshots"] if name in runs else None
         if snaps:
-            _write_lines(
-                os.path.join(out_dir, f"weights_{name}.csv"),
-                "iteration,n,m,weight",
-                _weight_blocks(snaps, numbers),
-            )
+            _write_lines(path, "iteration,n,m,weight", _weight_blocks(snaps, numbers))
+        else:
+            # A weights file this run did not write is an earlier run's.
+            with suppress(FileNotFoundError):
+                os.remove(path)
 
     meta = {
         "artifact_version": __version__,

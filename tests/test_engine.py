@@ -52,16 +52,22 @@ def full_cov(m):
     return np.kron(np.array([[a, b], [b, c]]), np.eye(2))
 
 
-def information_update(x_pred, m_pred, ys, sigma2s):
+def information_sums(adjacency, sigma2, y):
+    """One trial's information sums sum_n y_n / sigma2_n, one row per node,
+    in the engine's arithmetic: the product of the trial's dense matrix of
+    1/sigma2_n on its self-inclusive support with its measurements."""
+    support = adjacency | np.eye(len(sigma2), dtype=bool)
+    return np.where(support.T, 1.0 / sigma2, 0.0) @ y
+
+
+def information_update(x_pred, m_pred, info, sigma2s):
     """One node's adaptation in information form, in the engine's
-    arithmetic: neighbor terms summed in the given order, then the
-    closed-form 2x2 update."""
+    arithmetic: the node's information sum ``info``, a row of
+    ``information_sums``, and its neighbors' 1/sigma2 summed in the given
+    order, then the closed-form 2x2 update."""
     s = 0.0
-    info = np.zeros(4)
-    for y_n, s2 in zip(ys, sigma2s):
-        w = 1.0 / s2
-        s = s + w
-        info = info + w * y_n
+    for s2 in sigma2s:
+        s = s + 1.0 / s2
     a, b, c = m_pred
     det = a * c - b * b
     den = 1.0 + s * (a + c) + s * s * det
@@ -178,6 +184,8 @@ def test_engine_step_matches_per_node_operations():
     with_self = engine.net.adjacency[0] | np.eye(6, dtype=bool)
     hoods = [np.flatnonzero(with_self[:, m]) for m in range(6)]
 
+    info = information_sums(engine.net.adjacency[0], sigma2, y)
+
     engine.run_step(y[None])
 
     eye = np.eye(4)
@@ -185,7 +193,7 @@ def test_engine_step_matches_per_node_operations():
     m_psi = np.empty((6, 3))
     for m in range(6):
         hood = hoods[m]
-        psi[m], m_psi[m] = information_update(x_pred0[m], m_pred0[m], y[hood], sigma2[hood])
+        psi[m], m_psi[m] = information_update(x_pred0[m], m_pred0[m], info[m], sigma2[hood])
         # The general sequential update agrees with the information form.
         msgs = [(y[n], eye, sigma2[n] * eye) for n in hood]
         psi_seq, p_seq = adapt(x_pred0[m], full_cov(m_pred0[m]), msgs)
@@ -433,14 +441,16 @@ def test_node_pruned_to_isolation_runs_its_own_filter():
     truths = two_target_truths(60, rng)
     isolated = []
     for j in range(60):
-        alone = not engine.net.adjacency[0, 0].any()
+        adjacency = engine.net.adjacency[0]
+        alone = not adjacency[0].any()
         x_pred, m_pred = engine.x_pred[0, 0].copy(), engine.M_pred[0, 0].copy()
         y = measure(truths[j], part, sigma2, rng)
         engine.run_step(y)
         if alone:
             isolated.append(j)
             assert np.array_equal(engine.C[0, :, 0], np.eye(5)[0])
-            psi, m_psi = information_update(x_pred, m_pred, y[0, :1], sigma2[:1])
+            info = information_sums(adjacency, sigma2, y[0])[0]
+            psi, m_psi = information_update(x_pred, m_pred, info, sigma2[:1])
             assert np.array_equal(engine.x_hat[0, 0], psi)
             assert np.array_equal(engine.M_psi[0, 0], m_psi)
         a, b, c = engine.M_pred[0, 0]

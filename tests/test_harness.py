@@ -8,6 +8,8 @@ import pickle
 import re
 import subprocess
 import sys
+import typing
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +37,7 @@ from difftrack.metrics import MsdSeries, convergence_iteration
 from difftrack.selftest import batch_adapt_reference, reference_kf_predict
 
 SMALL = dict(n_nodes=12, comm_radius=0.55, min_degree=2, n_trials=3, n_iterations=25)
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 class TestExperimentConfig:
@@ -152,6 +155,25 @@ class TestExperimentConfig:
     def test_non_bool_for_bool_key_rejected_by_name(self, field, value):
         with pytest.raises(ConfigError, match=rf"^key '{field}' expects a boolean"):
             ExperimentConfig(**{field: value})
+
+    def test_every_key_is_of_a_kind_the_checks_and_the_parser_handle(self):
+        # __post_init__ checks and _coerce parses keys annotated int, bool,
+        # str, tuple, float or float | None; a key of another kind would
+        # pass both unchecked.
+        hints = typing.get_type_hints(ExperimentConfig)
+        assert list(hints) == [f.name for f in dataclasses.fields(ExperimentConfig)]
+        kinds = (int, bool, str, tuple, float, float | None)
+        assert [name for name, hint in hints.items() if hint not in kinds] == []
+
+    def test_readme_names_every_key(self):
+        text = README.read_text(encoding="utf-8")
+        start = text.index("Keys (defaults in parentheses):")
+        paragraph = text[start : text.index("\n\n", start)]
+        named = set(re.findall(r"`(\w+)`", paragraph))
+        fields = [f.name for f in dataclasses.fields(ExperimentConfig)]
+        assert [name for name in fields if name not in named] == []
+        count = re.search(r"These (\d+) keys", paragraph)
+        assert count and int(count.group(1)) == len(fields)
 
     def test_numpy_and_integer_values_stored_as_plain_types(self, tmp_path):
         cfg = ExperimentConfig(
@@ -485,6 +507,30 @@ class TestPolicySweep:
         with pytest.raises(ConfigError, match=named):
             policy_sweep(ExperimentConfig(**SMALL), policies)
 
+    @pytest.mark.parametrize(
+        "argument,value",
+        [
+            ("weights_every", 0.5),
+            ("weights_every", True),
+            ("workers", True),
+            ("workers", 2.5),
+            ("workers", "2"),
+        ],
+    )
+    def test_non_integer_argument_rejected_by_name(self, monkeypatch, argument, value):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(harness, "run_trials", no_run)
+        message = re.escape(f"{argument} expects an integer, got {value!r}")
+        with pytest.raises(ConfigError, match=rf"^{message}$"):
+            policy_sweep(ExperimentConfig(**SMALL), ["uniform"], **{argument: value})
+
+    def test_numpy_integer_arguments_accepted(self):
+        cfg = ExperimentConfig(**{**SMALL, "n_trials": 1, "n_iterations": 10})
+        sweep = policy_sweep(cfg, ["uniform"], workers=np.int64(1), weights_every=np.int64(3))
+        assert [j for j, _ in sweep.runs["uniform"].detail["snapshots"]] == [0, 3, 6, 9]
+
     def test_repeated_policy_rejected_before_any_trial(self, monkeypatch, tmp_path, capsys):
         def no_run(*args, **kwargs):
             raise AssertionError("a trial ran")
@@ -719,6 +765,30 @@ class TestCli:
         assert code == 2
         assert flag[2:].replace("-", "_") in capsys.readouterr().err
         assert not out.exists()
+
+    def test_a_run_removes_the_weights_files_it_does_not_write(self, tmp_path):
+        # A directory reused by a later run keeps no earlier run's weights
+        # file, and no file the runs do not write is touched.
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(SMALL_CFG)
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "notes.txt").write_text("kept\n")
+        base = ["--config", str(cfg_path), "--out-dir", str(out)]
+
+        def weights_files():
+            return sorted(name for name in os.listdir(out) if name.startswith("weights_"))
+
+        assert main(["sweep", "--weights-every", "5", *base]) == 0
+        assert weights_files() == sorted(f"weights_{name}.csv" for name in POLICIES)
+        assert main(["run", "--policy", "uniform", *base]) == 0
+        assert weights_files() == []
+        assert json.loads((out / "run_meta.json").read_text())["policies"] == ["uniform"]
+        assert main(["run", "--policy", "adaptive", "--weights-every", "5", *base]) == 0
+        assert weights_files() == ["weights_adaptive.csv"]
+        assert main(["run", "--policy", "adaptive", "--weights-every", "0", *base]) == 0
+        assert weights_files() == []
+        assert (out / "notes.txt").read_text() == "kept\n"
 
     def test_head_radius_flag_reaches_the_scene(self, tmp_path):
         out = tmp_path / "topo"

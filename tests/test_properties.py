@@ -13,7 +13,7 @@ its own, and the blend that forms psi gives the bits of its half-by-half
 form on any finite inputs. Over a run in which the adaptive engine of a
 sweep cuts links in its own step, the covariances, the min-PSD record
 and the information sums give the bits of their (T, n, 3) closed forms
-and of the per-edge sum.
+and of each trial's own support matrix times its measurements.
 """
 
 import dataclasses
@@ -240,13 +240,12 @@ def low_eigenvalue(cov):
     return 0.5 * (a + c) - np.hypot(0.5 * (a - c), b)
 
 
-def info_sum(net, sigma2, y):
-    """sum_n y_n / sigma2_n over each neighborhood of ``net``, one term per
-    edge and coordinate."""
-    edges = net.edges
-    terms = (1.0 / sigma2).ravel()[edges.source, None] * y.reshape(-1, 4)[edges.source]
-    key = 4 * edges.key[:, None] + np.arange(4)
-    return np.bincount(key.ravel(), terms.ravel()).reshape(y.shape)
+def support_matrix(adjacency, sigma2):
+    """One trial's dense n x n matrix of 1/sigma2_n at [m, n] for each
+    neighbor n of node m, itself included, and 0 elsewhere, built from its
+    (n, n) adjacency alone."""
+    support = adjacency | np.eye(len(sigma2), dtype=bool)
+    return np.where(support.T, 1.0 / sigma2, 0.0)
 
 
 @st.composite
@@ -322,7 +321,7 @@ def test_covariances_give_the_bits_of_the_closed_form(sweep):
 
 @settings(max_examples=25, deadline=None)
 @given(linked_sweeps())
-def test_information_sums_give_the_bits_of_the_per_edge_form(sweep):
+def test_information_sums_give_the_bits_of_each_trials_own_product(sweep):
     net, sigma2, _, seed = sweep
     engines = sweep_engines(net, sigma2)
     alone = DiffusionKalmanEngine(net, sigma2, dataclasses.replace(CUT, policy="adaptive"))
@@ -333,9 +332,27 @@ def test_information_sums_give_the_bits_of_the_per_edge_form(sweep):
         for engine in (*engines, alone):
             before = engine.net
             engine.run_step(y)
-            assert same_bytes(engine.shared.info, info_sum(before, sigma2, y))
+            for t in range(len(sigma2)):
+                want = support_matrix(before.adjacency[t], sigma2[t]) @ y[t]
+                assert same_bytes(engine.shared.info[t], want)
     # The static engines kept the fresh stack; the sweep's adaptive engine
     # and the standalone one cut links, each in its own step.
     assert all(engine.net is net for engine in engines[:-1])
     assert all(engine.shared is step for engine, step in zip((*engines, alone), steps))
     assert len(engines[-1].net.edges) < len(net.edges) > len(alone.net.edges)
+
+
+@settings(max_examples=25, deadline=None)
+@given(linked_sweeps())
+def test_a_cut_refills_the_support_matrix_in_place(sweep):
+    net, sigma2, _, seed = sweep
+    engine = DiffusionKalmanEngine(net, sigma2, dataclasses.replace(CUT, policy="adaptive"))
+    w = engine.shared.W
+    rng = np.random.default_rng(seed)
+    for _ in range(3):
+        engine.run_step(linked_measurements(rng, sigma2))
+    assert engine.net is not net
+    assert engine.shared.W is w
+    for t in range(len(sigma2)):
+        assert not engine.net.adjacency[t, 0, 1]
+        assert same_bytes(w[t], support_matrix(engine.net.adjacency[t], sigma2[t]))
