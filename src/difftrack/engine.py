@@ -1,15 +1,17 @@
 """Adapt-then-combine diffusion Kalman filter engine.
 
 One engine advances a batch of T independent Monte Carlo trials in
-lockstep under one policy. Its state carries a leading trial axis:
-estimates are (T, n, 4), covariances (T, n, 3), views of three planar
-(T, n) rows, and combination matrices (T, n, n). The trials of a batch
-share the node count and one ``ExperimentConfig``, from which the engine
-reads the policy, the motion model and every filter setting; each trial
-has its own network and noise levels. The networks are one stacked
-``Network``, so static weights and each prune take one call for the
-whole batch. The engine filters the measurements it is given; simulating
-the targets and the sensors that produce them is the caller's job.
+lockstep under P policies. What depends on the policy carries a leading
+policy axis and then a trial axis: estimates are (P, T, n, 4) and
+combination matrices (P, T, n, n). What does not carries the trial axis
+alone: covariances are (T, n, 3), views of three planar (T, n) rows. The
+trials of a batch share the node count, and the policies one
+``ExperimentConfig`` but for the policy, from which the engine reads the
+motion model and every filter setting; each trial has its own network
+and noise levels. The networks are one stacked ``Network``, so a static
+policy's weights and each prune take one call for the whole batch. The
+engine filters the measurements it is given; simulating the targets and
+the sensors that produce them is the caller's job.
 
 Each node talks only to its neighbors, so everything per link runs over
 the stack's self-inclusive support as one edge list (``Network.edges``,
@@ -19,9 +21,9 @@ phase 5's counts and prune are (E,) arrays. A column sum is one
 ``np.bincount`` keyed by the column node, which adds each column's terms
 in ascending row, the order in which an axis-1 sum of the dense stack
 adds them, so the edge form gives the dense form's bits. Two operands
-stay (T, n, n), each read by one batched product: C^T, by phase 4's
-C^T @ psi and the caller's snapshots, and W, 1/sigma2_n on the support,
-by phase 2's information sums W @ y. Both are scattered from (E,)
+stay dense, each read by one batched product: C^T, (P, T, n, n), by
+phase 4's C^T @ psi and the caller's snapshots, and W, (T, n, n),
+1/sigma2_n on the support, by phase 2's information sums W @ y. Both are scattered from (E,)
 weights on the edges into a zeroed buffer, so they lie on the support by
 construction. A static policy's C comes from ``combiners.static_weights``
 and the adaptive policy's starts as the identity, each checked in edge
@@ -49,17 +51,13 @@ once and seek the failing node only when one fails.
 Each step has a half per topology and a half per policy. In information
 form the covariance recursion never reads a measurement, and the
 information sum reads only the measurements and W, so on one topology
-both are the same under every policy. They are held, with the topology's
-edge arrays and W, the covariances' PSD checks and the min-PSD record,
-by a ``SharedStep``. Only an engine that prunes changes its
-topology, so it holds a step of its own, and every other engine of a
-sweep holds one step with the rest (see ``DiffusionKalmanEngine.sharing``):
-each step the first engine to reach a shared phase runs it and the
-others read its result, so it runs once per step and fails, if it does,
-in the same engine and phase as when each engine ran its own. A
-standalone engine owns its ``SharedStep``. A cut gathers the edge arrays
-of the engine's own step again and refills its W in place, so no shared
-step ever changes topology.
+both are the same under every policy: the engine runs them, with the
+covariances' PSD checks and the min-PSD record, once per step for all its
+policies, and the half per policy runs over the policy axis. Only the
+adaptive policy changes its C each step and cuts links, so it has an
+engine of its own (P = 1), whether it prunes or not; the static policies
+of a sweep share one, whose C is frozen. A cut gathers the engine's edge
+arrays again and refills its W in place.
 
 Each node observes the full state with noise sigma2 * I, the model has
 F = I + delta*theta and process noise q * I, and the prior is p0 * I, so
@@ -98,17 +96,18 @@ for positive semidefiniteness in the topology's half:
    both directions reach the window, in one ``prune_cross_links`` call
    over the network stack, and the surviving links keep their counts. A
    static policy keeps its initial graph. A cut re-gathers the edge
-   arrays and refills the W of the adaptive engine's own ``SharedStep``;
+   arrays and refills W;
 6. time update: [policy] x_pred = F x_hat (plus gravity when the filter
    knows it); [topology] M becomes
    (a + delta(2b + delta c) + q, b + delta c, c + q).
 
 Phases read only the previous phase's snapshot. Each bincount sum over a
 neighborhood adds its terms in ascending neighbor index, and each batched
-product computes every trial's matrix on its own, so a trial's results
-are byte-identical whether it runs alone or with others. A step that
-fails raises ``NumericError`` naming the trial and the iteration; when
-several trials fail in the same phase of the same step, the
+product computes the matrix of every policy and trial on its own, so a
+trial's results are byte-identical whether it runs alone or with others,
+and a policy's whether it runs alone or beside other policies. A step
+that fails raises ``NumericError`` naming the trial and the iteration;
+when several trials fail in the same phase of the same step, the
 lowest-numbered one is named.
 
 The module-level function ``adapt`` is the single-node reference form of
@@ -118,7 +117,7 @@ it.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+import dataclasses
 
 import numpy as np
 
@@ -134,9 +133,6 @@ from .dynamics import STATE_DIM
 from .errors import ConfigError, NumericError
 from .numerics import inverse_spd, symmetrize
 from .topology import Network, count_below, prune_cross_links
-
-if TYPE_CHECKING:  # harness imports this module
-    from .harness import ExperimentConfig
 
 # Column-stochasticity slack tolerated at combine time (looser than the
 # construction-time tolerance; rounding accumulates over a run).
@@ -172,30 +168,54 @@ def adapt(
     return psi, p
 
 
-class SharedStep:
-    """The policy-independent half of every step on one network stack.
+class DiffusionKalmanEngine:
+    """Synchronous multi-node filter over T trials, each on its own
+    network, under P policies.
 
     ``net`` is a Network stack with (T, n, n) adjacency (see
-    ``stack_scenes``) and ``sigma2`` (T, n); of ``cfg`` it reads the prior
-    scale ``P0_scale`` and the motion model ``cfg.model``. It holds the
-    topology's edge arrays and its (T, n, n) matrix ``W`` of 1/sigma2 on
-    the support (see ``adopt``), the covariances ``M_pred`` and ``M_psi``,
-    the latest step's measurements ``y``, information sums ``info`` and
-    blend coefficients ``k_own`` and ``k_cross``, and
-    ``min_psd_eigenvalue``, the lowest covariance eigenvalue seen per
-    trial. Each covariance is stored planar, its rows (a, b, c) one
+    ``stack_scenes``) and ``sigma2`` (T, n). ``cfgs`` lists one
+    ``harness.ExperimentConfig`` per policy, in the order of the policy
+    axis, which ``policies`` names. The configs may differ in the policy
+    alone, and the adaptive policy stands alone (``adaptive``); anything
+    else is refused with a ``ConfigError``. Every other setting comes from
+    ``cfg``, the first of them, which has checked it: the prior scale ``P0_scale``, the distance
+    floor ``eps``, the prune threshold, window and switch, the gravity
+    switch and the motion model ``cfg.model``. ``pruning_enabled`` only
+    affects the adaptive policy: static policies never prune.
+    ``first_trial`` is the number of the batch's first trial; errors name
+    trials counting from it.
+
+    Of the topology the engine holds ``net``, its edge arrays and its
+    (T, n, n) matrix ``W`` of 1/sigma2 on the support (see ``_adopt``).
+    Each step it holds the measurements ``y``, the information sums
+    ``info`` and the blend coefficients ``k_own`` and ``k_cross``, and it
+    keeps ``min_psd_eigenvalue``, the lowest covariance eigenvalue seen
+    per trial. Each covariance is stored planar, its rows (a, b, c) one
     (3, T, n) array that each step updates in place; ``M_pred`` and
     ``M_psi`` are (T, n, 3) views of it, through which a write lands in
-    the stored rows. ``done`` counts the halves run, two per step:
-    ``adapt`` runs phases 1 and 2's shared part, and ``predict`` phase
-    6's. ``first_trial`` is the number of the batch's first trial; errors
-    name trials counting from it. Only an engine that holds its step alone
-    may cut the topology, by ``adopt``.
+    the stored rows.
+
+    Under the adaptive policy ``C`` is a view of one buffer that each
+    ``run_step`` overwrites with that step's weights; a caller that keeps
+    a step's C must copy it. A static policy's C is checked at
+    construction and then read-only, so it may be kept as it is.
     """
 
-    def __init__(
-        self, net: Network, sigma2: np.ndarray, cfg: ExperimentConfig, *, first_trial: int = 0
-    ) -> None:
+    def __init__(self, net: Network, sigma2: np.ndarray, cfgs, *, first_trial: int = 0) -> None:
+        cfgs = tuple(cfgs)
+        if not cfgs:
+            raise ConfigError("the engine needs at least one policy")
+        cfg = cfgs[0]
+        for other in cfgs[1:]:
+            for key in dataclasses.fields(cfg):
+                if key.name != "policy" and getattr(other, key.name) != getattr(cfg, key.name):
+                    raise ConfigError(
+                        f"the engine's configs may differ only in the policy, "
+                        f"but they differ in key '{key.name}'"
+                    )
+        self.policies = tuple(c.policy for c in cfgs)
+        if "adaptive" in self.policies and len(cfgs) > 1:
+            raise ConfigError("the adaptive policy needs an engine of its own")
         if net.adjacency.ndim != 3 or not net.adjacency.shape[0]:
             raise ConfigError("the engine needs a stack of networks, one per trial")
         t_count, n = net.adjacency.shape[:2]
@@ -204,7 +224,10 @@ class SharedStep:
             raise ConfigError(
                 f"sigma2 must have shape ({t_count}, {n}), got {sigma2.shape}"
             )
+        self.cfg = cfg
+        self.adaptive = cfg.policy == "adaptive"
         self.first_trial = int(first_trial)
+        self.iteration = 0
         # Every edge weight is formed from 1/sigma2, so this comes first.
         bad = np.argwhere(~(sigma2 > 0.0))
         if bad.size:
@@ -218,7 +241,7 @@ class SharedStep:
         # below, so numpy need not warn first.
         self.W = np.zeros((t_count, n, n))
         with np.errstate(over="ignore"):
-            self.adopt(net)
+            self._adopt(net)
         # An infinite s^2 would make every M_psi 0, so that no step fused a
         # measurement. Each node's s holds its own 1/sigma2, and a cut only
         # shrinks s, so this check covers every later topology too.
@@ -229,13 +252,41 @@ class SharedStep:
                 f"trial {self.first_trial + t}: the sum of 1/sigma2 over node {m}'s "
                 f"neighborhood, {float(self.s[t, m])!r}, overflows when squared"
             )
-        self.cfg = cfg
         # Covariances M kron I2, stored as the rows (a, b, c) = (m_pp, m_pv, m_vv).
         self._pred = np.zeros((3, t_count, n))
         self._pred[0] = self._pred[2] = cfg.P0_scale
         self._psi = self._pred.copy()
         self.min_psd_eigenvalue = np.full(t_count, np.inf)
-        self.done = 0
+
+        self.x_pred = np.zeros((len(cfgs), t_count, n, STATE_DIM))
+        self.psi = self.x_pred.copy()
+        self.x_hat = self.x_pred.copy()
+        edges = net.edges
+        # One count per edge. Counts never exceed the window, so the
+        # smallest type holding it will do.
+        self._below = np.zeros(len(edges), dtype=np.min_scalar_type(cfg.prune_window))
+        # Every C is checked as (E,) weights on the edges and scattered
+        # into a zeroed C^T, so it lies on the support. A static C is then
+        # frozen, so no step need check it again.
+        self._c_t = np.zeros((len(cfgs), t_count, n, n))
+        for c_t, policy in zip(self._c_t, self.policies):
+            if self.adaptive:
+                weights = edges.is_self.astype(np.float64)
+            else:
+                weights = static_weights(policy, net, sigma2)
+            self._validate(weights, edges, COLUMN_SUM_TOL)
+            c_t.reshape(-1)[edges.flat_t] = weights
+        self._c_t.flags.writeable = self.adaptive
+        # Flat indices into C^T of the links the last prune cut, which the
+        # next weight update zeroes.
+        self._cut = np.empty(0, dtype=np.intp)
+
+    @property
+    def C(self) -> np.ndarray:
+        """The combination matrices, (P, T, n, n): the transposed view of
+        a contiguous C^T, the operand of phase 4's product, which the
+        adaptive policy overwrites each step and a static policy freezes."""
+        return np.swapaxes(self._c_t, -1, -2)
 
     @property
     def M_pred(self) -> np.ndarray:
@@ -245,7 +296,7 @@ class SharedStep:
     def M_psi(self) -> np.ndarray:
         return self._psi.transpose(1, 2, 0)
 
-    def adopt(self, net: Network) -> None:
+    def _adopt(self, net: Network) -> None:
         """Make ``net`` the topology: ``s`` [t, m] holds the sum of
         1/sigma2_n over node m's neighborhood, ``s2`` its square and ``s4``
         ``s`` repeated over the state's coordinates, (T, n, 4). ``W``
@@ -271,25 +322,35 @@ class SharedStep:
         self.sigma2_n = np.take(sigma2, self.half_n)
         self.sigma2_m = np.take(sigma2, self.half_m)
 
-    def error(self, t: int, iteration: int, what) -> NumericError:
-        return NumericError(f"trial {self.first_trial + t}: iteration {iteration}: {what}")
+    def _error(self, t: int, what) -> NumericError:
+        return NumericError(f"trial {self.first_trial + t}: iteration {self.iteration}: {what}")
 
-    def adapt(self, y: np.ndarray) -> None:
-        """Phase 1 and phase 2's covariance update and information sums,
-        on the step's measurements ``y``, (T, n, 4): node m of trial t
-        measured y[t, m]."""
-        # Phase 1: measurements, one finite 4-vector per node.
+    def _validate(self, c: np.ndarray, support, col_tol: float) -> None:
+        try:
+            validate_combination_matrix(c, support, col_tol)
+        except CombinationError as exc:
+            raise self._error(exc.trial, exc) from None
+
+    # -- the synchronous step -------------------------------------------
+
+    def run_step(self, y: np.ndarray) -> "DiffusionKalmanEngine":
+        """Advance every node of every trial one iteration under every
+        policy on the step's measurements ``y``, (T, n, 4): node m of trial
+        t measured y[t, m]. The half per topology runs once, and the half
+        per policy over the policy axis.
+        """
+        # Phase 1 [topology]: measurements, one finite 4-vector per node.
         y = np.asarray(y, dtype=np.float64)
         shape = self.sigma2.shape + (STATE_DIM,)
         if y.shape != shape:
             raise ConfigError(f"measurements must have shape {shape}, got {y.shape}")
         if not np.isfinite(y).all():
             t, m = np.argwhere(~np.isfinite(y).all(axis=2))[0]
-            raise self.error(t, self.done // 2, f"non-finite measurement at node {m}")
+            raise self._error(t, f"non-finite measurement at node {m}")
         self.y = y
 
-        # Phase 2, in closed information form, row by row of the planar
-        # covariances.
+        # Phase 2 [topology], in closed information form, row by row of the
+        # planar covariances.
         s, s2, m_pred = self.s, self.s2, self._pred
         a, b, c = m_pred
         # A huge covariance or measurement overflows here; the checks
@@ -314,13 +375,13 @@ class SharedStep:
             # this check covers a non-finite M_pred as well.
             if not (ok.all() and np.isfinite(den).all()):
                 t, m = np.argwhere(~(ok & np.isfinite(den)))[0]
-                if not np.isfinite(m_pred[:, t, m]).all():
+                if not np.isfinite(self.M_pred[t, m]).all():
                     what = f"predicted covariance at node {m} has non-finite entries"
                 elif not ok[t, m]:
                     what = f"innovation covariance at node {m} is not positive definite"
                 else:
                     what = f"innovation covariance at node {m} overflows"
-                raise self.error(t, self.done // 2, what)
+                raise self._error(t, what)
             m_psi = self._psi
             # s det, which a and c both take.
             s_det = np.multiply(det, s, out=det)
@@ -332,7 +393,7 @@ class SharedStep:
             # Information sums sum_n y_n / sigma2_n, one product per trial. A
             # huge measurement overflows here, and is named below.
             self.info = self.W @ y
-        # The coefficients of every engine's blend at the state width:
+        # The coefficients of every policy's blend at the state width:
         # (a, a, c, c) on each coordinate of r and b on its partner in the
         # other half.
         self.k_own = self.M_psi[..., [0, 0, 2, 2]]
@@ -340,16 +401,46 @@ class SharedStep:
         self._track_psd(m_psi, "adapted covariance")
         if not np.isfinite(self.info).all():
             t, m = np.argwhere(~np.isfinite(self.info).all(axis=2))[0]
-            raise self.error(t, self.done // 2, f"information sum at node {m} overflows")
-        self.done += 1
+            raise self._error(t, f"information sum at node {m} overflows")
 
-    def predict(self) -> None:
-        """Phase 6's covariance time update."""
+        # Phase 2 [policy]: psi = x_pred + (M_psi kron I2) r, with
+        # r = info - s x_pred, as products at the state width: the
+        # position half is a r_pos + b r_vel and the velocity half
+        # c r_vel + b r_pos, which rounds as b r_pos + c r_vel does, IEEE
+        # addition being commutative.
+        x_pred = self.x_pred
+        r = self.info - self.s4 * x_pred
+        psi = x_pred + (self.k_own * r + self.k_cross * r[..., _HALVES_SWAPPED])
+        self.psi = psi
+
+        # Phase 3 [policy]: weight update (adaptive policy only), checked
+        # as made.
+        cfg = self.cfg
+        if self.adaptive:
+            weights = self._adaptive_weights(psi[0])
+            self._validate(weights, self.net.edges, COMBINE_COL_TOL)
+
+        # Phase 4 [policy]: combination. Covariance is intentionally left
+        # alone. x_hat = C^T psi, the product taken with C^T in contiguous
+        # memory: on a transposed view matmul rounds differently. The
+        # engine holds C as a view of such a C^T, so nothing is copied.
+        self.x_hat = self._c_t @ psi
+
+        # Phase 5 [policy]: pruning (adaptive policy only). No count can
+        # reach the window before that many steps have run.
+        if self.adaptive and cfg.pruning_enabled:
+            self._below = count_below(self._below, weights, cfg.prune_tau, cfg.prune_window)
+            if self.iteration + 1 >= cfg.prune_window:
+                self._prune()
+
+        # Phase 6: time update, [policy] the estimate and [topology] the
+        # covariance, M_pred = (a + delta(2b + delta c) + q, b + delta c, c + q).
+        model = cfg.model
+        self.x_pred = self.x_hat @ model.F.T
+        if cfg.filter_knows_gravity:
+            self.x_pred = self.x_pred + model.u_g
         a, b, c = self._psi
-        model = self.cfg.model
         d, q = model.delta, model.process_noise_var
-        # M_pred = (a + delta(2b + delta c) + q, b + delta c, c + q).
-        m_pred = self._pred
         d_c = d * c
         row = np.multiply(b, 2.0, out=m_pred[0])
         row += d_c
@@ -359,7 +450,11 @@ class SharedStep:
         np.add(b, d_c, out=m_pred[1])
         np.add(c, q, out=m_pred[2])
         self._track_psd(m_pred, "predicted covariance")
-        self.done += 1
+
+        self.iteration += 1
+        return self
+
+    # -- internals --------------------------------------------------------
 
     def _track_psd(self, cov: np.ndarray, name: str) -> None:
         # The lower eigenvalue 0.5 (a + c) - hypot(0.5 (a - c), b) of each
@@ -383,195 +478,24 @@ class SharedStep:
                     f"{name} at node {m} lost positive semidefiniteness "
                     f"(min eigenvalue {low[t, m]:.3e})"
                 )
-            raise self.error(t, self.done // 2, what)
-
-
-def _prunes(cfg: ExperimentConfig) -> bool:
-    """Whether an engine under ``cfg`` cuts links: only the adaptive
-    policy does, and only with pruning on."""
-    return cfg.policy == "adaptive" and cfg.pruning_enabled
-
-
-class DiffusionKalmanEngine:
-    """Synchronous multi-node filter over T trials, each on its own
-    network.
-
-    ``net`` is a Network stack with (T, n, n) adjacency (see
-    ``stack_scenes``) and ``sigma2`` (T, n). Every other setting comes
-    from ``cfg``, a ``harness.ExperimentConfig``, which has checked it:
-    the policy, the prior scale ``P0_scale``, the distance floor ``eps``,
-    the prune threshold, window and switch, the gravity switch and the
-    motion model ``cfg.model``. ``pruning_enabled`` only affects the
-    adaptive policy: static policies never prune. ``first_trial`` is the
-    number of the batch's first trial; errors name trials counting from it.
-    The engine owns the ``SharedStep`` it builds from these; ``sharing``
-    builds the engines of several policies, those that never prune on one.
-
-    Under the adaptive policy ``C`` is a view of one buffer that each
-    ``run_step`` overwrites with that step's weights; a caller that keeps
-    a step's C must copy it. A static policy's C is checked at
-    construction and then read-only, so it may be kept as it is.
-    """
-
-    def __init__(
-        self, net: Network, sigma2: np.ndarray, cfg: ExperimentConfig, *, first_trial: int = 0
-    ) -> None:
-        self._join(SharedStep(net, sigma2, cfg, first_trial=first_trial), cfg)
-
-    @classmethod
-    def sharing(
-        cls, net: Network, sigma2: np.ndarray, cfgs, *, first_trial: int = 0
-    ) -> list[DiffusionKalmanEngine]:
-        """One engine per config of ``cfgs``, configs that differ in the
-        policy alone. They step in lockstep: each is given the same
-        measurements each step. An engine that prunes owns its
-        ``SharedStep``, as a standalone engine does; all the others hold
-        one between them, built for the first of them."""
-        engines, shared = [], None
-        for cfg in cfgs:
-            if _prunes(cfg):
-                engines.append(cls(net, sigma2, cfg, first_trial=first_trial))
-                continue
-            if shared is None:
-                shared = SharedStep(net, sigma2, cfg, first_trial=first_trial)
-            engine = cls.__new__(cls)
-            engine._join(shared, cfg)
-            engines.append(engine)
-        return engines
-
-    def _join(self, shared: SharedStep, cfg: ExperimentConfig) -> None:
-        self.shared = shared
-        self.cfg = cfg
-        edges = shared.net.edges
-        t_count, n = shared.sigma2.shape
-        self.x_pred = np.zeros((t_count, n, STATE_DIM))
-        self.psi = self.x_pred.copy()
-        self.x_hat = self.x_pred.copy()
-        self.iteration = 0
-        # One count per edge. Counts never exceed the window, so the
-        # smallest type holding it will do.
-        self._below = np.zeros(len(edges), dtype=np.min_scalar_type(cfg.prune_window))
-
-        # Every C is checked as (E,) weights on the edges and scattered
-        # into a zeroed C^T, so it lies on the support. A static C is then
-        # frozen, so no step need check it again.
-        if cfg.policy == "adaptive":
-            weights = edges.is_self.astype(np.float64)
-        else:
-            weights = static_weights(cfg.policy, shared.net, shared.sigma2)
-        self._validate(weights, edges, COLUMN_SUM_TOL)
-        self._c_t = np.zeros((t_count, n, n))
-        self._c_t.reshape(-1)[edges.flat_t] = weights
-        self._c_t.flags.writeable = cfg.policy == "adaptive"
-        # Flat indices into C^T of the links the last prune cut, which the
-        # next weight update zeroes.
-        self._cut = np.empty(0, dtype=np.intp)
-
-    @property
-    def C(self) -> np.ndarray:
-        """The combination matrices, (T, n, n): the transposed view of a
-        contiguous C^T, the operand of phase 4's product, which the
-        adaptive policy overwrites each step and a static policy freezes."""
-        return np.swapaxes(self._c_t, -1, -2)
-
-    # -- the shared half, as the engine sees it --------------------------
-
-    @property
-    def net(self) -> Network:
-        return self.shared.net
-
-    @property
-    def sigma2(self) -> np.ndarray:
-        return self.shared.sigma2
-
-    @property
-    def M_pred(self) -> np.ndarray:
-        return self.shared.M_pred
-
-    @property
-    def M_psi(self) -> np.ndarray:
-        return self.shared.M_psi
-
-    @property
-    def min_psd_eigenvalue(self) -> np.ndarray:
-        return self.shared.min_psd_eigenvalue
-
-    def _validate(self, c: np.ndarray, support, col_tol: float) -> None:
-        try:
-            validate_combination_matrix(c, support, col_tol)
-        except CombinationError as exc:
-            raise self.shared.error(exc.trial, self.iteration, exc) from None
-
-    # -- the synchronous step -------------------------------------------
-
-    def run_step(self, y: np.ndarray) -> "DiffusionKalmanEngine":
-        """Advance every node of every trial one iteration on the step's
-        measurements ``y``, (T, n, 4): node m of trial t measured y[t, m].
-        """
-        # Phases 1 and 2, per topology: run by the first engine on the
-        # shared half to reach them this step.
-        shared, j = self.shared, self.iteration
-        if shared.done == 2 * j:
-            shared.adapt(y)
-
-        # Phase 2, per policy: psi = x_pred + (M_psi kron I2) r, with
-        # r = info - s x_pred, as products at the state width: the
-        # position half is a r_pos + b r_vel and the velocity half
-        # c r_vel + b r_pos, which rounds as b r_pos + c r_vel does, IEEE
-        # addition being commutative.
-        x_pred = self.x_pred
-        r = shared.info - shared.s4 * x_pred
-        psi = x_pred + (shared.k_own * r + shared.k_cross * r[..., _HALVES_SWAPPED])
-        self.psi = psi
-
-        # Phase 3: weight update (adaptive policy only), checked as made.
-        cfg = self.cfg
-        if cfg.policy == "adaptive":
-            weights = self._adaptive_weights(psi)
-            self._validate(weights, shared.net.edges, COMBINE_COL_TOL)
-
-        # Phase 4: combination. Covariance is intentionally left alone.
-        # x_hat = C^T psi, the product taken with C^T in contiguous memory:
-        # on a transposed view matmul rounds differently. The engine holds
-        # C as a view of such a C^T, so nothing is copied.
-        self.x_hat = self._c_t @ psi
-
-        # Phase 5: pruning (adaptive policy only). No count can reach the
-        # window before that many steps have run.
-        if _prunes(cfg):
-            self._below = count_below(self._below, weights, cfg.prune_tau, cfg.prune_window)
-            if j + 1 >= cfg.prune_window:
-                self._prune()
-
-        # Phase 6: time update, the estimate per policy and the covariance
-        # per topology.
-        model = cfg.model
-        self.x_pred = self.x_hat @ model.F.T
-        if cfg.filter_knows_gravity:
-            self.x_pred = self.x_pred + model.u_g
-        if shared.done == 2 * j + 1:
-            shared.predict()
-
-        self.iteration += 1
-        return self
-
-    # -- internals --------------------------------------------------------
+            raise self._error(t, what)
 
     def _adaptive_weights(self, psi: np.ndarray) -> np.ndarray:
-        # Edge (n, m) scores neighbor n's estimate against node m's own
-        # measurement y_m as 1 / max(d^2, eps^2); each column m is then
-        # normalized. The (E,) weights are returned, and overwrite the
-        # edges' entries of the engine's C^T buffer, of which C is the
-        # transposed view. Its other entries are zero once the links of the
-        # last prune are: they are zeroed here, not at the prune, so that
-        # the pruning step's C keeps its weights.
+        # The adaptive policy stands alone, so ``psi`` is its (T, n, 4)
+        # and C^T its (1, T, n, n) buffer. Edge (n, m) scores neighbor n's
+        # estimate against node m's own measurement y_m as
+        # 1 / max(d^2, eps^2); each column m is then normalized. The (E,)
+        # weights are returned, and overwrite the edges' entries of the
+        # engine's C^T buffer, of which C is the transposed view. Its other
+        # entries are zero once the links of the last prune are: they are
+        # zeroed here, not at the prune, so that the pruning step's C keeps
+        # its weights.
         c_t = self._c_t.reshape(-1)
         c_t[self._cut] = 0.0
         self._cut = self._cut[:0]
-        shared = self.shared
-        edges = shared.net.edges
+        edges = self.net.edges
         n, m = edges.source, edges.key
-        psi, y = psi.reshape(-1, STATE_DIM), shared.y.reshape(-1, STATE_DIM)
+        psi, y = psi.reshape(-1, STATE_DIM), self.y.reshape(-1, STATE_DIM)
         d2 = sq_dist(np.take(psi, n, axis=0), np.take(y, m, axis=0))
         eps = self.cfg.eps
         np.maximum(d2, eps * eps, out=d2)
@@ -579,12 +503,12 @@ class DiffusionKalmanEngine:
         # direction of each link, on the measurements y_n and y_m at its
         # two ends, and is mirrored onto the other. A self-edge passes,
         # its measurement being finite.
-        half, back = edges.half, shared.back
+        half, back = edges.half, self.back
         agree = consistent_pairs(
-            np.take(y, shared.half_n, axis=0),
-            np.take(y, shared.half_m, axis=0),
-            shared.sigma2_n,
-            shared.sigma2_m,
+            np.take(y, self.half_n, axis=0),
+            np.take(y, self.half_m, axis=0),
+            self.sigma2_n,
+            self.sigma2_m,
         )
         usable = edges.is_self.copy()
         usable[half] = agree
@@ -596,18 +520,17 @@ class DiffusionKalmanEngine:
         if (total == 0.0).any():
             t, node = divmod(int(np.flatnonzero(total == 0.0)[0]), edges.n_nodes)
             what = f"every squared distance at node {node} overflows, leaving it no weight"
-            raise shared.error(t, self.iteration, what)
+            raise self._error(t, what)
         w /= np.take(total, m)
         c_t[edges.flat_t] = w
         return w
 
     def _prune(self) -> None:
-        shared = self.shared
-        pruned = prune_cross_links(shared.net, self._below, self.cfg.prune_window)
-        if pruned is not shared.net:
+        pruned = prune_cross_links(self.net, self._below, self.cfg.prune_window)
+        if pruned is not self.net:
             # A prune only removes edges, and both lists keep one order, so
             # the survivors' counts carry over in place.
             keep = pruned.edges.keep
             self._below = self._below[keep]
-            self._cut = shared.net.edges.flat_t[~keep]
-            shared.adopt(pruned)
+            self._cut = self.net.edges.flat_t[~keep]
+            self._adopt(pruned)

@@ -96,7 +96,7 @@ class ExperimentConfig:
                 f"n_iterations must be at least {MIN_SERIES_LENGTH} for "
                 f"steady-state detection, got {self.n_iterations}"
             )
-        for name in ("head_radius", "delta", "sigma_min", "P0_scale", "eps"):
+        for name in ("delta", "sigma_min", "P0_scale", "eps"):
             if getattr(self, name) is not None and getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
         # An adaptive weight is 1/max(d^2, eps^2), bounded by 1/eps^2 only
@@ -111,6 +111,10 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be nonnegative")
         if not 0.0 < self.comm_radius <= math.sqrt(2.0):
             raise ConfigError("comm_radius must lie in (0, sqrt(2)]")
+        # A head ball of radius sqrt(2) or more holds the whole square, so
+        # it can never leave a node for cluster 2.
+        if self.head_radius is not None and not 0.0 < self.head_radius < math.sqrt(2.0):
+            raise ConfigError("head_radius must lie in (0, sqrt(2))")
         if len(self.angles) != 2:
             raise ConfigError("angles must list exactly two launch angles")
         if self.policy not in POLICIES:
@@ -273,16 +277,15 @@ def run_trials(cfgs, trials: range, *, weights_every: int = 0):
     step. Its results are therefore the same whichever trials share the
     batch. The truths of every trial advance together, one ``step_truth``
     call per step, and the step's measurements, y = truth[target] +
-    sqrt(sigma2) * noise at each node, go to one engine per config, in
-    order. The engines that never prune share one ``SharedStep``: the
+    sqrt(sigma2) * noise at each node, go to each engine. The static
+    policies share one engine, on whose policy axis they run, so the
     covariance recursion, the information sums and the min-PSD record,
-    which do not depend on the policy, run once per step for all of them,
-    by the first engine to reach each; a pruning adaptive engine runs its
-    own. A step that fails does so at the same iteration, engine and phase
-    as if each engine ran its own, so the error is the same. After the
-    last step each engine's clusters are read out (``read_clusters``) and
-    scored (``cluster_recovery_score``) in one call each for the whole
-    batch. A result holds the stacked MSD rows ("msd", one (iterations,
+    which do not depend on the policy, run once per step for all of them;
+    the adaptive policy has an engine of its own. The engines step in the
+    order of their first policy. After the last step each policy's
+    clusters are read out (``read_clusters``) and scored
+    (``cluster_recovery_score``) in one call each for the whole batch. A
+    result holds the stacked MSD rows ("msd", one (iterations,
     clusters) block per trial), recovery scores ("recovery") and min-PSD
     eigenvalues ("min_psd"), in trial order; when the range starts at
     trial 0 it also holds the ``detail`` record the artifacts are written
@@ -307,15 +310,25 @@ def run_trials(cfgs, trials: range, *, weights_every: int = 0):
     truth_noise = np.stack(truth_noise, axis=1)
     sigma2 = np.stack(sigma2)
     net, part = stack_scenes(nets, parts)
-    engines = DiffusionKalmanEngine.sharing(net, sigma2, cfgs, first_trial=trials.start)
+    # Each engine's policies, as indices into cfgs: every static policy in
+    # one, each adaptive one alone, in the order of their first policy.
+    static = [k for k, c in enumerate(cfgs) if c.policy != "adaptive"]
+    groups = sorted([[k] for k, c in enumerate(cfgs) if c.policy == "adaptive"] + [static])
+    groups = [ks for ks in groups if ks]
+    engines = [
+        DiffusionKalmanEngine(net, sigma2, [cfgs[k] for k in ks], first_trial=trials.start)
+        for ks in groups
+    ]
     n_clusters = part.s
     keep_detail = trials.start == 0
     msd = np.empty((len(cfgs), len(trials), cfg.n_iterations, n_clusters))
     truths = np.empty((cfg.n_iterations, cfg.n_targets, STATE_DIM))
     est_mean = np.empty((len(cfgs), cfg.n_iterations, n_clusters, 2)) if keep_detail else None
     snapshots = [[] for _ in cfgs]
-    # A C the engine froze never changes, so all its snapshots share it.
-    frozen = [None if engine.C.flags.writeable else engine.C[0] for engine in engines]
+    # Trial 0's C under each policy, one view per policy: an adaptive step
+    # overwrites it, so its snapshots copy it, and a frozen C never
+    # changes, so all its snapshots share it.
+    first_c = [list(engine.C[:, 0]) for engine in engines]
     # Trial 0's cluster l sums its nodes' positions in bins 2l and 2l + 1.
     mean_bins = (2 * part.cluster_of[0, :, None] - 2 + np.arange(2)).ravel()
     # Node m of trial t measures target cluster_of[t, m], row
@@ -340,41 +353,43 @@ def run_trials(cfgs, trials: range, *, weights_every: int = 0):
         rows = np.take(truth.reshape(-1, STATE_DIM), targets, axis=0)
         y = rows + sd * noise
         truths[j] = truth[0]
-        for k, engine in enumerate(engines):
+        for engine, ks, views in zip(engines, groups, first_c):
             engine.run_step(y)
-            msd[k, :, j] = msd_accumulate(rows, engine.x_hat, part)
-            if not np.isfinite(msd[k, :, j]).all():
-                t, l = np.argwhere(~np.isfinite(msd[k, :, j]))[0]
-                raise NumericError(
-                    f"trial {trials[t]}: iteration {j}: MSD of cluster {l + 1} "
-                    f"is not finite ({float(msd[k, t, j, l])!r})"
-                )
-            if keep_detail:
-                sums = np.bincount(mean_bins, engine.x_hat[0, :, :2].ravel(), 2 * n_clusters)
-                est_mean[k, j] = sums.reshape(n_clusters, 2) / part.sizes[0, :, None]
-                if weights_every and j % weights_every == 0:
-                    c = engine.C[0].copy() if frozen[k] is None else frozen[k]
-                    snapshots[k].append((j, c))
-    runs = []
-    for k, engine in enumerate(engines):
-        inferred = read_clusters(engine.C, cfg.prune_tau, engine.x_hat, sigma2)
-        result = {
-            "msd": msd[k],
-            "recovery": cluster_recovery_score(inferred, part.cluster_of),
-            "min_psd": engine.min_psd_eigenvalue.copy(),
-        }
-        if keep_detail:
-            result["detail"] = {
-                "positions": net.positions[0].copy(),
-                "cluster_of": part.cluster_of[0].copy(),
-                "adjacency_initial": net.adjacency[0].copy(),
-                "adjacency_final": engine.net.adjacency[0].copy(),
-                "truths": truths,
-                "est_mean": est_mean[k],
-                "final_C": engine.C[0].copy(),
-                "snapshots": snapshots[k],
+            for x_hat, k in zip(engine.x_hat, ks):
+                msd[k, :, j] = msd_accumulate(rows, x_hat, part)
+                if not np.isfinite(msd[k, :, j]).all():
+                    t, l = np.argwhere(~np.isfinite(msd[k, :, j]))[0]
+                    raise NumericError(
+                        f"trial {trials[t]}: iteration {j}: MSD of cluster {l + 1} "
+                        f"is not finite ({float(msd[k, t, j, l])!r})"
+                    )
+                if keep_detail:
+                    sums = np.bincount(mean_bins, x_hat[0, :, :2].ravel(), 2 * n_clusters)
+                    est_mean[k, j] = sums.reshape(n_clusters, 2) / part.sizes[0, :, None]
+            if keep_detail and weights_every and j % weights_every == 0:
+                for c, k in zip(views, ks):
+                    snapshots[k].append((j, c.copy() if engine.adaptive else c))
+    runs = [None] * len(cfgs)
+    for engine, ks in zip(engines, groups):
+        for p, k in enumerate(ks):
+            inferred = read_clusters(engine.C[p], cfg.prune_tau, engine.x_hat[p], sigma2)
+            result = {
+                "msd": msd[k],
+                "recovery": cluster_recovery_score(inferred, part.cluster_of),
+                "min_psd": engine.min_psd_eigenvalue.copy(),
             }
-        runs.append(result)
+            if keep_detail:
+                result["detail"] = {
+                    "positions": net.positions[0].copy(),
+                    "cluster_of": part.cluster_of[0].copy(),
+                    "adjacency_initial": net.adjacency[0].copy(),
+                    "adjacency_final": engine.net.adjacency[0].copy(),
+                    "truths": truths,
+                    "est_mean": est_mean[k],
+                    "final_C": engine.C[p, 0].copy(),
+                    "snapshots": snapshots[k],
+                }
+            runs[k] = result
     return runs
 
 
@@ -434,8 +449,9 @@ def policy_sweep(
     policy's metrics in trial order. All policies filter the same draws
     and measurements (see ``run_trials``): common random numbers hold by
     construction, and the policy-independent half of each step runs once
-    for all of them. The engines step in policy order, so a failing sweep
-    names the earliest failing iteration, and in it the first policy.
+    per engine, one for the static policies and one for the adaptive. The
+    engines step in the order of their first policy, so a failing sweep
+    names the earliest failing iteration, and in it the first engine.
     ``workers`` > 1 splits the trials into that many contiguous chunks,
     each run in its own process; the results do not depend on the split.
     ``weights_every`` K > 0 snapshots trial 0's combination matrix every K

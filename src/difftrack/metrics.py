@@ -17,6 +17,10 @@ DB_FLOOR = 1e-30
 # the mean over the final fifth, which needs at least two points.
 MIN_SERIES_LENGTH = 10
 
+# Half-width of the band about the steady-state level within which
+# convergence_iteration calls a series settled.
+CONVERGENCE_BAND_DB = 3.0
+
 
 def to_db(linear):
     """Convert linear MSD to decibels, flooring at DB_FLOOR to keep log finite."""
@@ -82,9 +86,10 @@ def steady_state_db(series_db: np.ndarray) -> float:
     return series_db[n - max(1, n // 5) :].mean()
 
 
-def convergence_iteration(series_db: np.ndarray, band_db: float = 3.0):
-    """First iteration from which the dB series stays within +/- band_db of
-    its steady-state level (``steady_state_db``).
+def convergence_iteration(series_db: np.ndarray):
+    """First iteration from which the dB series stays within
+    +/- ``CONVERGENCE_BAND_DB`` of its steady-state level
+    (``steady_state_db``).
 
     Returns None if the series never settles into the band.
     """
@@ -94,7 +99,7 @@ def convergence_iteration(series_db: np.ndarray, band_db: float = 3.0):
     n = db.shape[0]
     if n < MIN_SERIES_LENGTH:
         raise ValueError("series too short for steady-state detection")
-    inside = np.abs(db - steady_state_db(db)) <= band_db
+    inside = np.abs(db - steady_state_db(db)) <= CONVERGENCE_BAND_DB
     # first index where every later value is also inside the band
     outside = np.flatnonzero(~inside)
     if outside.size == 0:

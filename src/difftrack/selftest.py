@@ -78,7 +78,7 @@ def single_node_max_deviation(
         truths.append(step_truth(truths[-1], model, w))
 
     net = Network(positions=np.array([[[0.5, 0.5]]]), adjacency=np.zeros((1, 1, 1), dtype=bool))
-    engine = DiffusionKalmanEngine(net, np.array([[sigma2]]), cfg)
+    engine = DiffusionKalmanEngine(net, np.array([[sigma2]]), [cfg])
     meas_rng = np.random.default_rng(seed + 1)
     x = np.zeros(4)
     p = cfg.P0_scale * np.eye(4)
@@ -89,7 +89,7 @@ def single_node_max_deviation(
         y = truths[j] + np.sqrt(sigma2) * meas_rng.standard_normal((1, 4))[0]
         engine.run_step(y[None, None, :])
         x, p = batch_adapt_reference(x, p, [(y, h, r)])
-        worst = max(worst, np.abs(engine.x_hat[0, 0] - x).max())
+        worst = max(worst, np.abs(engine.x_hat[0, 0, 0] - x).max())
         x, p = reference_kf_predict(x, p, model, cfg.filter_knows_gravity)
     return worst
 

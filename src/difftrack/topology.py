@@ -22,6 +22,8 @@ import numpy as np
 
 from .errors import ConfigError
 
+# Draws a rejection loop makes before it gives up; each loop reads it when
+# called.
 MAX_ATTEMPTS = 10_000
 
 
@@ -200,13 +202,13 @@ def generate_geometric(
     comm_radius: float,
     min_degree: int,
     rng: np.random.Generator,
-    max_attempts: int = MAX_ATTEMPTS,
 ) -> Network:
     """Sample a connected random geometric graph in the unit square.
 
     Nodes are drawn uniformly; an edge joins every pair within
     ``comm_radius``. Draws are rejected until the graph is connected and
-    every node has at least ``min_degree`` neighbors (excluding itself).
+    every node has at least ``min_degree`` neighbors (excluding itself),
+    at most ``MAX_ATTEMPTS`` times.
     """
     if n < 2:
         raise ConfigError(f"network needs at least 2 nodes, got {n}")
@@ -218,7 +220,7 @@ def generate_geometric(
         raise ConfigError(
             f"min_degree {min_degree} impossible with {n} nodes"
         )
-    for _ in range(max_attempts):
+    for _ in range(MAX_ATTEMPTS):
         pos = rng.random((n, 2))
         dx = pos[:, None, 0] - pos[None, :, 0]
         dy = pos[:, None, 1] - pos[None, :, 1]
@@ -235,7 +237,7 @@ def generate_geometric(
             return net
     raise ConfigError(
         f"could not draw a connected network with min degree {min_degree} "
-        f"in {max_attempts} attempts; increase comm_radius ({comm_radius})"
+        f"in {MAX_ATTEMPTS} attempts; increase comm_radius ({comm_radius})"
     )
 
 
@@ -243,17 +245,16 @@ def initial_partition(
     net: Network,
     radius: float,
     rng: np.random.Generator,
-    max_attempts: int = MAX_ATTEMPTS,
 ) -> ClusterAssignment:
     """Split nodes into two clusters around a random cluster head.
 
     A head node is drawn uniformly; nodes within ``radius`` of it form
     cluster 1 and the rest form cluster 2. Redraws the head until both
-    clusters are non-empty.
+    clusters are non-empty, at most ``MAX_ATTEMPTS`` times.
     """
     if net.n_nodes < 2:
         raise ConfigError("partition needs at least 2 nodes")
-    for _ in range(max_attempts):
+    for _ in range(MAX_ATTEMPTS):
         head = int(rng.integers(net.n_nodes))
         dist = np.linalg.norm(net.positions - net.positions[head], axis=1)
         labels = np.where(dist <= radius, 1, 2)
@@ -261,7 +262,7 @@ def initial_partition(
             return ClusterAssignment(cluster_of=labels, s=2)
     raise ConfigError(
         f"head ball of radius {radius} never split the network in "
-        f"{max_attempts} attempts"
+        f"{MAX_ATTEMPTS} attempts"
     )
 
 

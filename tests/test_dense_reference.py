@@ -143,8 +143,8 @@ def lockstep_with_reference(engine, measurements):
     for y in measurements:
         support = adjacency | eye
         engine.run_step(y)
-        c = dense_weights(engine.psi, y, engine.sigma2, support, engine.cfg.eps)
-        assert np.array_equal(engine.C, c)
+        c = dense_weights(engine.psi[0], y, engine.sigma2, support, engine.cfg.eps)
+        assert np.array_equal(engine.C[0], c)
         below = dense_count_below(below, c, engine.cfg.prune_tau, engine.cfg.prune_window)
         pruned = dense_prune(adjacency, below, engine.cfg.prune_window)
         isolated += int((adjacency.any(axis=2) & ~pruned.any(axis=2)).sum())
@@ -186,7 +186,7 @@ def two_target_scene(seed, t_count, n, radius, n_iterations):
 @settings(max_examples=60, deadline=None)
 def test_edge_phases_equal_the_dense_reference(seed, t_count, n, radius):
     net, sigma2, steps = two_target_scene(seed, t_count, n, radius, 12)
-    engine = DiffusionKalmanEngine(net, sigma2, QUICK_PRUNE)
+    engine = DiffusionKalmanEngine(net, sigma2, [QUICK_PRUNE])
     lockstep_with_reference(engine, steps)
 
 
@@ -194,7 +194,7 @@ def test_reference_covers_a_node_pruned_to_isolation():
     # The property's explicit example: within its 12 steps some node loses
     # every link, and the engine still matches the reference after that.
     net, sigma2, steps = two_target_scene(3, 2, 10, 0.6, 12)
-    engine = DiffusionKalmanEngine(net, sigma2, QUICK_PRUNE)
+    engine = DiffusionKalmanEngine(net, sigma2, [QUICK_PRUNE])
     assert lockstep_with_reference(engine, steps) > 0
 
 
@@ -212,7 +212,7 @@ def test_one_direction_consistency_test_equals_the_test_on_every_edge(monkeypatc
 
     monkeypatch.setattr(difftrack.engine, "consistent_pairs", recording)
     net, sigma2, steps = two_target_scene(3, 2, 10, 0.6, 12)
-    engine = DiffusionKalmanEngine(net, sigma2, QUICK_PRUNE)
+    engine = DiffusionKalmanEngine(net, sigma2, [QUICK_PRUNE])
     s2 = sigma2.ravel()
     for j, y in enumerate(steps):
         edges = engine.net.edges
@@ -225,7 +225,7 @@ def test_one_direction_consistency_test_equals_the_test_on_every_edge(monkeypatc
         n, m = edges.source, edges.key
         assert np.array_equal(mirrored, consistent_pairs(y2d[n], y2d[m], s2[n], s2[m]))
         # A weight is zero exactly where the test fails.
-        weights = np.swapaxes(engine.C, -1, -2).ravel()[edges.flat_t]
+        weights = np.swapaxes(engine.C[0], -1, -2).ravel()[edges.flat_t]
         assert np.array_equal(weights > 0.0, mirrored)
     pruned = engine.net.adjacency
     assert pruned.sum() < net.adjacency.sum()
@@ -239,7 +239,7 @@ def test_large_scene_equals_the_dense_reference():
     rngs = [trial_rng(11, t) for t in range(cfg.n_trials)]
     net, part = stack_scenes(*zip(*(draw_scene(cfg, rng) for rng in rngs)))
     sigma2 = np.stack([cfg.sigma_min + cfg.sigma_span * rng.random(cfg.n_nodes) for rng in rngs])
-    engine = DiffusionKalmanEngine(net, sigma2, cfg)
+    engine = DiffusionKalmanEngine(net, sigma2, [cfg])
     truth = np.stack([initial_state(cfg.x0, cfg.y0, cfg.v0, a) for a in cfg.angles])
     steps = []
     for _ in range(cfg.n_iterations):

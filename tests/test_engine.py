@@ -86,7 +86,7 @@ def one_trial_engine(net, sigma2, policy, **settings):
     """An engine over a one-trial stack, under the default config with the
     given policy and settings; tests read trial 0 of its state."""
     stack = Network(net.positions[None], net.adjacency[None])
-    return DiffusionKalmanEngine(stack, sigma2[None], ExperimentConfig(policy=policy, **settings))
+    return DiffusionKalmanEngine(stack, sigma2[None], [ExperimentConfig(policy=policy, **settings)])
 
 
 def build_engine(n, seed, policy="adaptive", **kwargs):
@@ -179,7 +179,7 @@ def test_engine_step_matches_per_node_operations():
     truths = two_target_truths(1, np.random.default_rng(0))[0]
     y = measure(truths, part, sigma2, np.random.default_rng(77))[0]
 
-    x_pred0 = engine.x_pred[0].copy()
+    x_pred0 = engine.x_pred[0, 0].copy()
     m_pred0 = engine.M_pred[0].copy()
     with_self = engine.net.adjacency[0] | np.eye(6, dtype=bool)
     hoods = [np.flatnonzero(with_self[:, m]) for m in range(6)]
@@ -199,11 +199,11 @@ def test_engine_step_matches_per_node_operations():
         psi_seq, p_seq = adapt(x_pred0[m], full_cov(m_pred0[m]), msgs)
         assert max_relative(psi_seq, psi[m]) <= 1e-10
         assert max_relative(p_seq, full_cov(m_psi[m])) <= 1e-10
-    assert np.array_equal(psi, engine.psi[0])
+    assert np.array_equal(psi, engine.psi[0, 0])
     assert np.array_equal(m_psi, engine.M_psi[0])
 
     q = np.stack([y[m] - eye @ psi[m] for m in range(6)])
-    assert np.array_equal(q, y - engine.psi[0])
+    assert np.array_equal(q, y - engine.psi[0, 0])
 
     # Neighbors whose measurements fail the consistency test get no weight;
     # in this scene that holds for both cross-task edges.
@@ -213,15 +213,15 @@ def test_engine_step_matches_per_node_operations():
     for m in range(6):
         hood = hoods[m][consistent[hoods[m], m]]
         c[:, m] = adaptive_weight_row(m, psi, y[m], hood, engine.cfg.eps)
-    assert np.abs(c - engine.C[0]).max() < 1e-14
+    assert np.abs(c - engine.C[0, 0]).max() < 1e-14
 
     # gemv vs gemm accumulation differs at 1 ulp; equality is to tolerance.
-    x_hat = np.stack([engine.C[0][:, m] @ psi for m in range(6)])
-    assert np.abs(x_hat - engine.x_hat[0]).max() < 1e-12
+    x_hat = np.stack([engine.C[0, 0][:, m] @ psi for m in range(6)])
+    assert np.abs(x_hat - engine.x_hat[0, 0]).max() < 1e-12
 
     for m in range(6):
         xp, pp = reference_kf_predict(x_hat[m], full_cov(m_psi[m]), MODEL, knows_gravity=True)
-        assert np.abs(xp - engine.x_pred[0, m]).max() < 1e-12
+        assert np.abs(xp - engine.x_pred[0, 0, m]).max() < 1e-12
         assert np.abs(pp - full_cov(engine.M_pred[0, m])).max() < 1e-12
 
 
@@ -236,7 +236,7 @@ def test_engine_residual_of_a_lone_node_is_the_shrunk_innovation():
     y = np.zeros((1, 2, 4))
     y[0, 1, 0] = 1.0
     engine.run_step(y)
-    q = y - engine.psi
+    q = y - engine.psi[0]
     assert np.array_equal(q[0, 0], np.zeros(4))
     assert np.array_equal(q[0, 1, 1:], np.zeros(3))
     assert abs(q[0, 1, 0] - 0.4 / (0.4 + p0)) <= 1e-15
@@ -255,7 +255,7 @@ def test_engine_combination_cases(monkeypatch):
         )
         engine = one_trial_engine(net, sigma2, "uniform")
         engine.run_step(y[None])
-        return engine.psi[0], engine.x_hat[0]
+        return engine.psi[0, 0], engine.x_hat[0, 0]
 
     rng = np.random.default_rng(2)
     y = rng.standard_normal((3, 4))
@@ -304,7 +304,7 @@ def test_distance_floor_above_every_distance_gives_uniform_columns():
     )
     sizes = []
     for m in range(8):
-        column = engine.C[0, :, m]
+        column = engine.C[0, 0, :, m]
         hood = np.flatnonzero(consistent[:, m])
         assert np.array_equal(np.flatnonzero(column), hood)
         assert (column[hood] == column[hood[0]]).all()
@@ -338,7 +338,7 @@ def test_disconnected_nodes_run_independent_filters():
         engine.run_step(y)
         for m in range(2):
             psi_m, p_m = adapt(x[m], p[m], [(y[0, m], eye, sigma2[m] * eye)])
-            assert np.abs(psi_m - engine.x_hat[0, m]).max() < 1e-12
+            assert np.abs(psi_m - engine.x_hat[0, 0, m]).max() < 1e-12
             x[m], p[m] = reference_kf_predict(psi_m, p_m, MODEL, knows_gravity=True)
         truth = step_truth(truth, MODEL, rng.standard_normal(4))
 
@@ -396,7 +396,7 @@ def test_adaptive_clustering_recovers_partition():
     truths = two_target_truths(100, rng)
     for j in range(100):
         engine.run_step(measure(truths[j], part, engine.sigma2[0], rng))
-    inferred = infer_clusters(engine.C[0], engine.cfg.prune_tau)
+    inferred = infer_clusters(engine.C[0, 0], engine.cfg.prune_tau)
     truth_labels = part.cluster_of
     # Same partition up to label swap.
     match = np.array_equal(inferred.cluster_of, truth_labels)
@@ -423,7 +423,7 @@ def test_node_surrounded_by_other_task_is_not_captured():
     for j in range(60):
         engine.run_step(measure(truths[j], part, sigma2, rng))
     assert not engine.net.adjacency[0][0].any()
-    assert np.linalg.norm(engine.x_hat[0, 0] - truths[-1, 1]) < 2.0
+    assert np.linalg.norm(engine.x_hat[0, 0, 0] - truths[-1, 1]) < 2.0
 
 
 def test_node_pruned_to_isolation_runs_its_own_filter():
@@ -443,21 +443,21 @@ def test_node_pruned_to_isolation_runs_its_own_filter():
     for j in range(60):
         adjacency = engine.net.adjacency[0]
         alone = not adjacency[0].any()
-        x_pred, m_pred = engine.x_pred[0, 0].copy(), engine.M_pred[0, 0].copy()
+        x_pred, m_pred = engine.x_pred[0, 0, 0].copy(), engine.M_pred[0, 0].copy()
         y = measure(truths[j], part, sigma2, rng)
         engine.run_step(y)
         if alone:
             isolated.append(j)
-            assert np.array_equal(engine.C[0, :, 0], np.eye(5)[0])
+            assert np.array_equal(engine.C[0, 0, :, 0], np.eye(5)[0])
             info = information_sums(adjacency, sigma2, y[0])[0]
             psi, m_psi = information_update(x_pred, m_pred, info, sigma2[:1])
-            assert np.array_equal(engine.x_hat[0, 0], psi)
+            assert np.array_equal(engine.x_hat[0, 0, 0], psi)
             assert np.array_equal(engine.M_psi[0, 0], m_psi)
         a, b, c = engine.M_pred[0, 0]
         assert np.isfinite([a, b, c]).all() and a > 0 and a * c - b * b > 0
     assert isolated and engine.cfg.prune_window <= isolated[0] < 50
     assert isolated == list(range(isolated[0], 60))
-    labels = infer_clusters(engine.C[0], engine.cfg.prune_tau).cluster_of
+    labels = infer_clusters(engine.C[0, 0], engine.cfg.prune_tau).cluster_of
     assert (labels == labels[0]).sum() == 1
 
 
@@ -476,7 +476,7 @@ def test_in_cluster_weights_dominate_after_burn_in():
         if not cross.any():
             hits += 1
             continue
-        if engine.C[0][same].mean() > engine.C[0][cross].mean():
+        if engine.C[0, 0][same].mean() > engine.C[0, 0][cross].mean():
             hits += 1
     assert hits >= int(np.ceil(0.95 * trials)), f"{hits}/{trials}"
 
@@ -531,11 +531,13 @@ def test_engine_validates_inputs():
     with pytest.raises(ConfigError):
         engine.run_step(np.zeros((1, 1, 4)))  # one measurement for five nodes
     net = engine.net
+    with pytest.raises(ConfigError, match="^the engine needs at least one policy$"):
+        DiffusionKalmanEngine(net, engine.sigma2, [])
     with pytest.raises(ConfigError):
-        DiffusionKalmanEngine(net, np.ones((1, 3)), ExperimentConfig(policy="uniform"))
+        DiffusionKalmanEngine(net, np.ones((1, 3)), [ExperimentConfig(policy="uniform")])
     with pytest.raises(ConfigError):
         DiffusionKalmanEngine(
-            Network(net.positions[0], net.adjacency[0]), engine.sigma2, ExperimentConfig()
+            Network(net.positions[0], net.adjacency[0]), engine.sigma2, [ExperimentConfig()]
         )
     # The config refuses a bad policy or prior scale before any engine is built.
     with pytest.raises(ConfigError, match="policy must be one of"):
@@ -559,7 +561,7 @@ def test_engine_names_trial_and_node_of_a_bad_variance(value):
             ConfigError,
             match=rf"^trial 8: measurement variance at node 3 must be positive, got {value!r}$",
         ):
-            DiffusionKalmanEngine(stack, sigma2, ExperimentConfig(), first_trial=7)
+            DiffusionKalmanEngine(stack, sigma2, [ExperimentConfig()], first_trial=7)
 
 
 def tiny_variance_run(sigma2, p0=1.0):

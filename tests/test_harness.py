@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from difftrack import harness
+from difftrack import cli, harness
 from difftrack.cli import main
 from difftrack.combiners import POLICIES
 from difftrack.dynamics import initial_state, step_truth
@@ -102,11 +102,20 @@ class TestExperimentConfig:
             ("head_radius", -0.2),
             ("head_radius", math.inf),
             ("head_radius", math.nan),
+            ("head_radius", math.sqrt(2.0)),
+            ("head_radius", 2.0),
         ],
     )
     def test_invariant_violations_rejected(self, field, value):
         with pytest.raises(ConfigError):
             ExperimentConfig(**{field: value})
+
+    @pytest.mark.parametrize("radius", [0.0, -0.2, math.sqrt(2.0), 2.0])
+    def test_head_radius_outside_the_square_is_named(self, radius):
+        with pytest.raises(ConfigError, match=r"^head_radius must lie in \(0, sqrt\(2\)\)$"):
+            ExperimentConfig(head_radius=radius)
+        # Just below sqrt(2) the ball can still miss a corner.
+        assert ExperimentConfig(head_radius=1.414).head_radius == 1.414
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize(
@@ -789,6 +798,21 @@ class TestCli:
         assert main(["run", "--policy", "adaptive", "--weights-every", "0", *base]) == 0
         assert weights_files() == []
         assert (out / "notes.txt").read_text() == "kept\n"
+
+    @pytest.mark.parametrize("radius", ["2", "1.4142135623730951"])
+    def test_head_radius_that_holds_the_square_exits_two_before_any_draw(
+        self, radius, monkeypatch, tmp_path, capsys
+    ):
+        # Every node lies within sqrt(2) of the head, so cluster 2 would
+        # stay empty at every draw; the config refuses the radius first.
+        def no_draw(*args):
+            raise AssertionError("a scene was drawn")
+
+        monkeypatch.setattr(cli, "draw_scene", no_draw)
+        out = tmp_path / "topo"
+        assert main(["topology", "--out-dir", str(out), "--head-radius", radius]) == 2
+        assert "head_radius must lie in (0, sqrt(2))" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_head_radius_flag_reaches_the_scene(self, tmp_path):
         out = tmp_path / "topo"

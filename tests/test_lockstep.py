@@ -18,8 +18,8 @@ import difftrack.harness
 import difftrack.topology
 from difftrack.combiners import POLICIES
 from difftrack.dynamics import initial_state
-from difftrack.engine import DiffusionKalmanEngine, SharedStep
-from difftrack.errors import NumericError
+from difftrack.engine import DiffusionKalmanEngine
+from difftrack.errors import ConfigError, NumericError
 from difftrack.harness import ExperimentConfig, policy_sweep, run_trials
 from difftrack.topology import generate_geometric, initial_partition, stack_scenes
 
@@ -116,11 +116,11 @@ def test_per_batch_work_does_not_grow_with_trials(policies, monkeypatch):
     # Pruning, static weights, MSD and the truth step each take one call
     # for the whole batch, so 1 trial and 4 make the same calls. A sweep
     # draws each trial and steps the truths once for all its policies, and
-    # builds one edge list, which each prune filters. Its engines that
-    # never prune share one SharedStep, whose halves run once per step for
-    # all of them; a pruning adaptive engine runs both halves of its own,
-    # and each cut re-adopts it in place. Every C is checked at
-    # construction, and only the adaptive engine's again, once per step.
+    # builds one edge list, which each prune filters. Its static policies
+    # share one engine and the adaptive policy has its own, each stepped
+    # once per step, and each cut re-adopts the adaptive engine's topology
+    # in place. Every C is checked at construction, and only the adaptive
+    # engine's again, once per step.
     calls = {}
 
     def counted(owner, name, key=None):
@@ -141,10 +141,9 @@ def test_per_batch_work_does_not_grow_with_trials(policies, monkeypatch):
     counted(difftrack.harness, "step_truth")
     counted(difftrack.harness, "trial_rng")
     counted(difftrack.topology.Edges, "__init__", "Edges")
-    counted(SharedStep, "__init__", "SharedStep")
-    counted(SharedStep, "adapt")
-    counted(SharedStep, "predict")
-    counted(SharedStep, "adopt")
+    counted(DiffusionKalmanEngine, "__init__", "engines")
+    counted(DiffusionKalmanEngine, "run_step")
+    counted(DiffusionKalmanEngine, "_adopt")
     prunes = []
     prune = difftrack.engine.prune_cross_links
 
@@ -165,7 +164,7 @@ def test_per_batch_work_does_not_grow_with_trials(policies, monkeypatch):
             policy_sweep(cfg, policies)
             pruners = adaptive * pruning
             assert any(prunes) == bool(pruners), n_trials
-            steps = pruners + (len(policies) > pruners)
+            engines = adaptive + (len(policies) > adaptive)
             assert calls == {
                 "prune_cross_links": pruners * (cfg.n_iterations - cfg.prune_window + 1),
                 "static_weights": len(policies) - adaptive,
@@ -174,40 +173,103 @@ def test_per_batch_work_does_not_grow_with_trials(policies, monkeypatch):
                 "step_truth": cfg.n_iterations - 1,
                 "trial_rng": n_trials,
                 "Edges": 1,
-                "SharedStep": steps,
-                "adapt": steps * cfg.n_iterations,
-                "predict": steps * cfg.n_iterations,
-                "adopt": steps + sum(prunes),
+                "engines": engines,
+                "run_step": engines * cfg.n_iterations,
+                "_adopt": engines + sum(prunes),
             }, (pruning, n_trials)
 
 
 @pytest.mark.parametrize(
     "policies",
-    [list(POLICIES), POLICIES[::-1], ["adaptive"], ["adaptive", "uniform"], STATIC],
+    [
+        list(POLICIES), POLICIES[::-1], ["adaptive"], ["adaptive", "uniform"], STATIC,
+        ["relvar", "adaptive", "uniform"],
+    ],
 )
 @pytest.mark.parametrize("pruning", [True, False])
-def test_only_engines_that_never_prune_share_a_step(policies, pruning):
-    # Each pruning engine holds a step no other engine holds, and all the
-    # others hold one; no engine's step is replaced as links are cut.
-    engines, measure = cutting_sweep(policies, pruning_enabled=pruning)
-    steps = [engine.shared for engine in engines]
-    held = [sum(other is step for other in steps) for step in steps]
-    alone = [engine.cfg.policy == "adaptive" and pruning for engine in engines]
-    assert held == [1 if prunes else alone.count(False) for prunes in alone]
-    edges = [len(engine.net.edges) for engine in engines]
+def test_a_sweep_steps_one_static_engine_and_one_adaptive_engine(policies, pruning, monkeypatch):
+    # Every static policy runs on the policy axis of one engine, and the
+    # adaptive policy has an engine of its own, whether it prunes or not;
+    # the engines are built and step in the order of their first policy.
+    # The static engine's C is read-only, and only the adaptive engine's
+    # topology changes.
+    built, stepped = [], []
+
+    class Recording(DiffusionKalmanEngine):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.initial = self.net
+            built.append(self)
+
+        def run_step(self, y):
+            stepped.append(self)
+            return super().run_step(y)
+
+    monkeypatch.setattr(difftrack.harness, "DiffusionKalmanEngine", Recording)
+    cfg = ExperimentConfig(pruning_enabled=pruning, **SHORT)
+    run_trials([dataclasses.replace(cfg, policy=p) for p in policies], range(cfg.n_trials))
+    static = tuple(p for p in policies if p != "adaptive")
+    groups = [static] * bool(static) + [("adaptive",)] * ("adaptive" in policies)
+    assert [engine.policies for engine in built] == sorted(
+        groups, key=lambda group: policies.index(group[0])
+    )
+    assert stepped == built * cfg.n_iterations
+    for engine in built:
+        assert engine.C.flags.writeable == engine.adaptive
+        assert (engine.net is not engine.initial) == (engine.adaptive and pruning)
+
+
+@pytest.mark.parametrize("order", [STATIC, STATIC[::-1]])
+def test_each_policy_of_a_static_engine_equals_its_engine_alone(order):
+    # A static policy gives the same bytes on the policy axis of an
+    # engine as in an engine of its own: estimates, combination matrix,
+    # covariances and min-PSD record, step after step.
+    engine, _, truths, measure = small_batch(4)
+    cfgs = [ExperimentConfig(policy=policy) for policy in order]
+    together = DiffusionKalmanEngine(engine.net, engine.sigma2, cfgs)
+    alone = [DiffusionKalmanEngine(engine.net, engine.sigma2, [cfg]) for cfg in cfgs]
     for _ in range(30):
-        y = measure()
-        for engine in engines:
-            engine.run_step(y)
-    assert all(engine.shared is step for engine, step in zip(engines, steps))
-    cut = [len(engine.net.edges) < count for engine, count in zip(engines, edges)]
-    assert cut == alone
+        y = measure(truths)
+        together.run_step(y)
+        for p, single in enumerate(alone):
+            single.run_step(y)
+            for name in ("x_hat", "psi", "C"):
+                assert same_bytes(getattr(together, name)[p], getattr(single, name)[0]), name
+            for name in ("M_pred", "M_psi", "min_psd_eigenvalue"):
+                assert same_bytes(getattr(together, name), getattr(single, name)), name
+
+
+def test_engine_refuses_configs_that_differ_beyond_the_policy():
+    engine, *_ = small_batch(2)
+    cfg = ExperimentConfig(policy="uniform")
+    other = ExperimentConfig(
+        policy="metropolis", delta=0.5, P0_scale=2.0, filter_knows_gravity=False
+    )
+    with pytest.raises(
+        ConfigError,
+        match=r"^the engine's configs may differ only in the policy, "
+        r"but they differ in key 'delta'$",
+    ):
+        DiffusionKalmanEngine(engine.net, engine.sigma2, [cfg, other])
+    with pytest.raises(ConfigError, match=r"differ in key 'filter_knows_gravity'$"):
+        DiffusionKalmanEngine(
+            engine.net, engine.sigma2,
+            [cfg, dataclasses.replace(cfg, policy="relvar", filter_knows_gravity=False)],
+        )
+
+
+@pytest.mark.parametrize("policies", [["adaptive", "uniform"], ["relvar", "adaptive"]])
+def test_engine_refuses_the_adaptive_policy_beside_another(policies):
+    engine, *_ = small_batch(2)
+    cfgs = [ExperimentConfig(policy=policy) for policy in policies]
+    with pytest.raises(ConfigError, match=r"^the adaptive policy needs an engine of its own$"):
+        DiffusionKalmanEngine(engine.net, engine.sigma2, cfgs)
 
 
 @pytest.mark.parametrize("order", [POLICIES, POLICIES[::-1]])
 def test_each_policy_of_a_sweep_equals_its_run_alone(order):
-    # The static engines share one SharedStep, and the adaptive engine
-    # runs its own, before or after the static engines run theirs.
+    # The static policies share one engine, and the adaptive policy runs
+    # its own, before or after the static engine.
     cfgs = [ExperimentConfig(policy=policy, **SHORT) for policy in order]
     trials = range(SHORT["n_trials"])
     sweep = run_trials(cfgs, trials, weights_every=7)
@@ -244,7 +306,7 @@ def small_batch(n_trials, policy="adaptive", first_trial=0):
     sigma2 = 0.01 + 0.5 * rng.random((n_trials, 8))
     net, part = stack_scenes(nets, parts)
     engine = DiffusionKalmanEngine(
-        net, sigma2, ExperimentConfig(policy=policy), first_trial=first_trial
+        net, sigma2, [ExperimentConfig(policy=policy)], first_trial=first_trial
     )
     truths = np.stack(
         [initial_state(1.0, 30.0, 15.0, np.pi / 3), initial_state(1.0, 30.0, 15.0, np.pi / 4)]
@@ -410,7 +472,7 @@ def test_bad_adaptive_weights_name_trial_and_column():
     # node 5 of trial 2 makes NaN weights in the columns of its
     # neighborhood, the lowest of which is named.
     engine, _, truths, measure = small_batch(4, first_trial=10)
-    engine.x_pred[2, 5] = np.nan
+    engine.x_pred[0, 2, 5] = np.nan
     with pytest.raises(
         NumericError,
         match=r"^trial 12: iteration 0: combination matrix column 2 off stochastic by nan$",
@@ -422,14 +484,14 @@ def test_bad_adaptive_weights_name_trial_and_column():
 def test_static_combination_matrix_is_frozen(policy):
     engine, _, truths, measure = small_batch(3, policy=policy)
     with pytest.raises(ValueError, match="read-only"):
-        engine.C[1, 0, 0] = 0.5
+        engine.C[0, 1, 0, 0] = 0.5
     for _ in range(12):
         engine.run_step(measure(truths))
-    built = np.zeros(engine.C.shape)
+    built = np.zeros(engine.C.shape[1:])
     built.ravel()[engine.net.edges.flat] = difftrack.engine.static_weights(
         policy, engine.net, engine.sigma2
     )
-    assert same_bytes(engine.C, built)
+    assert same_bytes(engine.C[0], built)
 
 
 def test_non_finite_truth_names_the_lowest_failing_trial(monkeypatch):
@@ -464,7 +526,7 @@ def test_several_failing_trials_name_the_lowest():
         engine.run_step(measure(truths))
 
 
-# -- the shared half -------------------------------------------------------
+# -- a sweep: the static policies' engine and the adaptive engine ---------
 
 class Spiked:
     """A trial's stream whose measurement noise turns NaN at node ``node``
@@ -504,47 +566,44 @@ def test_nan_measurement_in_a_sweep_names_what_one_policy_names(trial, step, nod
     assert len(set(messages)) == 1
 
 
-def cutting_sweep(policies, **changes):
-    """Engines of the given policies built by ``sharing`` over four 8-node
-    scenes, under a prune window and threshold that cut links within a
-    few steps, and a function drawing one step's measurements."""
-    engine, _, truths, measure = small_batch(4)
-    cfg = ExperimentConfig(prune_window=2, prune_tau=0.3, **changes)
-    cfgs = [dataclasses.replace(cfg, policy=policy) for policy in policies]
-    engines = DiffusionKalmanEngine.sharing(engine.net, engine.sigma2, cfgs)
-    return engines, lambda: measure(truths)
-
-
 def cut_sweep():
-    """A sweep of every policy, stepped until the adaptive engine's first
-    cut; its engines, a function drawing one step's measurements, and the
-    steps run."""
-    engines, measure = cutting_sweep(POLICIES)
-    net = engines[-1].net
+    """A sweep of every policy over four 8-node scenes, under a prune
+    window and threshold that cut links within a few steps, stepped until
+    the adaptive engine's first cut: its static engine and its adaptive
+    engine, a function drawing one step's measurements, and the steps
+    run."""
+    engine, _, truths, measure = small_batch(4)
+    cfg = ExperimentConfig(prune_window=2, prune_tau=0.3)
+    static, adaptive = (
+        DiffusionKalmanEngine(
+            engine.net, engine.sigma2, [dataclasses.replace(cfg, policy=p) for p in policies]
+        )
+        for policies in (STATIC, ["adaptive"])
+    )
+    net = adaptive.net
     for step in range(30):
-        y = measure()
-        for engine in engines:
-            engine.run_step(y)
-        if engines[-1].net is not net:
+        y = measure(truths)
+        static.run_step(y)
+        adaptive.run_step(y)
+        if adaptive.net is not net:
             break
-    assert engines[-1].net is not net
-    return engines, measure, step + 1
+    assert adaptive.net is not net
+    return static, adaptive, lambda: measure(truths), step + 1
 
 
-def test_later_cuts_keep_the_adaptive_step():
-    # Each later cut re-adopts the adaptive engine's own step in place,
-    # and the static engines keep theirs.
-    engines, measure, _ = cut_sweep()
-    *static, adaptive = engines
-    own, shared, edges = adaptive.shared, static[0].shared, {len(adaptive.net.edges)}
+def test_later_cuts_refill_the_adaptive_engine_in_place():
+    # Each later cut re-adopts the adaptive engine's topology into the
+    # same support matrix W, and the static engine keeps its network.
+    static, adaptive, measure, _ = cut_sweep()
+    net, w, edges = static.net, adaptive.W, {len(adaptive.net.edges)}
     for _ in range(30):
         y = measure()
-        for engine in engines:
-            engine.run_step(y)
+        static.run_step(y)
+        adaptive.run_step(y)
         edges.add(len(adaptive.net.edges))
     assert len(edges) > 1
-    assert adaptive.shared is own
-    assert all(engine.shared is shared for engine in static)
+    assert adaptive.W is w
+    assert static.net is net
 
 
 @pytest.mark.parametrize(
@@ -556,19 +615,16 @@ def test_later_cuts_keep_the_adaptive_step():
     ],
 )
 def test_adaptive_step_fails_alone(bad, what):
-    engines, measure, steps = cut_sweep()
-    *static, adaptive = engines
-    shared = static[0].shared
+    static, adaptive, measure, steps = cut_sweep()
     fields = ("M_pred", "M_psi", "min_psd_eigenvalue")
-    before = [getattr(shared, name).copy() for name in fields]
+    before = [getattr(static, name).copy() for name in fields]
     y = measure()
     adaptive.M_pred[1, 5] = bad
     with pytest.raises(NumericError, match=rf"^trial 1: iteration {steps}: {what}$"):
         adaptive.run_step(y)
     # What was written into the adaptive engine's covariances leaves the
-    # static engines' covariances and record as they were, and the static
-    # engines step on.
+    # static engine's covariances and record as they were, and the static
+    # engine steps on.
     for name, want in zip(fields, before):
-        assert same_bytes(getattr(shared, name), want), name
-    for engine in static:
-        engine.run_step(y)
+        assert same_bytes(getattr(static, name), want), name
+    static.run_step(y)

@@ -171,7 +171,7 @@ class TestConvergenceIteration:
 
     def test_plateau_entry_detected(self):
         series = np.concatenate([np.linspace(40.0, -20.0, 41), np.full(59, -20.0)])
-        it = convergence_iteration(series, band_db=3.0)
+        it = convergence_iteration(series)
         assert it is not None
         assert it <= 40
         # the series is 3 dB above the plateau at the returned index

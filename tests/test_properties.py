@@ -11,7 +11,7 @@ semidefinite and no larger than its prediction. A batch of trials run
 over a few steps must give each trial the bits it gets in an engine of
 its own, and the blend that forms psi gives the bits of its half-by-half
 form on any finite inputs. Over a run in which the adaptive engine of a
-sweep cuts links in its own step, the covariances, the min-PSD record
+sweep cuts links and the static policies' engine does not, the covariances, the min-PSD record
 and the information sums give the bits of their (T, n, 3) closed forms
 and of each trial's own support matrix times its measurements.
 """
@@ -103,9 +103,9 @@ def test_one_step_matches_sequential_update_and_keeps_invariants(scene):
             for t in range(t_count)
         ]
     )
-    engine = DiffusionKalmanEngine(stacked(nets), sigma2, ExperimentConfig(policy=policy))
+    engine = DiffusionKalmanEngine(stacked(nets), sigma2, [ExperimentConfig(policy=policy)])
     engine.M_pred[...] = m_pred
-    engine.x_pred = x_pred.copy()
+    engine.x_pred[0] = x_pred
     engine.run_step(y)
 
     eye = np.eye(4)
@@ -114,10 +114,10 @@ def test_one_step_matches_sequential_update_and_keeps_invariants(scene):
         for m in range(n):
             msgs = [(y[t, k], eye, sigma2[t, k] * eye) for k in np.flatnonzero(support[:, m])]
             psi, p = adapt(x_pred[t, m], full_cov(m_pred[t, m]), msgs)
-            assert np.abs(engine.psi[t, m] - psi).max() <= 1e-10 * np.abs(psi).max()
+            assert np.abs(engine.psi[0, t, m] - psi).max() <= 1e-10 * np.abs(psi).max()
             assert np.abs(full_cov(engine.M_psi[t, m]) - p).max() <= 1e-10 * np.abs(p).max()
 
-        c = engine.C[t]
+        c = engine.C[0, t]
         assert (c >= 0.0).all()
         assert not c[~support].any()
         assert np.abs(c.sum(axis=0) - 1.0).max() <= 1e-12
@@ -125,10 +125,10 @@ def test_one_step_matches_sequential_update_and_keeps_invariants(scene):
         # Each combined estimate lies in the box spanned by the
         # intermediate estimates of its node's neighborhood.
         for m in range(n):
-            hood = engine.psi[t, support[:, m]]
+            hood = engine.psi[0, t, support[:, m]]
             slack = 1e-12 * np.abs(hood).max()
-            assert (engine.x_hat[t, m] <= hood.max(axis=0) + slack).all()
-            assert (engine.x_hat[t, m] >= hood.min(axis=0) - slack).all()
+            assert (engine.x_hat[0, t, m] <= hood.max(axis=0) + slack).all()
+            assert (engine.x_hat[0, t, m] >= hood.min(axis=0) - slack).all()
 
     scale = np.abs(m_pred).max()
     assert min_eig(engine.M_psi) >= -1e-12 * scale
@@ -154,9 +154,9 @@ def test_batch_equals_each_trial_alone(policy, batch):
     # A short prune window and a high threshold let the adaptive policy
     # cut links within the few steps drawn.
     cfg = ExperimentConfig(policy=policy, prune_window=2, prune_tau=0.3)
-    together = DiffusionKalmanEngine(stacked(nets), sigma2, cfg)
+    together = DiffusionKalmanEngine(stacked(nets), sigma2, [cfg])
     alone = [
-        DiffusionKalmanEngine(stacked([net]), sigma2[t : t + 1], cfg)
+        DiffusionKalmanEngine(stacked([net]), sigma2[t : t + 1], [cfg])
         for t, net in enumerate(nets)
     ]
     for y_j in y:
@@ -164,9 +164,9 @@ def test_batch_equals_each_trial_alone(policy, batch):
         for t, engine in enumerate(alone):
             engine.run_step(y_j[t : t + 1])
     for t, engine in enumerate(alone):
-        assert np.array_equal(together.x_hat[t], engine.x_hat[0])
+        assert np.array_equal(together.x_hat[0, t], engine.x_hat[0, 0])
         assert np.array_equal(together.M_pred[t], engine.M_pred[0])
-        assert np.array_equal(together.C[t], engine.C[0])
+        assert np.array_equal(together.C[0, t], engine.C[0, 0])
         assert np.array_equal(together.net.adjacency[t], engine.net.adjacency[0])
 
 
@@ -201,17 +201,16 @@ def test_blend_gives_the_bits_of_the_half_by_half_form(blend):
     # psi = x_pred + (M_psi kron I2) r, r = info - s x_pred, written half
     # by half: a r_pos + b r_vel, then b r_pos + c r_vel.
     nets, sigma2, m_pred, x_pred, y = blend
-    engine = DiffusionKalmanEngine(stacked(nets), sigma2, ExperimentConfig(policy="uniform"))
+    engine = DiffusionKalmanEngine(stacked(nets), sigma2, [ExperimentConfig(policy="uniform")])
     engine.M_pred[...] = m_pred
-    engine.x_pred = x_pred.copy()
+    engine.x_pred[0] = x_pred
     with np.errstate(all="ignore"):
         engine.run_step(y)
-        shared = engine.shared
-        r = shared.info - shared.s[:, :, None] * x_pred
+        r = engine.info - engine.s[:, :, None] * x_pred
         r_pos, r_vel = r[..., :2], r[..., 2:]
         a, b, c = (engine.M_psi[..., k, None] for k in range(3))
         want = x_pred + np.concatenate([a * r_pos + b * r_vel, b * r_pos + c * r_vel], axis=-1)
-    assert same_bytes(engine.psi, want)
+    assert same_bytes(engine.psi[0], want)
 
 
 # A prune window and threshold under which a link whose ends disagree is
@@ -275,9 +274,13 @@ def linked_measurements(rng, sigma2):
 
 
 def sweep_engines(net, sigma2):
-    return DiffusionKalmanEngine.sharing(
-        net, sigma2, [dataclasses.replace(CUT, policy=policy) for policy in POLICIES]
-    )
+    """The engines of a sweep of every policy, as ``run_trials`` builds
+    them: one for the static policies, then the adaptive policy's own."""
+    cfgs = [dataclasses.replace(CUT, policy=policy) for policy in POLICIES]
+    return [
+        DiffusionKalmanEngine(net, sigma2, [cfg for cfg in cfgs if cfg.policy != "adaptive"]),
+        DiffusionKalmanEngine(net, sigma2, [cfg for cfg in cfgs if cfg.policy == "adaptive"]),
+    ]
 
 
 @settings(max_examples=25, deadline=None)
@@ -285,8 +288,7 @@ def sweep_engines(net, sigma2):
 def test_covariances_give_the_bits_of_the_closed_form(sweep):
     net, sigma2, m_pred, seed = sweep
     engines = sweep_engines(net, sigma2)
-    static, adaptive = engines[0], engines[-1]
-    assert adaptive.shared is not static.shared
+    static, adaptive = engines
     for engine in (static, adaptive):
         engine.M_pred[...] = m_pred
     want = [m_pred.copy() for _ in engines]
@@ -295,7 +297,7 @@ def test_covariances_give_the_bits_of_the_closed_form(sweep):
     written = False
     for _ in range(50):
         y = linked_measurements(rng, sigma2)
-        s = [engine.shared.s for engine in engines]
+        s = [engine.s for engine in engines]
         for engine in engines:
             engine.run_step(y)
         for k, engine in enumerate(engines):
@@ -307,8 +309,8 @@ def test_covariances_give_the_bits_of_the_closed_form(sweep):
             assert same_bytes(engine.M_pred, want[k])
             assert same_bytes(engine.min_psd_eigenvalue, record[k])
         if adaptive.net is not net and not written:
-            # A cut re-adopted the adaptive engine's own step: a write into
-            # its covariances lands there, and the static engines' stay as
+            # A cut re-adopted the adaptive engine's topology: a write into
+            # its covariances lands there, and the static engine's stay as
             # they were.
             before = static.M_pred.copy(), static.M_psi.copy()
             adaptive.M_pred[0, 0] = (2.0, 0.5, 1.0)
@@ -324,8 +326,7 @@ def test_covariances_give_the_bits_of_the_closed_form(sweep):
 def test_information_sums_give_the_bits_of_each_trials_own_product(sweep):
     net, sigma2, _, seed = sweep
     engines = sweep_engines(net, sigma2)
-    alone = DiffusionKalmanEngine(net, sigma2, dataclasses.replace(CUT, policy="adaptive"))
-    steps = [engine.shared for engine in (*engines, alone)]
+    alone = DiffusionKalmanEngine(net, sigma2, [dataclasses.replace(CUT, policy="adaptive")])
     rng = np.random.default_rng(seed)
     for _ in range(6):
         y = linked_measurements(rng, sigma2)
@@ -334,11 +335,10 @@ def test_information_sums_give_the_bits_of_each_trials_own_product(sweep):
             engine.run_step(y)
             for t in range(len(sigma2)):
                 want = support_matrix(before.adjacency[t], sigma2[t]) @ y[t]
-                assert same_bytes(engine.shared.info[t], want)
-    # The static engines kept the fresh stack; the sweep's adaptive engine
-    # and the standalone one cut links, each in its own step.
-    assert all(engine.net is net for engine in engines[:-1])
-    assert all(engine.shared is step for engine, step in zip((*engines, alone), steps))
+                assert same_bytes(engine.info[t], want)
+    # The static engine kept the fresh stack; the sweep's adaptive engine
+    # and the standalone one cut links.
+    assert engines[0].net is net
     assert len(engines[-1].net.edges) < len(net.edges) > len(alone.net.edges)
 
 
@@ -346,13 +346,13 @@ def test_information_sums_give_the_bits_of_each_trials_own_product(sweep):
 @given(linked_sweeps())
 def test_a_cut_refills_the_support_matrix_in_place(sweep):
     net, sigma2, _, seed = sweep
-    engine = DiffusionKalmanEngine(net, sigma2, dataclasses.replace(CUT, policy="adaptive"))
-    w = engine.shared.W
+    engine = DiffusionKalmanEngine(net, sigma2, [dataclasses.replace(CUT, policy="adaptive")])
+    w = engine.W
     rng = np.random.default_rng(seed)
     for _ in range(3):
         engine.run_step(linked_measurements(rng, sigma2))
     assert engine.net is not net
-    assert engine.shared.W is w
+    assert engine.W is w
     for t in range(len(sigma2)):
         assert not engine.net.adjacency[t, 0, 1]
         assert same_bytes(w[t], support_matrix(engine.net.adjacency[t], sigma2[t]))

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import difftrack.topology
 from difftrack.errors import ConfigError
 from difftrack.harness import trial_rng
 from difftrack.topology import (
@@ -61,9 +62,10 @@ def test_generate_deterministic():
     assert np.array_equal(a.adjacency, b.adjacency)
 
 
-def test_generate_rejects_impossible_setup():
-    with pytest.raises(ConfigError, match="attempts"):
-        generate_geometric(30, 0.01, 4, np.random.default_rng(0), max_attempts=50)
+def test_generate_rejects_impossible_setup(monkeypatch):
+    monkeypatch.setattr(difftrack.topology, "MAX_ATTEMPTS", 50)
+    with pytest.raises(ConfigError, match=r"^could not draw .* in 50 attempts; "):
+        generate_geometric(30, 0.01, 4, np.random.default_rng(0))
     with pytest.raises(ConfigError):
         generate_geometric(1, 0.35, 0, np.random.default_rng(0))
     with pytest.raises(ConfigError):
@@ -118,11 +120,12 @@ def test_partition_zero_radius_gives_singleton_cluster():
     assert part.sizes[0] == 1
 
 
-def test_partition_full_radius_errors():
+def test_partition_full_radius_errors(monkeypatch):
     rng = np.random.default_rng(5)
     net = generate_geometric(10, 0.6, 2, rng)
-    with pytest.raises(ConfigError, match="never split"):
-        initial_partition(net, np.sqrt(2.0), rng, max_attempts=20)
+    monkeypatch.setattr(difftrack.topology, "MAX_ATTEMPTS", 20)
+    with pytest.raises(ConfigError, match=r"never split the network in 20 attempts$"):
+        initial_partition(net, np.sqrt(2.0), rng)
 
 
 def test_cluster_assignment_validation():
