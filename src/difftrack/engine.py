@@ -168,6 +168,23 @@ def adapt(
     return psi, p
 
 
+def policy_configs(cfgs) -> tuple:
+    """``cfgs`` as a tuple, refused with a ``ConfigError`` when it is empty
+    or when two configs differ in anything but the policy, naming the first
+    differing key in field order."""
+    cfgs = tuple(cfgs)
+    if not cfgs:
+        raise ConfigError("the engine needs at least one policy")
+    for other in cfgs[1:]:
+        for key in dataclasses.fields(cfgs[0]):
+            if key.name != "policy" and getattr(other, key.name) != getattr(cfgs[0], key.name):
+                raise ConfigError(
+                    f"the engine's configs may differ only in the policy, "
+                    f"but they differ in key '{key.name}'"
+                )
+    return cfgs
+
+
 class DiffusionKalmanEngine:
     """Synchronous multi-node filter over T trials, each on its own
     network, under P policies.
@@ -202,17 +219,8 @@ class DiffusionKalmanEngine:
     """
 
     def __init__(self, net: Network, sigma2: np.ndarray, cfgs, *, first_trial: int = 0) -> None:
-        cfgs = tuple(cfgs)
-        if not cfgs:
-            raise ConfigError("the engine needs at least one policy")
+        cfgs = policy_configs(cfgs)
         cfg = cfgs[0]
-        for other in cfgs[1:]:
-            for key in dataclasses.fields(cfg):
-                if key.name != "policy" and getattr(other, key.name) != getattr(cfg, key.name):
-                    raise ConfigError(
-                        f"the engine's configs may differ only in the policy, "
-                        f"but they differ in key '{key.name}'"
-                    )
         self.policies = tuple(c.policy for c in cfgs)
         if "adaptive" in self.policies and len(cfgs) > 1:
             raise ConfigError("the adaptive policy needs an engine of its own")

@@ -18,7 +18,7 @@ import numpy as np
 from . import __version__
 from .combiners import POLICIES
 from .dynamics import STATE_DIM, MotionModel, initial_state, step_truth
-from .engine import DiffusionKalmanEngine
+from .engine import DiffusionKalmanEngine, policy_configs
 from .errors import ConfigError, NumericError
 from .metrics import (
     MIN_SERIES_LENGTH,
@@ -269,7 +269,9 @@ def _naming(trial: int):
 
 def run_trials(cfgs, trials: range, *, weights_every: int = 0):
     """Run a contiguous range of trials in lockstep under each of ``cfgs``,
-    configs that differ only in policy; one result per config.
+    configs that differ only in policy; one result per config. Configs
+    that differ in anything else, or none at all, are refused with a
+    ``ConfigError`` (``engine.policy_configs``).
 
     Trial t draws everything from ``trial_rng(cfg.seed, t)`` once, in a
     fixed order: its scene, its noise levels and its whole truth-noise
@@ -282,16 +284,21 @@ def run_trials(cfgs, trials: range, *, weights_every: int = 0):
     covariance recursion, the information sums and the min-PSD record,
     which do not depend on the policy, run once per step for all of them;
     the adaptive policy has an engine of its own. The engines step in the
-    order of their first policy. After the last step each policy's
-    clusters are read out (``read_clusters``) and scored
-    (``cluster_recovery_score``) in one call each for the whole batch. A
-    result holds the stacked MSD rows ("msd", one (iterations,
+    order of their first policy. Every engine output is read over the
+    engine's policy axis: each step, one ``msd_accumulate`` call scores
+    all its policies and trials, and one ``np.bincount`` forms trial 0's
+    cluster means under each policy; after the last step one
+    ``read_clusters`` and one ``cluster_recovery_score`` call read out and
+    score every (policy, trial) pair. Each policy's result holds slices of
+    its engine's arrays: the stacked MSD rows ("msd", one (iterations,
     clusters) block per trial), recovery scores ("recovery") and min-PSD
-    eigenvalues ("min_psd"), in trial order; when the range starts at
+    eigenvalues ("min_psd"), in trial order. When the range starts at
     trial 0 it also holds the ``detail`` record the artifacts are written
     from, whose ``snapshots`` list of (iteration, C) pairs is empty when
-    ``weights_every`` is 0.
+    ``weights_every`` is 0; the trial-0 scene and truths in it are one set
+    of arrays shared by every policy of the run.
     """
+    cfgs = policy_configs(cfgs)
     cfg = cfgs[0]
     # Built before any scene draw, so a model that overflows fails first.
     model = cfg.model
@@ -319,18 +326,24 @@ def run_trials(cfgs, trials: range, *, weights_every: int = 0):
         DiffusionKalmanEngine(net, sigma2, [cfgs[k] for k in ks], first_trial=trials.start)
         for ks in groups
     ]
-    n_clusters = part.s
     keep_detail = trials.start == 0
-    msd = np.empty((len(cfgs), len(trials), cfg.n_iterations, n_clusters))
     truths = np.empty((cfg.n_iterations, cfg.n_targets, STATE_DIM))
-    est_mean = np.empty((len(cfgs), cfg.n_iterations, n_clusters, 2)) if keep_detail else None
-    snapshots = [[] for _ in cfgs]
-    # Trial 0's C under each policy, one view per policy: an adaptive step
-    # overwrites it, so its snapshots copy it, and a frozen C never
-    # changes, so all its snapshots share it.
-    first_c = [list(engine.C[:, 0]) for engine in engines]
-    # Trial 0's cluster l sums its nodes' positions in bins 2l and 2l + 1.
+    # Per engine, over its policy axis: the trials' assignment repeated
+    # along it, the MSD rows, trial 0's cluster means, trial 0's C and its
+    # snapshots. An adaptive step overwrites C, so its snapshots copy it;
+    # a frozen C never changes, so all its snapshots share one view.
+    assign = [
+        ClusterAssignment(np.broadcast_to(part.cluster_of, engine.x_hat.shape[:-1]), part.s)
+        for engine in engines
+    ]
+    msd = [np.empty((len(ks), len(trials), cfg.n_iterations, part.s)) for ks in groups]
+    est_mean = [np.empty((len(ks), cfg.n_iterations, part.s, 2)) for ks in groups]
+    trial0_c = [engine.C[:, 0] for engine in engines]
+    snapshots = [[] for _ in groups]
+    # Trial 0's cluster l sums its nodes' positions under policy p in bins
+    # 2(p s + l) and 2(p s + l) + 1.
     mean_bins = (2 * part.cluster_of[0, :, None] - 2 + np.arange(2)).ravel()
+    mean_bins = [(2 * part.s * np.arange(len(ks))[:, None] + mean_bins).ravel() for ks in groups]
     # Node m of trial t measures target cluster_of[t, m], row
     # t * n_targets + cluster_of[t, m] - 1 of the trials' stacked truths.
     targets = cfg.n_targets * np.arange(len(trials))[:, None] + part.cluster_of - 1
@@ -353,43 +366,40 @@ def run_trials(cfgs, trials: range, *, weights_every: int = 0):
         rows = np.take(truth.reshape(-1, STATE_DIM), targets, axis=0)
         y = rows + sd * noise
         truths[j] = truth[0]
-        for engine, ks, views in zip(engines, groups, first_c):
-            engine.run_step(y)
-            for x_hat, k in zip(engine.x_hat, ks):
-                msd[k, :, j] = msd_accumulate(rows, x_hat, part)
-                if not np.isfinite(msd[k, :, j]).all():
-                    t, l = np.argwhere(~np.isfinite(msd[k, :, j]))[0]
-                    raise NumericError(
-                        f"trial {trials[t]}: iteration {j}: MSD of cluster {l + 1} "
-                        f"is not finite ({float(msd[k, t, j, l])!r})"
-                    )
-                if keep_detail:
-                    sums = np.bincount(mean_bins, x_hat[0, :, :2].ravel(), 2 * n_clusters)
-                    est_mean[k, j] = sums.reshape(n_clusters, 2) / part.sizes[0, :, None]
-            if keep_detail and weights_every and j % weights_every == 0:
-                for c, k in zip(views, ks):
-                    snapshots[k].append((j, c.copy() if engine.adaptive else c))
-    runs = [None] * len(cfgs)
-    for engine, ks in zip(engines, groups):
-        for p, k in enumerate(ks):
-            inferred = read_clusters(engine.C[p], cfg.prune_tau, engine.x_hat[p], sigma2)
-            result = {
-                "msd": msd[k],
-                "recovery": cluster_recovery_score(inferred, part.cluster_of),
-                "min_psd": engine.min_psd_eigenvalue.copy(),
-            }
+        for e, engine in enumerate(engines):
+            x_hat = engine.run_step(y).x_hat
+            msd[e][:, :, j] = msd_accumulate(np.broadcast_to(rows, x_hat.shape), x_hat, assign[e])
+            if not np.isfinite(msd[e][:, :, j]).all():
+                p, t, l = np.argwhere(~np.isfinite(msd[e][:, :, j]))[0]
+                raise NumericError(
+                    f"trial {trials[t]}: iteration {j}: MSD of cluster {l + 1} is not finite "
+                    f"({float(msd[e][p, t, j, l])!r}) under policy '{engine.policies[p]}'"
+                )
             if keep_detail:
-                result["detail"] = {
-                    "positions": net.positions[0].copy(),
-                    "cluster_of": part.cluster_of[0].copy(),
-                    "adjacency_initial": net.adjacency[0].copy(),
-                    "adjacency_final": engine.net.adjacency[0].copy(),
-                    "truths": truths,
-                    "est_mean": est_mean[k],
-                    "final_C": engine.C[p, 0].copy(),
-                    "snapshots": snapshots[k],
-                }
-            runs[k] = result
+                sums = np.bincount(mean_bins[e], x_hat[:, 0, :, :2].ravel())
+                est_mean[e][:, j] = sums.reshape(-1, part.s, 2) / part.sizes[0, :, None]
+            if keep_detail and weights_every and j % weights_every == 0:
+                snapshots[e].append((j, trial0_c[e].copy() if engine.adaptive else trial0_c[e]))
+    runs = [None] * len(cfgs)
+    for e, (engine, ks) in enumerate(zip(engines, groups)):
+        sigma2_p = np.broadcast_to(sigma2, engine.x_hat.shape[:-1])
+        inferred = read_clusters(engine.C, cfg.prune_tau, engine.x_hat, sigma2_p)
+        recovery = cluster_recovery_score(inferred, assign[e].cluster_of)
+        min_psd, adjacency_final = engine.min_psd_eigenvalue, engine.net.adjacency[0].copy()
+        # One view per policy of each distinct snapshot, so a frozen C's
+        # snapshots stay one object.
+        views = {id(c): list(c) for _, c in snapshots[e]}
+        for p, k in enumerate(ks):
+            runs[k] = {"msd": msd[e][p], "recovery": recovery[p], "min_psd": min_psd}
+            if keep_detail:
+                # Trial 0's own scene arrays are frozen, so every policy
+                # shares them.
+                runs[k]["detail"] = dict(
+                    positions=nets[0].positions, cluster_of=parts[0].cluster_of,
+                    adjacency_initial=nets[0].adjacency, adjacency_final=adjacency_final,
+                    truths=truths, est_mean=est_mean[e][p], final_C=trial0_c[e][p].copy(),
+                    snapshots=[(j, views[id(c)][p]) for j, c in snapshots[e]],
+                )
     return runs
 
 

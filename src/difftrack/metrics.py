@@ -114,21 +114,23 @@ def read_clusters(
     estimates: np.ndarray,
     sigma2: np.ndarray,
 ) -> np.ndarray:
-    """Read the node clustering out of a finished run, for every trial at
-    once.
+    """Read the node clustering out of a finished run, for every matrix
+    of the stack at once.
 
     ``c`` is (..., n, n), ``estimates`` (..., n, 4) and ``sigma2`` (..., n),
-    one leading entry per trial; the result is (..., n) labels. Two nodes
-    belong together when either direction of their weight in ``c`` reaches
-    ``threshold`` (``weight_components``), or when their final estimates
-    pass ``consistent_pairs`` at the nodes' measurement variances, the same
+    one leading entry per matrix of the stack (in a run, one per policy and
+    trial); the result is (..., n) labels. Two nodes belong together when
+    either direction of their weight in ``c`` reaches ``threshold``
+    (``weight_components``), or when their final estimates pass
+    ``consistent_pairs`` at the nodes' measurement variances, the same
     chi-square test the adaptive policy applies to measurements; clusters
-    are the components of that relation. A filtered estimate errs less
-    than a raw measurement, so same-target pieces that the network never
+    are the components of that relation. A filtered estimate errs less than
+    a raw measurement, so same-target pieces that the network never
     connected pass easily, while pieces tracking different targets sit far
-    outside the bound. Only pairs in different weight components are
-    tested, and each agreeing pair links the two components' roots. Each
-    trial's clusters are labeled 1, 2, ... in order of their lowest node.
+    outside the bound. Only pairs in different weight components are tested,
+    and each agreeing pair links the two components' roots. Each matrix's
+    clusters are labeled 1, 2, ... in order of their lowest node, so an
+    entry's labels are those it would get read out alone.
     """
     roots = weight_components(c, threshold)
     shape = roots.shape
@@ -147,20 +149,22 @@ def read_clusters(
 
 
 def cluster_recovery_score(inferred: np.ndarray, truth: np.ndarray) -> np.ndarray:
-    """Best-matching agreement between two labelings of each trial, in [0, 1].
+    """Best-matching agreement between two labelings of each entry of a
+    stack, in [0, 1].
 
     ``inferred`` and ``truth`` are (..., n) cluster labels from 1, one
-    leading entry per trial; the result is (...). Every trial's confusion
-    counts come from one ``np.bincount`` over (trial, inferred, true),
-    sized by the stack's largest label on each side; a trial with fewer
-    clusters has zero rows there, which change no maximum. A trial's score
-    is the largest total over every injective map of the side with fewer
-    clusters into the other, over n. Some optimal map sends each of those
-    k clusters to one of its k best partners: if one goes elsewhere, the
-    others hold at most k - 1 of its best, and moving it to a free one
-    loses nothing. So the maximum runs over the k^k choices of best
-    partners, 4 for the two-target truths a config can reach, whatever
-    the other side's count.
+    leading entry per labeling of the stack (in a run, one per policy and
+    trial); the result is (...). Every entry's confusion counts come from
+    one ``np.bincount`` over (entry, inferred, true), sized by the stack's
+    largest label on each side; an entry with fewer clusters has zero rows
+    there, which change no maximum, so its score is the one it would get
+    scored alone. An entry's score is the largest total over every
+    injective map of the side with fewer clusters into the other, over n.
+    Some optimal map sends each of those k clusters to one of its k best
+    partners: if one goes elsewhere, the others hold at most k - 1 of its
+    best, and moving it to a free one loses nothing. So the maximum runs
+    over the k^k choices of best partners, 4 for the two-target truths a
+    config can reach, whatever the other side's count.
     """
     inferred = np.asarray(inferred, dtype=np.int64)
     truth = np.asarray(truth, dtype=np.int64)

@@ -12,7 +12,7 @@ from difftrack.combiners import adaptive_weight_row, consistent_pairs
 from difftrack.dynamics import MotionModel, initial_state, step_truth
 from difftrack.engine import DiffusionKalmanEngine, adapt
 from difftrack.errors import ConfigError, NumericError
-from difftrack.harness import ExperimentConfig, run_experiment, run_trials
+from difftrack.harness import ExperimentConfig, policy_sweep, run_experiment, run_trials
 from difftrack.selftest import (
     determinism_check,
     reference_kf_predict,
@@ -645,7 +645,7 @@ def test_information_sum_that_overflows_is_named(policy):
 
 
 OVERFLOW_NAMED = {
-    "uniform": r"MSD of cluster \d is not finite \(inf\)",
+    "uniform": r"MSD of cluster \d is not finite \(inf\) under policy 'uniform'",
     "adaptive": r"every squared distance at node \d+ overflows, leaving it no weight",
 }
 
@@ -662,6 +662,21 @@ def test_squared_error_that_overflows_is_named(policy, huge):
         warnings.simplefilter("error")
         with pytest.raises(NumericError, match=rf"^trial 0: iteration 0: {what}$"):
             run_experiment(cfg)
+
+
+@pytest.mark.parametrize("policies", [["relvar", "uniform"], ["uniform", "relvar"]])
+def test_squared_error_that_overflows_names_its_policy_in_a_sweep(policies):
+    # Both policies share the static engine, whose MSD is checked over its
+    # whole policy axis at once: the first policy on the axis is named.
+    cfg = ExperimentConfig(n_trials=2, n_iterations=10, x0=1e300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(
+            NumericError,
+            match=r"^trial 0: iteration 0: MSD of cluster \d is not finite \(inf\) "
+            rf"under policy '{policies[0]}'$",
+        ):
+            policy_sweep(cfg, policies)
 
 
 @pytest.mark.parametrize("policy", ["uniform", "adaptive"])

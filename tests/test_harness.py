@@ -919,7 +919,8 @@ class TestCli:
         code = main(args)
         assert code == 3
         assert re.search(
-            r"numeric failure: trial 0: iteration 0: MSD of cluster \d is not finite \(inf\)",
+            r"^numeric failure: trial 0: iteration 0: MSD of cluster \d is not finite \(inf\) "
+            r"under policy 'uniform'$",
             capsys.readouterr().err,
         )
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]

@@ -114,13 +114,14 @@ def test_run_path_inverts_no_matrix(policy, monkeypatch):
 @pytest.mark.parametrize("policies", [["adaptive"], ["uniform"], list(POLICIES)])
 def test_per_batch_work_does_not_grow_with_trials(policies, monkeypatch):
     # Pruning, static weights, MSD and the truth step each take one call
-    # for the whole batch, so 1 trial and 4 make the same calls. A sweep
-    # draws each trial and steps the truths once for all its policies, and
-    # builds one edge list, which each prune filters. Its static policies
-    # share one engine and the adaptive policy has its own, each stepped
-    # once per step, and each cut re-adopts the adaptive engine's topology
-    # in place. Every C is checked at construction, and only the adaptive
-    # engine's again, once per step.
+    # for the whole batch, so 1 trial and 4 make the same calls; MSD, the
+    # readout and the score take one call per engine, over its policy
+    # axis. A sweep draws each trial and steps the truths once for all its
+    # policies, and builds one edge list, which each prune filters. Its
+    # static policies share one engine and the adaptive policy has its
+    # own, each stepped once per step, and each cut re-adopts the adaptive
+    # engine's topology in place. Every C is checked at construction, and
+    # only the adaptive engine's again, once per step.
     calls = {}
 
     def counted(owner, name, key=None):
@@ -138,6 +139,8 @@ def test_per_batch_work_does_not_grow_with_trials(policies, monkeypatch):
     counted(difftrack.engine, "static_weights")
     counted(difftrack.engine, "validate_combination_matrix")
     counted(difftrack.harness, "msd_accumulate")
+    counted(difftrack.harness, "read_clusters")
+    counted(difftrack.harness, "cluster_recovery_score")
     counted(difftrack.harness, "step_truth")
     counted(difftrack.harness, "trial_rng")
     counted(difftrack.topology.Edges, "__init__", "Edges")
@@ -169,7 +172,9 @@ def test_per_batch_work_does_not_grow_with_trials(policies, monkeypatch):
                 "prune_cross_links": pruners * (cfg.n_iterations - cfg.prune_window + 1),
                 "static_weights": len(policies) - adaptive,
                 "validate_combination_matrix": len(policies) + adaptive * cfg.n_iterations,
-                "msd_accumulate": len(policies) * cfg.n_iterations,
+                "msd_accumulate": engines * cfg.n_iterations,
+                "read_clusters": engines,
+                "cluster_recovery_score": engines,
                 "step_truth": cfg.n_iterations - 1,
                 "trial_rng": n_trials,
                 "Edges": 1,
@@ -256,6 +261,40 @@ def test_engine_refuses_configs_that_differ_beyond_the_policy():
             engine.net, engine.sigma2,
             [cfg, dataclasses.replace(cfg, policy="relvar", filter_knows_gravity=False)],
         )
+
+
+def test_run_trials_refuses_configs_that_the_engine_would_refuse():
+    # The adaptive config runs in an engine of its own, so only run_trials
+    # sees both configs: left alone, the truths would follow the uniform
+    # config's model while the adaptive engine filtered with another.
+    cfg = ExperimentConfig(policy="uniform", n_trials=2, n_iterations=20)
+    other = dataclasses.replace(cfg, policy="adaptive", delta=0.5, prune_tau=0.9)
+    with pytest.raises(
+        ConfigError,
+        match=r"^the engine's configs may differ only in the policy, "
+        r"but they differ in key 'delta'$",
+    ):
+        run_trials([cfg, other], range(2))
+    with pytest.raises(ConfigError, match=r"^the engine needs at least one policy$"):
+        run_trials([], range(2))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_sweep_shares_what_its_policies_share(workers):
+    # A static C never changes, so all its snapshots are one object, which
+    # lets the weights writer skip comparing them; each adaptive snapshot
+    # is a copy of its own. Trial 0's scene and truths are one set of
+    # arrays for every policy, also after a worker process returns them.
+    cfg = ExperimentConfig(n_trials=2, n_iterations=12)
+    runs = policy_sweep(cfg, POLICIES, workers=workers, weights_every=1).runs
+    for policy, run in runs.items():
+        snapshots = [c for _, c in run.detail["snapshots"]]
+        assert len(snapshots) == cfg.n_iterations
+        distinct = len({id(c) for c in snapshots})
+        assert distinct == (cfg.n_iterations if policy == "adaptive" else 1), policy
+    first = runs[POLICIES[0]].detail
+    for key in ("positions", "cluster_of", "adjacency_initial", "truths"):
+        assert all(run.detail[key] is first[key] for run in runs.values()), key
 
 
 @pytest.mark.parametrize("policies", [["adaptive", "uniform"], ["relvar", "adaptive"]])

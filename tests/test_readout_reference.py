@@ -55,7 +55,7 @@ def assert_stack_equals_reference(c, threshold, estimates, sigma2, truth, s):
     labels = read_clusters(c, threshold, estimates, sigma2)
     scores = cluster_recovery_score(labels, truth)
     assert labels.shape == truth.shape and scores.shape == truth.shape[:-1]
-    for t in range(len(truth)):
+    for t in np.ndindex(truth.shape[:-1]):
         want = read_clusters_reference(c[t], threshold, estimates[t], sigma2[t])
         assert np.array_equal(labels[t], want.cluster_of), t
         score = recovery_score_reference(want, ClusterAssignment(truth[t], s))
@@ -103,12 +103,13 @@ def readouts():
 
 @pytest.mark.parametrize("name", RUNS)
 def test_each_engine_reads_and_scores_its_trials_once(readouts, name):
+    # One call each for the static engine's three policies and one for the
+    # adaptive engine, over (policy, trial).
     calls = readouts[name]
-    assert len(calls) == len(POLICIES)
     n_trials = RUNS[name]["n_trials"]
+    assert [call["scores"].shape for call in calls] == [(3, n_trials), (1, n_trials)]
     for call in calls:
         assert call["inferred"] is call["labels"]
-        assert call["scores"].shape == (n_trials,)
 
 
 @pytest.mark.parametrize("name", RUNS)
@@ -124,10 +125,34 @@ def test_the_scenarios_reach_imperfect_readouts(readouts):
     # The comparison above meets imperfect two-target trials, merged into
     # one cluster and split into more than two, not only perfect ones.
     calls = [call for name in RUNS if name != "one-node" for call in readouts[name]]
-    scores = np.concatenate([call["scores"] for call in calls])
-    counts = np.concatenate([call["labels"].max(axis=-1) for call in calls])
+    scores = np.concatenate([call["scores"].ravel() for call in calls])
+    counts = np.concatenate([call["labels"].max(axis=-1).ravel() for call in calls])
     assert (scores < 1.0).any()
     assert (counts == 1).any() and (counts > 2).any()
+
+
+def test_a_policy_stack_reads_and_scores_as_its_slices_alone():
+    # The harness reads out and scores a (P, T, n) stack in one call each.
+    # Policy 0 merges both its trials into one cluster, and policy 1 splits
+    # trial 0 into three, so the stack's largest label exceeds policy 0's:
+    # the scorer's zero rows for the labels a slice lacks change no score.
+    n = 6
+    truth = np.broadcast_to([1, 1, 1, 2, 2, 2], (2, 2, n))
+    merged, apart = np.full((n, n), 1.0 / n), np.eye(n)
+    c = np.array([[merged, merged], [apart, apart]])
+    # Three groups of two equal estimates, far apart from each other.
+    thirds = np.repeat(100.0 * np.arange(3), 2)[:, None] * np.ones(4)
+    halves = np.repeat(100.0 * np.arange(2), 3)[:, None] * np.ones(4)
+    estimates = np.array([[thirds, halves], [thirds, halves]])
+    sigma2 = np.full((2, 2, n), 0.1)
+    labels = read_clusters(c, 0.05, estimates, sigma2)
+    scores = cluster_recovery_score(labels, truth)
+    assert labels.max(axis=(1, 2)).tolist() == [1, 3]
+    assert scores.tolist() == [[0.5, 0.5], [4 / 6, 1.0]]
+    for p in range(2):
+        alone = read_clusters(c[p], 0.05, estimates[p], sigma2[p])
+        assert np.array_equal(labels[p], alone)
+        assert np.array_equal(scores[p], cluster_recovery_score(alone, truth[p]))
 
 
 @settings(max_examples=200, deadline=None)
