@@ -11,7 +11,7 @@ static policies depend only on the topology (and noise levels), so
 every column each iteration from how far each neighbor's intermediate
 estimate sits from the node's own measurement, as 1 / max(d^2, eps^2)
 (Zhao & Sayed, 2012). The engine applies that rule per edge, with
-``sq_dist`` scoring each edge's pair of points, and checks each
+``sum_squares`` scoring each edge's difference of points, and checks each
 iteration's weights as it makes them; ``adaptive_weight_row`` is the
 single-node reference form.
 
@@ -69,20 +69,21 @@ def adaptive_weight_row(
     return col
 
 
-def sq_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """||a - b||^2 over the last axis, broadcast over the leading axes.
+def sum_squares(diff: np.ndarray) -> np.ndarray:
+    """||diff||^2 over the last axis, of two or more coordinates, squaring
+    ``diff`` in place.
 
-    The squared coordinate differences are summed in coordinate order,
-    which is what numpy's reduction does over an axis shorter than 8, so
-    for 4-d points the bits equal those of ``((a - b) ** 2).sum(axis=-1)``.
-    A distance past the float range is inf, which every caller reads as
-    far, so numpy is kept from warning of it.
+    The squares are summed in coordinate order, which is what numpy's
+    reduction does over an axis shorter than 8, so for 4-d rows the bits
+    equal those of ``(diff ** 2).sum(axis=-1)``: the sum starts as the
+    first two coordinates' ``np.add`` and takes the rest in place. A sum
+    past the float range is inf, which every caller reads as far, so numpy
+    is kept from warning of it.
     """
     with np.errstate(over="ignore"):
-        diff = np.subtract(a, b)
         diff *= diff
-        total = diff[..., 0].copy()
-        for k in range(1, diff.shape[-1]):
+        total = np.add(diff[..., 0], diff[..., 1])
+        for k in range(2, diff.shape[-1]):
             total += diff[..., k]
     return total
 
@@ -97,13 +98,19 @@ def consistent_pairs(
     broadcasting: one pair per edge from gathered rows, or all pairs of a
     point set p with ``p[:, None]``, ``p[None, :]``. A pair agrees when
     ||a - b||^2 <= CONSISTENCY_CHI2 * (sigma2_a + sigma2_b), so the test is
-    symmetric and a point always agrees with itself.
+    symmetric and a point always agrees with itself. The squared distance
+    is ``sum_squares`` of the difference, the one temporary the size of
+    the points. A distance or a bound past the float range is inf: an
+    infinite distance disagrees with a finite bound, and under an infinite
+    bound every pair agrees, so numpy is kept from warning of either.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     sigma2_a = np.asarray(sigma2_a, dtype=np.float64)
     sigma2_b = np.asarray(sigma2_b, dtype=np.float64)
-    return sq_dist(a, b) <= CONSISTENCY_CHI2 * (sigma2_a + sigma2_b)
+    with np.errstate(over="ignore"):
+        bound = CONSISTENCY_CHI2 * (sigma2_a + sigma2_b)
+        return sum_squares(np.subtract(a, b)) <= bound
 
 
 def static_weights(policy: str, net: Network, sigma2: np.ndarray) -> np.ndarray:
@@ -174,16 +181,19 @@ def validate_combination_matrix(
         edges = support
         if c.shape != (len(edges),):
             raise NumericError(f"combination weights shape {c.shape} wrong")
-    col_err = np.abs(np.bincount(edges.key, c) - 1.0)
-    negative = np.zeros(col_err.shape, dtype=bool)
-    negative[edges.key[c < 0.0]] = True
-    # Written so that a NaN column sum fails: every comparison with NaN is
-    # False.
-    bad = np.flatnonzero(negative | ~(col_err <= col_tol))
-    if bad.size:
-        trial, m = divmod(int(bad[0]), edges.n_nodes)
-        if negative[bad[0]]:
+    col_err = np.bincount(edges.key, c)
+    col_err -= 1.0
+    np.abs(col_err, out=col_err)
+    # The whole array is tested first, and the failing column sought only
+    # when a test fails. Written so that a NaN column sum fails: every
+    # comparison with NaN is False.
+    if (c < 0.0).any() or not (col_err <= col_tol).all():
+        negative = np.zeros(col_err.shape, dtype=bool)
+        negative[edges.key[c < 0.0]] = True
+        bad = np.flatnonzero(negative | ~(col_err <= col_tol))[0]
+        trial, m = divmod(int(bad), edges.n_nodes)
+        if negative[bad]:
             what = f"combination matrix has negative entries in column {m}"
         else:
-            what = f"combination matrix column {m} off stochastic by {col_err[bad[0]]:.3e}"
+            what = f"combination matrix column {m} off stochastic by {col_err[bad]:.3e}"
         raise CombinationError(what, trial)

@@ -87,16 +87,22 @@ for positive semidefiniteness in the topology's half:
    the prune threshold together, and once phase 5 cuts the link phase 2
    stops fusing that neighbor's measurement. A squared distance that
    overflows gives weight 0, and a column left with no weight at all
-   stops the run, naming the node. The weights are checked as made;
+   stops the run, naming the node. Each edge's difference psi_n - y_m is
+   formed and squared in the gather of psi_n, the weights are formed in
+   place on the squared distances, and the few links that fail the test
+   are zeroed by index, so the step builds no full-length mask. The
+   weights are checked as made, the whole array at once, the failing
+   column sought only when a check fails;
 4. [policy] combination: convex blend of neighbor intermediates
    (covariance is NOT blended; each node keeps its own). A static C is
    checked at construction and then frozen, so no step checks it again;
 5. [policy] adaptive policy only: link pruning, a per-link count of
    consecutive steps with weight below the threshold; a link is cut once
    both directions reach the window, in one ``prune_cross_links`` call
-   over the network stack, and the surviving links keep their counts. A
-   static policy keeps its initial graph. A cut re-gathers the edge
-   arrays and refills W;
+   over the network stack, and the surviving links keep their counts.
+   The counts advance in place, and the prune reads the reverses of only
+   the edges whose count reached the window. A static policy keeps its
+   initial graph. A cut re-gathers the edge arrays and refills W;
 6. time update: [policy] x_pred = F x_hat (plus gravity when the filter
    knows it); [topology] M becomes
    (a + delta(2b + delta c) + q, b + delta c, c + q).
@@ -125,8 +131,8 @@ from .combiners import (
     COLUMN_SUM_TOL,
     CombinationError,
     consistent_pairs,
-    sq_dist,
     static_weights,
+    sum_squares,
     validate_combination_matrix,
 )
 from .dynamics import STATE_DIM
@@ -492,7 +498,9 @@ class DiffusionKalmanEngine:
         # The adaptive policy stands alone, so ``psi`` is its (T, n, 4)
         # and C^T its (1, T, n, n) buffer. Edge (n, m) scores neighbor n's
         # estimate against node m's own measurement y_m as
-        # 1 / max(d^2, eps^2); each column m is then normalized. The (E,)
+        # 1 / max(d^2, eps^2), formed in place on d^2; the few links that
+        # fail the consistency test are zeroed by index, so no full-length
+        # mask is built, and each column m is then normalized. The (E,)
         # weights are returned, and overwrite the edges' entries of the
         # engine's C^T buffer, of which C is the transposed view. Its other
         # entries are zero once the links of the last prune are: they are
@@ -504,24 +512,30 @@ class DiffusionKalmanEngine:
         edges = self.net.edges
         n, m = edges.source, edges.key
         psi, y = psi.reshape(-1, STATE_DIM), self.y.reshape(-1, STATE_DIM)
-        d2 = sq_dist(np.take(psi, n, axis=0), np.take(y, m, axis=0))
+        # The difference psi_n - y_m is formed in the gather of psi_n, and
+        # squared there. A difference past the float range is inf, read as
+        # far.
+        diff = np.take(psi, n, axis=0)
+        with np.errstate(over="ignore"):
+            np.subtract(diff, np.take(y, m, axis=0), out=diff)
+        w = sum_squares(diff)
         eps = self.cfg.eps
-        np.maximum(d2, eps * eps, out=d2)
+        np.maximum(w, eps * eps, out=w)
+        np.divide(1.0, w, out=w)
         # The consistency test is symmetric to the bit, so it runs on one
         # direction of each link, on the measurements y_n and y_m at its
-        # two ends, and is mirrored onto the other. A self-edge passes,
-        # its measurement being finite.
-        half, back = edges.half, self.back
+        # two ends, and is mirrored onto the other: both directions of a
+        # link that fails are zeroed. A self-edge passes, its measurement
+        # being finite.
         agree = consistent_pairs(
             np.take(y, self.half_n, axis=0),
             np.take(y, self.half_m, axis=0),
             self.sigma2_n,
             self.sigma2_m,
         )
-        usable = edges.is_self.copy()
-        usable[half] = agree
-        usable[back] = agree
-        w = np.where(usable, 1.0 / d2, 0.0)
+        failed = np.flatnonzero(~agree)
+        w[np.take(edges.half, failed)] = 0.0
+        w[np.take(self.back, failed)] = 0.0
         # A column is left no weight only when every usable distance, its
         # own included, overflowed.
         total = np.bincount(m, w)

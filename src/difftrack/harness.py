@@ -109,6 +109,13 @@ class ExperimentConfig:
         for name in ("min_degree", "g", "v0", "sigma_span", "G_scale", "Q_scale"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be nonnegative")
+        # Every noise level lies in [sigma_min, sigma_min + sigma_span], so
+        # a finite sum keeps each of them finite.
+        if not math.isfinite(self.sigma_min + self.sigma_span):
+            raise ConfigError(
+                f"sigma_min = {self.sigma_min!r} and sigma_span = {self.sigma_span!r} "
+                f"give a non-finite largest measurement variance"
+            )
         if not 0.0 < self.comm_radius <= math.sqrt(2.0):
             raise ConfigError("comm_radius must lie in (0, sqrt(2)]")
         # A head ball of radius sqrt(2) or more holds the whole square, so

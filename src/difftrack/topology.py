@@ -301,15 +301,21 @@ def infer_clusters(c: np.ndarray, threshold: float) -> ClusterAssignment:
 def count_below(
     counts: np.ndarray, c: np.ndarray, tau: float, window: int
 ) -> np.ndarray:
-    """Advance per-link counts of consecutive steps with weight below tau.
+    """Advance per-link counts of consecutive steps with weight below tau,
+    in place.
 
-    ``counts`` and the weights ``c`` match in shape: one entry per link,
-    such as one per edge of a network's ``edges``. An entry grows by one
-    while its weight stays below tau and restarts at 0 when it does not.
-    Counts saturate at ``window``: a link is judged only on whether its
-    count reached the window, and a narrow integer type cannot wrap.
+    ``counts``, an integer array, and the weights ``c`` match in shape:
+    one entry per link, such as one per edge of a network's ``edges``. An
+    entry grows by one while its weight stays below tau and restarts at 0
+    when it does not. Counts saturate at ``window``, which their type must
+    hold: a link is judged only on whether its count reached the window,
+    and a narrow integer type cannot wrap. ``counts`` itself is returned,
+    its type unchanged.
     """
-    return np.where(np.asarray(c) < tau, np.minimum(counts, window - 1) + 1, 0)
+    np.minimum(counts, window - 1, out=counts)
+    counts += 1
+    counts *= np.asarray(c) < tau
+    return counts
 
 
 def prune_cross_links(net: Network, below_steps: np.ndarray, window: int) -> Network:
@@ -319,27 +325,34 @@ def prune_cross_links(net: Network, below_steps: np.ndarray, window: int) -> Net
     the weight on edge e of ``net.edges`` stayed below the prune threshold
     (see ``count_below``), so one call prunes a whole stack. An edge (n, m)
     is removed only when both directions reached ``window``; self-edges
-    never are. Returns ``net`` unchanged (same object) when nothing
-    qualifies; otherwise the pruned network's ``edges`` is ``net.edges``
-    filtered to the survivors, whose ``keep`` marks them.
+    never are. One pass over the counts finds the edges that reached the
+    window, and only their reverses' counts are read. Returns ``net``
+    unchanged (same object) when nothing qualifies; otherwise the pruned
+    network's ``edges`` is ``net.edges`` filtered to the survivors, whose
+    ``keep`` marks them.
     """
     if window < 1:
         raise ConfigError(f"prune window must be >= 1, got {window}")
     edges = net.edges
-    reached = np.asarray(below_steps) >= window
-    if reached.shape != (len(edges),):
-        raise ConfigError(f"need one count per edge, {len(edges)}, got shape {reached.shape}")
-    kill = reached & np.take(reached, edges.reverse) & ~edges.is_self
-    if not kill.any():
+    below_steps = np.asarray(below_steps)
+    if below_steps.shape != (len(edges),):
+        raise ConfigError(f"need one count per edge, {len(edges)}, got shape {below_steps.shape}")
+    reached = np.flatnonzero(below_steps >= window)
+    reverse = np.take(edges.reverse, reached)
+    # A self-edge is its own reverse.
+    kill = reached[(np.take(below_steps, reverse) >= window) & (reverse != reached)]
+    if not kill.size:
         return net
+    keep = np.ones(len(edges), dtype=bool)
+    keep[kill] = False
     adjacency = net.adjacency.copy()
-    adjacency.reshape(-1)[edges.flat[kill]] = False
+    adjacency.reshape(-1)[np.take(edges.flat, kill)] = False
     # Cutting both directions of off-diagonal links leaves a checked
     # adjacency symmetric and free of self-loops, so the pruned network
     # skips the checks and shares its parent's frozen positions. Filling
     # the cached ``edges`` keeps the list from being rebuilt.
     pruned = object.__new__(Network)
     pruned.__dict__.update(
-        positions=net.positions, adjacency=_freeze(adjacency), edges=edges.kept(~kill)
+        positions=net.positions, adjacency=_freeze(adjacency), edges=edges.kept(keep)
     )
     return pruned

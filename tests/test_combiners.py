@@ -225,6 +225,22 @@ def test_consistent_pairs_per_edge_equal_all_pairs():
     assert np.array_equal(per_edge, every[e.row, e.col])
 
 
+@pytest.mark.filterwarnings("error")
+def test_consistency_bound_past_the_float_range_agrees_without_a_warning():
+    # At sigma2 >= about 5e306 the bound CONSISTENCY_CHI2 * (sigma2_a +
+    # sigma2_b) overflows, in the product or already in the sum; an
+    # infinite bound takes every finite pair, and a distance that
+    # overflows too still agrees with it.
+    a = np.array([[0.0, 0.0, 0.0, 0.0], [1e200, 0.0, 0.0, 0.0], [3.0, 4.0, 0.0, 0.0]])
+    b = np.array([[1e150, 0.0, 0.0, 0.0], [-1e200, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
+    for s2 in (1e307, 1e308, np.finfo(float).max):
+        sigma2 = np.full(3, s2)
+        assert consistent_pairs(a, b, sigma2, sigma2).all()
+    # Below the overflow the bound is the finite product.
+    sigma2 = np.full(3, 1.0)
+    assert consistent_pairs(a, b, sigma2, sigma2).tolist() == [False, False, True]
+
+
 def test_validate_edge_weights_names_trial_and_column():
     rng = np.random.default_rng(8)
     nets = [generate_geometric(12, 0.5, 2, rng) for _ in range(3)]

@@ -19,7 +19,7 @@ from difftrack.cli import main
 from difftrack.combiners import POLICIES
 from difftrack.dynamics import initial_state, step_truth
 from difftrack.engine import DiffusionKalmanEngine
-from difftrack.errors import ConfigError
+from difftrack.errors import ConfigError, NumericError
 from difftrack.harness import (
     ExperimentConfig,
     MetricsRecord,
@@ -130,6 +130,17 @@ class TestExperimentConfig:
             value = (value, 1.0)
         with pytest.raises(ConfigError, match=rf"^{field} must be finite"):
             ExperimentConfig(**{field: value})
+
+    def test_overflowing_noise_range_rejected_by_both_keys(self):
+        # Each trial's noise levels lie in [sigma_min, sigma_min + sigma_span];
+        # a sum that overflows is bad input, named before any trial runs.
+        with pytest.raises(
+            ConfigError,
+            match=r"^sigma_min = 1e\+308 and sigma_span = 1e\+308 give a non-finite "
+            r"largest measurement variance$",
+        ):
+            ExperimentConfig(sigma_min=1e308, sigma_span=1e308)
+        assert ExperimentConfig(sigma_min=1.0, sigma_span=1.7e308).sigma_span == 1.7e308
 
     # A library caller meets the same type checks as a config file.
     @pytest.mark.parametrize(
@@ -883,6 +894,18 @@ class TestCli:
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
         assert not out.exists()
 
+    def test_overflowing_noise_range_exits_two(self, tmp_path, capsys, recwarn):
+        cfg_path = tmp_path / "noisy.cfg"
+        cfg_path.write_text(SMALL_CFG + "sigma_min = 1e308\nsigma_span = 1e308\n")
+        out = tmp_path / "out"
+        code = main(["run", "--config", str(cfg_path), "--out-dir", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "sigma_min = 1e+308 and sigma_span = 1e+308 give a non-finite" in err
+        assert "Traceback" not in err
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["run", "sweep"])
     @pytest.mark.parametrize(
         "line,iteration", [("P0_scale = 1e308", 0), ("Q_scale = 1e200", 1)]
@@ -945,3 +968,50 @@ class TestCli:
         assert code == 0
         out = capsys.readouterr().out
         assert "FAIL" not in out
+
+
+# Configs at the edge of the float range, each with what it must end in:
+# None for a finished run, or the message of the named error it must raise.
+EXTREME_CONFIGS = [
+    (
+        dict(sigma_min=1e307, sigma_span=0.0),
+        r"^trial 1: iteration 7: every squared distance at node 3 overflows, "
+        r"leaving it no weight$",
+    ),
+    (
+        dict(sigma_min=1e308, sigma_span=0.0),
+        r"^trial 0: iteration 0: every squared distance at node 0 overflows",
+    ),
+    (
+        dict(sigma_min=1.0, sigma_span=1.7e308),
+        r"^trial 0: iteration 0: every squared distance at node 3 overflows",
+    ),
+    (
+        dict(sigma_min=1e308, sigma_span=1e308),
+        r"^sigma_min = 1e\+308 and sigma_span = 1e\+308 give a non-finite",
+    ),
+    (dict(x0=1e300), r"^trial 0: iteration 0: MSD of cluster 1 is not finite"),
+    (dict(v0=1e200), r"^trial 0: iteration 0: MSD of cluster 1 is not finite"),
+    (dict(y0=1e155), None),
+    (dict(P0_scale=1e300), r"^trial 0: iteration 0: innovation covariance at node 0 overflows$"),
+    (dict(Q_scale=1e300), r"^trial 0: iteration 1: innovation covariance at node 0 overflows$"),
+    (dict(sigma_min=1e-300), None),
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "extreme,message", EXTREME_CONFIGS, ids=[str(kw) for kw, _ in EXTREME_CONFIGS]
+)
+def test_an_extreme_config_finishes_or_fails_by_name_without_a_warning(extreme, message):
+    def sweep():
+        cfg = ExperimentConfig(n_trials=2, n_iterations=10, **extreme)
+        return policy_sweep(cfg, ["uniform", "adaptive"])
+
+    if message is None:
+        result = sweep()
+        for run in result.runs.values():
+            assert np.isfinite(run.series.msd_linear).all()
+    else:
+        with pytest.raises((ConfigError, NumericError), match=message):
+            sweep()

@@ -294,6 +294,14 @@ class TestReadClusters:
                 1, 2, 1, 2, 1, 2
             ]
 
+    @pytest.mark.filterwarnings("error")
+    def test_a_bound_past_the_float_range_joins_every_pair_without_a_warning(self):
+        # CONSISTENCY_CHI2 * (sigma2_i + sigma2_j) overflows to inf, under
+        # which every pair of finite estimates agrees.
+        estimates, _ = self.scene([1, 2, 1, 2])
+        for sigma2 in (np.full(4, 1e307), np.full(4, 1e308)):
+            assert list(read_clusters(np.eye(4), 0.05, estimates, sigma2)) == [1, 1, 1, 1]
+
     def test_weight_components_are_never_split(self):
         estimates, sigma2 = self.scene([1, 2, 2])
         c = np.full((3, 3), 1.0 / 3.0)
